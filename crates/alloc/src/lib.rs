@@ -1,6 +1,7 @@
 //! Telemetry-driven fragment allocation (§6 partial replication).
 //!
-//! `BENCH_pr9.json` shows the real scaling wall is fan-out: with every
+//! `BENCH_pr10.json` (the full-replication arm of `partial_replication`)
+//! shows the real scaling wall is fan-out: with every
 //! fragment fully replicated, a commit at 1024 nodes pays ~1023 broadcast
 //! messages no matter how cheap the kernel gets. The paper's E12
 //! experiment proves non-full replication preserves the availability and

@@ -9,7 +9,7 @@
 //!   where every share site performed a deep copy. The wall-clock column
 //!   also tracks the route-cache fix: transmissions no longer run a
 //!   Dijkstra each, which is what made the 64-node row superlinear in
-//!   `BENCH_pr3.json`.
+//!   the PR 3 report (`BENCH_pr3.json` in git history).
 //! * **broadcast batching** — bursty same-instant commits with group
 //!   commit off versus a window of 8: data transmissions, standalone
 //!   acks, timing-wheel operations, and wall-clock, plus the combined
@@ -63,7 +63,7 @@
 //!   fragdb-bench compare BASE CAND [--threshold PCT]
 //!                                         regression-gate CAND against BASE
 //!
-//! `compare` loads two reports (any schema pr3–pr10), matches section rows
+//! `compare` loads two reports, matches section rows
 //! by node count, and prints per-field deltas. Deterministic virtual-time
 //! and count fields are *gated*: a monitored field that degrades by more
 //! than the threshold (default 20%) fails the comparison (exit 1). When
@@ -1248,11 +1248,8 @@ fn cmd_compare(base_path: &str, cand_path: &str, threshold: f64) {
     let mut checked = 0u64;
     let mut regressions: Vec<String> = Vec::new();
     for &(section, gates) in MONITORED {
-        let (Some(bb), Some(cb)) = (section_body(&base, section), section_body(&cand, section))
-        else {
-            println!("  {section}: absent from one report, skipped");
-            continue;
-        };
+        let bb = section_body(&base, section).expect("validated above");
+        let cb = section_body(&cand, section).expect("validated above");
         let bnodes = number_fields(bb, "nodes").unwrap_or_default();
         let cnodes = number_fields(cb, "nodes").unwrap_or_default();
         for g in gates {
@@ -1262,9 +1259,7 @@ fn cmd_compare(base_path: &str, cand_path: &str, threshold: f64) {
             let bvals = number_fields(bb, g.field).unwrap_or_default();
             let cvals = number_fields(cb, g.field).unwrap_or_default();
             if bvals.len() != bnodes.len() || cvals.len() != cnodes.len() {
-                // Field absent from one schema generation (e.g. the pr9
-                // span columns against a pr8 baseline): nothing to gate.
-                println!("  {section}.{}: not in both reports, skipped", g.field);
+                regressions.push(format!("{section}.{}: not in every row", g.field));
                 continue;
             }
             for (i, bn) in bnodes.iter().enumerate() {
@@ -1348,143 +1343,85 @@ fn fmt_ratio(r: f64) -> String {
 
 // ---- validation ----------------------------------------------------------
 
-/// Schema check for a bench report: required keys, each section has
-/// one entry per node count in strictly increasing order, and the
-/// deterministic counters are nonzero. Accepts the PR 3 schema (three
-/// sections), the PR 5 schema (which adds `broadcast_batching`), the
-/// PR 6 schema (which adds `self_heal`), the PR 7 schema (which adds
-/// `model_check`, on its own 2/3/4-node axis), the PR 8 schema (which
-/// adds `scale` and `scale_kernels`, on their own large-mesh axis),
-/// the PR 9 schema (which adds the span-phase decomposition to the
-/// `scale` rows), and the PR 10 schema (which adds the
-/// `partial_replication` section on the large-mesh axis and the
-/// heartbeat columns to `self_heal`). Hand-rolled because no JSON
-/// parser is available in
-/// this build environment; the emitter above is the only producer, so
-/// the format is fully under our control.
+/// Schema check for a bench report (`fragdb-bench-pr10/v1`, the one
+/// schema: every section any earlier report had is in it): required keys,
+/// each section has one entry per node count in strictly increasing
+/// order, and the deterministic counters are nonzero. Hand-rolled because
+/// no JSON parser is available in this build environment; the emitter
+/// above is the only producer, so the format is fully under our control.
 fn validate_report(text: &str) -> Result<String, String> {
-    let pr10 = text.contains("\"schema\": \"fragdb-bench-pr10/v1\"");
-    let pr9 = pr10 || text.contains("\"schema\": \"fragdb-bench-pr9/v1\"");
-    let pr8 = pr9 || text.contains("\"schema\": \"fragdb-bench-pr8/v1\"");
-    let pr7 = text.contains("\"schema\": \"fragdb-bench-pr7/v1\"");
-    let pr6 = text.contains("\"schema\": \"fragdb-bench-pr6/v1\"");
-    let pr5 = text.contains("\"schema\": \"fragdb-bench-pr5/v1\"");
-    let pr3 = text.contains("\"schema\": \"fragdb-bench-pr3/v1\"");
-    if !pr8 && !pr7 && !pr6 && !pr5 && !pr3 {
-        return Err(
-            "missing or unknown \"schema\" (expected fragdb-bench-pr3/v1, -pr5/v1, -pr6/v1, \
-             -pr7/v1, -pr8/v1, -pr9/v1, or -pr10/v1)"
-                .into(),
-        );
-    }
-    if pr8 && !text.contains("\"scale_node_counts\": [") {
-        return Err("missing \"scale_node_counts\"".into());
-    }
-    for key in ["\"mode\":", "\"seed\": 42", "\"node_counts\": [4, 16, 64]"] {
+    for key in [
+        "\"schema\": \"fragdb-bench-pr10/v1\"",
+        "\"scale_node_counts\": [",
+        "\"mode\":",
+        "\"seed\": 42",
+        "\"node_counts\": [4, 16, 64]",
+    ] {
         if !text.contains(key) {
             return Err(format!("missing {key}"));
         }
     }
-    let mut sections = vec![
+    let sections: [(&str, &[&str]); 9] = [
         (
             "payload_broadcast",
-            &["events", "messages", "clones_after", "shares"][..],
+            &["events", "messages", "clones_after", "shares"],
         ),
-        ("wal_index", &["records", "queries"][..]),
-        ("checker", &["ops", "queries", "edge_insertions"][..]),
-    ];
-    if pr5 || pr6 || pr7 || pr8 {
-        sections.insert(
-            1,
-            (
-                "broadcast_batching",
-                &[
-                    "commits",
-                    "messages_off",
-                    "messages_on",
-                    "acks_off",
-                    "acks_on",
-                    "timer_ops_off",
-                    "timer_ops_on",
-                    "reduction",
-                ][..],
-            ),
-        );
-    }
-    if pr6 || pr7 || pr8 {
-        sections.push((
+        (
+            "broadcast_batching",
+            &[
+                "commits",
+                "messages_off",
+                "messages_on",
+                "acks_off",
+                "acks_on",
+                "timer_ops_off",
+                "timer_ops_on",
+                "reduction",
+            ],
+        ),
+        ("wal_index", &["records", "queries"]),
+        ("checker", &["ops", "queries", "edge_insertions"]),
+        (
             "self_heal",
-            if pr10 {
-                &[
-                    "commits_before",
-                    "commits_after",
-                    "detection_us",
-                    "election_rounds",
-                    "unavail_us",
-                    "heartbeats",
-                    "heartbeats_full_mesh",
-                ][..]
-            } else {
-                &[
-                    "commits_before",
-                    "commits_after",
-                    "detection_us",
-                    "election_rounds",
-                    "unavail_us",
-                ][..]
-            },
-        ));
-    }
-    if pr7 || pr8 {
-        sections.push((
+            &[
+                "commits_before",
+                "commits_after",
+                "detection_us",
+                "election_rounds",
+                "unavail_us",
+                "heartbeats",
+                "heartbeats_full_mesh",
+            ],
+        ),
+        (
             "model_check",
-            &["states", "transitions", "states_per_sec", "witness_len"][..],
-        ));
-    }
-    if pr8 {
-        sections.push((
+            &["states", "transitions", "states_per_sec", "witness_len"],
+        ),
+        // `spans` and the network leg percentiles are always nonzero
+        // (remote installs cross real links); hold-back / queue / exec
+        // legitimately hit zero on uncongested fault-free meshes, so
+        // `compare` checks they are present instead.
+        (
             "scale",
-            if pr9 {
-                // The pr9 span decomposition: `spans` and the network leg
-                // percentiles are always nonzero (remote installs cross
-                // real links); hold-back / queue / exec legitimately hit
-                // zero on uncongested fault-free meshes, so they are
-                // presence-checked by `compare` instead.
-                &[
-                    "users",
-                    "offered_rate",
-                    "arrivals",
-                    "commits",
-                    "events",
-                    "messages",
-                    "peak_queue_depth",
-                    "pool_reuse",
-                    "lag_p50_us",
-                    "lag_p99_us",
-                    "spans",
-                    "net_p50_us",
-                    "net_p99_us",
-                    "events_per_sec",
-                    "msgs_per_sec",
-                ][..]
-            } else {
-                &[
-                    "users",
-                    "offered_rate",
-                    "arrivals",
-                    "commits",
-                    "events",
-                    "messages",
-                    "peak_queue_depth",
-                    "pool_reuse",
-                    "lag_p50_us",
-                    "lag_p99_us",
-                    "events_per_sec",
-                    "msgs_per_sec",
-                ][..]
-            },
-        ));
-        sections.push((
+            &[
+                "users",
+                "offered_rate",
+                "arrivals",
+                "commits",
+                "events",
+                "messages",
+                "peak_queue_depth",
+                "pool_reuse",
+                "lag_p50_us",
+                "lag_p99_us",
+                "spans",
+                "net_p50_us",
+                "net_p99_us",
+                "events_per_sec",
+                "msgs_per_sec",
+            ],
+        ),
+        (
             "scale_kernels",
             &[
                 "queue_population",
@@ -1494,13 +1431,11 @@ fn validate_report(text: &str) -> Result<String, String> {
                 "store_objects",
                 "store_speedup",
                 "digests_per_sec",
-            ][..],
-        ));
-    }
-    if pr10 {
+            ],
+        ),
         // Staleness columns are deliberately absent from the nonzero
         // list: a fully converged run can legitimately observe 0.
-        sections.push((
+        (
             "partial_replication",
             &[
                 "arrivals",
@@ -1518,9 +1453,9 @@ fn validate_report(text: &str) -> Result<String, String> {
                 "migrations",
                 "shrinks",
                 "replica_count",
-            ][..],
-        ));
-    }
+            ],
+        ),
+    ];
     let mut summary = String::new();
     for (section, nonzero_fields) in sections {
         let body =

@@ -8,15 +8,18 @@
 //! 1. a per-fragment ASCII timeline joining each commit to the installs it
 //!    caused (flagging incomplete R-joins);
 //! 2. a lag/staleness/stall summary table from the derived probes;
-//! 3. optionally a JSON-lines export of the raw event log (hand-rolled,
-//!    no serde), which `--validate` schema-checks.
+//! 3. optionally a JSON-lines export of the raw event log, which
+//!    `--validate` checks (every line decodes strictly, virtual time never
+//!    decreases within a scenario).
 //!
 //! The run fails (exit 1) if any emitted metric key is missing from the
 //! `fragdb_sim::metrics::keys` registry — CI uses this as the telemetry
 //! smoke check.
 //!
 //! Two subcommands consume a saved JSONL export through the `fragdb-obs`
-//! span reconstruction:
+//! span reconstruction. They read through the same decoder as
+//! `--validate` and accept the same files, except that a file of several
+//! scenarios is refused (exit 1): causal ids restart with every run.
 //!
 //!   fragdb-trace spans FILE.jsonl          per-commit spans + critical paths
 //!   fragdb-trace critical-path FILE.jsonl  attribution table + folded stacks
@@ -203,7 +206,7 @@ fn main() {
         }
         if out.is_some() {
             let text = render_jsonl(&run);
-            validate_jsonl(&text).expect("export must satisfy its own schema");
+            validate_jsonl(&text).expect("the export must read back");
             export.push_str(&text);
         }
     }

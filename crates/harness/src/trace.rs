@@ -22,8 +22,9 @@
 //!
 //! A [`TraceRun`] captures the full structured event log plus the derived
 //! probe metrics; the renderers turn it into a per-fragment causality
-//! timeline, a lag/staleness summary table, and a JSON-lines export with a
-//! hand-rolled schema validator (no serde in this offline build).
+//! timeline, a lag/staleness summary table, and a JSON-lines export. The
+//! wire format belongs to `fragdb_sim::telemetry`; the renderer and the
+//! validator here only call it.
 
 use std::collections::BTreeMap;
 
@@ -32,6 +33,7 @@ use fragdb_core::{MovePolicy, Submission, System, SystemConfig};
 use fragdb_model::{AgentId, FragmentCatalog, FragmentId, NodeId, ObjectId};
 use fragdb_net::{FaultConfig, FaultPlan, Topology};
 use fragdb_sim::metrics::{keys, Metrics};
+use fragdb_sim::telemetry::{self, JsonlEntry};
 use fragdb_sim::{CausalId, SimDuration, SimTime, Telemetry, TelemetryEvent, TelemetryRecord};
 
 use crate::configs;
@@ -605,15 +607,7 @@ pub fn render_summary(run: &TraceRun) -> String {
 /// Render the run as JSON lines (scenario header comment, drop marker when
 /// the buffer wrapped, then one flat object per event).
 pub fn render_jsonl(run: &TraceRun) -> String {
-    let mut out = format!("# scenario: {} section: {}\n", run.scenario, run.section);
-    if run.dropped > 0 {
-        out.push_str(&format!("# {} earlier events dropped\n", run.dropped));
-    }
-    for r in &run.records {
-        out.push_str(&r.to_json_line());
-        out.push('\n');
-    }
-    out
+    telemetry::render_jsonl(Some((run.scenario, run.section)), run.dropped, &run.records)
 }
 
 /// Metric keys present in `metrics` that the registry does not know.
@@ -631,179 +625,30 @@ pub fn unregistered_metric_keys(metrics: &Metrics) -> Vec<String> {
 
 // ---- JSONL validation ----------------------------------------------------
 
-/// Every event name the exporter can emit, with the fields each requires
-/// (beyond `at_micros` and `event`). The schema is flat by construction.
-const EVENT_SCHEMA: &[(&str, &[&str])] = &[
-    ("initiated", &["node", "fragment", "txn_seq"]),
-    (
-        "lock_wait_started",
-        &["node", "fragment", "txn_seq", "sites"],
-    ),
-    ("lock_granted", &["node", "fragment", "txn_seq"]),
-    (
-        "committed",
-        &["fragment", "epoch", "frag_seq", "node", "txn_seq"],
-    ),
-    (
-        "broadcast_sent",
-        &["fragment", "epoch", "frag_seq", "node", "recipients"],
-    ),
-    ("installed", &["fragment", "epoch", "frag_seq", "node"]),
-    ("aborted", &["node", "fragment", "txn_seq", "reason"]),
-    (
-        "read_observed",
-        &["node", "fragment", "seen_seq", "agent_seq"],
-    ),
-    (
-        "held_back",
-        &["fragment", "epoch", "frag_seq", "node", "depth"],
-    ),
-    ("submission_queued", &["fragment", "depth"]),
-    ("move_requested", &["fragment", "from", "to"]),
-    ("token_arrived", &["fragment", "node"]),
-    ("move_aborted", &["fragment", "from", "to"]),
-    ("dropped", &["from", "to", "count"]),
-    ("retransmit", &["from", "to", "count"]),
-    ("delivered", &["from", "to", "kind"]),
-    ("crash", &["node"]),
-    ("recover", &["node", "behind_fragments"]),
-    ("catchup_complete", &["node"]),
-    ("suspect_raised", &["node", "suspect"]),
-    ("election_started", &["fragment", "epoch", "candidate"]),
-    ("election_won", &["fragment", "epoch", "node"]),
-    ("election_aborted", &["fragment", "epoch", "reason"]),
-    ("token_recovered", &["fragment", "epoch", "node"]),
-    (
-        "batch_discarded",
-        &["fragment", "epoch", "frag_seq", "node"],
-    ),
-    (
-        "replica_set_changed",
-        &["fragment", "from_count", "to_count"],
-    ),
-];
-
 /// Summary statistics from a validated JSONL export.
 pub struct JsonlStats {
     /// Event lines (comments excluded).
     pub events: usize,
     /// Count per event name.
-    pub by_event: BTreeMap<String, usize>,
+    pub by_event: BTreeMap<&'static str, usize>,
 }
 
-/// Parse one flat JSON object of string/number fields. Hand-rolled: the
-/// exporter only ever writes `{"k":123,"k":"str",…}` with no nesting.
-fn parse_flat_object(line: &str) -> Result<BTreeMap<String, String>, String> {
-    let inner = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| "line is not a {...} object".to_string())?;
-    let mut fields = BTreeMap::new();
-    let mut rest = inner;
-    while !rest.is_empty() {
-        let key_start = rest
-            .strip_prefix('"')
-            .ok_or_else(|| format!("expected quoted key at: {rest}"))?;
-        let key_end = key_start
-            .find('"')
-            .ok_or_else(|| "unterminated key".to_string())?;
-        let key = &key_start[..key_end];
-        let after_key = key_start[key_end + 1..]
-            .strip_prefix(':')
-            .ok_or_else(|| format!("missing ':' after key {key}"))?;
-        let (value, remainder) = if let Some(sq) = after_key.strip_prefix('"') {
-            // String value; exporter escapes only '"' and '\'.
-            let mut end = None;
-            let mut prev_backslash = false;
-            for (i, c) in sq.char_indices() {
-                if prev_backslash {
-                    prev_backslash = false;
-                } else if c == '\\' {
-                    prev_backslash = true;
-                } else if c == '"' {
-                    end = Some(i);
-                    break;
-                }
-            }
-            let end = end.ok_or_else(|| format!("unterminated string for key {key}"))?;
-            (sq[..end].to_string(), &sq[end + 1..])
-        } else {
-            let end = after_key.find(',').unwrap_or(after_key.len());
-            let raw = &after_key[..end];
-            if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
-                return Err(format!(
-                    "field {key} is neither a string nor a number: {raw}"
-                ));
-            }
-            (raw.to_string(), &after_key[end..])
-        };
-        if fields.insert(key.to_string(), value).is_some() {
-            return Err(format!("duplicate field {key}"));
-        }
-        rest = match remainder.strip_prefix(',') {
-            Some(r) => r,
-            None if remainder.is_empty() => remainder,
-            None => return Err(format!("trailing garbage after field {key}: {remainder}")),
-        };
-    }
-    Ok(fields)
-}
-
-/// Validate a JSONL export against the hand-rolled event schema: every
-/// non-comment line must be a flat object with `at_micros` (numeric,
-/// non-decreasing) and a known `event` carrying exactly its schema fields.
+/// Validate a JSONL export: it must be what `telemetry::read_jsonl`
+/// accepts (every line decodes strictly, `at_micros` never decreases
+/// within a scenario, at least one event). A file holding several
+/// scenarios is checked scenario by scenario.
 pub fn validate_jsonl(text: &str) -> Result<JsonlStats, String> {
-    let schema: BTreeMap<&str, &[&str]> = EVENT_SCHEMA.iter().copied().collect();
     let mut stats = JsonlStats {
         events: 0,
         by_event: BTreeMap::new(),
     };
-    let mut last_at: u64 = 0;
-    for (lineno, line) in text.lines().enumerate() {
-        let n = lineno + 1;
-        if line.starts_with('#') || line.is_empty() {
-            // A new scenario segment restarts virtual time.
-            if line.starts_with("# scenario:") {
-                last_at = 0;
-            }
-            continue;
+    telemetry::read_jsonl(text, |entry| {
+        if let JsonlEntry::Record(r) = entry {
+            stats.events += 1;
+            *stats.by_event.entry(r.event.name()).or_insert(0) += 1;
         }
-        let fields = parse_flat_object(line).map_err(|e| format!("line {n}: {e}"))?;
-        let at: u64 = fields
-            .get("at_micros")
-            .ok_or_else(|| format!("line {n}: missing at_micros"))?
-            .parse()
-            .map_err(|_| format!("line {n}: at_micros is not numeric"))?;
-        if at < last_at {
-            return Err(format!(
-                "line {n}: at_micros {at} decreases (previous {last_at})"
-            ));
-        }
-        last_at = at;
-        let event = fields
-            .get("event")
-            .ok_or_else(|| format!("line {n}: missing event"))?;
-        let required = schema
-            .get(event.as_str())
-            .ok_or_else(|| format!("line {n}: unknown event {event:?}"))?;
-        for &f in *required {
-            if !fields.contains_key(f) {
-                return Err(format!("line {n}: event {event:?} missing field {f:?}"));
-            }
-        }
-        let expected = required.len() + 2; // + at_micros + event
-        if fields.len() != expected {
-            return Err(format!(
-                "line {n}: event {event:?} has {} fields, schema says {expected}",
-                fields.len()
-            ));
-        }
-        stats.events += 1;
-        *stats.by_event.entry(event.clone()).or_insert(0) += 1;
-    }
-    if stats.events == 0 {
-        return Err("no event lines".to_string());
-    }
+        Ok(())
+    })?;
     Ok(stats)
 }
 
@@ -851,23 +696,138 @@ mod tests {
         assert!(stats.by_event.contains_key("committed"));
     }
 
+    /// `--validate` and span reconstruction read exports through the same
+    /// decoder, so on a single-run file they accept and reject alike, with
+    /// the same message naming the line.
     #[test]
-    fn validator_rejects_malformed_lines() {
-        assert!(validate_jsonl("").is_err());
-        assert!(validate_jsonl("{\"event\":\"committed\"}").is_err());
-        assert!(validate_jsonl("{\"at_micros\":1,\"event\":\"mystery\"}").is_err());
-        // Missing a schema field.
-        assert!(validate_jsonl("{\"at_micros\":1,\"event\":\"crash\"}").is_err());
-        // Extra field not in the schema.
-        assert!(
-            validate_jsonl("{\"at_micros\":1,\"event\":\"crash\",\"node\":2,\"x\":3}").is_err()
-        );
-        // Time going backwards.
-        let two = "{\"at_micros\":5,\"event\":\"crash\",\"node\":1}\n{\"at_micros\":4,\"event\":\"crash\",\"node\":1}";
-        assert!(validate_jsonl(two).is_err());
-        // A valid line passes.
+    fn validator_and_span_reader_reject_the_same_lines() {
+        use fragdb_obs::SpanReport;
         let ok = "{\"at_micros\":5,\"event\":\"crash\",\"node\":1}";
-        assert_eq!(validate_jsonl(ok).unwrap().events, 1);
+        let both = |text: &str| {
+            let validated = validate_jsonl(text).map(|s| s.events);
+            let replayed = SpanReport::from_jsonl(text).map(|_| ());
+            assert_eq!(validated.clone().err(), replayed.err(), "{text}");
+            validated
+        };
+        assert_eq!(both(ok), Ok(1));
+        assert_eq!(
+            both(&format!("# scenario: x section: 1\n\n# note\n{ok}\n")),
+            Ok(1)
+        );
+
+        assert_eq!(both(""), Err("no event lines".to_string()));
+        assert_eq!(both("# a comment\n"), Err("no event lines".to_string()));
+
+        let rejected: &[(&str, &str)] = &[
+            ("not json", "expected field \"at_micros\""),
+            (
+                "{\"event\":\"crash\",\"node\":1}",
+                "expected field \"at_micros\"",
+            ),
+            (
+                "{\"at_micros\":1,\"node\":1}",
+                "expected field \"event\", found field \"node\"",
+            ),
+            (
+                "{\"at_micros\":1,\"event\":\"mystery\"}",
+                "unknown event \"mystery\"",
+            ),
+            // Missing, extra, duplicate and out-of-order fields.
+            (
+                "{\"at_micros\":1,\"event\":\"crash\"}",
+                "expected field \"node\", found the end of the object",
+            ),
+            (
+                "{\"at_micros\":1,\"event\":\"crash\",\"node\":2,\"x\":3}",
+                "expected the end of the object, found field \"x\"",
+            ),
+            (
+                "{\"at_micros\":1,\"event\":\"crash\",\"node\":2,\"node\":2}",
+                "expected the end of the object, found field \"node\"",
+            ),
+            (
+                "{\"at_micros\":1,\"event\":\"token_arrived\",\"node\":2,\"fragment\":0}",
+                "expected field \"fragment\", found field \"node\"",
+            ),
+            (
+                "{\"at_micros\":1,\"event\":\"crash\",\"node\":2} ",
+                "expected the end of the object",
+            ),
+            // Mistyped values.
+            (
+                "{\"at_micros\":1,\"event\":\"crash\",\"node\":\"x\"}",
+                "field \"node\": expected a number",
+            ),
+            (
+                "{\"at_micros\":\"1\",\"event\":\"crash\",\"node\":1}",
+                "field \"at_micros\": expected a number",
+            ),
+            (
+                "{\"at_micros\":1,\"event\":7,\"node\":1}",
+                "field \"event\": expected a string",
+            ),
+            (
+                "{\"at_micros\":1,\"event\":\"delivered\",\"from\":0,\"to\":1,\"kind\":3}",
+                "field \"kind\": expected a string",
+            ),
+            (
+                "{\"at_micros\":1,\"event\":\"crash\",\"node\":-1}",
+                "field \"node\": expected a number",
+            ),
+            (
+                "{\"at_micros\":1,\"event\":\"crash\",\"node\":01}",
+                "field \"node\": expected a number",
+            ),
+            (
+                "{\"at_micros\":1,\"event\":\"crash\",\"node\":1.5}",
+                "expected the end of the object",
+            ),
+            // Out-of-range values: the old reader wrapped this one to node 0.
+            (
+                "{\"at_micros\":1,\"event\":\"crash\",\"node\":4294967296}",
+                "field \"node\": 4294967296 exceeds u32",
+            ),
+            (
+                "{\"at_micros\":1,\"event\":\"recover\",\"node\":1,\"behind_fragments\":18446744073709551616}",
+                "field \"behind_fragments\": 18446744073709551616 exceeds u64",
+            ),
+            // Words outside their closed vocabularies.
+            (
+                "{\"at_micros\":1,\"event\":\"aborted\",\"node\":1,\"fragment\":0,\"txn_seq\":0,\"reason\":\"node_down\"}",
+                "unknown reason \"node_down\"",
+            ),
+            (
+                "{\"at_micros\":1,\"event\":\"election_aborted\",\"fragment\":0,\"epoch\":1,\"reason\":\"deadlock\"}",
+                "unknown reason \"deadlock\"",
+            ),
+            (
+                "{\"at_micros\":1,\"event\":\"delivered\",\"from\":0,\"to\":1,\"kind\":\"bogus\"}",
+                "unknown kind \"bogus\"",
+            ),
+        ];
+        for (bad, why) in rejected {
+            // The bad line goes third, so the error must say "line 3".
+            let text = format!("# scenario: x section: 1\n{ok}\n{bad}\n");
+            let err = both(&text).expect_err(bad);
+            assert!(err.contains(why), "{bad}: {err}");
+            assert!(err.starts_with("line 3: "), "{err}");
+        }
+        let err = both(&format!("{ok}\n{}\n", ok.replace('5', "4"))).unwrap_err();
+        assert_eq!(err, "line 2: at_micros 4 decreases (previous 5)");
+
+        // The one documented difference: a file of several runs validates
+        // run by run (virtual time restarts), but spans refuse to merge runs
+        // whose causal ids collide.
+        let two_runs = format!(
+            "# scenario: a section: 1\n{ok}\n# scenario: b section: 2\n{}\n",
+            ok.replace('5', "4")
+        );
+        assert_eq!(validate_jsonl(&two_runs).unwrap().events, 2);
+        let err = SpanReport::from_jsonl(&two_runs).err().unwrap();
+        assert!(
+            err.starts_with("line 3: second `# scenario:` header"),
+            "{err}"
+        );
     }
 
     #[test]

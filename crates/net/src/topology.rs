@@ -276,7 +276,7 @@ impl Topology {
 ///
 /// A full-mesh simulation asks for the same `(from, to)` delay once per
 /// packet; running Dijkstra each time is the dominant cost at 64 nodes
-/// (the BENCH_pr3 superlinearity). The cache answers repeats in O(log n)
+/// (the superlinear 64-node row of the PR 3 bench report). The cache answers repeats in O(log n)
 /// and must be [`invalidate`]d whenever the live [`LinkState`] changes —
 /// both [`ReliableNet`] and [`Transport`] do so in their `apply_change`.
 ///

@@ -17,82 +17,127 @@
 //! * a deterministic **folded-stack** renderer ([`critical::folded`])
 //!   whose output is byte-identical for a given seed.
 //!
-//! Reconstruction is a pure function of the event stream: feeding the
-//! in-memory records and feeding the parsed JSONL export of the same
-//! run produce identical reports ([`SpanReport::from_records`] /
-//! [`SpanReport::from_jsonl`]). Ring-evicted commits surface as
-//! explicit [`span::SpanStatus::Truncated`] spans — counted, never
-//! silently dropped.
+//! Reconstruction is a pure function of the event stream and matches
+//! `TelemetryEvent` directly: [`SpanReport::from_records`] walks the
+//! in-memory records, [`SpanReport::from_jsonl`] walks a saved export one
+//! decoded line at a time, and both produce identical reports for the same
+//! run. This crate knows nothing of the JSON-lines wire format; reading an
+//! export is `fragdb_sim::telemetry::read_jsonl`, the same reader behind
+//! `fragdb-trace --validate`, so the two accept the same files. The one
+//! difference is a file holding several runs (a second `# scenario:`
+//! header): the validator checks it run by run, span reconstruction
+//! refuses it, because causal ids restart with every run. Ring-evicted
+//! commits surface as explicit [`span::SpanStatus::Truncated`] spans,
+//! counted and never silently dropped.
 
 pub mod critical;
-pub mod event;
 pub mod span;
 
 pub use critical::{attribution_table, folded, span_lines, validate_folded};
-pub use event::{parse_jsonl, ObsEvent, ObsRecord};
 pub use span::{CommitSpan, InstallLeg, QueueAttr, SpanReport, SpanStatus};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fragdb_sim::Metrics;
+    use fragdb_sim::telemetry::render_jsonl;
+    use fragdb_sim::{CausalId, Metrics, SimTime, TelemetryEvent, TelemetryRecord};
 
-    fn line(at: u64, body: &str) -> String {
-        format!("{{\"at_micros\":{at},{body}}}")
+    /// Render `(at, event)` pairs through the exporter's encoder.
+    fn jsonl(events: Vec<(u64, TelemetryEvent)>) -> String {
+        let records: Vec<TelemetryRecord> = events
+            .into_iter()
+            .map(|(at, event)| TelemetryRecord {
+                at: SimTime(at),
+                event,
+            })
+            .collect();
+        render_jsonl(None, 0, &records)
+    }
+
+    fn cause(fragment: u32, epoch: u64, frag_seq: u64) -> CausalId {
+        CausalId {
+            fragment,
+            epoch,
+            frag_seq,
+        }
+    }
+
+    fn queued(fragment: u32) -> TelemetryEvent {
+        TelemetryEvent::SubmissionQueued { fragment, depth: 1 }
+    }
+
+    fn initiated(node: u32, fragment: u32, txn_seq: u64) -> TelemetryEvent {
+        TelemetryEvent::Initiated {
+            node,
+            fragment,
+            txn_seq,
+        }
+    }
+
+    fn committed(cause: CausalId, node: u32, txn_seq: u64) -> TelemetryEvent {
+        TelemetryEvent::Committed {
+            cause,
+            node,
+            txn_seq,
+        }
     }
 
     /// A hand-built stream: one queued+locked commit to 2 replicas with
     /// one retransmitted leg, plus one truncated install.
     fn sample_stream() -> String {
-        let l = vec![
-            line(10, "\"event\":\"submission_queued\",\"fragment\":7"),
-            line(
-                40,
-                "\"event\":\"initiated\",\"node\":0,\"fragment\":7,\"txn_seq\":3",
-            ),
-            line(
+        let c = cause(7, 1, 5);
+        let installed = |cause, node| TelemetryEvent::Installed { cause, node };
+        jsonl(vec![
+            (10, queued(7)),
+            (40, initiated(0, 7, 3)),
+            (
                 41,
-                "\"event\":\"lock_wait_started\",\"node\":0,\"fragment\":7,\"txn_seq\":3,\"sites\":2",
+                TelemetryEvent::LockWaitStarted {
+                    node: 0,
+                    fragment: 7,
+                    txn_seq: 3,
+                    sites: 2,
+                },
             ),
-            line(
+            (
                 55,
-                "\"event\":\"lock_granted\",\"node\":0,\"fragment\":7,\"txn_seq\":3",
+                TelemetryEvent::LockGranted {
+                    node: 0,
+                    fragment: 7,
+                    txn_seq: 3,
+                },
             ),
-            line(
+            (60, committed(c, 0, 3)),
+            (
                 60,
-                "\"event\":\"committed\",\"fragment\":7,\"epoch\":1,\"frag_seq\":5,\"node\":0,\"txn_seq\":3",
+                TelemetryEvent::BroadcastSent {
+                    cause: c,
+                    node: 0,
+                    recipients: 2,
+                },
             ),
-            line(
-                60,
-                "\"event\":\"broadcast_sent\",\"fragment\":7,\"epoch\":1,\"frag_seq\":5,\"node\":0,\"recipients\":2",
-            ),
-            line(
-                60,
-                "\"event\":\"installed\",\"fragment\":7,\"epoch\":1,\"frag_seq\":5,\"node\":0",
-            ),
-            line(
+            (60, installed(c, 0)),
+            (
                 70,
-                "\"event\":\"retransmit\",\"from\":0,\"to\":2,\"count\":1",
+                TelemetryEvent::Retransmit {
+                    from: 0,
+                    to: 2,
+                    count: 1,
+                },
             ),
-            line(
-                80,
-                "\"event\":\"installed\",\"fragment\":7,\"epoch\":1,\"frag_seq\":5,\"node\":1",
-            ),
-            line(
+            (80, installed(c, 1)),
+            (
                 90,
-                "\"event\":\"held_back\",\"fragment\":7,\"epoch\":1,\"frag_seq\":5,\"node\":2,\"depth\":1",
+                TelemetryEvent::HeldBack {
+                    cause: c,
+                    node: 2,
+                    depth: 1,
+                },
             ),
-            line(
-                95,
-                "\"event\":\"installed\",\"fragment\":7,\"epoch\":1,\"frag_seq\":5,\"node\":2",
-            ),
+            (95, installed(c, 2)),
             // Truncated: an install whose commit was ring-evicted.
-            line(
-                99,
-                "\"event\":\"installed\",\"fragment\":2,\"epoch\":0,\"frag_seq\":1,\"node\":4",
-            ),
-        ];
-        l.join("\n") + "\n"
+            (99, installed(cause(2, 0, 1), 4)),
+        ])
     }
 
     #[test]
@@ -171,23 +216,21 @@ mod tests {
     fn abort_before_initiation_retires_the_queue_slot() {
         // Two submissions queue on fragment 3; the first aborts without
         // ever initiating (home crash drain), the second commits.
-        let l = [
-            line(5, "\"event\":\"submission_queued\",\"fragment\":3"),
-            line(9, "\"event\":\"submission_queued\",\"fragment\":3"),
-            line(
+        let text = jsonl(vec![
+            (5, queued(3)),
+            (9, queued(3)),
+            (
                 20,
-                "\"event\":\"aborted\",\"node\":1,\"fragment\":3,\"txn_seq\":0,\"reason\":\"node_down\"",
+                TelemetryEvent::Aborted {
+                    node: 1,
+                    fragment: 3,
+                    txn_seq: 0,
+                    reason: "unavailable",
+                },
             ),
-            line(
-                30,
-                "\"event\":\"initiated\",\"node\":1,\"fragment\":3,\"txn_seq\":1",
-            ),
-            line(
-                44,
-                "\"event\":\"committed\",\"fragment\":3,\"epoch\":0,\"frag_seq\":0,\"node\":1,\"txn_seq\":1",
-            ),
-        ];
-        let text = l.join("\n") + "\n";
+            (30, initiated(1, 3, 1)),
+            (44, committed(cause(3, 0, 0), 1, 1)),
+        ]);
         let report = SpanReport::from_jsonl(&text).unwrap();
         let s = &report.spans[0];
         // The surviving commit pairs with the SECOND queue entry (9→30),
@@ -198,26 +241,28 @@ mod tests {
 
     #[test]
     fn queue_wait_overlapping_election_window_is_attributed() {
-        let l = [
-            line(5, "\"event\":\"submission_queued\",\"fragment\":1"),
-            line(
+        let text = jsonl(vec![
+            (5, queued(1)),
+            (
                 10,
-                "\"event\":\"election_started\",\"fragment\":1,\"candidate\":2,\"epoch\":1",
+                TelemetryEvent::ElectionStarted {
+                    fragment: 1,
+                    epoch: 1,
+                    candidate: 2,
+                },
             ),
-            line(
+            (
                 90,
-                "\"event\":\"token_recovered\",\"fragment\":1,\"node\":2,\"epoch\":2,\"frag_seq\":0",
+                TelemetryEvent::TokenRecovered {
+                    fragment: 1,
+                    epoch: 2,
+                    node: 2,
+                },
             ),
-            line(
-                100,
-                "\"event\":\"initiated\",\"node\":2,\"fragment\":1,\"txn_seq\":0",
-            ),
-            line(
-                110,
-                "\"event\":\"committed\",\"fragment\":1,\"epoch\":2,\"frag_seq\":1,\"node\":2,\"txn_seq\":0",
-            ),
-        ];
-        let report = SpanReport::from_jsonl(&(l.join("\n") + "\n")).unwrap();
+            (100, initiated(2, 1, 0)),
+            (110, committed(cause(1, 2, 1), 2, 0)),
+        ]);
+        let report = SpanReport::from_jsonl(&text).unwrap();
         let s = &report.spans[0];
         assert_eq!(s.queue_attr, QueueAttr::Election);
         assert_eq!(s.queue_us, 95);

@@ -30,9 +30,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use fragdb_sim::metrics::keys;
-use fragdb_sim::{CausalId, Metrics, QuantileSketch, TelemetryRecord};
-
-use crate::event::{ObsEvent, ObsRecord};
+use fragdb_sim::telemetry::{read_jsonl, JsonlEntry};
+use fragdb_sim::{CausalId, Metrics, QuantileSketch, TelemetryEvent, TelemetryRecord};
 
 /// What the queue wait of a span was actually waiting on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -210,181 +209,188 @@ impl Windows {
     }
 }
 
-impl SpanReport {
-    /// Reconstruct from the in-memory typed stream.
-    pub fn from_records<'a>(records: impl IntoIterator<Item = &'a TelemetryRecord>) -> SpanReport {
-        Self::reconstruct(records.into_iter().filter_map(ObsRecord::from_telemetry))
+/// The forward pass: everything reconstruction remembers between events.
+#[derive(Default)]
+struct Pass {
+    pre: PreCommit,
+    win: Windows,
+    /// NACK-repair instants per `(from, to)` link.
+    retrans: BTreeMap<(u32, u32), Vec<u64>>,
+    builds: BTreeMap<CausalId, SpanBuild>,
+    end_at: u64,
+}
+
+impl Pass {
+    fn build(&mut self, cause: CausalId) -> &mut SpanBuild {
+        self.builds.entry(cause).or_insert_with(|| SpanBuild {
+            span: CommitSpan::new(cause),
+            arrived: BTreeMap::new(),
+            installed: BTreeMap::new(),
+            discarded: false,
+            queue_interval: None,
+        })
     }
 
-    /// Reconstruct from a JSONL export — same output as
-    /// [`SpanReport::from_records`] over the run that produced it.
-    pub fn from_jsonl(text: &str) -> Result<SpanReport, String> {
-        Ok(Self::reconstruct(
-            crate::event::parse_jsonl(text)?.into_iter(),
-        ))
-    }
-
-    fn reconstruct(records: impl Iterator<Item = ObsRecord>) -> SpanReport {
-        let mut pre = PreCommit::default();
-        let mut win = Windows::default();
-        let mut retrans: BTreeMap<(u32, u32), Vec<u64>> = BTreeMap::new();
-        let mut builds: BTreeMap<CausalId, SpanBuild> = BTreeMap::new();
-        let mut end_at = 0u64;
-
-        for ObsRecord { at, ev } in records {
-            end_at = end_at.max(at);
-            match ev {
-                ObsEvent::Queued { fragment } => {
-                    pre.queued.entry(fragment).or_default().push_back(at);
+    /// Consume the next event of the (time-ordered) stream. Events spans
+    /// do not use fall through the wildcard arm.
+    fn feed(&mut self, r: &TelemetryRecord) {
+        let at = r.at.micros();
+        self.end_at = self.end_at.max(at);
+        let (pre, win) = (&mut self.pre, &mut self.win);
+        match r.event {
+            TelemetryEvent::SubmissionQueued { fragment, .. } => {
+                pre.queued.entry(fragment).or_default().push_back(at);
+            }
+            TelemetryEvent::Initiated {
+                node,
+                fragment,
+                txn_seq,
+            } => {
+                let queue_interval = pre
+                    .queued
+                    .get_mut(&fragment)
+                    .and_then(VecDeque::pop_front)
+                    .map(|t0| (t0, at));
+                pre.init_open.insert(
+                    (node, txn_seq),
+                    InitCtx {
+                        at,
+                        queue_interval,
+                        fragment,
+                    },
+                );
+            }
+            TelemetryEvent::LockWaitStarted { node, txn_seq, .. } => {
+                pre.lock_open.insert((node, txn_seq), at);
+            }
+            TelemetryEvent::LockGranted { node, txn_seq, .. } => {
+                if let Some(t0) = pre.lock_open.remove(&(node, txn_seq)) {
+                    pre.lock_done.insert((node, txn_seq), (t0, at));
                 }
-                ObsEvent::Initiated {
-                    node,
-                    fragment,
-                    txn_seq,
-                } => {
-                    let queue_interval = pre
-                        .queued
-                        .get_mut(&fragment)
-                        .and_then(VecDeque::pop_front)
-                        .map(|t0| (t0, at));
-                    pre.init_open.insert(
-                        (node, txn_seq),
-                        InitCtx {
-                            at,
-                            queue_interval,
-                            fragment,
-                        },
-                    );
-                }
-                ObsEvent::LockWaitStarted { node, txn_seq } => {
-                    pre.lock_open.insert((node, txn_seq), at);
-                }
-                ObsEvent::LockGranted { node, txn_seq } => {
-                    if let Some(t0) = pre.lock_open.remove(&(node, txn_seq)) {
-                        pre.lock_done.insert((node, txn_seq), (t0, at));
-                    }
-                }
-                ObsEvent::Aborted {
-                    node,
-                    fragment,
-                    txn_seq,
-                } => {
-                    pre.lock_open.remove(&(node, txn_seq));
-                    pre.lock_done.remove(&(node, txn_seq));
-                    if pre.init_open.remove(&(node, txn_seq)).is_none() {
-                        // Aborted before initiation (home down): if the
-                        // submission had been parked in the fragment's
-                        // queue, retire its FIFO entry so it cannot
-                        // mis-pair with the next initiation.
-                        if let Some(q) = pre.queued.get_mut(&fragment) {
-                            q.pop_front();
-                        }
-                    }
-                }
-                ObsEvent::Committed {
-                    cause,
-                    node,
-                    txn_seq,
-                } => {
-                    let b = builds.entry(cause).or_insert_with(|| SpanBuild {
-                        span: CommitSpan::new(cause),
-                        arrived: BTreeMap::new(),
-                        installed: BTreeMap::new(),
-                        discarded: false,
-                        queue_interval: None,
-                    });
-                    b.span.commit_node = Some(node);
-                    b.span.committed_at = Some(at);
-                    if let Some((t0, t1)) = pre.lock_done.remove(&(node, txn_seq)) {
-                        b.span.lock_wait_us = t1 - t0;
-                    }
-                    if let Some(init) = pre.init_open.remove(&(node, txn_seq)) {
-                        b.span.initiated_at = Some(init.at);
-                        b.span.exec_us = (at - init.at).saturating_sub(b.span.lock_wait_us);
-                        if let Some((qs, qe)) = init.queue_interval {
-                            b.span.queue_us = qe - qs;
-                            b.queue_interval = Some((qs, qe));
-                        }
-                        debug_assert_eq!(init.fragment, cause.fragment);
-                    }
-                }
-                ObsEvent::BroadcastSent { cause, recipients } => {
-                    let b = builds.entry(cause).or_insert_with(|| SpanBuild {
-                        span: CommitSpan::new(cause),
-                        arrived: BTreeMap::new(),
-                        installed: BTreeMap::new(),
-                        discarded: false,
-                        queue_interval: None,
-                    });
-                    b.span.recipients = Some(recipients);
-                }
-                ObsEvent::HeldBack { cause, node } => {
-                    let b = builds.entry(cause).or_insert_with(|| SpanBuild {
-                        span: CommitSpan::new(cause),
-                        arrived: BTreeMap::new(),
-                        installed: BTreeMap::new(),
-                        discarded: false,
-                        queue_interval: None,
-                    });
-                    b.arrived.entry(node).or_insert(at);
-                }
-                ObsEvent::Installed { cause, node } => {
-                    let b = builds.entry(cause).or_insert_with(|| SpanBuild {
-                        span: CommitSpan::new(cause),
-                        arrived: BTreeMap::new(),
-                        installed: BTreeMap::new(),
-                        discarded: false,
-                        queue_interval: None,
-                    });
-                    b.installed.entry(node).or_insert(at);
-                }
-                ObsEvent::BatchDiscarded { cause } => {
-                    let b = builds.entry(cause).or_insert_with(|| SpanBuild {
-                        span: CommitSpan::new(cause),
-                        arrived: BTreeMap::new(),
-                        installed: BTreeMap::new(),
-                        discarded: false,
-                        queue_interval: None,
-                    });
-                    b.discarded = true;
-                }
-                ObsEvent::Retransmit { from, to } => {
-                    retrans.entry((from, to)).or_default().push(at);
-                }
-                ObsEvent::MoveRequested { fragment, .. } => {
-                    win.open_move.entry(fragment).or_insert(at);
-                }
-                ObsEvent::TokenArrived { fragment } => {
-                    if let Some(t0) = win.open_move.remove(&fragment) {
-                        win.moves.entry(fragment).or_default().push((t0, at));
-                    }
-                }
-                ObsEvent::MoveAborted { fragment, .. } => {
-                    if let Some(t0) = win.open_move.remove(&fragment) {
-                        win.moves.entry(fragment).or_default().push((t0, at));
-                    }
-                }
-                ObsEvent::ElectionStarted { fragment } => {
-                    win.open_elec.entry(fragment).or_insert(at);
-                }
-                ObsEvent::TokenRecovered { fragment } => {
-                    if let Some(t0) = win.open_elec.remove(&fragment) {
-                        win.elecs.entry(fragment).or_default().push((t0, at));
-                    }
-                }
-                ObsEvent::ElectionAborted {
-                    fragment,
-                    home_alive,
-                } => {
-                    if home_alive {
-                        win.open_elec.remove(&fragment);
+            }
+            TelemetryEvent::Aborted {
+                node,
+                fragment,
+                txn_seq,
+                ..
+            } => {
+                pre.lock_open.remove(&(node, txn_seq));
+                pre.lock_done.remove(&(node, txn_seq));
+                if pre.init_open.remove(&(node, txn_seq)).is_none() {
+                    // Aborted before initiation (home down): if the
+                    // submission had been parked in the fragment's
+                    // queue, retire its FIFO entry so it cannot
+                    // mis-pair with the next initiation.
+                    if let Some(q) = pre.queued.get_mut(&fragment) {
+                        q.pop_front();
                     }
                 }
             }
+            TelemetryEvent::Committed {
+                cause,
+                node,
+                txn_seq,
+            } => {
+                let lock = pre.lock_done.remove(&(node, txn_seq));
+                let init = pre.init_open.remove(&(node, txn_seq));
+                let b = self.build(cause);
+                b.span.commit_node = Some(node);
+                b.span.committed_at = Some(at);
+                if let Some((t0, t1)) = lock {
+                    b.span.lock_wait_us = t1 - t0;
+                }
+                if let Some(init) = init {
+                    b.span.initiated_at = Some(init.at);
+                    b.span.exec_us = (at - init.at).saturating_sub(b.span.lock_wait_us);
+                    if let Some((qs, qe)) = init.queue_interval {
+                        b.span.queue_us = qe - qs;
+                        b.queue_interval = Some((qs, qe));
+                    }
+                    debug_assert_eq!(init.fragment, cause.fragment);
+                }
+            }
+            TelemetryEvent::BroadcastSent {
+                cause, recipients, ..
+            } => self.build(cause).span.recipients = Some(recipients),
+            TelemetryEvent::HeldBack { cause, node, .. } => {
+                self.build(cause).arrived.entry(node).or_insert(at);
+            }
+            TelemetryEvent::Installed { cause, node } => {
+                self.build(cause).installed.entry(node).or_insert(at);
+            }
+            TelemetryEvent::BatchDiscarded { cause, .. } => self.build(cause).discarded = true,
+            TelemetryEvent::Retransmit { from, to, .. } => {
+                self.retrans.entry((from, to)).or_default().push(at);
+            }
+            TelemetryEvent::MoveRequested { fragment, .. } => {
+                win.open_move.entry(fragment).or_insert(at);
+            }
+            TelemetryEvent::TokenArrived { fragment, .. }
+            | TelemetryEvent::MoveAborted { fragment, .. } => {
+                if let Some(t0) = win.open_move.remove(&fragment) {
+                    win.moves.entry(fragment).or_default().push((t0, at));
+                }
+            }
+            TelemetryEvent::ElectionStarted { fragment, .. } => {
+                win.open_elec.entry(fragment).or_insert(at);
+            }
+            TelemetryEvent::TokenRecovered { fragment, .. } => {
+                if let Some(t0) = win.open_elec.remove(&fragment) {
+                    win.elecs.entry(fragment).or_default().push((t0, at));
+                }
+            }
+            // A false suspicion never made the fragment unavailable.
+            TelemetryEvent::ElectionAborted {
+                fragment,
+                reason: "home_alive",
+                ..
+            } => {
+                win.open_elec.remove(&fragment);
+            }
+            _ => {}
         }
+    }
 
-        win.close_open(end_at);
-        Self::finalize(builds, &win, &retrans)
+    fn finish(mut self) -> SpanReport {
+        self.win.close_open(self.end_at);
+        SpanReport::finalize(self.builds, &self.win, &self.retrans)
+    }
+}
+
+impl SpanReport {
+    /// Reconstruct from the in-memory typed stream.
+    pub fn from_records<'a>(records: impl IntoIterator<Item = &'a TelemetryRecord>) -> SpanReport {
+        let mut pass = Pass::default();
+        for r in records {
+            pass.feed(r);
+        }
+        pass.finish()
+    }
+
+    /// Reconstruct from a JSONL export, record by record as the lines
+    /// decode: same output as [`SpanReport::from_records`] over the run
+    /// that produced it. The file must be a valid export
+    /// ([`fragdb_sim::telemetry::read_jsonl`]) of **one** run: causal ids
+    /// restart with every run, so a second `# scenario:` header is an
+    /// error rather than a silent merge.
+    pub fn from_jsonl(text: &str) -> Result<SpanReport, String> {
+        let mut pass = Pass::default();
+        let mut runs = 0;
+        read_jsonl(text, |entry| {
+            match entry {
+                JsonlEntry::Record(r) => pass.feed(&r),
+                JsonlEntry::Scenario => {
+                    runs += 1;
+                    if runs > 1 {
+                        return Err(
+                            "second `# scenario:` header: spans need one run per file".to_string()
+                        );
+                    }
+                }
+            }
+            Ok(())
+        })?;
+        Ok(pass.finish())
     }
 
     fn finalize(

@@ -25,9 +25,10 @@
 //! observation allocates nothing.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
 
 use crate::histogram::QuantileSketch;
-use crate::metrics::Metrics;
+use crate::metrics::{keys, Metrics};
 use crate::time::SimTime;
 
 /// Causal identity of a quasi-transaction: the fragment it updates, the
@@ -45,15 +46,143 @@ pub struct CausalId {
     pub frag_seq: u64,
 }
 
-/// One structured telemetry event.
-///
-/// Variants cover the transaction lifecycle, token movement, the network,
-/// and crash recovery. The set is deliberately open-ended: renderers must
-/// treat unknown variants as opaque (match with a wildcard arm).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TelemetryEvent {
+/// Closed vocabulary of `aborted.reason`: the suffixes of the `abort.*`
+/// metric keys.
+fn abort_reasons() -> impl Iterator<Item = &'static str> {
+    keys::ALL.iter().filter_map(|k| k.strip_prefix("abort."))
+}
+
+/// Closed vocabulary of `delivered.kind`: the `msg.<kind>` dimension.
+fn msg_kinds() -> impl Iterator<Item = &'static str> {
+    keys::MSG_KINDS.iter().copied()
+}
+
+/// Closed vocabulary of `election_aborted.reason`.
+fn election_abort_reasons() -> impl Iterator<Item = &'static str> {
+    ["timeout", "home_alive", "superseded", "candidate_crashed"].into_iter()
+}
+
+/// The label a field is written and read under: `,"<field>":`.
+macro_rules! label {
+    ($field:ident) => {
+        concat!(",\"", stringify!($field), "\":")
+    };
+}
+
+/// Encode one declared field; a vocabulary word is checked against its
+/// vocabulary so an emission site cannot drift from what the decoder reads.
+macro_rules! put_field {
+    ($out:ident, $field:ident, $ty:ty) => {
+        <$ty as Wire>::put($field, label!($field), $out)
+    };
+    ($out:ident, $field:ident, $ty:ty, $vocab:path) => {{
+        debug_assert!(
+            $vocab().any(|w| w == *$field),
+            "{:?} is not in the {} vocabulary",
+            $field,
+            stringify!($vocab)
+        );
+        $out.push_str(label!($field));
+        $out.push('"');
+        $out.push_str($field);
+        $out.push('"');
+    }};
+}
+
+/// Decode one declared field.
+macro_rules! take_field {
+    ($cur:ident, $field:ident, $ty:ty) => {
+        <$ty as Wire>::take(label!($field), $cur)?
+    };
+    ($cur:ident, $field:ident, $ty:ty, $vocab:path) => {
+        $cur.word(label!($field), $vocab())?
+    };
+}
+
+/// A test value for one declared field: the type's minimum or maximum, or
+/// the first or last word of the vocabulary.
+#[cfg(test)]
+macro_rules! sample_field {
+    ($max:ident, $ty:ty) => {
+        <$ty as tests::Sample>::sample($max)
+    };
+    ($max:ident, $ty:ty, $vocab:path) => {
+        if $max {
+            $vocab().last()
+        } else {
+            $vocab().next()
+        }
+        .expect("vocabulary is not empty")
+    };
+}
+
+/// The one declaration of the telemetry vocabulary. Each event is listed
+/// once: `Variant = "wire_name" { field: type, … }`, a string field naming
+/// its closed vocabulary as `field: &'static str = vocabulary`. The enum,
+/// [`TelemetryEvent::name`], the JSON-lines encoder and the strict decoder
+/// are all generated from this list, so adding an event is one edit here
+/// (plus whichever consumers want to match on it).
+macro_rules! telemetry_events {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $wire:literal {
+            $( $(#[$fmeta:meta])* $field:ident: $ty:ty $(= $vocab:path)? ),+ $(,)?
+        }
+    )+) => {
+        /// One structured telemetry event.
+        ///
+        /// Variants cover the transaction lifecycle, token movement, the
+        /// network, and crash recovery. The set is deliberately open-ended:
+        /// consumers must treat unknown variants as opaque (match with a
+        /// wildcard arm).
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub enum TelemetryEvent {
+            $( $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty ),+ }, )+
+        }
+
+        impl TelemetryEvent {
+            /// The variant's stable wire name, used by the JSON-lines
+            /// export and the timeline renderer.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( TelemetryEvent::$variant { .. } => $wire, )+
+                }
+            }
+
+            /// Append the variant's fields in declared order.
+            fn put_fields(&self, out: &mut String) {
+                match self {
+                    $( TelemetryEvent::$variant { $( $field ),+ } => {
+                        $( put_field!(out, $field, $ty $(, $vocab)?); )+
+                    } )+
+                }
+            }
+
+            /// Read the fields of the event called `name`, in declared order.
+            fn take_fields(name: &str, cur: &mut Cursor<'_>) -> Result<TelemetryEvent, String> {
+                match name {
+                    $( $wire => Ok(TelemetryEvent::$variant {
+                        $( $field: take_field!(cur, $field, $ty $(, $vocab)?), )+
+                    }), )+
+                    _ => Err(format!("unknown event {name:?}")),
+                }
+            }
+
+            /// One record of every variant, every field at its minimum or
+            /// maximum.
+            #[cfg(test)]
+            fn samples(max: bool) -> Vec<TelemetryEvent> {
+                vec![ $( TelemetryEvent::$variant {
+                    $( $field: sample_field!(max, $ty $(, $vocab)?), )+
+                }, )+ ]
+            }
+        }
+    };
+}
+
+telemetry_events! {
     /// A submission entered the system at its initiating node.
-    Initiated {
+    Initiated = "initiated" {
         /// Initiating node.
         node: u32,
         /// Fragment the transaction runs against.
@@ -62,9 +191,9 @@ pub enum TelemetryEvent {
         /// under — pairs initiation with the eventual `Committed` /
         /// `Aborted` carrying the same `(node, txn_seq)`.
         txn_seq: u64,
-    },
+    }
     /// A quasi-transaction committed at the fragment's agent home.
-    Committed {
+    Committed = "committed" {
         /// Causal id of the committed quasi-transaction.
         cause: CausalId,
         /// Agent home where the commit happened.
@@ -73,27 +202,27 @@ pub enum TelemetryEvent {
         /// — joins the commit back to its `Initiated` (and any
         /// `LockWaitStarted`/`LockGranted` pair) for span reconstruction.
         txn_seq: u64,
-    },
+    }
     /// The committed quasi-transaction was broadcast to replicas.
-    BroadcastSent {
+    BroadcastSent = "broadcast_sent" {
         /// Causal id of the broadcast quasi-transaction.
         cause: CausalId,
         /// Broadcasting node (the agent home).
         node: u32,
         /// Number of recipients addressed.
         recipients: u32,
-    },
+    }
     /// A quasi-transaction was installed at a replica (the commit at the
     /// agent home counts as that node's install, so fault-free each commit
     /// joins to exactly R installs, R = replica count).
-    Installed {
+    Installed = "installed" {
         /// Causal id of the installed quasi-transaction.
         cause: CausalId,
         /// Node the install happened at.
         node: u32,
-    },
+    }
     /// A transaction aborted.
-    Aborted {
+    Aborted = "aborted" {
         /// Node at which the abort was decided.
         node: u32,
         /// Fragment of the aborted transaction.
@@ -102,10 +231,10 @@ pub enum TelemetryEvent {
         /// closes the `Initiated`/`LockWaitStarted` pair for spans.
         txn_seq: u64,
         /// Abort reason, matching the `abort.*` metric suffixes.
-        reason: &'static str,
-    },
+        reason: &'static str = abort_reasons,
+    }
     /// A read ran at a node; records how far behind the agent it was.
-    ReadObserved {
+    ReadObserved = "read_observed" {
         /// Node that served the read.
         node: u32,
         /// Fragment read.
@@ -114,9 +243,9 @@ pub enum TelemetryEvent {
         seen_seq: u64,
         /// Agent's current update sequence (what a fresh read would see).
         agent_seq: u64,
-    },
+    }
     /// An out-of-order quasi-transaction was held back at a replica.
-    HeldBack {
+    HeldBack = "held_back" {
         /// Causal id of the held-back quasi-transaction — lets span
         /// reconstruction split the replica hop into network time
         /// (commit→arrival) and hold-back time (arrival→install).
@@ -125,10 +254,10 @@ pub enum TelemetryEvent {
         node: u32,
         /// Hold-back buffer depth after insertion.
         depth: u64,
-    },
+    }
     /// A §4.1 transaction began acquiring read/exclusive locks (2PC-style
     /// lock-site round). Paired with `LockGranted` by `(node, txn_seq)`.
-    LockWaitStarted {
+    LockWaitStarted = "lock_wait_started" {
         /// Home node of the acquiring transaction.
         node: u32,
         /// Fragment the transaction updates (or reads, for read-only).
@@ -137,193 +266,157 @@ pub enum TelemetryEvent {
         txn_seq: u64,
         /// Number of *remote* lock sites contacted (0 = all-local).
         sites: u32,
-    },
+    }
     /// All locks for the transaction are held; execution proceeds. Ends
     /// the `LockWaitStarted` phase opened by the same `(node, txn_seq)`.
-    LockGranted {
+    LockGranted = "lock_granted" {
         /// Home node of the acquiring transaction.
         node: u32,
         /// Fragment the transaction updates (or reads, for read-only).
         fragment: u32,
         /// Node-local sequence of the acquiring transaction.
         txn_seq: u64,
-    },
+    }
     /// A submission queued behind a move / majority commit / 2PC.
-    SubmissionQueued {
+    SubmissionQueued = "submission_queued" {
         /// Fragment whose queue grew.
         fragment: u32,
         /// Queue depth after insertion.
         depth: u64,
-    },
+    }
     /// A token (agent) move was requested.
-    MoveRequested {
+    MoveRequested = "move_requested" {
         /// Fragment whose token moves.
         fragment: u32,
         /// Current agent home.
         from: u32,
         /// Destination node.
         to: u32,
-    },
+    }
     /// The token finished moving: the destination is now the agent.
-    TokenArrived {
+    TokenArrived = "token_arrived" {
         /// Fragment whose token arrived.
         fragment: u32,
         /// New agent home.
         node: u32,
-    },
+    }
     /// A move was deferred or abandoned (endpoint down, move in progress).
-    MoveAborted {
+    MoveAborted = "move_aborted" {
         /// Fragment whose move did not start.
         fragment: u32,
         /// Agent home at the time of the request.
         from: u32,
         /// Requested destination.
         to: u32,
-    },
+    }
     /// The link layer dropped transmissions (fault injection or the
     /// destination node being down).
-    Dropped {
+    Dropped = "dropped" {
         /// Sender.
         from: u32,
         /// Intended receiver.
         to: u32,
         /// Number of transmissions lost in this batch.
         count: u64,
-    },
+    }
     /// The reliable layer retransmitted unacked packets.
-    Retransmit {
+    Retransmit = "retransmit" {
         /// Sender.
         from: u32,
         /// Receiver.
         to: u32,
         /// Number of retransmissions in this batch.
         count: u64,
-    },
+    }
     /// An application message was released in order to its destination.
-    Delivered {
+    Delivered = "delivered" {
         /// Sender.
         from: u32,
         /// Receiver.
         to: u32,
         /// Message kind (the envelope's wire name).
-        kind: &'static str,
-    },
+        kind: &'static str = msg_kinds,
+    }
     /// A node crashed (volatile state lost; WAL survives).
-    Crash {
+    Crash = "crash" {
         /// Crashed node.
         node: u32,
-    },
+    }
     /// A node recovered: the WAL was replayed into the store.
-    Recover {
+    Recover = "recover" {
         /// Recovered node.
         node: u32,
         /// Fragments found divergent from the agents at recovery time.
         behind_fragments: u64,
-    },
+    }
     /// A recovered node finished catching up on every divergent fragment.
-    CatchupComplete {
+    CatchupComplete = "catchup_complete" {
         /// Node whose catch-up completed.
         node: u32,
-    },
+    }
     /// A node's failure detector suspected a silent peer.
-    SuspectRaised {
+    SuspectRaised = "suspect_raised" {
         /// Observing node (whose local detector raised the suspicion).
         node: u32,
         /// The suspected peer.
         suspect: u32,
-    },
+    }
     /// A quorum election started to re-home a suspected token.
-    ElectionStarted {
+    ElectionStarted = "election_started" {
         /// Fragment whose token is being re-homed.
         fragment: u32,
         /// The token epoch the election fences on.
         epoch: u64,
         /// The initiating node (and candidate new home).
         candidate: u32,
-    },
+    }
     /// An election reached a majority: the token re-homed under a new
     /// epoch, fencing out the old home.
-    ElectionWon {
+    ElectionWon = "election_won" {
         /// Fragment whose token re-homed.
         fragment: u32,
         /// The **new** (post-reattach) token epoch.
         epoch: u64,
         /// The winning node (new agent home).
         node: u32,
-    },
+    }
     /// An election round ended without re-homing the token.
-    ElectionAborted {
+    ElectionAborted = "election_aborted" {
         /// Fragment the round concerned.
         fragment: u32,
         /// The epoch the round fenced on.
         epoch: u64,
-        /// Why: `"timeout"`, `"home_alive"`, `"superseded"`, or
-        /// `"candidate_crashed"`.
-        reason: &'static str,
-    },
+        /// Why: a word of `election_abort_reasons`.
+        reason: &'static str = election_abort_reasons,
+    }
     /// Post-election §4.4.1 recovery finished: the elected home holds the
     /// token and the fragment accepts writes again.
-    TokenRecovered {
+    TokenRecovered = "token_recovered" {
         /// Recovered fragment.
         fragment: u32,
         /// Epoch the fragment now runs under.
         epoch: u64,
         /// The elected home.
         node: u32,
-    },
+    }
     /// An open group-commit batch element was discarded by a home crash
     /// before its broadcast; closes the causal id's lifecycle so the
     /// commit→install join is not left dangling.
-    BatchDiscarded {
+    BatchDiscarded = "batch_discarded" {
         /// Causal id of the never-broadcast quasi-transaction.
         cause: CausalId,
         /// The crashed home that held the open batch.
         node: u32,
-    },
+    }
     /// A fragment's replica set changed size (allocator shrink toward the
     /// configured replication factor, §6 partial replication).
-    ReplicaSetChanged {
+    ReplicaSetChanged = "replica_set_changed" {
         /// Fragment whose replica set changed.
         fragment: u32,
         /// Replica count before the change.
         from_count: u32,
         /// Replica count after the change.
         to_count: u32,
-    },
-}
-
-impl TelemetryEvent {
-    /// The variant's stable wire name, used by the JSON-lines export and
-    /// the timeline renderer.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TelemetryEvent::Initiated { .. } => "initiated",
-            TelemetryEvent::Committed { .. } => "committed",
-            TelemetryEvent::BroadcastSent { .. } => "broadcast_sent",
-            TelemetryEvent::Installed { .. } => "installed",
-            TelemetryEvent::Aborted { .. } => "aborted",
-            TelemetryEvent::ReadObserved { .. } => "read_observed",
-            TelemetryEvent::HeldBack { .. } => "held_back",
-            TelemetryEvent::LockWaitStarted { .. } => "lock_wait_started",
-            TelemetryEvent::LockGranted { .. } => "lock_granted",
-            TelemetryEvent::SubmissionQueued { .. } => "submission_queued",
-            TelemetryEvent::MoveRequested { .. } => "move_requested",
-            TelemetryEvent::TokenArrived { .. } => "token_arrived",
-            TelemetryEvent::MoveAborted { .. } => "move_aborted",
-            TelemetryEvent::Dropped { .. } => "dropped",
-            TelemetryEvent::Retransmit { .. } => "retransmit",
-            TelemetryEvent::Delivered { .. } => "delivered",
-            TelemetryEvent::Crash { .. } => "crash",
-            TelemetryEvent::Recover { .. } => "recover",
-            TelemetryEvent::CatchupComplete { .. } => "catchup_complete",
-            TelemetryEvent::SuspectRaised { .. } => "suspect_raised",
-            TelemetryEvent::ElectionStarted { .. } => "election_started",
-            TelemetryEvent::ElectionWon { .. } => "election_won",
-            TelemetryEvent::ElectionAborted { .. } => "election_aborted",
-            TelemetryEvent::TokenRecovered { .. } => "token_recovered",
-            TelemetryEvent::BatchDiscarded { .. } => "batch_discarded",
-            TelemetryEvent::ReplicaSetChanged { .. } => "replica_set_changed",
-        }
     }
 }
 
@@ -336,213 +429,263 @@ pub struct TelemetryRecord {
     pub event: TelemetryEvent,
 }
 
-fn push_field(out: &mut String, key: &str, value: u64) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
+/// A declared field type: how it is written after its label, read back,
+/// and range-checked.
+trait Wire: Sized {
+    fn put(&self, label: &'static str, out: &mut String);
+    fn take(label: &'static str, cur: &mut Cursor<'_>) -> Result<Self, String>;
 }
 
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":\"");
-    // All emitted strings are static identifiers; escape defensively anyway.
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            _ => out.push(c),
+impl Wire for u64 {
+    fn put(&self, label: &'static str, out: &mut String) {
+        out.push_str(label);
+        write!(out, "{self}").expect("writing to a String cannot fail");
+    }
+    fn take(label: &'static str, cur: &mut Cursor<'_>) -> Result<u64, String> {
+        cur.number(label)
+    }
+}
+
+impl Wire for u32 {
+    fn put(&self, label: &'static str, out: &mut String) {
+        u64::from(*self).put(label, out);
+    }
+    fn take(label: &'static str, cur: &mut Cursor<'_>) -> Result<u32, String> {
+        let v = cur.number(label)?;
+        u32::try_from(v).map_err(|_| format!("field {:?}: {v} exceeds u32", field_of(label)))
+    }
+}
+
+/// A causal id flattens to `fragment`/`epoch`/`frag_seq` whatever the
+/// field holding it is called.
+impl Wire for CausalId {
+    fn put(&self, _: &'static str, out: &mut String) {
+        self.fragment.put(label!(fragment), out);
+        self.epoch.put(label!(epoch), out);
+        self.frag_seq.put(label!(frag_seq), out);
+    }
+    fn take(_: &'static str, cur: &mut Cursor<'_>) -> Result<CausalId, String> {
+        Ok(CausalId {
+            fragment: Wire::take(label!(fragment), cur)?,
+            epoch: Wire::take(label!(epoch), cur)?,
+            frag_seq: Wire::take(label!(frag_seq), cur)?,
+        })
+    }
+}
+
+/// The field name inside a `,"<field>":` (or `{"<field>":`) label.
+fn field_of(label: &str) -> &str {
+    &label[2..label.len() - 2]
+}
+
+/// The unread remainder of one JSON line.
+struct Cursor<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Cursor<'a> {
+    /// Consume `label`, the next declared field's `,"<field>":`.
+    fn label(&mut self, label: &'static str) -> Result<(), String> {
+        match self.rest.strip_prefix(label) {
+            Some(rest) => {
+                self.rest = rest;
+                Ok(())
+            }
+            None => Err(format!(
+                "expected field {:?}, found {}",
+                field_of(label),
+                self.found()
+            )),
         }
     }
-    out.push('"');
-}
 
-fn push_cause(out: &mut String, cause: &CausalId) {
-    push_field(out, "fragment", u64::from(cause.fragment));
-    push_field(out, "epoch", cause.epoch);
-    push_field(out, "frag_seq", cause.frag_seq);
+    /// What stands at the cursor, for an error message.
+    fn found(&self) -> String {
+        let key = self
+            .rest
+            .strip_prefix(",\"")
+            .and_then(|r| r.split_once("\":"));
+        match key {
+            Some((key, _)) => format!("field {key:?}"),
+            None if self.rest == "}" => "the end of the object".to_string(),
+            None => format!("{:?}", self.rest),
+        }
+    }
+
+    /// A number in the encoder's form: decimal digits, no sign, no
+    /// leading zero, at most `u64::MAX`.
+    fn number(&mut self, label: &'static str) -> Result<u64, String> {
+        self.label(label)?;
+        let len = self.rest.bytes().take_while(u8::is_ascii_digit).count();
+        let (digits, rest) = self.rest.split_at(len);
+        if len == 0 || (len > 1 && digits.starts_with('0')) {
+            return Err(format!(
+                "field {:?}: expected a number, found {:?}",
+                field_of(label),
+                self.rest
+            ));
+        }
+        let value = digits
+            .parse()
+            .map_err(|_| format!("field {:?}: {digits} exceeds u64", field_of(label)))?;
+        self.rest = rest;
+        Ok(value)
+    }
+
+    /// A quoted string. The encoder writes identifiers only, so there are
+    /// no escapes to undo.
+    fn string(&mut self, label: &'static str) -> Result<&'a str, String> {
+        self.label(label)?;
+        let (value, rest) = self
+            .rest
+            .strip_prefix('"')
+            .and_then(|r| r.split_once('"'))
+            .ok_or_else(|| {
+                format!(
+                    "field {:?}: expected a string, found {:?}",
+                    field_of(label),
+                    self.rest
+                )
+            })?;
+        self.rest = rest;
+        Ok(value)
+    }
+
+    /// A string that must be one of `vocabulary`'s words.
+    fn word(
+        &mut self,
+        label: &'static str,
+        mut vocabulary: impl Iterator<Item = &'static str>,
+    ) -> Result<&'static str, String> {
+        let value = self.string(label)?;
+        vocabulary
+            .find(|w| *w == value)
+            .ok_or_else(|| format!("unknown {} {value:?}", field_of(label)))
+    }
 }
 
 impl TelemetryRecord {
-    /// Hand-rolled JSON-lines encoding (no serde in this offline build).
+    /// Append the record's JSON-lines encoding (hand-rolled: no serde in
+    /// this offline build), without a newline.
     ///
     /// One flat object per line: `at_micros`, `event`, then the variant's
-    /// fields. Causal ids flatten to `fragment`/`epoch`/`frag_seq`.
-    pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(96);
-        out.push_str("{\"at_micros\":");
-        out.push_str(&self.at.micros().to_string());
-        out.push_str(",\"event\":\"");
+    /// declared fields in declared order. Causal ids flatten to
+    /// `fragment`/`epoch`/`frag_seq`. Numbers are unsigned decimals,
+    /// strings are words of a closed vocabulary, and there is no
+    /// whitespace.
+    pub fn write_json_line(&self, out: &mut String) {
+        self.at.micros().put("{\"at_micros\":", out);
+        out.push_str(label!(event));
+        out.push('"');
         out.push_str(self.event.name());
         out.push('"');
-        match &self.event {
-            TelemetryEvent::Initiated {
-                node,
-                fragment,
-                txn_seq,
-            } => {
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "txn_seq", *txn_seq);
-            }
-            TelemetryEvent::Committed {
-                cause,
-                node,
-                txn_seq,
-            } => {
-                push_cause(&mut out, cause);
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "txn_seq", *txn_seq);
-            }
-            TelemetryEvent::BroadcastSent {
-                cause,
-                node,
-                recipients,
-            } => {
-                push_cause(&mut out, cause);
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "recipients", u64::from(*recipients));
-            }
-            TelemetryEvent::Installed { cause, node } => {
-                push_cause(&mut out, cause);
-                push_field(&mut out, "node", u64::from(*node));
-            }
-            TelemetryEvent::Aborted {
-                node,
-                fragment,
-                txn_seq,
-                reason,
-            } => {
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "txn_seq", *txn_seq);
-                push_str_field(&mut out, "reason", reason);
-            }
-            TelemetryEvent::ReadObserved {
-                node,
-                fragment,
-                seen_seq,
-                agent_seq,
-            } => {
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "seen_seq", *seen_seq);
-                push_field(&mut out, "agent_seq", *agent_seq);
-            }
-            TelemetryEvent::HeldBack { cause, node, depth } => {
-                push_cause(&mut out, cause);
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "depth", *depth);
-            }
-            TelemetryEvent::LockWaitStarted {
-                node,
-                fragment,
-                txn_seq,
-                sites,
-            } => {
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "txn_seq", *txn_seq);
-                push_field(&mut out, "sites", u64::from(*sites));
-            }
-            TelemetryEvent::LockGranted {
-                node,
-                fragment,
-                txn_seq,
-            } => {
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "txn_seq", *txn_seq);
-            }
-            TelemetryEvent::SubmissionQueued { fragment, depth } => {
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "depth", *depth);
-            }
-            TelemetryEvent::MoveRequested { fragment, from, to }
-            | TelemetryEvent::MoveAborted { fragment, from, to } => {
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "from", u64::from(*from));
-                push_field(&mut out, "to", u64::from(*to));
-            }
-            TelemetryEvent::TokenArrived { fragment, node } => {
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "node", u64::from(*node));
-            }
-            TelemetryEvent::Dropped { from, to, count }
-            | TelemetryEvent::Retransmit { from, to, count } => {
-                push_field(&mut out, "from", u64::from(*from));
-                push_field(&mut out, "to", u64::from(*to));
-                push_field(&mut out, "count", *count);
-            }
-            TelemetryEvent::Delivered { from, to, kind } => {
-                push_field(&mut out, "from", u64::from(*from));
-                push_field(&mut out, "to", u64::from(*to));
-                push_str_field(&mut out, "kind", kind);
-            }
-            TelemetryEvent::Crash { node } | TelemetryEvent::CatchupComplete { node } => {
-                push_field(&mut out, "node", u64::from(*node));
-            }
-            TelemetryEvent::Recover {
-                node,
-                behind_fragments,
-            } => {
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "behind_fragments", *behind_fragments);
-            }
-            TelemetryEvent::SuspectRaised { node, suspect } => {
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "suspect", u64::from(*suspect));
-            }
-            TelemetryEvent::ElectionStarted {
-                fragment,
-                epoch,
-                candidate,
-            } => {
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "epoch", *epoch);
-                push_field(&mut out, "candidate", u64::from(*candidate));
-            }
-            TelemetryEvent::ElectionWon {
-                fragment,
-                epoch,
-                node,
-            }
-            | TelemetryEvent::TokenRecovered {
-                fragment,
-                epoch,
-                node,
-            } => {
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "epoch", *epoch);
-                push_field(&mut out, "node", u64::from(*node));
-            }
-            TelemetryEvent::ElectionAborted {
-                fragment,
-                epoch,
-                reason,
-            } => {
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "epoch", *epoch);
-                push_str_field(&mut out, "reason", reason);
-            }
-            TelemetryEvent::BatchDiscarded { cause, node } => {
-                push_cause(&mut out, cause);
-                push_field(&mut out, "node", u64::from(*node));
-            }
-            TelemetryEvent::ReplicaSetChanged {
-                fragment,
-                from_count,
-                to_count,
-            } => {
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "from_count", u64::from(*from_count));
-                push_field(&mut out, "to_count", u64::from(*to_count));
-            }
-        }
+        self.event.put_fields(out);
         out.push('}');
+    }
+
+    /// [`TelemetryRecord::write_json_line`] into a fresh `String`.
+    pub fn to_json_line(&self) -> String {
+        let mut out = String::with_capacity(96);
+        self.write_json_line(&mut out);
         out
     }
+
+    /// Strict inverse of [`TelemetryRecord::to_json_line`]: accepts exactly
+    /// the lines the encoder can write. Anything else is an error naming
+    /// the offending field: an unknown event, a missing, extra, duplicate
+    /// or out-of-order field, a string where a number is declared (or the
+    /// reverse), a value beyond its type's range, or a word outside its
+    /// vocabulary.
+    pub fn from_json_line(line: &str) -> Result<TelemetryRecord, String> {
+        let mut cur = Cursor { rest: line };
+        let at = cur.number("{\"at_micros\":")?;
+        let name = cur.string(label!(event))?;
+        let event = TelemetryEvent::take_fields(name, &mut cur)?;
+        if cur.rest != "}" {
+            return Err(format!(
+                "expected the end of the object, found {}",
+                cur.found()
+            ));
+        }
+        Ok(TelemetryRecord {
+            at: SimTime(at),
+            event,
+        })
+    }
+}
+
+/// The comment line that opens one run's segment of an export.
+const SCENARIO_HEADER: &str = "# scenario:";
+
+/// Render an export: an optional `# scenario: <name> section: <section>`
+/// header, a drop-marker comment when the ring wrapped, then one record
+/// per line, oldest first. Comment lines start with `#` so a JSONL
+/// consumer can skip them unambiguously.
+pub fn render_jsonl<'a>(
+    scenario: Option<(&str, &str)>,
+    dropped: u64,
+    records: impl IntoIterator<Item = &'a TelemetryRecord>,
+) -> String {
+    let mut out = String::new();
+    if let Some((name, section)) = scenario {
+        out.push_str(&format!("{SCENARIO_HEADER} {name} section: {section}\n"));
+    }
+    if dropped > 0 {
+        out.push_str(&format!("# {dropped} earlier events dropped\n"));
+    }
+    for r in records {
+        r.write_json_line(&mut out);
+        out.push('\n');
+    }
+    out
+}
+
+/// One meaningful line of an export, as [`read_jsonl`] hands it out.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JsonlEntry {
+    /// A `# scenario:` header: a new run starts and virtual time restarts.
+    Scenario,
+    /// A decoded event line.
+    Record(TelemetryRecord),
+}
+
+/// Read an export line by line, handing each scenario header and decoded
+/// record to `visit`. This is the single
+/// definition of a valid export: blank lines and `#` comments are skipped,
+/// every other line must decode ([`TelemetryRecord::from_json_line`]),
+/// `at_micros` never decreases within a run, and there is at least one
+/// record. Errors (the reader's and `visit`'s) name the 1-based line.
+pub fn read_jsonl(
+    text: &str,
+    mut visit: impl FnMut(JsonlEntry) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut last_at = 0;
+    let mut records = 0usize;
+    for (i, line) in text.lines().enumerate() {
+        let n = i + 1;
+        let entry = if line.starts_with(SCENARIO_HEADER) {
+            last_at = 0;
+            JsonlEntry::Scenario
+        } else if line.is_empty() || line.starts_with('#') {
+            continue;
+        } else {
+            let r = TelemetryRecord::from_json_line(line).map_err(|e| format!("line {n}: {e}"))?;
+            let at = r.at.micros();
+            if at < last_at {
+                return Err(format!(
+                    "line {n}: at_micros {at} decreases (previous {last_at})"
+                ));
+            }
+            last_at = at;
+            records += 1;
+            JsonlEntry::Record(r)
+        };
+        visit(entry).map_err(|e| format!("line {n}: {e}"))?;
+    }
+    if records == 0 {
+        return Err("no event lines".to_string());
+    }
+    Ok(())
 }
 
 /// Interning cache for dimensioned metric keys (`frag.3.lag`,
@@ -814,18 +957,10 @@ impl Telemetry {
     }
 
     /// Render the retained events as JSON lines, newest last, preceded by a
-    /// drop-marker comment line when the buffer wrapped. The marker uses
-    /// `#` so a JSONL consumer can skip it unambiguously.
+    /// drop-marker comment line when the buffer wrapped (see the free
+    /// function [`render_jsonl`]).
     pub fn render_jsonl(&self) -> String {
-        let mut out = String::new();
-        if self.dropped > 0 {
-            out.push_str(&format!("# {} earlier events dropped\n", self.dropped));
-        }
-        for r in &self.events {
-            out.push_str(&r.to_json_line());
-            out.push('\n');
-        }
-        out
+        render_jsonl(None, self.dropped, &self.events)
     }
 }
 
@@ -838,6 +973,33 @@ impl Default for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A test value of a declared field type: its minimum or its maximum.
+    pub(super) trait Sample {
+        fn sample(max: bool) -> Self;
+    }
+
+    impl Sample for u64 {
+        fn sample(max: bool) -> u64 {
+            [0, u64::MAX][usize::from(max)]
+        }
+    }
+
+    impl Sample for u32 {
+        fn sample(max: bool) -> u32 {
+            [0, u32::MAX][usize::from(max)]
+        }
+    }
+
+    impl Sample for CausalId {
+        fn sample(max: bool) -> CausalId {
+            CausalId {
+                fragment: Sample::sample(max),
+                epoch: Sample::sample(max),
+                frag_seq: Sample::sample(max),
+            }
+        }
+    }
 
     fn cause(f: u32, seq: u64) -> CausalId {
         CausalId {
@@ -1230,7 +1392,7 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_are_flat_and_escaped() {
+    fn json_lines_are_flat() {
         let r = TelemetryRecord {
             at: SimTime::from_millis(5),
             event: TelemetryEvent::Delivered {
@@ -1267,6 +1429,71 @@ mod tests {
             r.to_json_line(),
             "{\"at_micros\":3,\"event\":\"held_back\",\"fragment\":1,\"epoch\":0,\"frag_seq\":6,\"node\":2,\"depth\":4}"
         );
+    }
+
+    #[test]
+    fn every_variant_round_trips_through_the_codec() {
+        for max in [false, true] {
+            let events = TelemetryEvent::samples(max);
+            // A new event must be declared in `telemetry_events!`, which is
+            // what puts it in this list.
+            assert_eq!(events.len(), 26);
+            let mut names: Vec<&str> = events.iter().map(TelemetryEvent::name).collect();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), events.len(), "wire names must be distinct");
+            for event in events {
+                let at = SimTime(if max { u64::MAX } else { 0 });
+                let r = TelemetryRecord { at, event };
+                let line = r.to_json_line();
+                assert_eq!(TelemetryRecord::from_json_line(&line), Ok(r), "{line}");
+            }
+        }
+        let r = TelemetryRecord {
+            at: SimTime(u64::MAX),
+            event: TelemetryEvent::Committed {
+                cause: CausalId {
+                    fragment: u32::MAX,
+                    epoch: u64::MAX,
+                    frag_seq: u64::MAX,
+                },
+                node: u32::MAX,
+                txn_seq: u64::MAX,
+            },
+        };
+        assert_eq!(
+            r.to_json_line(),
+            "{\"at_micros\":18446744073709551615,\"event\":\"committed\",\"fragment\":4294967295,\"epoch\":18446744073709551615,\"frag_seq\":18446744073709551615,\"node\":4294967295,\"txn_seq\":18446744073709551615}"
+        );
+    }
+
+    #[test]
+    fn render_and_read_agree_on_comments_and_scenarios() {
+        let r = |at| TelemetryRecord {
+            at: SimTime(at),
+            event: TelemetryEvent::Crash { node: 1 },
+        };
+        let first = render_jsonl(Some(("a", "4.1")), 3, &[r(5), r(9)]);
+        assert!(first.starts_with("# scenario: a section: 4.1\n# 3 earlier events dropped\n"));
+        // A second header restarts virtual time.
+        let text = first + &render_jsonl(Some(("b", "5")), 0, &[r(2)]);
+        let mut entries = Vec::new();
+        read_jsonl(&text, |e| {
+            entries.push(e);
+            Ok(())
+        })
+        .unwrap();
+        use JsonlEntry::{Record, Scenario};
+        assert_eq!(
+            entries,
+            [Scenario, Record(r(5)), Record(r(9)), Scenario, Record(r(2))]
+        );
+        // The visitor's error is reported with the line it was handed.
+        let err = read_jsonl(&text, |e| match e {
+            Scenario => Ok(()),
+            Record(_) => Err("stop".to_string()),
+        });
+        assert_eq!(err, Err("line 3: stop".to_string()));
     }
 
     #[test]

@@ -118,6 +118,12 @@ fn folded_output_is_byte_identical_across_replays() {
     let b = scenario_folded(SEED);
     assert!(!a.is_empty());
     assert_eq!(a, b, "seed-42 folded stacks must be byte-identical");
+    // Pinned at commit 528cb2e, before span reconstruction started to match
+    // `TelemetryEvent` directly (FNV-1a, as in `tests/golden_trace.rs`).
+    let fnv1a = a.bytes().fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(fnv1a, 0x1944_a0b9_783b_499f, "{fnv1a:#018x}");
     validate_folded(&a).expect("folded output must satisfy the leaf schema");
     // A different seed perturbs the fault plan and therefore the stacks.
     let c = scenario_folded(7);
@@ -146,6 +152,27 @@ fn jsonl_export_replays_to_the_same_spans_as_the_live_stream() {
         assert_eq!(a.exec_us, b.exec_us);
         assert_eq!(a.legs.len(), b.legs.len());
     }
+}
+
+#[test]
+fn a_file_of_several_runs_is_refused_not_merged() {
+    // `fragdb-trace --quick --out F` writes every scenario into one file.
+    // Causal ids restart with each run, so reading F as one stream would
+    // join one run's installs to another's commits.
+    let mut file = String::new();
+    let mut lines_before_second_header = 0;
+    for name in [UNRESTRICTED_FAULTS, trace::READ_LOCKS_FIXED] {
+        let run = trace::run_scenario(name, SEED, true).unwrap();
+        lines_before_second_header = file.lines().count();
+        file.push_str(&trace::render_jsonl(&run));
+    }
+    trace::validate_jsonl(&file).expect("each run of the file is valid");
+    let err = SpanReport::from_jsonl(&file).err().expect("two runs");
+    let line = lines_before_second_header + 1;
+    assert!(
+        err.starts_with(&format!("line {line}: second `# scenario:` header")),
+        "{err}"
+    );
 }
 
 #[test]

@@ -3,7 +3,9 @@
 //! * Causality: fault-free, every commit joins to **exactly R** install
 //!   events (R = replica count; the home's commit counts as its install).
 //! * Determinism: two seed-42 runs of the chaos and movement scenarios
-//!   produce byte-identical JSON-lines event logs.
+//!   produce byte-identical JSON-lines event logs, and the seed-42 quick
+//!   export of every scenario hashes to the value pinned before the codec
+//!   was rewritten.
 //! * Differential: the online lag probe equals a batch recomputation from
 //!   the raw event log (count, sum, min, max — exact, not approximate).
 //! * Regime contrasts: the fault-free §4.1 run records zero drops and zero
@@ -114,6 +116,34 @@ fn event_logs_are_byte_identical_across_seed_42_runs() {
             b.metrics.render(),
             "{name}: same seed must derive the identical probe metrics"
         );
+    }
+}
+
+/// FNV-1a, as in `tests/golden_trace.rs`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The export is a file format other tools read: its bytes are pinned.
+/// These hashes were computed at commit 528cb2e, before one declaration
+/// replaced the hand-written encoder, so passing proves the bytes did not
+/// move. An intended format change re-pins them.
+#[test]
+fn seed_42_quick_exports_hash_to_the_pinned_values() {
+    let pinned: [(&str, u64); 5] = [
+        (READ_LOCKS_FIXED, 0x766c_06ed_c698_90e3),
+        (UNRESTRICTED_FAULTS, 0x8854_c4f9_5e32_a664),
+        (MAJORITY_MOVEMENT, 0x89af_d91b_53f0_558f),
+        (trace::SELF_HEAL, 0xae86_0b1d_5fc3_a6b0),
+        (trace::ALLOC, 0x0ad8_ccc4_a513_8899),
+    ];
+    assert_eq!(pinned.map(|(name, _)| name), trace::SCENARIOS);
+    for (name, hash) in pinned {
+        let run = trace::run_scenario(name, SEED, true).unwrap();
+        let got = fnv1a(trace::render_jsonl(&run).as_bytes());
+        assert_eq!(got, hash, "{name}: export hashes to {got:#018x}");
     }
 }
 
