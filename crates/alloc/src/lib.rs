@@ -1,9 +1,9 @@
 //! Telemetry-driven fragment allocation (§6 partial replication).
 //!
-//! `BENCH_pr10.json` (the full-replication arm of `partial_replication`)
-//! shows the real scaling wall is fan-out: with every
-//! fragment fully replicated, a commit at 1024 nodes pays ~1023 broadcast
-//! messages no matter how cheap the kernel gets. The paper's E12
+//! The benchmark of record (`wide-mesh`, `msgs_per_commit` 1023) shows
+//! the real scaling wall is fan-out: with every fragment fully
+//! replicated, a commit at 1024 nodes pays 1023 broadcast messages no
+//! matter how cheap the kernel gets. The paper's E12
 //! experiment proves non-full replication preserves the availability and
 //! serializability guarantees; this crate turns that observation into a
 //! placement policy.

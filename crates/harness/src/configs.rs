@@ -342,32 +342,35 @@ fn chaos(seed: u64) -> NamedConfig {
     }
 }
 
-/// The open-loop Zipf scale shape (`scale::run`, `fragdb-bench` scale
-/// section): independent unrestricted fragments striped over a full
-/// mesh, one updater class per fragment. Registered at a modest node
-/// count so admission certifies the shape without analyzing a thousand
-/// replicas; the bench scales only the mesh size, not the schema.
+/// The open-loop Zipf shape the benchmark of record saturates
+/// (`wide-mesh`, `dense-few`): independent unrestricted fragments striped
+/// over a full mesh, one updater class per fragment. Registered at a
+/// modest node count so admission certifies the shape without analyzing a
+/// thousand replicas; the benchmark scales only the mesh size and the
+/// offered rate, not the schema.
 fn scale_zipf(seed: u64) -> NamedConfig {
-    let spec = crate::scale::ScaleSpec::smoke(6, seed);
+    const NODES: u32 = 6;
+    const FRAGMENTS: u32 = 4;
     let mut b = FragmentCatalog::builder();
-    let frags: Vec<_> = (0..spec.fragments)
-        .map(|f| b.add_fragment(format!("S{f}"), spec.objects_per_fragment as usize))
+    let frags: Vec<FragmentId> = (0..FRAGMENTS)
+        .map(|f| b.add_fragment(format!("S{f}"), 32).0)
         .collect();
-    let classes = crate::scale::classes(&frags);
-    let frags: Vec<FragmentId> = frags.into_iter().map(|(f, _)| f).collect();
     NamedConfig {
         name: "scale-zipf-open-loop",
-        source: "harness::scale / fragdb-bench scale section",
-        topology: Topology::full_mesh(spec.nodes, ms(10)),
+        source: "benchmark/ (wide-mesh, dense-few)",
+        topology: Topology::full_mesh(NODES, ms(10)),
         catalog: b.build(),
         agents: frags
             .iter()
             .map(|&f| {
-                let home = NodeId(f.0 % spec.nodes);
+                let home = NodeId(f.0 % NODES);
                 (f, AgentId::Node(home), home)
             })
             .collect(),
-        classes,
+        classes: frags
+            .iter()
+            .map(|&f| ClassDecl::update(format!("scale-bump({})", f.0), f, [f]))
+            .collect(),
         config: SystemConfig::unrestricted(seed),
     }
 }

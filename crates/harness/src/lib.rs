@@ -4,30 +4,15 @@
 //! Experiment harness: regenerates every figure/scenario of the paper.
 //!
 //! Each `experiments::eN_*` module exposes a `run(...)` function returning
-//! a typed report with a `Display` impl that prints the table/series the
-//! corresponding binary emits. The binaries (`e1_spectrum` …
-//! `e12_partial_replication`) are thin wrappers; tests assert the reports'
-//! qualitative claims, so `cargo test` *is* the reproduction check.
-//!
-//! | binary | paper artifact |
-//! |--------|----------------|
-//! | `e1_spectrum` | Figure 1.1 — the correctness/availability spectrum |
-//! | `e2_banking_scenarios` | §1 scenarios 1–2 (Figure 1.2) |
-//! | `e3_local_view` | Figures 2.1–2.2 — local-view staleness |
-//! | `e4_warehouse` | Figure 4.2.1 — acyclic-RAG warehouse |
-//! | `e5_gsg_cycle` | Figures 4.3.1–4.3.2 — the three-fragment cycle |
-//! | `e6_airline` | Figure 4.3.3 + schedule — airline reservations |
-//! | `e7_movement` | Figure 4.4.1 + §4.4.1–3 — movement protocols |
-//! | `e8_theorem` | §4.2 theorem — Monte-Carlo validation |
-//! | `e9_fragmentwise` | §4.3 Properties 1–2 — Monte-Carlo validation |
-//! | `e10_broadcast` | §3.2 — drop/duplicate/reorder/crash sweep of the full system |
-//! | `e11_mixed` | §6 — three strategy groups in one system |
-//! | `e12_partial_replication` | §6 — partial replication |
+//! a typed report with a `Display` impl that prints the table/series.
+//! [`experiments::ALL`] maps the twelve to the paper's artefacts, and the
+//! `fragdb-exp` binary runs one by name (`fragdb-exp --list` prints the
+//! table); tests assert the reports' qualitative claims, so `cargo test`
+//! *is* the reproduction check.
 
 pub mod configs;
 pub mod experiments;
 pub mod partial;
-pub mod scale;
 pub mod table;
 pub mod trace;
 

@@ -146,18 +146,6 @@ impl<E> Engine<E> {
             .set(keys::TELEMETRY_DROPPED, self.telemetry.dropped());
     }
 
-    /// Publish the kernel allocation/queue gauges ([`keys::ENGINE_POOL_REUSE`],
-    /// [`keys::ENGINE_QUEUE_DEPTH`]) into the metrics table.
-    ///
-    /// Opt-in (the scale harness calls it) rather than folded into
-    /// [`Engine::sync_drop_metrics`], so existing experiment reports keep
-    /// their exact metric sets.
-    pub fn publish_kernel_stats(&mut self) {
-        self.metrics.set(keys::ENGINE_POOL_REUSE, self.pool_reuse());
-        self.metrics
-            .set(keys::ENGINE_QUEUE_DEPTH, self.peak_queue_depth() as u64);
-    }
-
     /// Times a pooled resource was reused instead of freshly allocated:
     /// timer-slab free-list hits plus warm ready-buffer batch appends.
     pub fn pool_reuse(&self) -> u64 {
@@ -815,8 +803,6 @@ mod tests {
         e.schedule(SimDuration(1), Ev::A(99));
         drain(&mut e);
         assert_eq!(e.peak_queue_depth(), 10);
-        e.publish_kernel_stats();
-        assert_eq!(e.metrics.counter(keys::ENGINE_QUEUE_DEPTH), 10);
     }
 
     #[test]

@@ -755,9 +755,9 @@ pub struct Probes {
     unavail_started: BTreeMap<u32, SimTime>,
     /// Merged commit→install lag across all fragments, recorded online at
     /// observation time — exact even after ring-buffer eviction, bounded
-    /// memory at any cardinality. The scale runner reads its headline
-    /// p50/p99 from here; per-fragment exact histograms remain the
-    /// differential oracle.
+    /// memory at any cardinality. The benchmark of record reads its
+    /// `lag_p50_us`/`lag_p99_us` from here; per-fragment exact histograms
+    /// remain the differential oracle.
     lag_sketch: QuantileSketch,
 }
 

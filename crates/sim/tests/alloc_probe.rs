@@ -2,11 +2,11 @@
 //!
 //! The PR 8 kernel pass made the schedule/pop cycle reuse pooled storage
 //! (wheel slot buffers, the ready buffer, the timer-token slab) instead of
-//! allocating per event. This test installs the vendored criterion stub's
+//! allocating per event. This test installs the vendored `alloc-probe`
 //! counting allocator and asserts the warm loop performs zero heap
 //! allocations.
 
-use criterion::alloc_probe::{self, CountingAllocator};
+use alloc_probe::CountingAllocator;
 use fragdb_sim::{Engine, SimDuration};
 
 #[global_allocator]

@@ -151,8 +151,8 @@ impl Wal {
 
     /// Scan-based reference implementation of [`Wal::fragment_range`]: walk
     /// the whole log, filter, sort — touching no index at all. Retained as
-    /// the oracle the indexed path is tested against and as the "before"
-    /// arm of the bench runner; production code should use `fragment_range`.
+    /// the oracle the indexed path is tested against; production code
+    /// should use `fragment_range`.
     pub fn fragment_range_scan(&self, fragment: FragmentId, from: u64, to: u64) -> Vec<&WalEntry> {
         let mut out: Vec<&WalEntry> = self
             .entries

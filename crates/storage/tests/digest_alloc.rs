@@ -5,7 +5,7 @@
 //! [`BTreeStore`] oracle still allocates, which doubles as a self-test of
 //! the probe.
 
-use criterion::alloc_probe::{self, CountingAllocator};
+use alloc_probe::CountingAllocator;
 use fragdb_model::{NodeId, ObjectId, TxnId, Value};
 use fragdb_sim::SimTime;
 use fragdb_storage::{BTreeStore, Store};

@@ -190,8 +190,9 @@ fn batched_runs_match_unbatched_observables_across_seeds() {
 
 /// Same-instant submissions coalesce: with flush-on-idle and a burst of
 /// simultaneous commits on one fragment, the broadcast layer must emit
-/// strictly fewer quasi-bearing envelopes than the unbatched run, and the
-/// batch-size histogram must record multi-element batches.
+/// strictly fewer quasi-bearing envelopes than the unbatched run, the
+/// batch-size histogram must record multi-element batches, and the wire
+/// must carry at least five times fewer transmissions and acks.
 #[test]
 fn bursty_commits_actually_coalesce() {
     fn bursty(batch: BatchConfig) -> System {
@@ -244,4 +245,16 @@ fn bursty_commits_actually_coalesce() {
         .map(|(_, h)| (h.count(), h.max()))
         .expect("batch-size histogram recorded");
     assert_eq!(sizes, (5, Some(8)), "five 8-element batches flushed");
+    // What the wire carries falls with the envelopes: data transmissions
+    // plus standalone acks, at least fivefold on bursts of eight.
+    let wire = |sys: &System| {
+        let stats = sys.net_stats();
+        stats.transmissions + stats.acks_sent
+    };
+    assert!(
+        wire(&off) >= 5 * wire(&on),
+        "group commit must cut transmissions + acks at least 5x (off={} on={})",
+        wire(&off),
+        wire(&on)
+    );
 }
