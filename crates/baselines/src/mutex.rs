@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use fragdb_model::{FragmentId, History, NodeId, ObjectId, OpKind, TxnId, TxnType, Value};
-use fragdb_net::{BroadcastLayer, Delivery, NetworkChange, Topology, Transport};
+use fragdb_net::{Delivery, NetworkChange, Topology, Transport};
 use fragdb_sim::metrics::keys;
 use fragdb_sim::{Engine, SimTime};
 use fragdb_storage::Replica;
@@ -85,8 +85,6 @@ pub enum MxMsg {
     },
     /// Committed updates propagating from the primary, FIFO.
     Install {
-        /// Per-sender broadcast sequence number.
-        bseq: u64,
         /// The committing transaction.
         txn: TxnId,
         /// Position in the primary's commit order.
@@ -118,9 +116,6 @@ pub struct MutexConfig {
     pub seed: u64,
 }
 
-/// An install in flight through the FIFO layer: `(txn, seq, updates)`.
-type StagedInstall = (TxnId, u64, fragdb_model::Updates);
-
 /// The mutual-exclusion system.
 pub struct MutexSystem {
     /// The event engine.
@@ -128,7 +123,6 @@ pub struct MutexSystem {
     /// Executed history (all access at the primary).
     pub history: History,
     transport: Transport<MxMsg>,
-    bcast: BroadcastLayer<StagedInstall>,
     replicas: Vec<Replica>,
     primary: NodeId,
     next_txn: u64,
@@ -144,7 +138,6 @@ impl MutexSystem {
             engine: Engine::new(config.seed),
             history: History::new(),
             transport: Transport::new(topology),
-            bcast: BroadcastLayer::new(),
             replicas: (0..n).map(|i| Replica::new(NodeId(i))).collect(),
             primary: config.primary,
             next_txn: 0,
@@ -239,29 +232,21 @@ impl MutexSystem {
                 read_only,
                 submitted_at,
             } => self.execute_at_primary(at, program, read_only, submitted_at),
-            MxMsg::Install {
-                bseq,
-                txn,
-                seq,
-                updates,
-            } => {
-                // FIFO-from-primary ordering via the broadcast layer.
-                let ready = self.bcast.accept(d.to, d.from, bseq, (txn, seq, updates));
-                for (_, (txn, seq, updates)) in ready {
-                    let quasi = fragdb_model::QuasiTransaction {
-                        txn,
-                        fragment: WHOLE_DB,
-                        frag_seq: seq,
-                        epoch: 0,
-                        updates: updates.clone(),
-                    };
-                    self.replicas[d.to.0 as usize].install_quasi(&quasi, at);
-                    for (o, _) in &updates {
-                        self.history
-                            .record_install(d.to, txn, TxnType::Update(WHOLE_DB), *o, at);
-                    }
-                    self.engine.metrics.incr(keys::INSTALL_COUNT);
+            MxMsg::Install { txn, seq, updates } => {
+                // FIFO from the primary: `Transport` never reorders a pair.
+                let quasi = fragdb_model::QuasiTransaction {
+                    txn,
+                    fragment: WHOLE_DB,
+                    frag_seq: seq,
+                    epoch: 0,
+                    updates,
+                };
+                self.replicas[d.to.0 as usize].install_quasi(&quasi, at);
+                for (o, _) in &quasi.updates {
+                    self.history
+                        .record_install(d.to, txn, TxnType::Update(WHOLE_DB), *o, at);
                 }
+                self.engine.metrics.incr(keys::INSTALL_COUNT);
                 Vec::new()
             }
         }
@@ -347,9 +332,7 @@ impl MutexSystem {
             if to == self.primary {
                 continue;
             }
-            let bseq = self.bcast.stamp_for(self.primary, to);
             let msg = MxMsg::Install {
-                bseq,
                 txn,
                 seq,
                 updates: updates.clone(),

@@ -18,11 +18,8 @@ use fragdb_storage::WalEntry;
 /// A network message.
 #[derive(Clone, Debug)]
 pub enum Envelope {
-    /// A broadcast quasi-transaction, stamped with the sender's broadcast
-    /// sequence number (per-sender FIFO processing, §3.2).
+    /// A broadcast quasi-transaction (§3.2).
     Quasi {
-        /// Per-sender broadcast sequence.
-        bseq: u64,
         /// The propagated updates.
         quasi: QuasiTransaction,
     },
@@ -32,8 +29,6 @@ pub enum Envelope {
     /// receiver unpacks them through the ordinary install paths and
     /// telemetry's commit→install join is unchanged.
     Batch {
-        /// Per-sender broadcast sequence.
-        bseq: u64,
         /// The batched quasi-transactions, in `frag_seq` order.
         batch: Vec<QuasiTransaction>,
     },
@@ -71,8 +66,6 @@ pub enum Envelope {
     // ---- §4.4.1 majority commit ---------------------------------------
     /// Stage this quasi-transaction and acknowledge.
     Prepare {
-        /// Per-sender broadcast sequence.
-        bseq: u64,
         /// The staged updates.
         quasi: QuasiTransaction,
     },
@@ -85,8 +78,6 @@ pub enum Envelope {
     },
     /// Commit the previously staged quasi-transaction.
     CommitCmd {
-        /// Per-sender broadcast sequence.
-        bseq: u64,
         /// The staged transaction to commit.
         txn: TxnId,
         /// Its fragment — lets a receiver that lost the staged copy (crash)
@@ -95,8 +86,6 @@ pub enum Envelope {
     },
     /// Abandon the previously staged quasi-transaction.
     AbortCmd {
-        /// Per-sender broadcast sequence.
-        bseq: u64,
         /// The staged transaction to drop.
         txn: TxnId,
     },
@@ -136,8 +125,6 @@ pub enum Envelope {
     /// New home `Y` announces the old-regime transactions it knows,
     /// carrying them so laggards can catch up (protocol step B.1).
     M0 {
-        /// Per-sender broadcast sequence.
-        bseq: u64,
         /// Fragment whose agent moved.
         fragment: FragmentId,
         /// The regime (epoch) that just ended.
@@ -195,8 +182,6 @@ pub enum Envelope {
 
     // ---- self-healing token recovery ----------------------------------
     /// "I am alive" — periodic liveness beacon from the failure detector.
-    /// Rides `ReliableNet` directly (no broadcast sequencing: liveness is
-    /// per-pair, and a heartbeat must not stall behind held-back updates).
     Heartbeat {
         /// The beating node.
         from: NodeId,
@@ -306,20 +291,6 @@ impl Envelope {
             _ => None,
         }
     }
-
-    /// The broadcast sequence number, for envelopes that travel through the
-    /// FIFO broadcast layer.
-    pub fn bseq(&self) -> Option<u64> {
-        match self {
-            Envelope::Quasi { bseq, .. }
-            | Envelope::Batch { bseq, .. }
-            | Envelope::Prepare { bseq, .. }
-            | Envelope::CommitCmd { bseq, .. }
-            | Envelope::AbortCmd { bseq, .. }
-            | Envelope::M0 { bseq, .. } => Some(*bseq),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -332,7 +303,6 @@ mod tests {
             txn: TxnId::new(NodeId(0), 0),
         };
         assert_eq!(q.kind(), "lock_release");
-        assert_eq!(q.bseq(), None);
     }
 
     #[test]
@@ -348,23 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_envelopes_carry_bseq() {
-        let q = Envelope::Quasi {
-            bseq: 7,
-            quasi: QuasiTransaction {
-                txn: TxnId::new(NodeId(0), 0),
-                fragment: FragmentId(0),
-                frag_seq: 0,
-                epoch: 0,
-                updates: Updates::empty(),
-            },
-        };
-        assert_eq!(q.bseq(), Some(7));
-        assert_eq!(q.kind(), "quasi");
-    }
-
-    #[test]
-    fn self_heal_envelopes_bypass_broadcast_sequencing() {
+    fn self_heal_envelopes_are_registered_and_carry_no_payload() {
         for env in [
             Envelope::Heartbeat {
                 from: NodeId(1),
@@ -383,7 +337,6 @@ mod tests {
                 granted: true,
             },
         ] {
-            assert_eq!(env.bseq(), None, "{} must be direct", env.kind());
             assert_eq!(env.payload_bytes(), None);
             assert_eq!(env.metric_key(), format!("msg.{}", env.kind()));
             assert!(fragdb_sim::metrics::keys::MSG_KINDS.contains(&env.kind()));

@@ -108,15 +108,9 @@ impl System {
             .observe(keys::NET_BATCH_SIZE, quasis.len() as u64);
         if quasis.len() == 1 {
             let quasi = quasis.into_iter().next().expect("len checked");
-            self.broadcast_fragment(at, home, fragment, move |bseq| Envelope::Quasi {
-                bseq,
-                quasi: quasi.clone(),
-            });
+            self.broadcast_fragment(at, home, fragment, Envelope::Quasi { quasi });
         } else {
-            self.broadcast_fragment(at, home, fragment, move |bseq| Envelope::Batch {
-                bseq,
-                batch: quasis.clone(),
-            });
+            self.broadcast_fragment(at, home, fragment, Envelope::Batch { batch: quasis });
         }
     }
 

@@ -330,10 +330,7 @@ impl System {
                 // window fills or the linger timer fires.
                 self.enqueue_batch(at, home, quasi);
             } else {
-                self.broadcast_fragment(at, home, fragment, move |bseq| Envelope::Quasi {
-                    bseq,
-                    quasi: quasi.clone(),
-                });
+                self.broadcast_fragment(at, home, fragment, Envelope::Quasi { quasi });
             }
         }
         self.engine.metrics.incr(keys::TXN_COMMITTED);
@@ -440,10 +437,7 @@ impl System {
                     self.tokens
                         .set_next_frag_seq(fragment, seq.saturating_sub(1));
                 }
-                self.broadcast_fragment(at, home, fragment, |bseq| Envelope::AbortCmd {
-                    bseq,
-                    txn,
-                });
+                self.broadcast_fragment(at, home, fragment, Envelope::AbortCmd { txn });
                 notes.extend(self.drain_queued(at, fragment));
                 fragment
             }

@@ -68,11 +68,10 @@ impl System {
                 recipients,
             });
         }
-        let q = quasi.clone();
-        self.broadcast_fragment(at, home, fragment, move |bseq| Envelope::Prepare {
-            bseq,
-            quasi: q.clone(),
-        });
+        let prepare = Envelope::Prepare {
+            quasi: quasi.clone(),
+        };
+        self.broadcast_fragment(at, home, fragment, prepare);
         self.pending.insert(
             txn,
             Pending::Majority {
@@ -150,10 +149,7 @@ impl System {
         // number is NOT returned: the new regime's recovery already reset
         // the counter.
         if quasi.epoch != self.tokens.epoch(fragment) {
-            self.broadcast_fragment(at, home, fragment, move |bseq| Envelope::AbortCmd {
-                bseq,
-                txn,
-            });
+            self.broadcast_fragment(at, home, fragment, Envelope::AbortCmd { txn });
             let mut notes = self.finish_abort(txn, fragment, crate::AbortReason::Unavailable);
             notes.extend(self.drain_queued(at, fragment));
             return notes;
@@ -169,11 +165,7 @@ impl System {
             quasi.updates.clone(), // shares the staged payload, no deep copy
             false,                 // receivers install from their staged copy on CommitCmd
         );
-        self.broadcast_fragment(at, home, fragment, |bseq| Envelope::CommitCmd {
-            bseq,
-            txn,
-            fragment,
-        });
+        self.broadcast_fragment(at, home, fragment, Envelope::CommitCmd { txn, fragment });
         notes.extend(self.observe_commit_latency(submitted_at, at));
         notes.extend(self.drain_queued(at, fragment));
         notes

@@ -28,8 +28,7 @@ use fragdb_model::{
     Updates, Value,
 };
 use fragdb_net::{
-    BroadcastLayer, Delivery, FailureDetector, NetAction, NetworkChange, PktDelivery, ReliableNet,
-    Topology,
+    Delivery, FailureDetector, NetAction, NetworkChange, PktDelivery, ReliableNet, Topology,
 };
 use fragdb_sim::metrics::keys;
 use fragdb_sim::{CausalId, Engine, SimDuration, SimTime, TelemetryEvent};
@@ -320,7 +319,6 @@ pub struct System {
     /// §6: per-fragment movement-policy overrides.
     pub(crate) move_overrides: std::collections::BTreeMap<FragmentId, MovePolicy>,
     pub(crate) net: ReliableNet<Envelope>,
-    pub(crate) bcast: BroadcastLayer<Envelope>,
     pub(crate) tokens: TokenRegistry,
     pub(crate) nodes: Vec<NodeSlot>,
     /// Nodes currently crashed: packets addressed to them are dropped on
@@ -481,7 +479,6 @@ impl System {
             net: ReliableNet::new(topology)
                 .with_faults(config.faults)
                 .with_retransmit(config.retransmit),
-            bcast: BroadcastLayer::new(),
             tokens,
             nodes,
             down: BTreeSet::new(),
@@ -585,9 +582,6 @@ impl System {
     /// such event remains (clock advances to `limit`).
     pub fn step_until(&mut self, limit: SimTime) -> Option<(SimTime, Vec<Notification>)> {
         let (at, ev) = self.engine.pop_until(limit)?;
-        if self.engine.trace.is_enabled() {
-            self.engine.trace.log(at, || format!("{ev:?}"));
-        }
         let notes = self.handle(at, ev);
         Some((at, notes))
     }
@@ -769,20 +763,13 @@ impl System {
             to: to.0,
             kind,
         });
-        match msg.bseq() {
-            Some(bseq) => {
-                let ready = self.bcast.accept(to, from, bseq, msg);
-                let mut notes = Vec::new();
-                for (_, env) in ready {
-                    notes.extend(self.dispatch_broadcast(at, from, to, env));
-                }
-                notes
-            }
-            None => self.dispatch_direct(at, from, to, msg),
-        }
+        self.dispatch(at, from, to, msg)
     }
 
-    fn dispatch_broadcast(
+    /// Run the handler for one envelope at `to`. The reliable layer has
+    /// already released it exactly once and in per-pair send order (§3.2);
+    /// nothing here re-orders or de-duplicates.
+    fn dispatch(
         &mut self,
         at: SimTime,
         from: NodeId,
@@ -790,13 +777,13 @@ impl System {
         env: Envelope,
     ) -> Vec<Notification> {
         match env {
-            Envelope::Quasi { quasi, .. } => self.route_quasi_install(at, to, quasi),
-            Envelope::Batch { batch, .. } => self.install_batch_env(at, to, batch),
-            Envelope::Prepare { quasi, .. } => self.on_prepare(at, from, to, quasi),
-            Envelope::CommitCmd { txn, fragment, .. } => {
+            Envelope::Quasi { quasi } => self.route_quasi_install(at, to, quasi),
+            Envelope::Batch { batch } => self.install_batch_env(at, to, batch),
+            Envelope::Prepare { quasi } => self.on_prepare(at, from, to, quasi),
+            Envelope::CommitCmd { txn, fragment } => {
                 self.on_commit_cmd(at, from, to, txn, fragment)
             }
-            Envelope::AbortCmd { txn, .. } => {
+            Envelope::AbortCmd { txn } => {
                 self.nodes[to.0 as usize].staged.remove(&txn);
                 Vec::new()
             }
@@ -806,23 +793,7 @@ impl System {
                 last_seq,
                 entries,
                 new_home,
-                ..
             } => self.on_m0(at, to, fragment, old_epoch, last_seq, entries, new_home),
-            other => unreachable!(
-                "non-broadcast envelope {:?} in broadcast path",
-                other.kind()
-            ),
-        }
-    }
-
-    fn dispatch_direct(
-        &mut self,
-        at: SimTime,
-        from: NodeId,
-        to: NodeId,
-        env: Envelope,
-    ) -> Vec<Notification> {
-        match env {
             Envelope::LockReq {
                 txn,
                 objects,
@@ -867,7 +838,6 @@ impl System {
                 from: voter,
                 granted,
             } => self.on_vote(at, to, fragment, epoch, voter, granted),
-            other => unreachable!("broadcast envelope {:?} in direct path", other.kind()),
         }
     }
 
@@ -1057,56 +1027,31 @@ impl System {
         id
     }
 
-    /// Broadcast an envelope from `from` to every other node, through the
-    /// FIFO layer. The closure builds the envelope given the allocated
-    /// broadcast sequence number.
-    pub(crate) fn broadcast(&mut self, at: SimTime, from: NodeId, build: impl Fn(u64) -> Envelope) {
-        let n = self.nodes.len() as u32;
-        let targets: Vec<NodeId> = (0..n).map(NodeId).collect();
-        self.broadcast_to(at, from, &targets, build);
-    }
-
-    /// Broadcast a fragment-scoped envelope to the fragment's replica set
-    /// only (§6 partial replication).
+    /// Broadcast a fragment-scoped envelope from `from` to every other
+    /// holder of a replica of `fragment` (§6 partial replication; every
+    /// other node when fully replicated). §3.2 broadcast is this fan-out
+    /// loop over the reliable layer's per-pair FIFO streams: each target
+    /// gets a clone, payloads are `Arc`-shared.
     pub(crate) fn broadcast_fragment(
         &mut self,
         at: SimTime,
         from: NodeId,
         fragment: FragmentId,
-        build: impl Fn(u64) -> Envelope,
+        env: Envelope,
     ) {
-        match self.replica_sets.get(&fragment) {
-            Some(set) => {
-                let targets: Vec<NodeId> = set.iter().copied().collect();
-                self.broadcast_to(at, from, &targets, build);
-            }
-            None => self.broadcast(at, from, build),
-        }
-    }
-
-    fn broadcast_to(
-        &mut self,
-        at: SimTime,
-        from: NodeId,
-        targets: &[NodeId],
-        build: impl Fn(u64) -> Envelope,
-    ) {
-        // Sequence numbers are per (sender, receiver) pair: a fragment-
-        // scoped broadcast reaches only the fragment's replica set, and a
-        // per-sender stream shared across receivers would leave permanent
-        // gaps in the skipped receivers' hold-back queues.
-        for &to in targets {
-            if to == from {
-                continue;
-            }
-            let bseq = self.bcast.stamp_for(from, to);
-            let env = build(bseq);
-            self.meter_payload_share(&env);
-            let before = self.net_stats_if_telemetry();
-            let actions = self.net.send(at, from, to, env, &mut self.engine.rng);
-            self.schedule_net(actions);
-            if let Some(b) = before {
-                self.emit_net_delta(b, from, to);
+        let n = self.nodes.len() as u32;
+        let mut next = 0;
+        loop {
+            // Walk the targets in ascending node order without holding a
+            // borrow of the replica set across the send.
+            let to = match self.replica_sets.get(&fragment) {
+                Some(set) => set.range(NodeId(next)..).next().copied(),
+                None => (next < n).then_some(NodeId(next)),
+            };
+            let Some(to) = to else { return };
+            next = to.0 + 1;
+            if to != from {
+                self.send_remote(at, from, to, env.clone());
             }
         }
     }
@@ -1144,8 +1089,14 @@ impl System {
         env: Envelope,
     ) -> Vec<Notification> {
         if from == to {
-            return self.dispatch_direct(at, from, to, env);
+            return self.dispatch(at, from, to, env);
         }
+        self.send_remote(at, from, to, env);
+        Vec::new()
+    }
+
+    /// Hand one envelope to the reliable layer and schedule what it returns.
+    fn send_remote(&mut self, at: SimTime, from: NodeId, to: NodeId, env: Envelope) {
         self.meter_payload_share(&env);
         let before = self.net_stats_if_telemetry();
         let actions = self.net.send(at, from, to, env, &mut self.engine.rng);
@@ -1153,7 +1104,6 @@ impl System {
         if let Some(b) = before {
             self.emit_net_delta(b, from, to);
         }
-        Vec::new()
     }
 
     /// Schedule a timeout for a pending transaction.
@@ -1409,10 +1359,11 @@ impl System {
         self.finish_abort(txn, fragment, AbortReason::Unavailable)
     }
 
-    /// A node restarts: replay the WAL into the store, resync the network
-    /// and broadcast layers (pre-crash streams drain as duplicates),
-    /// announce the tombstoned aborts, and run `SeqQuery` anti-entropy
-    /// against each fragment's home to catch up on what was missed.
+    /// A node restarts: replay the WAL into the store, resync the reliable
+    /// layer's streams touching the node (pre-crash packets drain as
+    /// duplicates), announce the tombstoned aborts, and run `SeqQuery`
+    /// anti-entropy against each fragment's home to catch up on what was
+    /// missed.
     fn handle_recover(&mut self, at: SimTime, node: NodeId) -> Vec<Notification> {
         if !self.down.remove(&node) {
             return Vec::new(); // was not down
@@ -1429,7 +1380,6 @@ impl System {
         }
 
         self.net.resync_node(node);
-        self.bcast.resync_node(node);
 
         if self.detector_cfg.enabled() {
             // The liveness view is volatile: restart with a fresh full
@@ -1449,10 +1399,7 @@ impl System {
         for t in self.tombstones.remove(&node).unwrap_or_default() {
             match t {
                 CrashTombstone::AbortCmd { fragment, txn } => {
-                    self.broadcast_fragment(at, node, fragment, move |bseq| Envelope::AbortCmd {
-                        bseq,
-                        txn,
-                    });
+                    self.broadcast_fragment(at, node, fragment, Envelope::AbortCmd { txn });
                 }
                 CrashTombstone::MfAbort { xid, participants } => {
                     for (f, home) in participants {

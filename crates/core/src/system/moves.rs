@@ -263,15 +263,14 @@ impl System {
                 new_home: to,
             },
         );
-        let e2 = entries.clone();
-        self.broadcast_fragment(at, to, fragment, move |bseq| Envelope::M0 {
-            bseq,
+        let m0 = Envelope::M0 {
             fragment,
             old_epoch,
             last_seq,
-            entries: e2.clone(),
+            entries,
             new_home: to,
-        });
+        };
+        self.broadcast_fragment(at, to, fragment, m0);
         // Availability is immediate: the move completes now.
         self.engine.emit(|| TelemetryEvent::TokenArrived {
             fragment: fragment.0,
@@ -467,17 +466,14 @@ impl System {
                     recipients,
                 });
             }
-            let q = QuasiTransaction {
+            let quasi = QuasiTransaction {
                 txn: repackaged,
                 fragment,
                 frag_seq,
                 epoch,
                 updates: payload,
             };
-            self.broadcast_fragment(at, node, fragment, move |bseq| Envelope::Quasi {
-                bseq,
-                quasi: q.clone(),
-            });
+            self.broadcast_fragment(at, node, fragment, Envelope::Quasi { quasi });
         }
         notes.push(Notification::MissingRepackaged {
             fragment,

@@ -323,11 +323,7 @@ impl System {
             epoch: stage.epoch,
             updates: stage.updates,
         };
-        let q = quasi.clone();
-        self.broadcast_fragment(at, node, fragment, move |bseq| Envelope::Quasi {
-            bseq,
-            quasi: q.clone(),
-        });
+        self.broadcast_fragment(at, node, fragment, Envelope::Quasi { quasi });
         self.engine.metrics.incr(keys::TXN_COMMITTED);
         let mut notes = vec![Notification::Committed {
             txn: stage.local_txn,

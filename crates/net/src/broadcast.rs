@@ -29,6 +29,13 @@
 //! streams after a crash, abstracting the recovery handshake of a real
 //! deployment.
 //!
+//! **No caller left in the workspace.** Both transports already deliver
+//! each ordered pair's messages once and in order, so over them this layer
+//! only ever released the arriving message; `fragdb-core` and the mutex
+//! baseline stopped stamping (DESIGN.md §3f). The one remaining caller is
+//! the outside-in driver in `benchmark/src/layers.rs` (the
+//! `net.broadcast.*` rows), and the type leaves with that driver.
+//!
 //! [`Transport`]: crate::transport::Transport
 //! [`ReliableNet`]: crate::reliable::ReliableNet
 //! [`stamp_for`]: BroadcastLayer::stamp_for

@@ -7,7 +7,10 @@
 //! topology"; §3.2 requires a **reliable broadcast mechanism** in which
 //! (1) all messages are eventually delivered and (2) messages broadcast by
 //! one node are processed at every other node in the order sent. This crate
-//! provides both, on top of the deterministic simulation kernel:
+//! provides both, on top of the deterministic simulation kernel, as
+//! per-pair FIFO delivery: [`reliable`] is the one layer that numbers,
+//! orders and de-duplicates messages, and a broadcast is the caller's
+//! fan-out loop over it (one send per receiver, any subset of nodes).
 //!
 //! * [`topology`] — the static link graph with per-link delays.
 //! * [`linkstate`] — which links are currently severed.
@@ -17,9 +20,10 @@
 //!   in the same connected component; otherwise it waits in the sender's
 //!   outbox and is released, in order, when connectivity returns. This is
 //!   the standard model of a routed network with retransmission.
-//! * [`broadcast`] — per-sender sequence numbers plus per-receiver
-//!   hold-back queues, yielding exactly the paper's two requirements even
-//!   if the transport were to reorder.
+//! * [`broadcast`] — per-pair sequence stamps plus per-receiver hold-back
+//!   queues, for a channel that may reorder or duplicate. Neither delivery
+//!   layer here does, so nothing in the workspace stacks it on them any
+//!   more; it stays for the benchmark's layer driver.
 //! * [`fault`] — per-link fault plans: drop/duplication probabilities and
 //!   reordering jitter, as pure data sampled by the reliable layer.
 //! * [`reliable`] — ack/retransmit point-to-point delivery that *earns*
@@ -44,6 +48,7 @@ pub mod partition;
 pub mod reliable;
 pub mod topology;
 pub mod transport;
+mod wire;
 
 pub use broadcast::BroadcastLayer;
 pub use detector::FailureDetector;

@@ -45,6 +45,11 @@
 //! Message *content* lost to the crash is the application's to repair
 //! (WAL replay + anti-entropy).
 //!
+//! This is the one FIFO in the message path (§3.2): nothing above it
+//! numbers, re-orders or de-duplicates messages again. All of its state —
+//! both ends of a directed stream — is one `Stream` record per ordered
+//! pair.
+//!
 //! [`Transport`]: crate::transport::Transport
 //! [`FaultPlan::drop`]: crate::fault::FaultPlan
 //! [`FaultPlan::dup`]: crate::fault::FaultPlan
@@ -58,10 +63,10 @@ use fragdb_model::NodeId;
 use fragdb_sim::{SimDuration, SimRng, SimTime};
 
 use crate::fault::FaultConfig;
-use crate::linkstate::LinkState;
 use crate::partition::NetworkChange;
-use crate::topology::{RouteCache, Topology};
+use crate::topology::Topology;
 use crate::transport::Delivery;
+use crate::wire::{fifo_slot, Wire};
 
 /// A packet on the wire.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -174,9 +179,16 @@ pub struct ReliableStats {
     pub cumulative_acks: u64,
 }
 
-/// Sender-side retransmission control for one ordered link.
-#[derive(Clone, Copy, Debug, Default)]
-struct SendCtl {
+/// Both ends of one directed stream `from -> to`: the sender's numbering,
+/// window and timer, the receiver's watermark and reassembly buffer, and
+/// the wire slot of the `from -> to` direction.
+#[derive(Debug)]
+struct Stream<M> {
+    /// Next packet id the sender assigns. Survives crashes (conceptually
+    /// re-negotiated by the recovery handshake).
+    next_id: u64,
+    /// Sender-side unacked packets. Volatile.
+    pending: BTreeMap<u64, M>,
     /// Window generation; bumped when the window drains so a still-
     /// scheduled timer from the old window becomes a no-op.
     gen: u64,
@@ -184,34 +196,43 @@ struct SendCtl {
     attempt: u32,
     /// Is a timer currently scheduled for this generation?
     armed: bool,
+    /// Receiver-side next id to release; `None` until the receiver has
+    /// seen the stream or a resync cut it. Volatile.
+    expected: Option<u64>,
+    /// Receiver-side reassembly buffer. Volatile.
+    inbuf: BTreeMap<u64, M>,
+    /// Last arrival scheduled `from -> to` — this stream's data and the
+    /// reverse stream's acks — which keeps jitter-free links FIFO on the
+    /// wire, matching [`Transport`]'s timing.
+    ///
+    /// [`Transport`]: crate::transport::Transport
+    last_sched: Option<SimTime>,
+}
+
+impl<M> Default for Stream<M> {
+    fn default() -> Self {
+        Stream {
+            next_id: 0,
+            pending: BTreeMap::new(),
+            gen: 0,
+            attempt: 0,
+            armed: false,
+            expected: None,
+            inbuf: BTreeMap::new(),
+            last_sched: None,
+        }
+    }
 }
 
 /// Reliable, in-order, exactly-once point-to-point delivery with
 /// deterministic fault injection.
 #[derive(Debug)]
 pub struct ReliableNet<M> {
-    topo: Topology,
-    state: LinkState,
+    wire: Wire,
     faults: FaultConfig,
     rcfg: RetransmitConfig,
-    /// Next packet id per ordered `(from, to)` pair. Survives crashes
-    /// (conceptually re-negotiated by the recovery handshake).
-    next_id: BTreeMap<(NodeId, NodeId), u64>,
-    /// Sender-side unacked packets per ordered `(from, to)` pair. Volatile.
-    pending: BTreeMap<(NodeId, NodeId), BTreeMap<u64, M>>,
-    /// Per-link retransmission state (one timer per ordered pair).
-    ctl: BTreeMap<(NodeId, NodeId), SendCtl>,
-    /// Memoized shortest-path delays for the current link state.
-    routes: RouteCache,
-    /// Receiver-side next id to release, per `(receiver, sender)`. Volatile.
-    expected: BTreeMap<(NodeId, NodeId), u64>,
-    /// Receiver-side reassembly buffer, per `(receiver, sender)`. Volatile.
-    inbuf: BTreeMap<(NodeId, NodeId), BTreeMap<u64, M>>,
-    /// Last scheduled arrival per ordered pair — keeps jitter-free links
-    /// FIFO on the wire, matching [`Transport`]'s timing.
-    ///
-    /// [`Transport`]: crate::transport::Transport
-    last_sched: BTreeMap<(NodeId, NodeId), SimTime>,
+    /// Every directed stream that has carried anything, keyed `(from, to)`.
+    streams: BTreeMap<(NodeId, NodeId), Stream<M>>,
     stats: ReliableStats,
 }
 
@@ -219,17 +240,10 @@ impl<M: Clone> ReliableNet<M> {
     /// Build over a topology with all links up and no faults.
     pub fn new(topo: Topology) -> Self {
         ReliableNet {
-            topo,
-            state: LinkState::all_up(),
+            wire: Wire::new(topo),
             faults: FaultConfig::clean(),
             rcfg: RetransmitConfig::default(),
-            next_id: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            ctl: BTreeMap::new(),
-            routes: RouteCache::new(),
-            expected: BTreeMap::new(),
-            inbuf: BTreeMap::new(),
-            last_sched: BTreeMap::new(),
+            streams: BTreeMap::new(),
             stats: ReliableStats::default(),
         }
     }
@@ -246,29 +260,9 @@ impl<M: Clone> ReliableNet<M> {
         self
     }
 
-    /// The static topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// The live link state.
-    pub fn link_state(&self) -> &LinkState {
-        &self.state
-    }
-
     /// The active fault configuration.
     pub fn faults(&self) -> &FaultConfig {
         &self.faults
-    }
-
-    /// Are two nodes currently in the same connected component?
-    pub fn connected(&self, a: NodeId, b: NodeId) -> bool {
-        self.topo.connected(a, b, &self.state)
-    }
-
-    /// Current partition groups.
-    pub fn components(&self) -> Vec<std::collections::BTreeSet<NodeId>> {
-        self.topo.components(&self.state)
     }
 
     /// Activity counters.
@@ -278,7 +272,7 @@ impl<M: Clone> ReliableNet<M> {
 
     /// Application messages accepted but not yet acknowledged.
     pub fn pending_count(&self) -> usize {
-        self.pending.values().map(BTreeMap::len).sum()
+        self.streams.values().map(|s| s.pending.len()).sum()
     }
 
     /// Apply a network change. Unlike [`Transport`], nothing is parked and
@@ -287,8 +281,7 @@ impl<M: Clone> ReliableNet<M> {
     ///
     /// [`Transport`]: crate::transport::Transport
     pub fn apply_change(&mut self, change: &NetworkChange) {
-        change.apply(&mut self.state);
-        self.routes.invalidate();
+        self.wire.apply_change(change);
     }
 
     /// Put one packet on the wire, rolling the link's fault dice.
@@ -302,7 +295,7 @@ impl<M: Clone> ReliableNet<M> {
         out: &mut Vec<NetAction<M>>,
     ) {
         let plan = self.faults.plan_for(from, to);
-        let Some(base) = self.routes.path_delay(&self.topo, &self.state, from, to) else {
+        let Some(base) = self.wire.path_delay(from, to) else {
             self.stats.unreachable += 1;
             return;
         };
@@ -322,14 +315,8 @@ impl<M: Clone> ReliableNet<M> {
                 now + base + SimDuration(rng.gen_range(0..=plan.jitter.0))
             } else {
                 // Jitter-free links stay FIFO on the wire, like Transport.
-                let candidate = now + base;
-                let pair = (from, to);
-                let slot = match self.last_sched.get(&pair) {
-                    Some(&last) if candidate <= last => last + SimDuration(1),
-                    _ => candidate,
-                };
-                self.last_sched.insert(pair, slot);
-                slot
+                let s = self.streams.entry((from, to)).or_default();
+                fifo_slot(&mut s.last_sched, now + base)
             };
             out.push(NetAction::Deliver(
                 at,
@@ -346,31 +333,27 @@ impl<M: Clone> ReliableNet<M> {
     /// one past the highest id released in order from the `to -> from`
     /// stream, or `None` if that stream never delivered anything.
     fn reverse_ack(&self, from: NodeId, to: NodeId) -> Option<u64> {
-        self.expected.get(&(from, to)).copied()
+        self.streams.get(&(to, from))?.expected
     }
 
     /// Apply a cumulative ack for the stream `sender -> acker`: clear
     /// every pending id below `upto`; on progress reset the backoff, and
     /// when the window fully drains invalidate the link's live timer.
     fn apply_cum_ack(&mut self, sender: NodeId, acker: NodeId, upto: u64) {
-        let key = (sender, acker);
-        let Some(p) = self.pending.get_mut(&key) else {
+        let Some(s) = self.streams.get_mut(&(sender, acker)) else {
             return;
         };
-        let keep = p.split_off(&upto);
-        let cleared = p.len();
-        *p = keep;
-        let emptied = p.is_empty();
+        let keep = s.pending.split_off(&upto);
+        let cleared = s.pending.len();
+        s.pending = keep;
         if cleared == 0 {
             return;
         }
         self.stats.cumulative_acks += 1;
-        let ctl = self.ctl.entry(key).or_default();
-        ctl.attempt = 0;
-        if emptied {
-            self.pending.remove(&key);
-            ctl.gen += 1;
-            ctl.armed = false;
+        s.attempt = 0;
+        if s.pending.is_empty() {
+            s.gen += 1;
+            s.armed = false;
         }
     }
 
@@ -404,16 +387,15 @@ impl<M: Clone> ReliableNet<M> {
     ) -> Vec<NetAction<M>> {
         assert!(from != to, "loopback send through the network");
         self.stats.sent += 1;
-        let id = {
-            let next = self.next_id.entry((from, to)).or_insert(0);
-            let id = *next;
-            *next += 1;
-            id
-        };
-        self.pending
-            .entry((from, to))
-            .or_default()
-            .insert(id, msg.clone());
+        let s = self.streams.entry((from, to)).or_default();
+        let id = s.next_id;
+        s.next_id += 1;
+        s.pending.insert(id, msg.clone());
+        let (arm, gen) = (!s.armed, s.gen);
+        if arm {
+            s.armed = true;
+            s.attempt = 0;
+        }
         // At most the data transmission plus one timer arm.
         let mut out = Vec::with_capacity(2);
         self.stats.transmissions += 1;
@@ -422,11 +404,7 @@ impl<M: Clone> ReliableNet<M> {
             self.stats.acks_piggybacked += 1;
         }
         self.transmit(now, from, to, Pkt::Data { id, ack, msg }, rng, &mut out);
-        let ctl = self.ctl.entry((from, to)).or_default();
-        if !ctl.armed {
-            ctl.armed = true;
-            ctl.attempt = 0;
-            let gen = ctl.gen;
+        if arm {
             out.push(NetAction::Timer(
                 now + self.rcfg.rto,
                 RetransmitTimer { from, to, gen },
@@ -446,27 +424,20 @@ impl<M: Clone> ReliableNet<M> {
         rng: &mut SimRng,
     ) -> Vec<NetAction<M>> {
         let RetransmitTimer { from, to, gen } = timer;
-        let key = (from, to);
-        match self.ctl.get(&key) {
-            Some(ctl) if ctl.gen == gen => {}
-            _ => return Vec::new(), // superseded by a drained window
-        }
-        let window: Vec<(u64, M)> = match self.pending.get(&key) {
-            Some(p) if !p.is_empty() => {
-                let mut w = Vec::with_capacity(p.len());
-                w.extend(p.iter().map(|(&id, m)| (id, m.clone())));
-                w
-            }
-            _ => {
-                // Nothing left to guard (e.g. a crash dropped the sends).
-                let ctl = self.ctl.get_mut(&key).expect("checked above");
-                ctl.armed = false;
-                return Vec::new();
-            }
+        let Some(s) = self.streams.get_mut(&(from, to)) else {
+            return Vec::new();
         };
-        let ctl = self.ctl.get_mut(&key).expect("checked above");
-        ctl.attempt += 1;
-        let attempt = ctl.attempt;
+        if s.gen != gen {
+            return Vec::new(); // superseded by a drained window
+        }
+        if s.pending.is_empty() {
+            // Nothing left to guard (e.g. a crash dropped the sends).
+            s.armed = false;
+            return Vec::new();
+        }
+        s.attempt += 1;
+        let attempt = s.attempt;
+        let window: Vec<(u64, M)> = s.pending.iter().map(|(&id, m)| (id, m.clone())).collect();
         // Pre-size for the whole go-back-N window plus the re-armed timer.
         let mut out = Vec::with_capacity(window.len() + 1);
         let ack = self.reverse_ack(from, to);
@@ -502,36 +473,29 @@ impl<M: Clone> ReliableNet<M> {
                     // Piggybacked ack for the reverse stream (d.to -> d.from).
                     self.apply_cum_ack(d.to, d.from, upto);
                 }
-                let key = (d.to, d.from);
+                let s = self.streams.entry((d.from, d.to)).or_default();
+                let expected = s.expected.get_or_insert(0);
                 // Decide whether this arrival draws a standalone ack:
                 // stale packets always do (so post-resync windows drain),
                 // watermark advances do; out-of-order parks are absorbed.
-                let ack_upto = {
-                    let expected = self.expected.entry(key).or_insert(0);
-                    if id < *expected {
+                let ack_upto = if id < *expected {
+                    self.stats.dup_dropped += 1;
+                    Some(*expected)
+                } else {
+                    if s.inbuf.insert(id, msg).is_some() {
                         self.stats.dup_dropped += 1;
-                        Some(*expected)
-                    } else {
-                        let buf = self.inbuf.entry(key).or_default();
-                        if buf.insert(id, msg).is_some() {
-                            self.stats.dup_dropped += 1;
-                        }
-                        let before = *expected;
-                        while let Some(m) = buf.remove(expected) {
-                            self.stats.delivered += 1;
-                            released.push(Delivery {
-                                from: d.from,
-                                to: d.to,
-                                msg: m,
-                            });
-                            *expected += 1;
-                        }
-                        if *expected > before {
-                            Some(*expected)
-                        } else {
-                            None
-                        }
                     }
+                    let before = *expected;
+                    while let Some(m) = s.inbuf.remove(expected) {
+                        self.stats.delivered += 1;
+                        released.push(Delivery {
+                            from: d.from,
+                            to: d.to,
+                            msg: m,
+                        });
+                        *expected += 1;
+                    }
+                    (*expected > before).then_some(*expected)
                 };
                 match ack_upto {
                     Some(upto) => {
@@ -555,31 +519,34 @@ impl<M: Clone> ReliableNet<M> {
     /// have pending toward it keep retransmitting — they drain via stale
     /// cumulative acks after [`ReliableNet::resync_node`] at recovery.
     pub fn crash(&mut self, node: NodeId) {
-        self.pending.retain(|&(from, _), _| from != node);
+        let outbound = (node, NodeId(0))..=(node, NodeId(u32::MAX));
+        for (_, s) in self.streams.range_mut(outbound) {
+            s.pending.clear();
+        }
     }
 
-    /// `node` recovered: cut both directions of every stream touching it
-    /// to "now". The node expects from each peer exactly what the peer
-    /// will number next (so everything sent to the node before recovery —
-    /// including packets a peer is still retransmitting — drains as
-    /// acked duplicates), and each peer expects from the node what it will
-    /// number next (so ids lost with the node's send buffer leave no
-    /// permanent gap). Reassembly buffers on both sides are discarded.
+    /// `node` recovered: cut both directions of every stream pair it has
+    /// taken part in to "now". The node expects from each peer exactly
+    /// what the peer will number next (so everything sent to the node
+    /// before recovery — including packets a peer is still retransmitting
+    /// — drains as acked duplicates), and each peer expects from the node
+    /// what it will number next (so ids lost with the node's send buffer
+    /// leave no permanent gap). Reassembly buffers on both sides are
+    /// discarded. Pairs that never exchanged a packet have nothing to cut
+    /// and get no record.
     pub fn resync_node(&mut self, node: NodeId) {
         let peers: std::collections::BTreeSet<NodeId> = self
-            .next_id
+            .streams
             .keys()
-            .chain(self.expected.keys())
-            .flat_map(|&(a, b)| [a, b])
-            .filter(|&n| n != node)
+            .filter(|&&(a, b)| a == node || b == node)
+            .map(|&(a, b)| if a == node { b } else { a })
             .collect();
-        for &p in &peers {
-            let inbound = self.next_id.get(&(p, node)).copied().unwrap_or(0);
-            self.expected.insert((node, p), inbound);
-            self.inbuf.remove(&(node, p));
-            let outbound = self.next_id.get(&(node, p)).copied().unwrap_or(0);
-            self.expected.insert((p, node), outbound);
-            self.inbuf.remove(&(p, node));
+        for p in peers {
+            for key in [(p, node), (node, p)] {
+                let s = self.streams.entry(key).or_default();
+                s.expected = Some(s.next_id);
+                s.inbuf.clear();
+            }
         }
     }
 }
@@ -604,6 +571,8 @@ mod tests {
         queue: BTreeMap<(SimTime, u64), NetAction<M>>,
         seq: u64,
         delivered: Vec<Delivery<M>>,
+        /// A crashed host: packets addressed to it are dropped unseen.
+        down: Option<NodeId>,
     }
 
     impl<M: Clone> Loop<M> {
@@ -614,6 +583,7 @@ mod tests {
                 queue: BTreeMap::new(),
                 seq: 0,
                 delivered: Vec::new(),
+                down: None,
             }
         }
 
@@ -641,6 +611,7 @@ mod tests {
                 }
                 let action = self.queue.remove(&(at, s)).unwrap();
                 match action {
+                    NetAction::Deliver(_, pd) if self.down == Some(pd.to) => {}
                     NetAction::Deliver(_, pd) => {
                         let (rel, acts) = self.net.on_packet(at, pd, &mut self.rng);
                         self.delivered.extend(rel);
@@ -846,5 +817,106 @@ mod tests {
         let (b, sb) = mk();
         assert_eq!(a, b, "same seed must give the same delivery sequence");
         assert_eq!(sa, sb, "same seed must give the same stats");
+    }
+
+    /// Regression: `resync_node` used to build its peer set from every
+    /// node appearing in any pair and insert receiver state for each, so
+    /// a recovery left phantom records for pairs that never talked and
+    /// their first `Data` piggybacked a meaningless `ack: Some(0)`.
+    #[test]
+    fn resync_leaves_silent_pairs_untouched() {
+        let net: ReliableNet<u64> = ReliableNet::new(Topology::full_mesh(4, ms(10)));
+        let mut l = Loop::new(net, 9);
+        // Only 0 <-> 1 ever talk; node 1 is down for node 0's two sends.
+        l.send(SimTime::ZERO, n(0), n(1), 1);
+        l.send(SimTime::ZERO, n(0), n(1), 2);
+        l.queue.retain(|_, a| matches!(a, NetAction::Timer(..)));
+        let _ = l.net.send(SimTime::ZERO, n(1), n(0), 99, &mut l.rng);
+        l.net.crash(n(1));
+        l.net.resync_node(n(1));
+        for silent in [n(2), n(3)] {
+            assert!(!l.net.streams.contains_key(&(n(1), silent)));
+            assert!(!l.net.streams.contains_key(&(silent, n(1))));
+        }
+        let piggybacked = l.net.stats().acks_piggybacked;
+        let first = l.net.send(SimTime::from_secs(1), n(1), n(2), 6, &mut l.rng);
+        assert!(
+            matches!(&first[0], NetAction::Deliver(_, pd) if matches!(pd.pkt, Pkt::Data { ack: None, .. })),
+            "a pair that never talked has nothing to acknowledge: {first:?}"
+        );
+        assert_eq!(l.net.stats().acks_piggybacked, piggybacked);
+        // 0 <-> 1 drains the stale window and resumes, as before.
+        l.run(SimTime::from_secs(60));
+        assert!(l.delivered.is_empty(), "pre-recovery packets must be stale");
+        assert_eq!(l.net.pending_count(), 1, "all but the undriven 1 -> 2");
+        l.send(SimTime::from_secs(61), n(0), n(1), 7);
+        l.send(SimTime::from_secs(61), n(1), n(0), 8);
+        l.run(SimTime::from_secs(120));
+        let got: Vec<u64> = l.delivered.iter().map(|d| d.msg).collect();
+        assert_eq!(got, vec![7, 8]);
+    }
+
+    /// Refactor guard: one seeded schedule over lossy, duplicating links
+    /// (jittered, except the jitter-free 0 <-> 2), every pair talking
+    /// before node 1 crashes and resyncs. Counters and the released
+    /// sequence were recorded before the six per-pair maps became one
+    /// record per stream; message 18 (0 -> 1) is the one lost to the crash.
+    #[test]
+    fn seeded_crash_schedule_matches_recorded_run() {
+        let still = FaultPlan::new(0.2, 0.2, SimDuration(0));
+        let faults = FaultConfig::uniform(FaultPlan::new(0.2, 0.2, ms(15)))
+            .with_link(n(0), n(2), still)
+            .with_link(n(2), n(0), still);
+        let net: ReliableNet<u64> =
+            ReliableNet::new(Topology::full_mesh(3, ms(10))).with_faults(faults);
+        let mut l = Loop::new(net, 4242);
+        let pairs = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)];
+        for i in 0..24u64 {
+            let (from, to) = pairs[i as usize % 6];
+            l.send(SimTime::from_millis(i * 4), n(from), n(to), i);
+        }
+        l.run(SimTime::from_millis(450));
+        l.net.crash(n(1));
+        l.down = Some(n(1));
+        l.run(SimTime::from_secs(2));
+        l.down = None;
+        l.net.resync_node(n(1));
+        for i in 24..36u64 {
+            let (from, to) = pairs[i as usize % 6];
+            l.send(SimTime::from_secs(2) + ms(i * 4), n(from), n(to), i);
+        }
+        l.run(SimTime::from_secs(600));
+        assert_eq!(l.net.pending_count(), 0);
+        assert_eq!(
+            l.net.stats(),
+            ReliableStats {
+                sent: 36,
+                transmissions: 62,
+                retransmissions: 26,
+                fault_dropped: 30,
+                fault_duplicated: 16,
+                unreachable: 0,
+                delivered: 35,
+                dup_dropped: 14,
+                acks_sent: 36,
+                acks_suppressed: 13,
+                acks_piggybacked: 38,
+                cumulative_acks: 25,
+            }
+        );
+        let released: Vec<(u32, u32, u64)> = l
+            .delivered
+            .iter()
+            .map(|d| (d.from.0, d.to.0, d.msg))
+            .collect();
+        #[rustfmt::skip]
+        let recorded = vec![
+            (2, 0, 2), (1, 0, 3), (0, 2, 5), (2, 1, 4), (2, 0, 8), (0, 2, 11), (1, 0, 9),
+            (1, 0, 15), (0, 2, 17), (0, 2, 23), (0, 1, 0), (0, 1, 6), (0, 1, 12), (1, 2, 1),
+            (2, 0, 14), (2, 0, 20), (1, 2, 7), (1, 2, 13), (1, 2, 19), (2, 1, 10), (2, 1, 16),
+            (2, 1, 22), (1, 0, 21), (2, 0, 26), (1, 0, 27), (0, 2, 29), (2, 1, 28), (2, 0, 32),
+            (0, 2, 35), (2, 1, 34), (1, 2, 25), (1, 2, 31), (1, 0, 33), (0, 1, 24), (0, 1, 30),
+        ];
+        assert_eq!(released, recorded);
     }
 }

@@ -278,7 +278,8 @@ impl Topology {
 /// packet; running Dijkstra each time is the dominant cost at 64 nodes
 /// (the superlinear 64-node row of the PR 3 bench report). The cache answers repeats in O(log n)
 /// and must be [`invalidate`]d whenever the live [`LinkState`] changes —
-/// both [`ReliableNet`] and [`Transport`] do so in their `apply_change`.
+/// inside the crate the `Wire` that [`ReliableNet`] and [`Transport`] hold
+/// owns all three and does so on every change.
 ///
 /// [`invalidate`]: RouteCache::invalidate
 /// [`ReliableNet`]: crate::reliable::ReliableNet

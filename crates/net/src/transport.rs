@@ -24,11 +24,11 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use fragdb_model::NodeId;
-use fragdb_sim::{SimDuration, SimTime};
+use fragdb_sim::SimTime;
 
-use crate::linkstate::LinkState;
 use crate::partition::NetworkChange;
-use crate::topology::{RouteCache, Topology};
+use crate::topology::Topology;
+use crate::wire::{fifo_slot, Wire};
 
 /// A message due for delivery.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,14 +57,11 @@ pub struct TransportStats {
 /// The point-to-point network: topology + live link state + outboxes.
 #[derive(Debug)]
 pub struct Transport<M> {
-    topo: Topology,
-    state: LinkState,
+    wire: Wire,
     /// Blocked messages per ordered `(from, to)` pair, FIFO.
     outbox: BTreeMap<(NodeId, NodeId), VecDeque<M>>,
     /// Last scheduled delivery time per ordered pair, for FIFO enforcement.
-    last_sched: BTreeMap<(NodeId, NodeId), SimTime>,
-    /// Memoized shortest-path delays for the current link state.
-    routes: RouteCache,
+    last_sched: BTreeMap<(NodeId, NodeId), Option<SimTime>>,
     stats: TransportStats,
 }
 
@@ -72,33 +69,21 @@ impl<M> Transport<M> {
     /// Build over a topology with all links up.
     pub fn new(topo: Topology) -> Self {
         Transport {
-            topo,
-            state: LinkState::all_up(),
+            wire: Wire::new(topo),
             outbox: BTreeMap::new(),
             last_sched: BTreeMap::new(),
-            routes: RouteCache::new(),
             stats: TransportStats::default(),
         }
     }
 
-    /// The static topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// The live link state.
-    pub fn link_state(&self) -> &LinkState {
-        &self.state
-    }
-
     /// Are two nodes currently in the same connected component?
     pub fn connected(&self, a: NodeId, b: NodeId) -> bool {
-        self.topo.connected(a, b, &self.state)
+        self.wire.connected(a, b)
     }
 
     /// Current partition groups.
     pub fn components(&self) -> Vec<std::collections::BTreeSet<NodeId>> {
-        self.topo.components(&self.state)
+        self.wire.components()
     }
 
     /// Activity counters.
@@ -109,16 +94,6 @@ impl<M> Transport<M> {
     /// Number of messages parked in outboxes.
     pub fn queued_count(&self) -> usize {
         self.outbox.values().map(VecDeque::len).sum()
-    }
-
-    /// Pick the next FIFO-safe delivery instant for `(from, to)`.
-    fn fifo_slot(&mut self, pair: (NodeId, NodeId), candidate: SimTime) -> SimTime {
-        let at = match self.last_sched.get(&pair) {
-            Some(&last) if candidate <= last => last + SimDuration(1),
-            _ => candidate,
-        };
-        self.last_sched.insert(pair, at);
-        at
     }
 
     /// Send `msg` from `from` to `to` at time `now`.
@@ -138,9 +113,10 @@ impl<M> Transport<M> {
     ) -> Option<(SimTime, Delivery<M>)> {
         assert!(from != to, "loopback send through the network");
         self.stats.sent += 1;
-        match self.routes.path_delay(&self.topo, &self.state, from, to) {
+        match self.wire.path_delay(from, to) {
             Some(delay) => {
-                let at = self.fifo_slot((from, to), now + delay);
+                let last = self.last_sched.entry((from, to)).or_default();
+                let at = fifo_slot(last, now + delay);
                 self.stats.delivered_direct += 1;
                 Some((at, Delivery { from, to, msg }))
             }
@@ -164,29 +140,20 @@ impl<M> Transport<M> {
         now: SimTime,
         change: &NetworkChange,
     ) -> Vec<(SimTime, Delivery<M>)> {
-        change.apply(&mut self.state);
-        self.routes.invalidate();
+        self.wire.apply_change(change);
         let mut released = Vec::new();
-        // Collect the reachable pairs first to avoid borrowing conflicts.
-        let ready: Vec<(NodeId, NodeId)> = self
-            .outbox
-            .iter()
-            .filter(|((from, to), q)| !q.is_empty() && self.topo.connected(*from, *to, &self.state))
-            .map(|(&pair, _)| pair)
-            .collect();
-        for pair in ready {
-            let (from, to) = pair;
-            let delay = self
-                .routes
-                .path_delay(&self.topo, &self.state, from, to)
-                .expect("checked connected above");
-            let queue = self.outbox.remove(&pair).expect("pair was present");
-            for msg in queue {
-                let at = self.fifo_slot(pair, now + delay);
+        self.outbox.retain(|&(from, to), queue| {
+            let Some(delay) = self.wire.path_delay(from, to) else {
+                return true; // still cut off
+            };
+            let last = self.last_sched.entry((from, to)).or_default();
+            for msg in queue.drain(..) {
+                let at = fifo_slot(last, now + delay);
                 self.stats.released += 1;
                 released.push((at, Delivery { from, to, msg }));
             }
-        }
+            false
+        });
         released
     }
 }
@@ -194,6 +161,7 @@ impl<M> Transport<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fragdb_sim::SimDuration;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)

@@ -1,6 +1,8 @@
 //! Chaos property tests for the §3.2 broadcast stack: random
 //! drop/duplicate/reorder schedules must never break per-sender FIFO
 //! processing, lose a message, or leak a duplicate to the application.
+//! The property belongs to [`ReliableNet`]: the full-stack loop asserts it
+//! on what `on_packet` releases, before `BroadcastLayer::accept` sees it.
 //!
 //! Implemented as seeded randomized loops over [`SimRng`] (same style as
 //! `proptest_net.rs`) so the suite builds with no external dependencies;
@@ -106,7 +108,13 @@ struct ChaosLoop {
     rng: SimRng,
     queue: BTreeMap<(SimTime, u64), NetAction<Wire>>,
     seq: u64,
+    /// What `ReliableNet::on_packet` released, per `(receiver, sender)`:
+    /// `(k, release instant)`. The §3.2 property is asserted here.
+    released: BTreeMap<(NodeId, NodeId), Vec<(u64, SimTime)>>,
+    /// The same stream after `BroadcastLayer::accept`.
     processed: BTreeMap<(NodeId, NodeId), Vec<u64>>,
+    /// A crashed host: packets addressed to it are dropped unseen.
+    down: Option<NodeId>,
     /// `Timer` actions handed to the loop by the reliable layer (armed)
     /// vs fed back through `on_timer` (fired). Conservation — armed ==
     /// fired at quiescence — is the wheel-ops hygiene law: a timer that
@@ -126,7 +134,9 @@ impl ChaosLoop {
             rng: SimRng::new(seed),
             queue: BTreeMap::new(),
             seq: 0,
+            released: BTreeMap::new(),
             processed: BTreeMap::new(),
+            down: None,
             timers_armed: 0,
             timers_fired: 0,
             timer_log: Vec::new(),
@@ -168,10 +178,14 @@ impl ChaosLoop {
             }
             let action = self.queue.remove(&(at, s)).unwrap();
             match action {
+                NetAction::Deliver(_, pd) if self.down == Some(pd.to) => {}
                 NetAction::Deliver(_, pd) => {
                     let (rel, acts) = self.net.on_packet(at, pd, &mut self.rng);
                     for d in rel {
                         let (bseq, payload) = d.msg;
+                        assert_eq!(payload.0, d.from.0);
+                        let stream = self.released.entry((d.to, d.from)).or_default();
+                        stream.push((payload.1, at));
                         for (_, (snd, k)) in self.layer.accept(d.to, d.from, bseq, payload) {
                             assert_eq!(snd, d.from.0);
                             self.processed.entry((d.to, d.from)).or_default().push(k);
@@ -186,6 +200,12 @@ impl ChaosLoop {
                 }
             }
         }
+    }
+
+    /// The `k`s the reliable layer released at `r` from `s`, in order.
+    fn released_ks(&self, r: u32, s: u32) -> Vec<u64> {
+        let stream = self.released.get(&(n(r), n(s)));
+        stream.map_or(Vec::new(), |v| v.iter().map(|&(k, _)| k).collect())
     }
 }
 
@@ -225,8 +245,13 @@ fn faulty_stack_preserves_fifo_exactly_once() {
                 if r == s {
                     continue;
                 }
-                let got = l.processed.get(&(n(r), n(s))).cloned().unwrap_or_default();
                 let want: Vec<u64> = (0..msgs_per_sender).collect();
+                assert_eq!(
+                    l.released_ks(r, s),
+                    want,
+                    "case {case} (plan {plan:?}): stream {s}->{r} broken at release"
+                );
+                let got = l.processed.get(&(n(r), n(s))).cloned().unwrap_or_default();
                 assert_eq!(
                     got, want,
                     "case {case} (plan {plan:?}): stream {s}->{r} broken"
@@ -242,6 +267,84 @@ fn faulty_stack_preserves_fifo_exactly_once() {
             l.timers_armed, l.timers_fired,
             "case {case}: timers armed != timers fired at quiescence"
         );
+    }
+}
+
+/// A node crashes mid-run and resyncs at recovery, under the same random
+/// fault plans. On every stream touching it, the reliable layer releases
+/// an in-order prefix of what was sent before the cut, nothing stamped
+/// before the cut once the cut is made, and everything stamped after it;
+/// streams between the other nodes never notice. Windows drain.
+#[test]
+fn crash_and_resync_cut_streams_at_the_release_point() {
+    for case in 0..24u64 {
+        let mut rng = SimRng::new(0xB_CA57_5000 + case);
+        let nodes = rng.gen_range(3..5u32);
+        let (before, after) = (rng.gen_range(1..12u64), rng.gen_range(1..12u64));
+        let victim = rng.gen_range(0..nodes);
+        let plan = random_plan(&mut rng);
+        let net = ReliableNet::new(Topology::full_mesh(nodes, SimDuration::from_millis(10)))
+            .with_faults(FaultConfig::uniform(plan));
+        let mut l = ChaosLoop::new(net, 0xB_CA57_6000 + case);
+        let broadcast_round = |l: &mut ChaosLoop, base: SimTime, k: u64| {
+            for s in 0..nodes {
+                let at = base + SimDuration::from_millis(k * 40 + s as u64);
+                l.broadcast(at, n(s), (s, k), nodes);
+            }
+        };
+        for k in 0..before {
+            broadcast_round(&mut l, SimTime::ZERO, k);
+        }
+        // Crash with traffic still in flight and windows still open.
+        l.run(SimTime::from_millis(before * 40 / 2 + 15));
+        l.net.crash(n(victim));
+        l.down = Some(n(victim));
+        let cut = SimTime::from_secs(30);
+        l.run(cut);
+        l.down = None;
+        l.net.resync_node(n(victim));
+        l.layer.resync_node(n(victim));
+        for k in before..before + after {
+            broadcast_round(&mut l, cut, k);
+        }
+        l.run(SimTime::from_secs(3_600));
+
+        let fresh: Vec<u64> = (before..before + after).collect();
+        for s in 0..nodes {
+            for r in 0..nodes {
+                if r == s {
+                    continue;
+                }
+                let ctx = format!("case {case} (plan {plan:?}, victim {victim}): {s}->{r}");
+                let got = l.released_ks(r, s);
+                if s != victim && r != victim {
+                    let all: Vec<u64> = (0..before + after).collect();
+                    assert_eq!(got, all, "{ctx}: bystander stream disturbed");
+                    continue;
+                }
+                let stale = got.len() - after as usize;
+                assert_eq!(
+                    got[..stale],
+                    (0..stale as u64).collect::<Vec<_>>()[..],
+                    "{ctx}: pre-cut releases are not an in-order prefix"
+                );
+                assert_eq!(got[stale..], fresh[..], "{ctx}: post-cut stream broken");
+                let late_stale = l.released[&(n(r), n(s))]
+                    .iter()
+                    .any(|&(k, at)| k < before && at >= cut);
+                assert!(
+                    !late_stale,
+                    "{ctx}: released a pre-cut message after the cut"
+                );
+            }
+        }
+        // The hold-back layer on top saw an already-clean stream.
+        for (pair, stream) in &l.released {
+            let ks: Vec<u64> = stream.iter().map(|&(k, _)| k).collect();
+            assert_eq!(l.processed[pair], ks, "case {case}: accept re-ordered");
+        }
+        assert_eq!(l.net.pending_count(), 0, "case {case}: unacked packets");
+        assert_eq!(l.layer.held_back(), 0, "case {case}: messages stuck");
     }
 }
 

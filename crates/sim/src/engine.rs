@@ -39,7 +39,6 @@ use crate::metrics::{keys, Metrics};
 use crate::rng::SimRng;
 use crate::telemetry::{Telemetry, TelemetryEvent};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
 use crate::wheel::{tick_of, Ready, ReadyEntry, TimerWheel, WheelEntry};
 
 /// Handle to a timer scheduled with [`Engine::schedule_timer_at`]; pass it
@@ -91,8 +90,6 @@ pub struct Engine<E> {
     pub rng: SimRng,
     /// Counters and histograms accumulated during the run.
     pub metrics: Metrics,
-    /// Optional bounded execution trace.
-    pub trace: Trace,
     /// Optional structured event telemetry (see [`crate::telemetry`]).
     pub telemetry: Telemetry,
 }
@@ -117,7 +114,6 @@ impl<E> Engine<E> {
             mc: false,
             rng: SimRng::new(seed),
             metrics: Metrics::new(),
-            trace: Trace::disabled(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -125,8 +121,7 @@ impl<E> Engine<E> {
     /// Emit a telemetry event at the current virtual time.
     ///
     /// The event is constructed by the closure only when telemetry is
-    /// enabled, so a disabled stream costs a single branch on hot paths —
-    /// the same discipline as [`Trace::log`].
+    /// enabled, so a disabled stream costs a single branch on hot paths.
     #[inline]
     pub fn emit(&mut self, build: impl FnOnce() -> TelemetryEvent) {
         if !self.telemetry.is_enabled() {
@@ -136,12 +131,11 @@ impl<E> Engine<E> {
         self.telemetry.record(self.now, ev, &mut self.metrics);
     }
 
-    /// Publish the trace/telemetry buffer drop counts as metrics
-    /// ([`keys::TRACE_DROPPED`], [`keys::TELEMETRY_DROPPED`]) so report
-    /// rendering can warn about truncated logs. Call before reading or
-    /// rendering metrics at the end of a run.
+    /// Publish the telemetry buffer's drop count as a metric
+    /// ([`keys::TELEMETRY_DROPPED`]) so report rendering can warn about a
+    /// truncated log. Call before reading or rendering metrics at the end
+    /// of a run.
     pub fn sync_drop_metrics(&mut self) {
-        self.metrics.set(keys::TRACE_DROPPED, self.trace.dropped());
         self.metrics
             .set(keys::TELEMETRY_DROPPED, self.telemetry.dropped());
     }
@@ -617,12 +611,11 @@ mod tests {
     #[test]
     fn sync_drop_metrics_publishes_totals() {
         let mut e = Engine::<Ev>::new(1);
-        e.trace = Trace::bounded(1);
-        e.trace.log(SimTime(0), || "a".into());
-        e.trace.log(SimTime(0), || "b".into());
+        e.telemetry = crate::telemetry::Telemetry::bounded(1);
+        e.emit(|| crate::telemetry::TelemetryEvent::Crash { node: 1 });
+        e.emit(|| crate::telemetry::TelemetryEvent::Crash { node: 2 });
         e.sync_drop_metrics();
-        assert_eq!(e.metrics.counter(keys::TRACE_DROPPED), 1);
-        assert_eq!(e.metrics.counter(keys::TELEMETRY_DROPPED), 0);
+        assert_eq!(e.metrics.counter(keys::TELEMETRY_DROPPED), 1);
     }
 
     #[test]

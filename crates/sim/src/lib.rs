@@ -20,7 +20,6 @@
 //! * [`metrics`] — counters and histograms ([`Metrics`]) used by the
 //!   experiment harness to measure availability and staleness.
 //! * [`histogram`] — a log-bucketed histogram with percentile queries.
-//! * [`trace`] — an optional bounded execution trace for debugging.
 //! * [`telemetry`] — typed, causally-joined event stream with online
 //!   probes (propagation lag, read staleness, move stalls).
 
@@ -30,7 +29,6 @@ pub mod metrics;
 pub mod rng;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 mod wheel;
 
 pub use engine::{Engine, TimerToken};
@@ -39,4 +37,3 @@ pub use metrics::Metrics;
 pub use rng::SimRng;
 pub use telemetry::{CausalId, Telemetry, TelemetryEvent, TelemetryRecord};
 pub use time::{SimDuration, SimTime};
-pub use trace::Trace;

@@ -21,8 +21,6 @@ pub mod keys {
 
     /// Events popped from the engine queue.
     pub const SIM_EVENTS: &str = "sim.events";
-    /// Trace entries evicted by the bounded buffer.
-    pub const TRACE_DROPPED: &str = "trace.dropped";
     /// Telemetry events evicted by the bounded buffer.
     pub const TELEMETRY_DROPPED: &str = "telemetry.dropped";
 
@@ -122,14 +120,6 @@ pub mod keys {
     /// Log-transform baseline: operations replayed.
     pub const REPLAY_OPS: &str = "replay.ops";
 
-    /// Pooled-resource reuses in the engine kernel (timer-slab free-list
-    /// hits plus warm ready-buffer refills).
-    pub const ENGINE_POOL_REUSE: &str = "engine.pool.reuse";
-    /// High-water mark of the engine's pending-event count.
-    pub const ENGINE_QUEUE_DEPTH: &str = "engine.queue.depth";
-    /// Open-loop offered load, in arrivals per simulated second.
-    pub const WORKLOAD_OFFERED_RATE: &str = "workload.offered_rate";
-
     /// Submission→commit/read-finish latency (µs).
     pub const LATENCY_COMMIT: &str = "latency.commit";
     /// Crash→caught-up latency (µs).
@@ -156,7 +146,6 @@ pub mod keys {
     /// Every fixed key, for exhaustive registration checks.
     pub const ALL: &[&str] = &[
         SIM_EVENTS,
-        TRACE_DROPPED,
         TELEMETRY_DROPPED,
         TXN_SUBMITTED,
         TXN_COMMITTED,
@@ -199,9 +188,6 @@ pub mod keys {
         ELECTION_ABORTED,
         BATCH_DISCARDED,
         REPLAY_OPS,
-        ENGINE_POOL_REUSE,
-        ENGINE_QUEUE_DEPTH,
-        WORKLOAD_OFFERED_RATE,
         ALLOC_MIGRATIONS,
         ALLOC_MSGS_PER_COMMIT,
         LATENCY_COMMIT,
@@ -327,15 +313,6 @@ pub mod keys {
             assert!(is_registered("msg.vote_req"));
             assert!(is_registered("msg.vote"));
             assert!(is_registered("frag.3.unavail_window"));
-        }
-
-        #[test]
-        fn scale_kernel_keys_are_registered() {
-            assert!(is_registered(ENGINE_POOL_REUSE));
-            assert!(is_registered(ENGINE_QUEUE_DEPTH));
-            assert!(is_registered(WORKLOAD_OFFERED_RATE));
-            assert!(!is_registered("engine.pool.bogus"));
-            assert!(!is_registered("workload.bogus"));
         }
 
         #[test]
@@ -490,21 +467,17 @@ impl Metrics {
     }
 
     /// Render a human-readable report: counters, then histogram summaries,
-    /// in key order. Leads with a WARNING when [`keys::TRACE_DROPPED`] or
-    /// [`keys::TELEMETRY_DROPPED`] is nonzero, so a truncated trace cannot
-    /// silently masquerade as a complete run.
+    /// in key order. Leads with a WARNING when [`keys::TELEMETRY_DROPPED`]
+    /// is nonzero, so a truncated log cannot silently masquerade as a
+    /// complete run.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for (key, label) in [
-            (keys::TRACE_DROPPED, "trace entries"),
-            (keys::TELEMETRY_DROPPED, "telemetry events"),
-        ] {
-            let n = self.counter(key);
-            if n > 0 {
-                out.push_str(&format!(
-                    "WARNING: {n} {label} dropped ({key} > 0); the log is incomplete\n"
-                ));
-            }
+        let n = self.counter(keys::TELEMETRY_DROPPED);
+        if n > 0 {
+            out.push_str(&format!(
+                "WARNING: {n} telemetry events dropped ({} > 0); the log is incomplete\n",
+                keys::TELEMETRY_DROPPED
+            ));
         }
         for (k, v) in self.counters() {
             out.push_str(&format!("{k} = {v}\n"));
@@ -618,11 +591,10 @@ mod tests {
         assert!(!clean.contains("WARNING"));
         assert!(clean.contains("txn.committed = 1"));
         assert!(clean.contains("lat: n=1"));
-        m.set(keys::TRACE_DROPPED, 7);
-        let report = m.render();
-        assert!(report.starts_with("WARNING: 7 trace entries dropped"));
         m.set(keys::TELEMETRY_DROPPED, 2);
-        assert!(m.render().contains("2 telemetry events dropped"));
+        assert!(m
+            .render()
+            .starts_with("WARNING: 2 telemetry events dropped"));
     }
 
     #[test]

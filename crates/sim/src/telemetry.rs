@@ -1,17 +1,16 @@
 //! Structured event telemetry.
 //!
-//! Where [`crate::trace::Trace`] records free-form strings, this module
-//! records **typed** events carrying virtual time, node/fragment ids, and a
-//! causal id — the originating quasi-transaction's `(fragment, epoch,
-//! frag_seq)` — so a commit at the agent can be joined to its install at
-//! every replica, a move request to the token's arrival, and a crash to the
-//! completion of catch-up.
+//! This module records **typed** events carrying virtual time,
+//! node/fragment ids, and a causal id — the originating
+//! quasi-transaction's `(fragment, epoch, frag_seq)` — so a commit at the
+//! agent can be joined to its install at every replica, a move request to
+//! the token's arrival, and a crash to the completion of catch-up.
 //!
 //! Layering: this crate sits below the model crate, so events carry *raw*
 //! ids (`u32` node/fragment, `u64` epoch/sequence). The system layer
 //! converts its typed ids at the emission site.
 //!
-//! Discipline mirrors `Trace`:
+//! Discipline:
 //!
 //! * disabled by default; emission sites construct events inside closures so
 //!   a disabled stream is a single branch — zero allocation on hot paths;
@@ -874,8 +873,8 @@ impl Probes {
 
 /// Bounded, optionally-disabled structured event stream with online probes.
 ///
-/// Mirrors [`crate::trace::Trace`]: disabled by default, closure-deferred
-/// emission (see `Engine::emit`), bounded buffer with a drop counter.
+/// Disabled by default, closure-deferred emission (see `Engine::emit`),
+/// bounded buffer with a drop counter.
 #[derive(Debug)]
 pub struct Telemetry {
     enabled: bool,

@@ -165,8 +165,7 @@ impl OpenLoop {
         }
     }
 
-    /// Offered load in arrivals per simulated second (for the
-    /// `workload.offered_rate` metric).
+    /// Offered load in arrivals per simulated second.
     pub fn offered_rate(&self) -> f64 {
         self.rate_per_sec
     }

@@ -2,7 +2,7 @@
 //! incremental checkers, indexed WAL) must not perturb execution.
 //!
 //! Two independent runs of the same seeded configuration must produce
-//! byte-identical event traces and histories (hashed with FNV-1a), and
+//! byte-identical telemetry exports and histories (hashed with FNV-1a), and
 //! the incremental analyzer — the "new path" — must return the exact
 //! same verdict as the batch oracle on every recorded history. The
 //! checkers are post-hoc, so any divergence here means the optimization
@@ -11,7 +11,7 @@
 use fragdb::core::{Submission, System, SystemConfig};
 use fragdb::model::{AgentId, FragmentCatalog, FragmentId, NodeId, ObjectId, UserId};
 use fragdb::net::{FaultConfig, FaultPlan, Topology};
-use fragdb::sim::{SimDuration, SimRng, SimTime, Trace};
+use fragdb::sim::{SimDuration, SimRng, SimTime, Telemetry};
 use fragdb::workloads::{arrivals, partitions};
 
 const GOLDEN_SEED: u64 = 42;
@@ -30,8 +30,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The run's fingerprint: a hash of the rendered event trace and a hash
-/// of the recorded history, plus both checkers' verdicts.
+/// The run's fingerprint: a hash of the telemetry stream's JSONL export
+/// and a hash of the recorded history, plus both checkers' verdicts.
 struct Fingerprint {
     trace_hash: u64,
     history_hash: u64,
@@ -42,9 +42,9 @@ struct Fingerprint {
 }
 
 fn fingerprint(mut sys: System, limit: SimTime) -> Fingerprint {
-    sys.engine.trace = Trace::bounded(200_000);
+    sys.engine.telemetry = Telemetry::bounded(200_000);
     while sys.step_until(limit).is_some() {}
-    let rendered = sys.engine.trace.render();
+    let rendered = sys.engine.telemetry.render_jsonl();
     let mut h = String::new();
     for op in sys.history.ops() {
         h.push_str(&format!("{op:?}\n"));
@@ -54,7 +54,7 @@ fn fingerprint(mut sys: System, limit: SimTime) -> Fingerprint {
     Fingerprint {
         trace_hash: fnv1a(rendered.as_bytes()),
         history_hash: fnv1a(h.as_bytes()),
-        trace_len: sys.engine.trace.len(),
+        trace_len: sys.engine.telemetry.len(),
         ops: sys.history.len(),
         batch,
         incremental,
@@ -63,7 +63,7 @@ fn fingerprint(mut sys: System, limit: SimTime) -> Fingerprint {
 
 /// A chaos-style system: 4 fragments homed at nodes 0-3, node 4
 /// agent-free, lossy links, a crash/recovery cycle — the same shape as
-/// `tests/chaos.rs`, with the event trace enabled.
+/// `tests/chaos.rs`, with telemetry enabled.
 fn chaos_system(seed: u64) -> (System, SimTime) {
     let mut plan_rng = SimRng::new(seed ^ 0xC4A0_5000);
     let plan = FaultPlan::new(

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use fragdb::core::{DetectorConfig, MovePolicy, Notification, Submission, System, SystemConfig};
 use fragdb::model::{AgentId, FragmentCatalog, FragmentId, NodeId, ObjectId, UserId};
 use fragdb::net::{FaultConfig, FaultPlan, NetworkChange, PartitionSchedule, Topology};
-use fragdb::sim::{SimDuration, SimRng, SimTime, Telemetry, TelemetryEvent, Trace};
+use fragdb::sim::{SimDuration, SimRng, SimTime, Telemetry, TelemetryEvent};
 
 fn secs(s: u64) -> SimTime {
     SimTime::from_secs(s)
@@ -172,7 +172,6 @@ fn crash_of_home_heals_within_bound() {
 fn detector_off_is_byte_identical_at_seed_42() {
     let fingerprint = |det: Option<DetectorConfig>| {
         let mut sys = protected_system(42, det.unwrap_or_else(DetectorConfig::off), None);
-        sys.engine.trace = Trace::bounded(200_000);
         sys.engine.telemetry = Telemetry::bounded(200_000);
         let obj = ObjectId(0);
         for k in 0..12u64 {
@@ -199,7 +198,7 @@ fn detector_off_is_byte_identical_at_seed_42() {
         assert_eq!(detector_events, 0, "disabled detector emitted events");
         assert_eq!(sys.engine.metrics.counter("detector.heartbeats"), 0);
         assert_eq!(sys.engine.metrics.counter("election.rounds"), 0);
-        sys.engine.trace.render()
+        sys.engine.telemetry.render_jsonl()
     };
     let explicit_off = fingerprint(Some(DetectorConfig::off()));
     let default_off = fingerprint(None);

@@ -247,10 +247,6 @@ fn chaos_run_emits_only_registered_metric_keys() {
     assert!(bad.is_empty(), "unregistered metric keys: {bad:?}");
     // The satellite metrics are wired up.
     assert_eq!(run.metrics.counter(keys::TELEMETRY_DROPPED), run.dropped);
-    assert!(run
-        .metrics
-        .counters()
-        .any(|(k, _)| k == keys::TRACE_DROPPED));
 }
 
 #[test]
