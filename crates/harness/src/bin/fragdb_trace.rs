@@ -14,7 +14,9 @@
 //!
 //! The run fails (exit 1) if any emitted metric key is missing from the
 //! `fragdb_sim::metrics::keys` registry — CI uses this as the telemetry
-//! smoke check.
+//! smoke check. A path that cannot be read or written is one line on
+//! stderr and exit 1; arguments that do not parse are the usage line and
+//! exit 2, as in `fragdb-exp`. Neither prints anything on stdout.
 //!
 //! Two subcommands consume a saved JSONL export through the `fragdb-obs`
 //! span reconstruction. They read through the same decoder as
@@ -33,22 +35,68 @@
 //!   fragdb-trace spans FILE.jsonl
 //!   fragdb-trace critical-path FILE.jsonl [--out PATH]
 
+use std::io::Write as _;
+
 use fragdb_harness::trace::{
     render_jsonl, render_summary, render_timeline, run_scenario, unregistered_metric_keys,
     validate_jsonl, SCENARIOS,
 };
 use fragdb_obs::{attribution_table, folded, span_lines, validate_folded, SpanReport};
 
+const USAGE: &str = "usage: fragdb-trace [--scenario NAME]... [--seed N] [--quick] \
+                     [--out PATH] [--rows N] | --list | --validate PATH | \
+                     spans FILE.jsonl | critical-path FILE.jsonl [--out PATH]";
+
+/// Exit 1: a file that cannot be read, written or decoded.
+fn fail(msg: String) -> ! {
+    eprintln!("fragdb-trace: {msg}");
+    std::process::exit(1);
+}
+
+/// Exit 2: arguments that do not parse.
+fn refuse(msg: String) -> ! {
+    eprintln!("fragdb-trace: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value that must follow `flag`.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| refuse(format!("{flag} needs a value")))
+}
+
+/// The non-negative integer that must follow `flag`.
+fn number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let text = value(args, flag);
+    let Ok(number) = text.parse() else {
+        refuse(format!(
+            "{flag} must be a non-negative integer, got {text:?}"
+        ));
+    };
+    number
+}
+
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")))
+}
+
+/// Opened before anything is printed: an unwritable path stops the run early.
+fn create(path: &str) -> std::fs::File {
+    std::fs::File::create(path).unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")))
+}
+
+fn write(mut file: std::fs::File, path: &str, text: &str) {
+    if let Err(e) = file.write_all(text.as_bytes()) {
+        fail(format!("cannot write {path}: {e}"));
+    }
+    println!("wrote {path} ({} bytes)", text.len());
+}
+
 /// Load and reconstruct a JSONL export, exiting with a message on error.
 fn load_report(path: &str) -> SpanReport {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    match SpanReport::from_jsonl(&text) {
-        Ok(r) => r,
-        Err(msg) => {
-            eprintln!("{path}: cannot reconstruct spans — {msg}");
-            std::process::exit(1);
-        }
-    }
+    SpanReport::from_jsonl(&read(path))
+        .unwrap_or_else(|msg| fail(format!("{path}: cannot reconstruct spans — {msg}")))
 }
 
 /// `spans FILE`: one line per reconstructed span, then the status totals.
@@ -68,17 +116,14 @@ fn cmd_spans(path: &str) {
 /// `critical-path FILE [--out PATH]`: attribution table + folded stacks.
 fn cmd_critical_path(path: &str, out: Option<&str>) {
     let report = load_report(path);
+    let sink = out.map(|p| (create(p), p));
     print!("{}", attribution_table(&report));
     let stacks = folded(&report);
     if let Err(msg) = validate_folded(&stacks) {
-        eprintln!("internal error: folded output invalid — {msg}");
-        std::process::exit(1);
+        fail(format!("internal error: folded output invalid — {msg}"));
     }
-    match out {
-        Some(p) => {
-            std::fs::write(p, &stacks).unwrap_or_else(|e| panic!("cannot write {p}: {e}"));
-            println!("wrote {p} ({} bytes)", stacks.len());
-        }
+    match sink {
+        Some((file, p)) => write(file, p, &stacks),
         None => print!("{stacks}"),
     }
 }
@@ -95,10 +140,10 @@ fn main() {
     match args.peek().map(String::as_str) {
         Some("spans") => {
             args.next();
-            let file = args.next().unwrap_or_else(|| {
-                eprintln!("usage: fragdb-trace spans FILE.jsonl");
-                std::process::exit(2);
-            });
+            let file = value(&mut args, "spans");
+            if let Some(extra) = args.next() {
+                refuse(format!("unexpected argument {extra:?}"));
+            }
             cmd_spans(&file);
             return;
         }
@@ -108,20 +153,14 @@ fn main() {
             let mut fold_out: Option<String> = None;
             while let Some(a) = args.next() {
                 match a.as_str() {
-                    "--out" => fold_out = Some(args.next().expect("--out needs a path")),
+                    "--out" => fold_out = Some(value(&mut args, "--out")),
                     other if file.is_none() && !other.starts_with('-') => {
                         file = Some(other.to_string())
                     }
-                    other => {
-                        eprintln!("unknown argument: {other}");
-                        std::process::exit(2);
-                    }
+                    other => refuse(format!("unexpected argument {other:?}")),
                 }
             }
-            let Some(file) = file else {
-                eprintln!("usage: fragdb-trace critical-path FILE.jsonl [--out PATH]");
-                std::process::exit(2);
-            };
+            let file = file.unwrap_or_else(|| refuse("critical-path needs a value".into()));
             cmd_critical_path(&file, fold_out.as_deref());
             return;
         }
@@ -129,24 +168,12 @@ fn main() {
     }
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scenario" => scenarios.push(args.next().expect("--scenario needs a name")),
-            "--seed" => {
-                seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("--seed must be an integer")
-            }
+            "--scenario" => scenarios.push(value(&mut args, "--scenario")),
+            "--seed" => seed = number(&mut args, "--seed"),
             "--quick" => quick = true,
-            "--rows" => {
-                rows = args
-                    .next()
-                    .expect("--rows needs a value")
-                    .parse()
-                    .expect("--rows must be an integer")
-            }
-            "--out" => out = Some(args.next().expect("--out needs a path")),
-            "--validate" => validate = Some(args.next().expect("--validate needs a path")),
+            "--rows" => rows = number(&mut args, "--rows"),
+            "--out" => out = Some(value(&mut args, "--out")),
+            "--validate" => validate = Some(value(&mut args, "--validate")),
             "--list" => {
                 for s in SCENARIOS {
                     println!("{s}");
@@ -154,24 +181,15 @@ fn main() {
                 return;
             }
             "--help" | "-h" => {
-                println!(
-                    "fragdb-trace [--scenario NAME]... [--seed N] [--quick] \
-                     [--out PATH] [--rows N] | --list | --validate PATH | \
-                     spans FILE.jsonl | critical-path FILE.jsonl [--out PATH]"
-                );
+                println!("{USAGE}");
                 return;
             }
-            other => {
-                eprintln!("unknown argument: {other} (try --help)");
-                std::process::exit(2);
-            }
+            other => refuse(format!("unexpected argument {other:?}")),
         }
     }
 
     if let Some(path) = validate {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        match validate_jsonl(&text) {
+        match validate_jsonl(&read(&path)) {
             Ok(stats) => {
                 let kinds: Vec<String> = stats
                     .by_event
@@ -180,10 +198,7 @@ fn main() {
                     .collect();
                 println!("{path}: OK — {} events ({})", stats.events, kinds.join(" "));
             }
-            Err(msg) => {
-                eprintln!("{path}: INVALID — {msg}");
-                std::process::exit(1);
-            }
+            Err(msg) => fail(format!("{path}: INVALID — {msg}")),
         }
         return;
     }
@@ -191,29 +206,28 @@ fn main() {
     if scenarios.is_empty() {
         scenarios = SCENARIOS.iter().map(|s| s.to_string()).collect();
     }
+    let sink = out.as_deref().map(|p| (create(p), p));
 
     let mut export = String::new();
     let mut bad_keys: Vec<String> = Vec::new();
     for name in &scenarios {
         let Some(run) = run_scenario(name, seed, quick) else {
-            eprintln!("unknown scenario: {name} (try --list)");
-            std::process::exit(2);
+            refuse(format!("unknown scenario {name:?} (try --list)"));
         };
         println!("{}", render_timeline(&run, rows));
         println!("{}", render_summary(&run));
         for key in unregistered_metric_keys(&run.metrics) {
             bad_keys.push(format!("{name}: {key}"));
         }
-        if out.is_some() {
+        if sink.is_some() {
             let text = render_jsonl(&run);
             validate_jsonl(&text).expect("the export must read back");
             export.push_str(&text);
         }
     }
 
-    if let Some(path) = out {
-        std::fs::write(&path, &export).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("wrote {path} ({} bytes)", export.len());
+    if let Some((file, path)) = sink {
+        write(file, path, &export);
     }
 
     if !bad_keys.is_empty() {

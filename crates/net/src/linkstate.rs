@@ -8,7 +8,10 @@ use std::collections::BTreeSet;
 
 use fragdb_model::NodeId;
 
-use crate::topology::canon;
+/// Canonical (smaller, larger) ordering for an undirected link.
+fn canon(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+    (a.min(b), a.max(b))
+}
 
 /// The set of currently-severed links (empty = everything up).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

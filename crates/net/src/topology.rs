@@ -1,5 +1,6 @@
 //! Static network topology: nodes, undirected links, per-link delays.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 use fragdb_model::NodeId;
@@ -7,27 +8,20 @@ use fragdb_sim::SimDuration;
 
 use crate::linkstate::LinkState;
 
-/// Canonical (smaller, larger) ordering for an undirected link.
-pub(crate) fn canon(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
 /// The static link graph. Which links are *currently up* is tracked
 /// separately in [`LinkState`] so one topology can be shared across
 /// scenarios.
 #[derive(Clone, Debug)]
 pub struct Topology {
     n: u32,
-    /// Undirected links with their one-way delay.
-    links: BTreeMap<(NodeId, NodeId), SimDuration>,
-    /// Adjacency lists indexed by dense node id, carrying the link delay
-    /// so Dijkstra's inner loop never touches the `links` map — at half a
-    /// million links a per-edge `BTreeMap` lookup dominated routing.
+    /// The graph: per dense node id, its neighbours and the one-way delay
+    /// of the link to each. An undirected link sits on both endpoints' rows.
     adj: Vec<Vec<(NodeId, SimDuration)>>,
+    /// The smallest delay ever given to a link. Replacing a link by a
+    /// slower one does not raise it: [`Topology::path_delay`] uses it only
+    /// as a lower bound on what one more hop costs, where being too low
+    /// costs a few more pops and never a wrong answer.
+    min_delay: SimDuration,
 }
 
 impl Topology {
@@ -36,20 +30,30 @@ impl Topology {
         assert!(n > 0, "a network needs at least one node");
         Topology {
             n,
-            links: BTreeMap::new(),
             adj: vec![Vec::new(); n as usize],
+            min_delay: SimDuration(u64::MAX),
         }
+    }
+
+    /// Complete graph, each pair's delay drawn from `delay` in `(a, b)`
+    /// order. Every pair is visited once, so the links are pushed without
+    /// [`Topology::add_link`]'s scan of the row.
+    fn mesh(n: u32, mut delay: impl FnMut() -> SimDuration) -> Self {
+        let mut t = Topology::new(n);
+        for a in 0..n {
+            for b in (a + 1)..n {
+                let d = delay();
+                t.adj[a as usize].push((NodeId(b), d));
+                t.adj[b as usize].push((NodeId(a), d));
+                t.min_delay = t.min_delay.min(d);
+            }
+        }
+        t
     }
 
     /// Complete graph with uniform link delay.
     pub fn full_mesh(n: u32, delay: SimDuration) -> Self {
-        let mut t = Topology::new(n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                t.add_link(NodeId(a), NodeId(b), delay);
-            }
-        }
-        t
+        Topology::mesh(n, || delay)
     }
 
     /// Complete graph with per-link delays jittered uniformly in
@@ -60,23 +64,13 @@ impl Topology {
     /// from collapsing onto a single value (degenerate percentiles).
     pub fn jittered_mesh(n: u32, base: SimDuration, jitter: SimDuration, seed: u64) -> Self {
         let mut rng = fragdb_sim::SimRng::new(seed);
-        let mut t = Topology::new(n);
-        let base_us = base.micros();
-        let jitter_us = jitter.micros();
-        for a in 0..n {
-            for b in (a + 1)..n {
-                // Uniform in [base − jitter, base + jitter], floored at 1µs
-                // so no link is instantaneous.
-                let offset = if jitter_us == 0 {
-                    0
-                } else {
-                    rng.gen_range(0..=2 * jitter_us)
-                };
-                let delay_us = (base_us + offset).saturating_sub(jitter_us).max(1);
-                t.add_link(NodeId(a), NodeId(b), SimDuration::from_micros(delay_us));
-            }
-        }
-        t
+        let (base_us, jitter_us) = (base.micros(), jitter.micros());
+        Topology::mesh(n, || {
+            // Uniform in [base − jitter, base + jitter], floored at 1µs
+            // so no link is instantaneous.
+            let offset = rng.gen_range(0..=2 * jitter_us);
+            SimDuration::from_micros((base_us + offset).saturating_sub(jitter_us).max(1))
+        })
     }
 
     /// Ring topology with uniform link delay.
@@ -115,23 +109,14 @@ impl Topology {
     pub fn add_link(&mut self, a: NodeId, b: NodeId, delay: SimDuration) {
         assert!(a != b, "self-links are meaningless");
         assert!(a.0 < self.n && b.0 < self.n, "node id out of range");
-        let key = canon(a, b);
-        if self.links.insert(key, delay).is_none() {
-            self.adj[a.0 as usize].push((b, delay));
-            self.adj[b.0 as usize].push((a, delay));
-        } else {
-            // Replacement: refresh the delay carried on both adjacency rows.
-            for (v, d) in &mut self.adj[a.0 as usize] {
-                if *v == b {
-                    *d = delay;
-                }
-            }
-            for (v, d) in &mut self.adj[b.0 as usize] {
-                if *v == a {
-                    *d = delay;
-                }
+        for (u, v) in [(a, b), (b, a)] {
+            let row = &mut self.adj[u.0 as usize];
+            match row.iter_mut().find(|(w, _)| *w == v) {
+                Some(link) => link.1 = delay,
+                None => row.push((v, delay)),
             }
         }
+        self.min_delay = self.min_delay.min(delay);
     }
 
     /// Number of nodes.
@@ -146,75 +131,61 @@ impl Topology {
 
     /// All links as `((a, b), delay)` with `a < b`.
     pub fn links(&self) -> impl Iterator<Item = ((NodeId, NodeId), SimDuration)> + '_ {
-        self.links.iter().map(|(&k, &d)| (k, d))
+        self.nodes().flat_map(move |a| {
+            let row = self.neighbors(a).iter();
+            row.filter_map(move |&(b, d)| (a < b).then_some(((a, b), d)))
+        })
     }
 
     /// Does a (static) link exist between `a` and `b`?
     pub fn has_link(&self, a: NodeId, b: NodeId) -> bool {
-        self.links.contains_key(&canon(a, b))
+        self.link_delay(a, b).is_some()
     }
 
     /// Delay of the direct link `a`–`b`, if one exists.
     pub fn link_delay(&self, a: NodeId, b: NodeId) -> Option<SimDuration> {
-        self.links.get(&canon(a, b)).copied()
+        let mut row = self.neighbors(a).iter();
+        row.find(|&&(v, _)| v == b).map(|&(_, d)| d)
     }
 
     /// Neighbors of `node` over *static* links, with their link delays.
     pub fn neighbors(&self, node: NodeId) -> &[(NodeId, SimDuration)] {
-        self.adj
-            .get(node.0 as usize)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.adj.get(node.0 as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Shortest-path delay from `from` to `to` over links that are up,
-    /// or `None` if they are disconnected. Dijkstra over link delays,
-    /// with dense-id distance arrays so the inner loop is map-free.
+    /// or `None` if they are disconnected (or `to` is not a node).
     pub fn path_delay(&self, from: NodeId, to: NodeId, state: &LinkState) -> Option<SimDuration> {
-        if from == to {
-            return Some(SimDuration::ZERO);
-        }
-        let mut dist = vec![u64::MAX; self.n as usize];
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u64, NodeId)>> = BinaryHeap::new();
-        dist[from.0 as usize] = 0;
-        heap.push(std::cmp::Reverse((0, from)));
-        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
-            if u == to {
-                return Some(SimDuration(d));
-            }
-            if d > dist[u.0 as usize] {
-                continue;
-            }
-            for &(v, w) in self.neighbors(u) {
-                if state.is_down(u, v) {
-                    continue;
-                }
-                let nd = d + w.micros();
-                if nd < dist[v.0 as usize] {
-                    dist[v.0 as usize] = nd;
-                    heap.push(std::cmp::Reverse((nd, v)));
-                }
-            }
-        }
-        None
+        self.search(from, to, state).0
     }
 
-    /// Shortest-path delays from `from` to *every* node reachable over up
-    /// links, as one full Dijkstra sweep.
-    ///
-    /// One sweep costs the same as the single worst `path_delay` query
-    /// from `from`, so a source that fans out to many destinations (a
-    /// broadcast home on a large mesh) answers all of them for the price
-    /// of one instead of re-running Dijkstra per destination.
-    pub fn delays_from(&self, from: NodeId, state: &LinkState) -> BTreeMap<NodeId, SimDuration> {
+    /// Dijkstra over link delays that stops as soon as the answer is final;
+    /// also returns how many nodes it settled. When a node is popped at `d`
+    /// and `to` is tentatively at a finite `best`: a route whose last hop
+    /// leaves a settled node is already in `best`, and any other reaches
+    /// `to` from an unsettled node (distance `>= d`) over one more link
+    /// (`>= min_delay`), so `d + min_delay >= best` makes `best` exact.
+    /// Finite matters: on an edgeless graph `min_delay` is `u64::MAX`, the
+    /// sum saturates, and an unreached `to` would pass the test. With
+    /// zero-delay links this is Dijkstra's ordinary stop, at `to`'s own pop.
+    fn search(&self, from: NodeId, to: NodeId, state: &LinkState) -> (Option<SimDuration>, usize) {
+        if to.0 >= self.n {
+            return (None, 0);
+        }
+        let mut settled = 0;
         let mut dist = vec![u64::MAX; self.n as usize];
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u64, NodeId)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, NodeId)>> = BinaryHeap::new();
         dist[from.0 as usize] = 0;
-        heap.push(std::cmp::Reverse((0, from)));
-        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+        heap.push(Reverse((0, from)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            let best = dist[to.0 as usize];
+            if best != u64::MAX && d.saturating_add(self.min_delay.micros()) >= best {
+                return (Some(SimDuration(best)), settled);
+            }
             if d > dist[u.0 as usize] {
                 continue;
             }
+            settled += 1;
             for &(v, w) in self.neighbors(u) {
                 if state.is_down(u, v) {
                     continue;
@@ -222,15 +193,11 @@ impl Topology {
                 let nd = d + w.micros();
                 if nd < dist[v.0 as usize] {
                     dist[v.0 as usize] = nd;
-                    heap.push(std::cmp::Reverse((nd, v)));
+                    heap.push(Reverse((nd, v)));
                 }
             }
         }
-        dist.iter()
-            .enumerate()
-            .filter(|(_, &d)| d != u64::MAX)
-            .map(|(i, &d)| (NodeId(i as u32), SimDuration(d)))
-            .collect()
+        (None, settled)
     }
 
     /// Are `a` and `b` in the same connected component over up links?
@@ -272,14 +239,16 @@ impl Topology {
     }
 }
 
-/// Memoized [`Topology::path_delay`] lookups for one link-state epoch.
+/// Memoized [`Topology::path_delay`] answers, valid for exactly the
+/// [`LinkState`] they were computed under: [`invalidate`] on every change
+/// (inside the crate the `Wire` that [`ReliableNet`] and [`Transport`]
+/// hold owns topology, state and cache, and does so in its one mutator).
 ///
-/// A full-mesh simulation asks for the same `(from, to)` delay once per
-/// packet; running Dijkstra each time is the dominant cost at 64 nodes
-/// (the superlinear 64-node row of the PR 3 bench report). The cache answers repeats in O(log n)
-/// and must be [`invalidate`]d whenever the live [`LinkState`] changes —
-/// inside the crate the `Wire` that [`ReliableNet`] and [`Transport`] hold
-/// owns all three and does so on every change.
+/// A simulation asks for the same `(from, to)` delay once per packet, so
+/// repeats are one map lookup. One entry per pair asked and nothing per
+/// source: a cold lookup on a mesh relaxes one row, so there is no sweep
+/// to share between a source's destinations, and a dense row per source
+/// would hold `n` slots for ackers that use eight.
 ///
 /// [`invalidate`]: RouteCache::invalidate
 /// [`ReliableNet`]: crate::reliable::ReliableNet
@@ -287,23 +256,7 @@ impl Topology {
 #[derive(Clone, Debug, Default)]
 pub struct RouteCache {
     cache: BTreeMap<(NodeId, NodeId), Option<SimDuration>>,
-    /// Cache misses per source since the last invalidation; past
-    /// [`ROW_PROMOTE_MISSES`] the source's whole row is filled at once.
-    misses: BTreeMap<NodeId, u32>,
-    /// Sources whose full row is cached: absent pairs mean unreachable.
-    full_rows: BTreeSet<NodeId>,
 }
-
-/// Base miss count before a source's whole Dijkstra row is cached.
-///
-/// A broadcast home on an `n`-node mesh would otherwise pay `n` separate
-/// Dijkstras (each scanning a large frontier before the early exit) —
-/// cubic in `n` overall, which is what made 1k-node meshes intractable.
-/// One full sweep after enough misses makes it quadratic. The effective
-/// threshold grows with `n` (see [`RouteCache::path_delay`]) so sources
-/// that only talk to a handful of peers — ack paths back to a few
-/// fragment homes — never pay for a row they would not use.
-const ROW_PROMOTE_MISSES: u32 = 2;
 
 impl RouteCache {
     /// An empty cache.
@@ -314,14 +267,10 @@ impl RouteCache {
     /// Drop every memoized route. Call on any link-state change.
     pub fn invalidate(&mut self) {
         self.cache.clear();
-        self.misses.clear();
-        self.full_rows.clear();
     }
 
-    /// Cached [`Topology::path_delay`]: Dijkstra on first use per pair,
+    /// Cached [`Topology::path_delay`]: searched on first use per pair,
     /// map lookup afterwards. Unreachability (`None`) is cached too.
-    /// A source that keeps missing gets its entire row computed in one
-    /// sweep ([`Topology::delays_from`]).
     pub fn path_delay(
         &mut self,
         topo: &Topology,
@@ -329,37 +278,15 @@ impl RouteCache {
         from: NodeId,
         to: NodeId,
     ) -> Option<SimDuration> {
-        if let Some(&d) = self.cache.get(&(from, to)) {
-            return d;
-        }
-        if self.full_rows.contains(&from) {
-            // Row is complete; a missing pair means `to` is unreachable.
-            self.cache.insert((from, to), None);
-            return None;
-        }
-        let missed = self.misses.entry(from).or_insert(0);
-        *missed += 1;
-        // Promote only once the misses amortize the sweep: a row costs
-        // about n/32 single lookups, so fan-out below that stays per-pair.
-        let threshold = ROW_PROMOTE_MISSES.max(topo.node_count() / 32);
-        if *missed > threshold {
-            for (node, d) in topo.delays_from(from, state) {
-                self.cache.insert((from, node), Some(d));
-            }
-            self.full_rows.insert(from);
-            let d = self.cache.get(&(from, to)).copied().flatten();
-            self.cache.insert((from, to), d);
-            return d;
-        }
-        let d = topo.path_delay(from, to, state);
-        self.cache.insert((from, to), d);
-        d
+        let route = self.cache.entry((from, to));
+        *route.or_insert_with(|| topo.path_delay(from, to, state))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fragdb_sim::SimRng;
 
     fn ms(x: u64) -> SimDuration {
         SimDuration::from_millis(x)
@@ -387,41 +314,196 @@ mod tests {
     }
 
     #[test]
-    fn delays_from_matches_per_pair_dijkstra() {
-        let t = Topology::line(5, ms(10));
-        let mut state = LinkState::all_up();
-        state.fail(NodeId(3), NodeId(4));
-        let row = t.delays_from(NodeId(0), &state);
-        for to in t.nodes() {
-            assert_eq!(
-                row.get(&to).copied(),
-                t.path_delay(NodeId(0), to, &state),
-                "row answer must equal Dijkstra for 0->{to:?}"
-            );
-        }
-        assert!(!row.contains_key(&NodeId(4)), "cut node must be absent");
-    }
-
-    #[test]
-    fn route_cache_row_promotion_answers_every_destination() {
+    fn route_cache_answers_every_destination_of_a_fanning_out_source() {
         let t = Topology::full_mesh(8, ms(10));
         let mut state = LinkState::all_up();
         let mut cache = RouteCache::new();
-        // A fanning-out source promotes to a full row after a few misses
-        // and still answers exactly what per-pair Dijkstra would.
+        // A source that fans out to every peer still gets exactly what
+        // per-pair Dijkstra would answer.
         for to in 1..8 {
             assert_eq!(
                 cache.path_delay(&t, &state, NodeId(0), NodeId(to)),
                 Some(ms(10))
             );
         }
-        // Promotion must also cache unreachability correctly.
+        // Unreachability of every destination must be cached correctly too.
         for to in 1..8 {
             state.fail(NodeId(0), NodeId(to));
         }
         cache.invalidate();
         for to in 1..8 {
             assert_eq!(cache.path_delay(&t, &state, NodeId(0), NodeId(to)), None);
+        }
+    }
+
+    /// The oracle: all-pairs shortest delays by Floyd–Warshall over the
+    /// links that are up. Shares no code with [`Topology::search`].
+    fn floyd_warshall(t: &Topology, state: &LinkState) -> Vec<Vec<Option<SimDuration>>> {
+        let n = t.node_count() as usize;
+        let mut d = vec![vec![None; n]; n];
+        for (i, row) in d.iter_mut().enumerate() {
+            row[i] = Some(0u64);
+        }
+        for ((a, b), w) in t.links().filter(|&((a, b), _)| !state.is_down(a, b)) {
+            d[a.0 as usize][b.0 as usize] = Some(w.micros());
+            d[b.0 as usize][a.0 as usize] = Some(w.micros());
+        }
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    if let (Some(x), Some(y)) = (d[i][k], d[k][j]) {
+                        if d[i][j].is_none_or(|z| x + y < z) {
+                            d[i][j] = Some(x + y);
+                        }
+                    }
+                }
+            }
+        }
+        let row = |r: Vec<Option<u64>>| r.into_iter().map(|x| x.map(SimDuration)).collect();
+        d.into_iter().map(row).collect()
+    }
+
+    /// A delay in 0..=1000 µs: wide enough that two short hops beat a long
+    /// direct link, with zero-delay links about one time in eight.
+    fn any_delay(rng: &mut SimRng) -> SimDuration {
+        if rng.chance(0.125) {
+            SimDuration::ZERO
+        } else {
+            SimDuration(rng.gen_range(1..=1000))
+        }
+    }
+
+    /// Case `case`'s topology: six shapes in rotation, 1..=12 nodes.
+    fn any_topology(case: u64, rng: &mut SimRng) -> Topology {
+        let n: u32 = rng.gen_range(1..=12);
+        let mut t = Topology::new(n);
+        let pairs: Vec<(u32, u32)> = match case % 6 {
+            0 => Vec::new(), // edgeless
+            1 => (1..n).map(|a| (a - 1, a)).collect(),
+            2 => (0..n).filter(|_| n > 1).map(|a| (a, (a + 1) % n)).collect(),
+            3 => (1..n).map(|b| (0, b)).collect(),
+            // A jittered mesh (delays 1..=999 µs) through the no-scan builder.
+            4 => return Topology::jittered_mesh(n, SimDuration(500), SimDuration(499), case),
+            _ => {
+                let all = (0..n).flat_map(|a| ((a + 1)..n).map(move |b| (a, b)));
+                let density = rng.unit();
+                all.filter(|_| rng.chance(density)).collect()
+            }
+        };
+        for (a, b) in pairs {
+            t.add_link(NodeId(a), NodeId(b), any_delay(rng));
+        }
+        t
+    }
+
+    /// A link state over `t`: nothing down, a random down set, a full
+    /// partition into two or three groups, one node isolated, or all down.
+    fn any_state(t: &Topology, rng: &mut SimRng) -> LinkState {
+        let mut state = LinkState::all_up();
+        let nodes: Vec<NodeId> = t.nodes().collect();
+        match rng.gen_range(0..5u32) {
+            0 => {}
+            1 => {
+                let p = rng.unit();
+                for ((a, b), _) in t.links() {
+                    if rng.chance(p) {
+                        state.fail(a, b);
+                    }
+                }
+            }
+            2 => {
+                let groups: u32 = rng.gen_range(2..=3);
+                let mut split = vec![Vec::new(); groups as usize];
+                for &node in &nodes {
+                    split[rng.gen_range(0..groups) as usize].push(node);
+                }
+                state.split(&split);
+            }
+            3 => {
+                let lonely = *rng.pick(&nodes);
+                for &(peer, _) in t.neighbors(lonely) {
+                    state.fail(lonely, peer);
+                }
+            }
+            _ => state.split(&nodes.iter().map(|&x| vec![x]).collect::<Vec<_>>()),
+        }
+        state
+    }
+
+    /// Every ordered pair (and one destination that is not a node):
+    /// `path_delay` equals the oracle, and the cache answers the same on
+    /// the first lookup and on the second.
+    fn assert_matches_oracle(t: &Topology, state: &LinkState, cache: &mut RouteCache, what: &str) {
+        let oracle = floyd_warshall(t, state);
+        for a in t.nodes() {
+            for b in t.nodes() {
+                let want = oracle[a.0 as usize][b.0 as usize];
+                assert_eq!(t.path_delay(a, b, state), want, "{what}: {a:?}->{b:?}");
+                assert_eq!(cache.path_delay(t, state, a, b), want, "{what}: cold");
+                assert_eq!(cache.path_delay(t, state, a, b), want, "{what}: warm");
+            }
+            let outside = NodeId(t.node_count());
+            assert_eq!(
+                t.path_delay(a, outside, state),
+                None,
+                "{what}: no such node"
+            );
+        }
+    }
+
+    /// Replace one link of `t` (if it has any) through `add_link` by a slower
+    /// or a faster one. Half the time the victim is the fastest link, so
+    /// that raising it leaves `min_delay` stale-low.
+    fn replace_one_link(t: &mut Topology, raise: bool, rng: &mut SimRng) {
+        let links: Vec<_> = t.links().collect();
+        let Some(&fastest) = links.iter().min_by_key(|link| link.1) else {
+            return;
+        };
+        let any = *rng.pick(&links);
+        let ((a, b), old) = *rng.pick(&[fastest, any]);
+        let new = if raise {
+            old.micros() + rng.gen_range(1..=1000u64)
+        } else {
+            rng.gen_range(0..=old.micros())
+        };
+        t.add_link(b, a, SimDuration(new));
+        assert_eq!(t.link_delay(a, b), Some(SimDuration(new)));
+        assert_eq!(t.links().count(), links.len(), "replaced, not added");
+    }
+
+    #[test]
+    fn path_delay_matches_floyd_warshall_on_seeded_cases() {
+        for case in 0..240u64 {
+            let mut rng = SimRng::new(0xF10D ^ case);
+            let mut t = any_topology(case, &mut rng);
+            let mut cache = RouteCache::new();
+            for step in ["built", "link raised", "link lowered"] {
+                if step != "built" {
+                    replace_one_link(&mut t, step == "link raised", &mut rng);
+                }
+                // Two states in a row: the memo must be right again after
+                // `invalidate` under a changed one.
+                for _ in 0..2 {
+                    let state = any_state(&t, &mut rng);
+                    cache.invalidate();
+                    assert_matches_oracle(&t, &state, &mut cache, &format!("case {case} ({step})"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_lookup_on_a_mesh_with_every_link_up_settles_at_most_two_nodes() {
+        // The work bound, clock-free: the source's row is relaxed, the
+        // nearest neighbour's pop already proves the direct link final.
+        let t = Topology::jittered_mesh(256, ms(10), ms(1), 42);
+        let up = LinkState::all_up();
+        for from in t.nodes() {
+            for to in t.nodes().filter(|&to| to != from) {
+                let (delay, settled) = t.search(from, to, &up);
+                assert_eq!(delay, t.link_delay(from, to), "{from:?}->{to:?}");
+                assert!(settled <= 2, "{from:?}->{to:?} settled {settled} nodes");
+            }
         }
     }
 

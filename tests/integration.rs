@@ -67,6 +67,98 @@ fn facade_exposes_full_stack() {
     assert!(fragdb::graphs::analyze(&sys.history).globally_serializable);
 }
 
+/// Off the mesh the route, not the link, sets when an update lands: the
+/// install instant at each node is the commit instant plus the shortest
+/// delay over the links that are up, and it follows the link state.
+#[test]
+fn multi_hop_routes_set_the_install_instant() {
+    let mut b = FragmentCatalog::builder();
+    let (f, objs) = b.add_fragment("A", 1);
+    let obj = objs[0];
+    let mut sys = System::build(
+        Topology::ring(5, SimDuration::from_millis(5)),
+        b.build(),
+        vec![(f, AgentId::Node(NodeId(0)), NodeId(0))],
+        SystemConfig::unrestricted(7),
+    )
+    .unwrap();
+    let bump = move || {
+        Submission::update(
+            f,
+            Box::new(move |ctx| {
+                let v = ctx.read_int(obj, 0);
+                ctx.write(obj, v + 1)?;
+                Ok(())
+            }),
+        )
+    };
+    // Per node, how many µs after the (single) commit in `notes` it installed.
+    let lags = |notes: &[Notification]| -> Vec<(u32, u64)> {
+        let committed: Vec<SimTime> = notes
+            .iter()
+            .filter_map(|n| match n {
+                Notification::Committed { at, .. } => Some(*at),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(committed.len(), 1, "one commit per phase");
+        let mut lags: Vec<(u32, u64)> = notes
+            .iter()
+            .filter_map(|n| match n {
+                Notification::Installed { node, at, .. } => {
+                    Some((node.0, at.since(committed[0]).micros()))
+                }
+                _ => None,
+            })
+            .collect();
+        lags.sort_unstable();
+        lags
+    };
+
+    // Every link up: one hop to the neighbours, two to the far side.
+    sys.submit_at(secs(1), bump());
+    let notes = sys.run_until(secs(2));
+    assert_eq!(
+        lags(&notes),
+        [(1, 5_000), (2, 10_000), (3, 10_000), (4, 5_000)]
+    );
+
+    // 0–1 cut: node 1 is reached the long way round, 0–4–3–2–1.
+    sys.net_change_at(secs(2), NetworkChange::LinkDown(NodeId(0), NodeId(1)));
+    sys.submit_at(secs(3), bump());
+    let notes = sys.run_until(secs(4));
+    assert_eq!(
+        lags(&notes),
+        [(1, 20_000), (2, 15_000), (3, 10_000), (4, 5_000)]
+    );
+
+    // Node 2 isolated: nothing installs there — nor at node 1, whose only
+    // remaining route ran through it.
+    let rest = [0, 1, 3, 4].map(NodeId).to_vec();
+    sys.net_change_at(secs(4), NetworkChange::Split(vec![vec![NodeId(2)], rest]));
+    sys.submit_at(secs(5), bump());
+    let notes = sys.run_until(secs(10));
+    assert_eq!(lags(&notes), [(3, 10_000), (4, 5_000)]);
+    assert_eq!(sys.replica(NodeId(2)).read(obj), &Value::Int(2));
+
+    // Healed: the cut-off nodes catch up by retransmission, not before.
+    sys.net_change_at(secs(10), NetworkChange::HealAll);
+    let notes = sys.run_until(secs(30));
+    let mut caught_up: Vec<(u32, bool)> = notes
+        .iter()
+        .filter_map(|n| match n {
+            Notification::Installed { node, at, .. } => Some((node.0, *at >= secs(10))),
+            _ => None,
+        })
+        .collect();
+    caught_up.sort_unstable();
+    assert_eq!(caught_up, [(1, true), (2, true)]);
+    assert!(sys.divergent_fragments().is_empty());
+    for node in 0..5u32 {
+        assert_eq!(sys.replica(NodeId(node)).read(obj), &Value::Int(3));
+    }
+}
+
 /// Tokens move through all four §4.4 protocols in one process; each policy
 /// converges. (Smoke test that the policies don't share hidden state.)
 #[test]
