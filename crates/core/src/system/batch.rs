@@ -61,12 +61,12 @@ impl System {
                     quasis: vec![quasi],
                 },
             );
-            // Linger timers ride the timing wheel. A zero linger schedules
-            // at the current instant with a *later* sequence number, so the
-            // flush runs after every event already queued for this instant
-            // ("flush on idle"): same-instant commits still coalesce.
+            // A zero linger schedules at the current instant with a *later*
+            // sequence number, so the flush runs after every event already
+            // queued for this instant ("flush on idle"): same-instant
+            // commits still coalesce.
             self.engine
-                .schedule_timer_at(at + linger, Ev::FlushBatch { fragment, gen });
+                .schedule_at(at + linger, Ev::FlushBatch { fragment, gen });
         }
         let full = self
             .open_batches

@@ -60,7 +60,7 @@ impl System {
         }
         // Re-arm first so the cadence is independent of the work below.
         self.engine
-            .schedule_timer_at(at + self.detector_cfg.heartbeat_period, Ev::DetectorTick);
+            .schedule_at(at + self.detector_cfg.heartbeat_period, Ev::DetectorTick);
         self.detector_beat += 1;
         let beat = self.detector_beat;
         let n = self.nodes.len() as u32;
@@ -163,7 +163,7 @@ impl System {
         self.granted_votes
             .insert((fragment, epoch, candidate), candidate);
         self.engine
-            .schedule_timer_at(deadline, Ev::ElectionTimeout { fragment, epoch });
+            .schedule_at(deadline, Ev::ElectionTimeout { fragment, epoch });
         let voters: Vec<NodeId> = match self.replicas_of(fragment) {
             Some(set) => set.iter().copied().collect(),
             None => (0..self.nodes.len() as u32).map(NodeId).collect(),

@@ -4,8 +4,9 @@
 //! These are the primitives `fragdb-mc` builds its replay-based DFS on. The
 //! contract is:
 //!
-//! 1. [`System::mc_enable`] switches the engine so every pending event —
-//!    including timers — is individually enumerable and takeable.
+//! 1. Every pending event — timers included — is individually enumerable
+//!    and takeable on any [`System`]: the engine's one queue needs no mode
+//!    switch ([`fragdb_sim::Engine::mc_pending`], `mc_take`).
 //! 2. [`System::mc_choices`] lists the enabled transitions of the current
 //!    state. Each carries a stable `seq` key (valid for exactly one
 //!    [`System::mc_step`] from this state) and a human-readable label used
@@ -67,11 +68,6 @@ pub struct McDelivery {
 }
 
 impl System {
-    /// Switch into model-checking mode (see module docs). Idempotent.
-    pub fn mc_enable(&mut self) {
-        self.engine.enable_mc();
-    }
-
     /// Enumerate the enabled transitions of the current state, sorted by
     /// the canonical `(at, seq)` key.
     pub fn mc_choices(&self) -> Vec<McChoice> {
@@ -374,7 +370,6 @@ mod tests {
     fn choices_replay_to_identical_digests() {
         let build = || {
             let mut sys = tiny_system();
-            sys.mc_enable();
             sys.submit_at(SimTime::from_millis(1), bump(FragmentId(0)));
             sys.submit_at(SimTime::from_millis(2), bump(FragmentId(0)));
             sys
@@ -401,9 +396,7 @@ mod tests {
     #[test]
     fn digest_abstracts_time_but_not_state() {
         let mut a = tiny_system();
-        a.mc_enable();
-        let mut b = tiny_system();
-        b.mc_enable();
+        let b = tiny_system();
         assert_eq!(a.mc_digest(), b.mc_digest(), "fresh systems agree");
         a.submit_at(SimTime::from_millis(1), bump(FragmentId(0)));
         assert_ne!(a.mc_digest(), b.mc_digest(), "pending submit is visible");
@@ -412,7 +405,6 @@ mod tests {
     #[test]
     fn delivery_choices_carry_broadcast_identity() {
         let mut sys = tiny_system();
-        sys.mc_enable();
         sys.submit_at(SimTime::from_millis(1), bump(FragmentId(0)));
         // Step until replica-bound install packets appear.
         let mut saw_delivery = false;

@@ -519,7 +519,7 @@ impl System {
             // The recurring tick re-arms itself; with the detector off it
             // is never scheduled, keeping default runs byte-identical.
             let first = SimTime::ZERO + system.detector_cfg.heartbeat_period;
-            system.engine.schedule_timer_at(first, Ev::DetectorTick);
+            system.engine.schedule_at(first, Ev::DetectorTick);
         }
         Ok(system)
     }
@@ -715,10 +715,7 @@ impl System {
                     self.engine.schedule_at(deliver_at, Ev::Pkt(pd));
                 }
                 NetAction::Timer(fire_at, timer) => {
-                    // Timers go through the timing wheel (O(1) insert);
-                    // the shared sequence counter keeps the pop order
-                    // identical to heap scheduling.
-                    self.engine.schedule_timer_at(fire_at, Ev::Rto(timer));
+                    self.engine.schedule_at(fire_at, Ev::Rto(timer));
                 }
             }
         }

@@ -60,12 +60,9 @@ impl McInstance {
         self
     }
 
-    /// Build a fresh copy of the initial state, already switched into
-    /// model-checking mode.
+    /// Build a fresh copy of the initial state.
     pub fn build(&self) -> System {
-        let mut sys = (self.build)();
-        sys.mc_enable();
-        sys
+        (self.build)()
     }
 
     /// Rebuild and replay a recorded choice-key prefix. Panics if the

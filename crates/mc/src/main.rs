@@ -6,12 +6,12 @@
 //! re-derives the counterexample witness for every rejecting
 //! `FDB02x`/`FDB03x` diagnostic code and confirms it replays.
 //!
-//! Usage:
-//!   fragdb-mc [--quick] [--config NAME] [--no-por] [--seed N]
-//!             [--witnesses-only]
+//! Usage: the `USAGE` line below, which `--help` prints.
 //!
-//! Exit status is nonzero if any soundness-oracle instance explores with a
-//! violation, or any rejecting code fails to produce a replaying witness.
+//! Exit status is 1 if any soundness-oracle instance explores with a
+//! violation, or any rejecting code fails to produce a replaying witness;
+//! 2 (message on stderr, nothing on stdout) if the arguments do not parse
+//! or name no instance.
 
 use fragdb_mc::registry::{shrunk_by_name, shrunk_registry};
 use fragdb_mc::witness::REJECTING_CODES;
@@ -38,6 +38,22 @@ fn print_stats(s: &ExploreStats) {
     }
 }
 
+const USAGE: &str =
+    "usage: fragdb-mc [--quick] [--config NAME] [--no-por] [--seed N] [--witnesses-only]";
+
+/// Exit 2: arguments that do not parse.
+fn refuse(msg: String) -> ! {
+    eprintln!("fragdb-mc: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value that must follow `flag`.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| refuse(format!("{flag} needs a value")))
+}
+
 fn main() {
     let mut cfg = ExploreConfig::full();
     let mut seed = 42u64;
@@ -48,30 +64,42 @@ fn main() {
         match a.as_str() {
             "--quick" => cfg = ExploreConfig::quick(),
             "--no-por" => cfg.por = false,
-            "--config" => only = Some(args.next().expect("--config needs a name")),
+            "--config" => only = Some(value(&mut args, "--config")),
             "--seed" => {
-                seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("--seed needs an integer")
+                let text = value(&mut args, "--seed");
+                seed = text.parse().unwrap_or_else(|_| {
+                    refuse(format!(
+                        "--seed must be a non-negative integer, got {text:?}"
+                    ))
+                });
             }
             "--witnesses-only" => witnesses_only = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
             }
+            other => refuse(format!("unexpected argument {other:?}")),
         }
     }
+    let instances = match &only {
+        Some(name) => match shrunk_by_name(name, seed) {
+            Some(instance) => vec![instance],
+            None => {
+                let known: Vec<String> =
+                    shrunk_registry(seed).into_iter().map(|i| i.name).collect();
+                eprintln!(
+                    "fragdb-mc: unknown instance {name:?}; known: {}",
+                    known.join(" ")
+                );
+                std::process::exit(2);
+            }
+        },
+        None => shrunk_registry(seed),
+    };
 
     let mut failed = false;
 
     if !witnesses_only {
-        let instances = match &only {
-            Some(name) => vec![shrunk_by_name(name, seed)
-                .unwrap_or_else(|| panic!("no shrunk instance named `{name}`"))],
-            None => shrunk_registry(seed),
-        };
         println!(
             "soundness oracle: exploring {} shrunk registry instance(s) (seed {seed}, max {} states, POR {})",
             instances.len(),

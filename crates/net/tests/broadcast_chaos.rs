@@ -117,8 +117,8 @@ struct ChaosLoop {
     down: Option<NodeId>,
     /// `Timer` actions handed to the loop by the reliable layer (armed)
     /// vs fed back through `on_timer` (fired). Conservation — armed ==
-    /// fired at quiescence — is the wheel-ops hygiene law: a timer that
-    /// never fires is a leak in the caller's wheel, and a firing that was
+    /// fired at quiescence — is the timer hygiene law: a timer that never
+    /// fires is a leak in the caller's event queue, and a firing that was
     /// never armed is a phantom.
     timers_armed: u64,
     timers_fired: u64,
@@ -262,7 +262,7 @@ fn faulty_stack_preserves_fifo_exactly_once() {
         assert_eq!(l.layer.held_back(), 0, "case {case}: messages stuck");
         // Timer conservation: the loop drained, so every retransmission
         // timer the layer armed must have fired exactly once — a deficit
-        // is a leaked wheel entry, a surplus a phantom firing.
+        // is a leaked queue entry, a surplus a phantom firing.
         assert_eq!(
             l.timers_armed, l.timers_fired,
             "case {case}: timers armed != timers fired at quiescence"

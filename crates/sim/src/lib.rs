@@ -29,9 +29,8 @@ pub mod metrics;
 pub mod rng;
 pub mod telemetry;
 pub mod time;
-mod wheel;
 
-pub use engine::{Engine, TimerToken};
+pub use engine::Engine;
 pub use histogram::{Histogram, QuantileSketch};
 pub use metrics::Metrics;
 pub use rng::SimRng;

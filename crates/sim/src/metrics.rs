@@ -69,8 +69,6 @@ pub mod keys {
     /// Cumulative acks (standalone or piggybacked) that cleared at least
     /// one pending packet at the sender.
     pub const NET_ACK_CUMULATIVE: &str = "net.ack.cumulative";
-    /// Timing-wheel operations: timer inserts, cancels, and fires.
-    pub const NET_TIMER_WHEEL_OPS: &str = "net.timer.wheel_ops";
     /// WAL entries served per range anti-entropy reply (histogram).
     pub const CATCHUP_RANGE_LEN: &str = "catchup.range_len";
 
@@ -166,7 +164,6 @@ pub mod keys {
         NET_DROPPED_AT_DOWN_NODE,
         NET_BATCH_SIZE,
         NET_ACK_CUMULATIVE,
-        NET_TIMER_WHEEL_OPS,
         CATCHUP_RANGE_LEN,
         PAYLOAD_CLONES,
         PAYLOAD_CLONE_BYTES,
@@ -296,7 +293,6 @@ pub mod keys {
         fn batching_and_catchup_keys_are_registered() {
             assert!(is_registered(NET_BATCH_SIZE));
             assert!(is_registered(NET_ACK_CUMULATIVE));
-            assert!(is_registered(NET_TIMER_WHEEL_OPS));
             assert!(is_registered(CATCHUP_RANGE_LEN));
             assert!(is_registered("msg.batch"));
         }

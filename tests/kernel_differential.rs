@@ -1,13 +1,16 @@
-//! PR 8 kernel differentials: the rewritten hot structures must be
-//! observationally identical to the structures they replaced.
+//! Kernel differentials: the hot structures must be observationally
+//! identical to a reference that shares no code with them.
 //!
 //! Two layers, both driven by seeded histories:
 //!
-//! * **Event queue** — the timing-wheel engine versus a reference
-//!   `BinaryHeap` model of the old scheduler, through random mixes of
-//!   plain events, timers (incl. beyond-horizon delays that exercise the
-//!   calendar overflow), cancellations, and pops. The `(at, seq)` pop
-//!   order must match entry for entry.
+//! * **Event queue** — the engine (one `BinaryHeap` keyed `(at, seq)`)
+//!   versus an oracle that is not a heap: a plain unsorted `Vec` whose pop
+//!   is a linear scan for the smallest `(at, seq)`. Random mixes of single
+//!   schedules (1 µs – 4 000 s ahead), same-instant bursts, `pop`,
+//!   `pop_until`, `mc_pending` listings and `mc_take`, then a phase that
+//!   holds 20 000 events pending while scheduling 10 ms ahead — the shape
+//!   the 1024-node benchmark workloads give the queue. Every returned event
+//!   and the clock after every call must match.
 //! * **Full system** — chaos runs (random link faults, a crash/recovery
 //!   cycle) over the new kernel: the same seed must reproduce the exact
 //!   history twice, every replica pair must agree on every fragment
@@ -15,9 +18,6 @@
 //!   replica's dense store must digest identically to a `BTreeStore`
 //!   oracle rebuilt from its contents (old layout vs new layout on real
 //!   histories, not synthetic ones).
-
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
 
 use fragdb::core::{Notification, Submission, System, SystemConfig};
 use fragdb::model::{AgentId, FragmentCatalog, HistoryOp, NodeId, UserId};
@@ -29,107 +29,209 @@ const SEEDS: u64 = 20;
 
 // ---- event-queue differential -------------------------------------------
 
-/// Reference model of the pre-PR 8 scheduler: one binary heap ordered by
-/// `(at, seq)`, with cancelled timers surviving in the heap as tombstones
-/// that pops skip — exactly the lazy-deletion semantics the engine
-/// guarantees.
+/// Reference model of the scheduler: pending events in arrival order, the
+/// next one found by scanning. It stamps `seq` the way the engine does (one
+/// counter, one step per schedule), which `mc_pending` lets the test verify.
 #[derive(Default)]
-struct HeapModel {
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    dead: BTreeSet<u64>,
+struct ScanModel {
+    pending: Vec<(SimTime, u64, u32)>,
     now: SimTime,
+    next_seq: u64,
 }
 
-impl HeapModel {
-    fn schedule(&mut self, at: SimTime, seq: u64, payload: u32) {
-        self.heap.push(Reverse((at, seq, payload)));
+impl ScanModel {
+    fn schedule(&mut self, at: SimTime, payload: u32) {
+        self.pending.push((at, self.next_seq, payload));
+        self.next_seq += 1;
     }
 
-    fn cancel(&mut self, seq: u64) {
-        self.dead.insert(seq);
+    fn next_index(&self) -> Option<usize> {
+        let earliest = self.pending.iter().enumerate();
+        Some(earliest.min_by_key(|&(_, &(at, seq, _))| (at, seq))?.0)
     }
 
     fn pop(&mut self) -> Option<(SimTime, u32)> {
-        while let Some(Reverse((at, seq, payload))) = self.heap.pop() {
-            if self.dead.remove(&seq) {
-                continue;
+        let (at, _, payload) = self.pending.swap_remove(self.next_index()?);
+        self.now = at;
+        Some((at, payload))
+    }
+
+    fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, u32)> {
+        match self.next_index() {
+            Some(i) if self.pending[i].0 <= limit => self.pop(),
+            _ => {
+                self.now = self.now.max(limit);
+                None
             }
-            self.now = at;
-            return Some((at, payload));
         }
-        None
+    }
+
+    fn take(&mut self, seq: u64) -> Option<(SimTime, u32)> {
+        let i = self.pending.iter().position(|&(_, s, _)| s == seq)?;
+        let (at, _, payload) = self.pending.swap_remove(i);
+        self.now = self.now.max(at);
+        Some((self.now, payload))
+    }
+
+    fn sorted(&self) -> Vec<(SimTime, u64, u32)> {
+        let mut all = self.pending.clone();
+        all.sort_unstable();
+        all
     }
 }
 
-/// Drive the engine and the heap model through one seeded op mix and
-/// assert identical pop sequences. Delays span microseconds to nearly an
-/// hour — far past the wheel horizon, so level cascades and the calendar
-/// overflow both run.
+/// The engine and the model side by side; every call goes to both and
+/// asserts the same answer and the same clock.
+struct Pair {
+    eng: Engine<u32>,
+    model: ScanModel,
+    seed: u64,
+    payload: u32,
+}
+
+impl Pair {
+    fn schedule(&mut self, at: SimTime) {
+        self.model.schedule(at, self.payload);
+        self.eng.schedule_at(at, self.payload);
+        self.payload += 1;
+    }
+
+    fn check_clock(&self, what: &str) {
+        let seed = self.seed;
+        assert_eq!(
+            self.eng.now(),
+            self.model.now,
+            "seed {seed:#x}: clock after {what}"
+        );
+        assert_eq!(self.eng.pending(), self.model.pending.len());
+    }
+
+    fn pop(&mut self) {
+        let got = self.eng.pop();
+        assert_eq!(got, self.model.pop(), "seed {:#x}: pop diverged", self.seed);
+        self.check_clock("pop");
+    }
+
+    fn pop_until(&mut self, limit: SimTime) {
+        let got = self.eng.pop_until(limit);
+        let want = self.model.pop_until(limit);
+        assert_eq!(got, want, "seed {:#x}: pop_until({limit:?})", self.seed);
+        self.check_clock(if got.is_some() {
+            "pop_until hit"
+        } else {
+            "pop_until miss"
+        });
+    }
+
+    fn take(&mut self, seq: u64) {
+        let got = self.eng.mc_take(seq);
+        assert_eq!(
+            got,
+            self.model.take(seq),
+            "seed {:#x}: mc_take({seq})",
+            self.seed
+        );
+        self.check_clock("mc_take");
+    }
+
+    fn check_listing(&self) {
+        let listed: Vec<(SimTime, u64, u32)> = self
+            .eng
+            .mc_pending()
+            .into_iter()
+            .map(|(at, seq, &p)| (at, seq, p))
+            .collect();
+        assert_eq!(
+            listed,
+            self.model.sorted(),
+            "seed {:#x}: mc_pending",
+            self.seed
+        );
+    }
+}
+
+/// Longest delay drawn, in microseconds: the spectrum is 1 µs – 4 000 s.
+const SPECTRUM: u64 = 4_000_000_000;
+
+/// Drive the engine and the scan model through one seeded history.
 fn queue_history(seed: u64) {
     let mut rng = SimRng::new(seed);
-    let mut eng: Engine<u32> = Engine::new(seed);
-    let mut model = HeapModel::default();
-    // Outstanding cancellable timers: (model seq, engine token).
-    let mut timers = Vec::new();
-    let mut seq = 0u64;
-    let mut payload = 0u32;
-    let mut popped = 0u64;
+    let mut q = Pair {
+        eng: Engine::new(seed),
+        model: ScanModel::default(),
+        seed,
+        payload: 0,
+    };
 
-    for _ in 0..2_000 {
-        match rng.gen_range(0..10u64) {
-            // Plain event, near or far (past the 2^24-tick horizon).
-            0..=3 => {
-                let delay = SimDuration(rng.gen_range(1..4_000_000_000u64));
-                model.schedule(eng.now() + delay, seq, payload);
-                eng.schedule(delay, payload);
-                seq += 1;
-                payload += 1;
-            }
-            // Timer, same delay spectrum.
-            4..=5 => {
-                let delay = SimDuration(rng.gen_range(1..4_000_000_000u64));
-                model.schedule(eng.now() + delay, seq, payload);
-                let token = eng.schedule_timer(delay, payload);
-                timers.push((seq, token));
-                seq += 1;
-                payload += 1;
-            }
-            // Cancel a random outstanding timer.
-            6 => {
-                if !timers.is_empty() {
-                    let i = rng.gen_range(0..timers.len() as u64) as usize;
-                    let (mseq, token) = timers.swap_remove(i);
-                    model.cancel(mseq);
-                    assert!(eng.cancel_timer(token), "token was outstanding");
+    for op in 0..2_000 {
+        // Once, while the population is still a few hundred: take a random
+        // pending event out of order. The clock becomes `max(now, at)`,
+        // which can leave earlier events behind it; `pop` asserts the clock
+        // never runs backwards, so those are consumed the way a model
+        // checker consumes them — by further takes, in model order. The
+        // remaining 1 800 ops then run on the heap the takes rebuilt.
+        if op == 200 {
+            let pick = rng.gen_range(0..q.model.pending.len() as u64) as usize;
+            let victim = q.model.pending[pick].1;
+            q.take(victim);
+            q.check_listing();
+            assert_eq!(q.eng.mc_take(victim), None, "already taken");
+            for (at, seq, _) in q.model.sorted() {
+                if at >= q.model.now {
+                    break;
                 }
-            }
-            // Pop and compare.
-            _ => {
-                let got = eng.pop();
-                let want = model.pop();
-                assert_eq!(
-                    got, want,
-                    "seed {seed:#x}: pop #{popped} diverged from the heap model"
-                );
-                if let Some((_, p)) = got {
-                    popped += 1;
-                    // A fired timer may no longer be cancelled; `seq` and
-                    // `payload` advance in lockstep, so the payload
-                    // identifies which outstanding entry just fired.
-                    timers.retain(|&(mseq, _)| mseq != p as u64);
-                }
+                q.take(seq);
             }
         }
-    }
-    // Drain both to the end: the tails must agree too.
-    loop {
-        let got = eng.pop();
-        let want = model.pop();
-        assert_eq!(got, want, "seed {seed:#x}: drain diverged");
-        if got.is_none() {
-            break;
+        match rng.gen_range(0..100u64) {
+            0..=39 => q.schedule(q.eng.now() + SimDuration(rng.gen_range(1..SPECTRUM))),
+            // Same-instant burst: must come back FIFO by `seq`.
+            40..=44 => {
+                let at = q.eng.now() + SimDuration(rng.gen_range(1..SPECTRUM));
+                for _ in 0..rng.gen_range(2..51u64) {
+                    q.schedule(at);
+                }
+            }
+            // A horizon between now and the farthest pending instant, on a
+            // log scale so that it falls short of the next event (the miss
+            // path) about as often as it reaches it.
+            45..=54 => {
+                let now = q.eng.now();
+                let far = q.model.pending.iter().map(|e| e.0).max().unwrap_or(now);
+                let ahead = rng.gen_range(0..far.0 - now.0 + 1) >> rng.gen_range(0..32u64);
+                q.pop_until(now + SimDuration(ahead));
+            }
+            55 => q.check_listing(),
+            _ => q.pop(),
         }
     }
+
+    // A deep queue: top up to 20 000 pending across the whole spectrum,
+    // then pop while scheduling one or two events 10 ms ahead, as a message
+    // hop and its ack do.
+    while q.model.pending.len() < 20_000 {
+        q.schedule(q.eng.now() + SimDuration(rng.gen_range(1..SPECTRUM)));
+    }
+    for _ in 0..100 {
+        q.pop();
+        for _ in 0..rng.gen_range(1..3u64) {
+            q.schedule(q.eng.now() + SimDuration::from_millis(10));
+        }
+    }
+    assert!(q.model.pending.len() >= 20_000);
+    q.check_listing();
+
+    // Drain to the end: the tail must agree too. (Against the model's
+    // sorted listing: 20 000 linear scans of 20 000 would dominate the
+    // suite, and `check_listing` has just tied the two together.)
+    for (at, _, payload) in q.model.sorted() {
+        assert_eq!(
+            q.eng.pop(),
+            Some((at, payload)),
+            "seed {seed:#x}: drain diverged"
+        );
+    }
+    assert_eq!(q.eng.pop(), None);
 }
 
 #[test]
