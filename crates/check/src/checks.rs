@@ -646,7 +646,10 @@ pub fn check_self_heal(input: &CheckInput) -> Vec<Diagnostic> {
                     input.config.detector.detection_bound(),
                 ),
             )
-            .with_help("raise election_timeout to at least heartbeat_period * (suspect_after + 1)"),
+            .with_help(
+                "raise election_timeout to at least heartbeat_period * 4 \
+                 (3 missed beats + 1 period of skew)",
+            ),
         );
     }
     out

@@ -284,7 +284,7 @@ impl Code {
             }
             Code::Fdb053 => {
                 "The election timeout is shorter than the detector's own detection \
-                 bound — heartbeat_period × (suspect_after + 1), the time it takes to \
+                 bound — heartbeat_period × 4 (3 missed beats + 1), the time it takes to \
                  confirm a silent node (§5). A round that expires before the failure it \
                  reacts to can be confirmed restarts against the same silence, \
                  livelocking instead of recovering. Raise election_timeout to at least \

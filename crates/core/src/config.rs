@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use fragdb_model::FragmentId;
-use fragdb_net::{FaultConfig, RetransmitConfig};
+use fragdb_net::FaultConfig;
 use fragdb_sim::SimDuration;
 
 use crate::movement::MovePolicy;
@@ -64,12 +64,6 @@ impl BatchConfig {
         }
     }
 
-    /// Replace the linger bound (builder style).
-    pub fn with_linger(mut self, linger: SimDuration) -> Self {
-        self.linger = linger;
-        self
-    }
-
     /// Is group-commit batching on?
     pub fn enabled(&self) -> bool {
         self.window > 1
@@ -82,12 +76,15 @@ impl Default for BatchConfig {
     }
 }
 
+/// Consecutive missed heartbeats before a node raises a suspicion.
+pub(crate) const SUSPECT_AFTER: u32 = 3;
+
 /// Self-healing token recovery: heartbeat failure detection plus quorum
 /// election.
 ///
 /// When enabled, every node broadcasts a heartbeat each `heartbeat_period`
 /// over `ReliableNet`, and every node counts beats it should have seen
-/// from each peer. After `suspect_after` consecutive missed beats the
+/// from each peer. After three (`SUSPECT_AFTER`) consecutive missed beats the
 /// observer raises a suspicion; if the suspect is the token home of a
 /// fragment the observer replicates, the lowest-id live replica starts a
 /// majority vote among the fragment's replicas. Winning re-homes the token
@@ -103,8 +100,6 @@ impl Default for BatchConfig {
 pub struct DetectorConfig {
     /// Heartbeat broadcast period; `ZERO` disables the detector.
     pub heartbeat_period: SimDuration,
-    /// Consecutive missed heartbeats before raising a suspicion.
-    pub suspect_after: u32,
     /// How long an election waits for votes before aborting the round.
     pub election_timeout: SimDuration,
 }
@@ -114,7 +109,6 @@ impl DetectorConfig {
     pub fn off() -> Self {
         DetectorConfig {
             heartbeat_period: SimDuration::ZERO,
-            suspect_after: 3,
             election_timeout: SimDuration::from_secs(2),
         }
     }
@@ -126,12 +120,6 @@ impl DetectorConfig {
             heartbeat_period,
             ..DetectorConfig::off()
         }
-    }
-
-    /// Replace the missed-beat suspicion threshold (builder style).
-    pub fn with_suspect_after(mut self, suspect_after: u32) -> Self {
-        self.suspect_after = suspect_after;
-        self
     }
 
     /// Replace the election timeout (builder style).
@@ -148,9 +136,7 @@ impl DetectorConfig {
     /// Upper bound on detection latency: the suspicion threshold worth of
     /// heartbeat periods, plus one period of sampling skew.
     pub fn detection_bound(&self) -> SimDuration {
-        SimDuration::from_micros(
-            self.heartbeat_period.micros() * (u64::from(self.suspect_after) + 1),
-        )
+        SimDuration::from_micros(self.heartbeat_period.micros() * (u64::from(SUSPECT_AFTER) + 1))
     }
 }
 
@@ -178,8 +164,6 @@ pub struct SystemConfig {
     pub replica_sets: BTreeMap<FragmentId, std::collections::BTreeSet<fragdb_model::NodeId>>,
     /// Per-link fault injection (drop/duplicate/jitter); clean by default.
     pub faults: FaultConfig,
-    /// Reliable-layer retransmission timing.
-    pub retransmit: RetransmitConfig,
     /// Group-commit batching of the quasi broadcast (off by default).
     pub batch: BatchConfig,
     /// Self-healing token recovery (off by default).
@@ -199,7 +183,6 @@ impl SystemConfig {
             move_overrides: BTreeMap::new(),
             replica_sets: BTreeMap::new(),
             faults: FaultConfig::clean(),
-            retransmit: RetransmitConfig::default(),
             batch: BatchConfig::off(),
             detector: DetectorConfig::off(),
             seed,
@@ -228,12 +211,6 @@ impl SystemConfig {
     /// Inject link faults (builder style).
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Tune the reliable layer's retransmission timing (builder style).
-    pub fn with_retransmit(mut self, retransmit: RetransmitConfig) -> Self {
-        self.retransmit = retransmit;
         self
     }
 
@@ -311,8 +288,6 @@ mod tests {
         let idle = BatchConfig::flush_on_idle();
         assert!(idle.enabled());
         assert_eq!(idle.linger, SimDuration::ZERO);
-        let tuned = BatchConfig::window(4).with_linger(SimDuration::from_millis(1));
-        assert_eq!(tuned.linger, SimDuration::from_millis(1));
     }
 
     #[test]
@@ -322,13 +297,11 @@ mod tests {
         assert!(!c.detector.enabled());
 
         let d = DetectorConfig::period(SimDuration::from_millis(500))
-            .with_suspect_after(4)
             .with_election_timeout(SimDuration::from_secs(1));
         assert!(d.enabled());
-        assert_eq!(d.suspect_after, 4);
         assert_eq!(d.election_timeout, SimDuration::from_secs(1));
-        // 4 missed beats + 1 period of sampling skew at 500 ms each.
-        assert_eq!(d.detection_bound(), SimDuration::from_millis(2500));
+        // 3 missed beats + 1 period of sampling skew at 500 ms each.
+        assert_eq!(d.detection_bound(), SimDuration::from_millis(2000));
 
         let c = c.with_detector(d);
         assert!(c.detector.enabled());

@@ -6,11 +6,11 @@
 //! when the window fills, when the linger timer fires, or — always —
 //! before anything that must order after the batched commits (an agent
 //! move). A receiver unpacks the batch element by element through the
-//! ordinary install paths, so per-fragment `frag_seq` ordering, the
-//! hold-back queue, duplicate suppression, and telemetry's
-//! commit→install join are all unchanged; only the number of wire
-//! envelopes (and therefore acks and retransmission state) shrinks from
-//! O(commits × R) to O(batches × R).
+//! ordinary install paths — there is no batch-wide install — so
+//! per-fragment `frag_seq` ordering, the hold-back queue, duplicate
+//! suppression, and telemetry's commit→install join are all unchanged;
+//! only the number of wire envelopes (and therefore acks and
+//! retransmission state) shrinks from O(commits × R) to O(batches × R).
 //!
 //! Loss semantics mirror the reliable layer's volatile send buffer: a
 //! home crash discards its open batches exactly as it discards unacked
@@ -114,68 +114,8 @@ impl System {
         }
     }
 
-    /// Install a received batch at `node`.
-    ///
-    /// Fast path: when every element is valid and lands exactly in
-    /// `frag_seq` order, the whole batch hits the store and WAL in one
-    /// [`Replica::install_batch`] call (one WAL append), followed by the
-    /// shared per-element bookkeeping. Anything irregular — a stale
-    /// prefix, a gap, a NoPrep fragment — falls back to the ordinary
-    /// one-at-a-time install routing, which handles every edge case.
-    ///
-    /// [`Replica::install_batch`]: fragdb_storage::Replica::install_batch
-    pub(crate) fn install_batch_env(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        batch: Vec<QuasiTransaction>,
-    ) -> Vec<Notification> {
-        if self.batch_fast_path_ok(node, &batch) {
-            let fragment = batch[0].fragment;
-            self.nodes[node.0 as usize]
-                .replica
-                .install_batch(&batch, at);
-            let mut notes = Vec::new();
-            for quasi in batch {
-                notes.extend(self.post_install(at, node, quasi));
-            }
-            // A held-back successor may now be next, exactly as after a
-            // single in-order install.
-            notes.extend(self.drain_holdback(at, node, fragment));
-            notes
-        } else {
-            let mut notes = Vec::new();
-            for quasi in batch {
-                notes.extend(self.route_quasi_install(at, node, quasi));
-            }
-            notes
-        }
-    }
-
-    /// Is the contiguous single-append fast path safe for this batch here?
-    fn batch_fast_path_ok(&self, node: NodeId, batch: &[QuasiTransaction]) -> bool {
-        let Some(first) = batch.first() else {
-            return false;
-        };
-        let fragment = first.fragment;
-        if !self.move_policy_for(fragment).ordered_installs() {
-            return false;
-        }
-        let next = self.nodes[node.0 as usize]
-            .next_install
-            .get(&fragment)
-            .copied()
-            .unwrap_or(0);
-        batch.iter().enumerate().all(|(i, q)| {
-            q.fragment == fragment
-                && q.frag_seq == next + i as u64
-                && q.origin() != node
-                && q.validate_against(&self.catalog).is_ok()
-        })
-    }
-
     /// Route one quasi-transaction to the policy-appropriate install path
-    /// (shared by the `Quasi` arm and the batch fallback).
+    /// (shared by the `Quasi` arm and every element of a `Batch`).
     pub(crate) fn route_quasi_install(
         &mut self,
         at: SimTime,
@@ -187,5 +127,59 @@ impl System {
         } else {
             self.noprep_install(at, node, quasi)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use fragdb_model::{AgentId, FragmentCatalog, TxnId, Value};
+    use fragdb_net::Topology;
+    use fragdb_sim::SimDuration;
+
+    use crate::config::{BatchConfig, SystemConfig};
+
+    use super::*;
+
+    /// An entry held back because it arrived before its predecessor by
+    /// another route (a `SeqReply`, say) must not be stranded when a
+    /// `Batch` covering it arrives contiguous from `next_install`: the held
+    /// copy installs as soon as it is next, and the batch's copy is a
+    /// duplicate.
+    #[test]
+    fn batch_covering_a_held_back_entry_strands_nothing() {
+        let mut b = FragmentCatalog::builder();
+        let (f, objs) = b.add_fragment("F0", 3);
+        let mut sys = System::build(
+            Topology::full_mesh(3, SimDuration::from_millis(10)),
+            b.build(),
+            vec![(f, AgentId::Node(NodeId(0)), NodeId(0))],
+            SystemConfig::unrestricted(42).with_batching(BatchConfig::window(8)),
+        )
+        .expect("builds");
+        let quasi = |seq: u64| QuasiTransaction {
+            txn: TxnId::new(NodeId(0), seq),
+            fragment: f,
+            frag_seq: seq,
+            epoch: 0,
+            updates: vec![(objs[seq as usize], Value::Int(seq as i64))].into(),
+        };
+        sys.nodes[1]
+            .holdback
+            .entry(f)
+            .or_default()
+            .insert(1, quasi(1));
+        let batch = (0..=2).map(quasi).collect();
+        sys.dispatch(
+            SimTime::from_millis(1),
+            NodeId(0),
+            NodeId(1),
+            Envelope::Batch { batch },
+        );
+        let slot = &sys.nodes[1];
+        let held: usize = slot.holdback.values().map(|hb| hb.len()).sum();
+        assert_eq!(held, 0, "a held-back entry was stranded");
+        assert_eq!(sys.engine.metrics.counter(keys::INSTALL_DUPLICATE), 1);
+        assert_eq!(slot.replica.wal().len(), 3);
+        assert_eq!(slot.next_install[&f], 3);
     }
 }

@@ -291,7 +291,6 @@ impl System {
         // The home already has the data; ordered installation at the home
         // resumes from the next sequence number.
         slot.next_install.insert(fragment, frag_seq + 1);
-        self.commit_times.insert((fragment, epoch, frag_seq), at);
 
         if self.engine.telemetry.is_enabled() {
             let cause = Self::cid(fragment, epoch, frag_seq);

@@ -7,7 +7,9 @@
 //!   not to install updates from T2 until those from T1 have been
 //!   installed").
 //! * [`System::do_install`] — the actual installation: replica + WAL +
-//!   history + staleness metrics + the §4.4.2B move-completion check.
+//!   history + telemetry + the crash-recovery and §4.4.2B completion
+//!   checks. Every install path ends here, each element of a `Batch`
+//!   envelope included.
 //!
 //! The §4.4.3 path lives in `moves.rs` (it is intertwined with `M0`
 //! processing).
@@ -70,21 +72,9 @@ impl System {
             });
             return Vec::new();
         }
-        // quasi.frag_seq == *next: install it, then drain the hold-back.
+        // quasi.frag_seq == *next: install it, then every held-back
+        // successor that is now next in `frag_seq` order.
         let mut notes = self.do_install(at, node, quasi);
-        notes.extend(self.drain_holdback(at, node, fragment));
-        notes
-    }
-
-    /// Install every held-back quasi-transaction that is now next in
-    /// `frag_seq` order at `node` (after an in-order install or a batch).
-    pub(crate) fn drain_holdback(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        fragment: fragdb_model::FragmentId,
-    ) -> Vec<Notification> {
-        let mut notes = Vec::new();
         loop {
             let slot = &mut self.nodes[node.0 as usize];
             let Some(&next) = slot.next_install.get(&fragment) else {
@@ -103,8 +93,8 @@ impl System {
     }
 
     /// Unconditionally install `quasi` at `node`: replica + WAL write,
-    /// history install records, staleness metric, notifications, and the
-    /// §4.4.2B "caught up yet?" check.
+    /// sequence bookkeeping, history install records, telemetry,
+    /// notifications, and the recovery / §4.4.2B "caught up yet?" checks.
     pub(crate) fn do_install(
         &mut self,
         at: SimTime,
@@ -114,24 +104,8 @@ impl System {
         // `quasi.origin() == node` is legitimate here: a home that crashed
         // between `Prepare` and its local commit re-installs its own entry
         // during catch-up after an elected successor resurrected it.
-        self.nodes[node.0 as usize]
-            .replica
-            .install_quasi(&quasi, at);
-        self.post_install(at, node, quasi)
-    }
-
-    /// Everything an installation does *besides* the replica/WAL write:
-    /// sequence bookkeeping, history records, staleness metrics,
-    /// telemetry, and the recovery / §4.4.2B completion checks. The batch
-    /// fast path writes a whole batch to the replica in one call and then
-    /// runs this per element.
-    pub(crate) fn post_install(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        quasi: QuasiTransaction,
-    ) -> Vec<Notification> {
         let slot = &mut self.nodes[node.0 as usize];
+        slot.replica.install_quasi(&quasi, at);
         slot.next_install.insert(quasi.fragment, quasi.frag_seq + 1);
         // Prune any staged copy of this transaction: once installed, the
         // stage is redundant, and leaving it would let a later
@@ -142,14 +116,6 @@ impl System {
         for (object, _) in &quasi.updates {
             self.history
                 .record_install(node, quasi.txn, ttype, *object, at);
-        }
-        if let Some(&committed) =
-            self.commit_times
-                .get(&(quasi.fragment, quasi.epoch, quasi.frag_seq))
-        {
-            self.engine
-                .metrics
-                .observe(keys::LATENCY_PROPAGATION, (at - committed).micros());
         }
         self.engine.metrics.incr(keys::INSTALL_COUNT);
         let cause = Self::cid(quasi.fragment, quasi.epoch, quasi.frag_seq);

@@ -332,8 +332,6 @@ pub struct System {
     pub(crate) recovering: BTreeMap<(NodeId, FragmentId), (u64, SimTime)>,
     pub(crate) next_txn_seq: Vec<u64>,
     pub(crate) pending: BTreeMap<TxnId, Pending>,
-    /// Commit times per (fragment, epoch, frag_seq), for staleness metrics.
-    pub(crate) commit_times: BTreeMap<(FragmentId, u64, u64), SimTime>,
     pub(crate) move_state: BTreeMap<FragmentId, MoveState>,
     pub(crate) queued: BTreeMap<FragmentId, VecDeque<QueuedSub>>,
     /// §4.4.1: at most one majority commit in flight per fragment.
@@ -476,9 +474,7 @@ impl System {
             move_policy: config.move_policy,
             strategy_overrides: config.strategy_overrides,
             move_overrides: config.move_overrides,
-            net: ReliableNet::new(topology)
-                .with_faults(config.faults)
-                .with_retransmit(config.retransmit),
+            net: ReliableNet::new(topology).with_faults(config.faults),
             tokens,
             nodes,
             down: BTreeSet::new(),
@@ -486,7 +482,6 @@ impl System {
             recovering: BTreeMap::new(),
             next_txn_seq: vec![0; n as usize],
             pending: BTreeMap::new(),
-            commit_times: BTreeMap::new(),
             move_state: BTreeMap::new(),
             queued: BTreeMap::new(),
             majority_inflight: BTreeMap::new(),
@@ -509,7 +504,7 @@ impl System {
             for i in 0..n {
                 let mut d = FailureDetector::new(
                     system.detector_cfg.heartbeat_period,
-                    system.detector_cfg.suspect_after,
+                    crate::config::SUSPECT_AFTER,
                 );
                 for peer in system.monitor_peers(NodeId(i)) {
                     d.track(peer, SimTime::ZERO);
@@ -775,7 +770,11 @@ impl System {
     ) -> Vec<Notification> {
         match env {
             Envelope::Quasi { quasi } => self.route_quasi_install(at, to, quasi),
-            Envelope::Batch { batch } => self.install_batch_env(at, to, batch),
+            // Element by element, each as if it had arrived alone.
+            Envelope::Batch { batch } => batch
+                .into_iter()
+                .flat_map(|quasi| self.route_quasi_install(at, to, quasi))
+                .collect(),
             Envelope::Prepare { quasi } => self.on_prepare(at, from, to, quasi),
             Envelope::CommitCmd { txn, fragment } => {
                 self.on_commit_cmd(at, from, to, txn, fragment)
@@ -1384,7 +1383,7 @@ impl System {
             // timestamps cannot produce instant suspicions.
             let mut d = FailureDetector::new(
                 self.detector_cfg.heartbeat_period,
-                self.detector_cfg.suspect_after,
+                crate::config::SUSPECT_AFTER,
             );
             for peer in self.monitor_peers(node) {
                 d.track(peer, at);

@@ -447,7 +447,6 @@ impl System {
                 payload.clone(),
                 at,
             );
-            self.commit_times.insert((fragment, epoch, frag_seq), at);
             if self.engine.telemetry.is_enabled() {
                 let cause = Self::cid(fragment, epoch, frag_seq);
                 self.engine.emit(|| TelemetryEvent::Committed {

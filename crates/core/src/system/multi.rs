@@ -296,8 +296,6 @@ impl System {
             at,
         );
         slot.next_install.insert(fragment, stage.frag_seq + 1);
-        self.commit_times
-            .insert((fragment, stage.epoch, stage.frag_seq), at);
         if self.engine.telemetry.is_enabled() {
             let cause = Self::cid(fragment, stage.epoch, stage.frag_seq);
             self.engine.emit(|| TelemetryEvent::Committed {

@@ -55,8 +55,6 @@ pub use detector::FailureDetector;
 pub use fault::{FaultConfig, FaultPlan};
 pub use linkstate::LinkState;
 pub use partition::{NetworkChange, PartitionSchedule};
-pub use reliable::{
-    NetAction, Pkt, PktDelivery, ReliableNet, ReliableStats, RetransmitConfig, RetransmitTimer,
-};
+pub use reliable::{NetAction, Pkt, PktDelivery, ReliableNet, ReliableStats, RetransmitTimer};
 pub use topology::{RouteCache, Topology};
 pub use transport::{Delivery, Transport, TransportStats};

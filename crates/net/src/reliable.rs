@@ -125,25 +125,12 @@ pub enum NetAction<M> {
     Timer(SimTime, RetransmitTimer),
 }
 
-/// Retransmission timing knobs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetransmitConfig {
-    /// Delay before the first retransmission of an unacked packet.
-    pub rto: SimDuration,
-    /// Cap on the exponentially backed-off retransmission interval. Also
-    /// bounds how long after a partition heals a blocked packet gets
-    /// through.
-    pub max_rto: SimDuration,
-}
-
-impl Default for RetransmitConfig {
-    fn default() -> Self {
-        RetransmitConfig {
-            rto: SimDuration::from_millis(200),
-            max_rto: SimDuration::from_millis(3_200),
-        }
-    }
-}
+/// Delay before the first retransmission of an unacked window (200 ms).
+const RTO: SimDuration = SimDuration(200_000);
+/// Cap on the exponentially backed-off retransmission interval (3.2 s).
+/// Also bounds how long after a partition heals a blocked packet gets
+/// through.
+const MAX_RTO: SimDuration = SimDuration(3_200_000);
 
 /// Counters describing reliable-layer activity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -230,7 +217,6 @@ impl<M> Default for Stream<M> {
 pub struct ReliableNet<M> {
     wire: Wire,
     faults: FaultConfig,
-    rcfg: RetransmitConfig,
     /// Every directed stream that has carried anything, keyed `(from, to)`.
     streams: BTreeMap<(NodeId, NodeId), Stream<M>>,
     stats: ReliableStats,
@@ -242,7 +228,6 @@ impl<M: Clone> ReliableNet<M> {
         ReliableNet {
             wire: Wire::new(topo),
             faults: FaultConfig::clean(),
-            rcfg: RetransmitConfig::default(),
             streams: BTreeMap::new(),
             stats: ReliableStats::default(),
         }
@@ -251,12 +236,6 @@ impl<M: Clone> ReliableNet<M> {
     /// Install a fault configuration (builder form).
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Install retransmission timing (builder form).
-    pub fn with_retransmit(mut self, rcfg: RetransmitConfig) -> Self {
-        self.rcfg = rcfg;
         self
     }
 
@@ -361,13 +340,7 @@ impl<M: Clone> ReliableNet<M> {
     /// timer firings.
     fn backoff(&self, attempt: u32) -> SimDuration {
         let shift = attempt.min(20);
-        SimDuration(
-            self.rcfg
-                .rto
-                .0
-                .saturating_mul(1u64 << shift)
-                .min(self.rcfg.max_rto.0),
-        )
+        SimDuration(RTO.0.saturating_mul(1u64 << shift).min(MAX_RTO.0))
     }
 
     /// Accept an application message for delivery. Returns the actions to
@@ -406,7 +379,7 @@ impl<M: Clone> ReliableNet<M> {
         self.transmit(now, from, to, Pkt::Data { id, ack, msg }, rng, &mut out);
         if arm {
             out.push(NetAction::Timer(
-                now + self.rcfg.rto,
+                now + RTO,
                 RetransmitTimer { from, to, gen },
             ));
         }

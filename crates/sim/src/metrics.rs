@@ -122,8 +122,6 @@ pub mod keys {
     pub const LATENCY_COMMIT: &str = "latency.commit";
     /// Crash→caught-up latency (µs).
     pub const LATENCY_RECOVERY: &str = "latency.recovery";
-    /// Commit→install propagation latency (µs), all fragments pooled.
-    pub const LATENCY_PROPAGATION: &str = "latency.propagation";
     /// Queued-behind-a-move wait (µs).
     pub const LATENCY_MOVE_WAIT: &str = "latency.move_wait";
 
@@ -189,7 +187,6 @@ pub mod keys {
         ALLOC_MSGS_PER_COMMIT,
         LATENCY_COMMIT,
         LATENCY_RECOVERY,
-        LATENCY_PROPAGATION,
         LATENCY_MOVE_WAIT,
         TELEMETRY_SPANS_TRUNCATED,
         OBS_CRITICAL_PATH_LEN,

@@ -8,8 +8,8 @@
 //! machinery around it:
 //!
 //! * [`store`] — the versioned object store (one [`store::Store`] per node).
-//! * [`wal`] — an append-only log of every installed transaction, with
-//!   per-fragment indices. The movement protocols of §4.4 and the
+//! * [`wal`] — an append-only log of every installed transaction and each
+//!   fragment's positions in it. The movement protocols of §4.4 and the
 //!   log-transformation baseline both recover from it.
 //! * [`locks`] — a shared/exclusive lock manager with FIFO wait queues and
 //!   waits-for deadlock detection. Strategy 4.1 ("fixed agents; read

@@ -71,40 +71,18 @@ impl Replica {
     /// updates … reflecting the desired effects" (§3.2). Within the
     /// discrete-event simulation one install call is atomic, which realizes
     /// the paper's requirement that no reader ever sees a partial
-    /// quasi-transaction (Property 2 of §4.3).
+    /// quasi-transaction (Property 2 of §4.3). The store and the WAL record
+    /// it exactly as its home's [`Replica::commit_local`] did; a
+    /// group-commit batch is installed one element at a time, in order.
     pub fn install_quasi(&mut self, q: &QuasiTransaction, at: SimTime) {
-        for (o, v) in &q.updates {
-            self.store.put(*o, v.clone(), q.txn, at);
-        }
-        self.wal.append(WalEntry {
-            txn: q.txn,
-            fragment: q.fragment,
-            frag_seq: q.frag_seq,
-            epoch: q.epoch,
-            updates: q.updates.clone(),
-            installed_at: at,
-        });
-    }
-
-    /// Install a group-commit batch of remote quasi-transactions: all
-    /// values hit the store, then the WAL records the whole batch through
-    /// one [`Wal::append_batch`] call (the storage half of group commit —
-    /// one log reservation instead of one per transaction). Equivalent to
-    /// calling [`Replica::install_quasi`] on each element in order.
-    pub fn install_batch(&mut self, batch: &[QuasiTransaction], at: SimTime) {
-        for q in batch {
-            for (o, v) in &q.updates {
-                self.store.put(*o, v.clone(), q.txn, at);
-            }
-        }
-        self.wal.append_batch(batch.iter().map(|q| WalEntry {
-            txn: q.txn,
-            fragment: q.fragment,
-            frag_seq: q.frag_seq,
-            epoch: q.epoch,
-            updates: q.updates.clone(),
-            installed_at: at,
-        }));
+        self.commit_local(
+            q.txn,
+            q.fragment,
+            q.frag_seq,
+            q.epoch,
+            q.updates.clone(),
+            at,
+        );
     }
 
     /// Highest fragment sequence number installed here for `fragment`.
@@ -247,34 +225,6 @@ mod tests {
         let snap = x.snapshot(&objs);
         y.restore(&snap, t(0, 0), SimTime(2));
         assert_eq!(x.digest(&objs), y.digest(&objs));
-    }
-
-    #[test]
-    fn install_batch_equals_one_by_one_installs() {
-        let mut batched = Replica::new(NodeId(1));
-        let mut serial = Replica::new(NodeId(2));
-        let batch: Vec<QuasiTransaction> = (0..4)
-            .map(|i| {
-                quasi(
-                    t(0, i),
-                    i,
-                    vec![(o(i % 2), Value::Int(i as i64)), (o(9), Value::Int(-1))],
-                )
-            })
-            .collect();
-        batched.install_batch(&batch, SimTime(7));
-        for q in &batch {
-            serial.install_quasi(q, SimTime(7));
-        }
-        let objs = [o(0), o(1), o(9)];
-        assert_eq!(batched.digest(&objs), serial.digest(&objs));
-        assert_eq!(batched.wal().entries(), serial.wal().entries());
-        assert_eq!(batched.last_frag_seq(FragmentId(0)), Some(3));
-        // Index paths agree after a batched append too.
-        assert_eq!(
-            batched.wal().fragment_range(FragmentId(0), 1, 2),
-            batched.wal().fragment_range_scan(FragmentId(0), 1, 2)
-        );
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //!
 //! and it is what the log-transformation baseline exchanges after a
 //! partition heals.
+//!
+//! The log is its entries plus each fragment's positions in installation
+//! order, so an append is two pushes. The questions above, asked only on
+//! recovery and movement paths, walk one fragment's positions or the log
+//! backwards (DESIGN.md §3d).
 
 use std::collections::BTreeMap;
 
@@ -37,20 +42,12 @@ pub struct WalEntry {
     pub installed_at: SimTime,
 }
 
-/// Append-only installation log with a per-fragment index.
+/// Append-only installation log with a per-fragment position list.
 #[derive(Clone, Debug, Default)]
 pub struct Wal {
     entries: Vec<WalEntry>,
     /// `fragment -> indices into entries`, in installation order.
     by_fragment: BTreeMap<FragmentId, Vec<usize>>,
-    /// `fragment -> frag_seq -> indices into entries`. §4.4.3 installs out
-    /// of `frag_seq` order, so an ordered map (not a sorted `Vec` + binary
-    /// search over `by_fragment`) is what keeps range queries correct; the
-    /// inner `Vec` preserves installation order for same-seq re-installs
-    /// under different epochs.
-    seq_index: BTreeMap<FragmentId, BTreeMap<u64, Vec<usize>>>,
-    /// `object -> index of the last entry (installation order) writing it`.
-    last_writer: BTreeMap<ObjectId, usize>,
 }
 
 impl Wal {
@@ -61,33 +58,11 @@ impl Wal {
 
     /// Append an entry.
     pub fn append(&mut self, entry: WalEntry) {
-        let idx = self.entries.len();
         self.by_fragment
             .entry(entry.fragment)
             .or_default()
-            .push(idx);
-        self.seq_index
-            .entry(entry.fragment)
-            .or_default()
-            .entry(entry.frag_seq)
-            .or_default()
-            .push(idx);
-        for (o, _) in &entry.updates {
-            self.last_writer.insert(*o, idx);
-        }
+            .push(self.entries.len());
         self.entries.push(entry);
-    }
-
-    /// Append a group-commit batch of entries in one call. One reservation
-    /// covers the whole batch (a single "group fsync" in a disk-backed
-    /// log); each entry is then indexed exactly as [`Wal::append`] would.
-    pub fn append_batch(&mut self, batch: impl IntoIterator<Item = WalEntry>) {
-        let batch = batch.into_iter();
-        let (lo, _) = batch.size_hint();
-        self.entries.reserve(lo);
-        for entry in batch {
-            self.append(entry);
-        }
     }
 
     /// All entries, installation order.
@@ -116,56 +91,25 @@ impl Wal {
 
     /// Highest `frag_seq` installed for `fragment`, or `None`.
     pub fn last_frag_seq(&self, fragment: FragmentId) -> Option<u64> {
-        self.seq_index
-            .get(&fragment)
-            .and_then(|seqs| seqs.keys().next_back().copied())
-    }
-
-    /// Has a transaction with this `frag_seq` on `fragment` been installed?
-    pub fn has_frag_seq(&self, fragment: FragmentId, frag_seq: u64) -> bool {
-        self.seq_index
-            .get(&fragment)
-            .is_some_and(|seqs| seqs.contains_key(&frag_seq))
+        self.fragment_entries(fragment).map(|e| e.frag_seq).max()
     }
 
     /// Entries on `fragment` with `frag_seq` in the given inclusive range,
-    /// ordered by `frag_seq` (catch-up transfer for §4.4.1 / §4.4.2B).
+    /// ordered by `frag_seq` (catch-up transfer for §4.4.1 / §4.4.2B). The
+    /// sort is stable: same-seq entries keep their installation order.
     pub fn fragment_range(&self, fragment: FragmentId, from: u64, to: u64) -> Vec<&WalEntry> {
-        if from > to {
-            return Vec::new();
-        }
-        self.seq_index
-            .get(&fragment)
-            .into_iter()
-            .flat_map(|seqs| seqs.range(from..=to))
-            .flat_map(|(_, idxs)| idxs.iter().map(|&i| &self.entries[i]))
-            .collect()
+        let mut out: Vec<&WalEntry> = self
+            .fragment_entries(fragment)
+            .filter(|e| (from..=to).contains(&e.frag_seq))
+            .collect();
+        out.sort_by_key(|e| e.frag_seq);
+        out
     }
 
     /// The last transaction (by installation order at this node) that wrote
     /// `object`, if any — used by §4.4.3 to decide whether a late update has
     /// been overwritten.
     pub fn last_writer_of(&self, object: ObjectId) -> Option<&WalEntry> {
-        self.last_writer.get(&object).map(|&i| &self.entries[i])
-    }
-
-    /// Scan-based reference implementation of [`Wal::fragment_range`]: walk
-    /// the whole log, filter, sort — touching no index at all. Retained as
-    /// the oracle the indexed path is tested against; production code
-    /// should use `fragment_range`.
-    pub fn fragment_range_scan(&self, fragment: FragmentId, from: u64, to: u64) -> Vec<&WalEntry> {
-        let mut out: Vec<&WalEntry> = self
-            .entries
-            .iter()
-            .filter(|e| e.fragment == fragment && (from..=to).contains(&e.frag_seq))
-            .collect();
-        out.sort_by_key(|e| e.frag_seq);
-        out
-    }
-
-    /// Scan-based reference implementation of [`Wal::last_writer_of`]
-    /// (reverse scan over every entry) — oracle / bench "before" arm.
-    pub fn last_writer_of_scan(&self, object: ObjectId) -> Option<&WalEntry> {
         self.entries
             .iter()
             .rev()
@@ -221,8 +165,6 @@ mod tests {
         w.append(entry(0, 0, 10, 1));
         w.append(entry(0, 2, 10, 2)); // gap: seq 1 missing
         assert_eq!(w.last_frag_seq(FragmentId(0)), Some(2));
-        assert!(w.has_frag_seq(FragmentId(0), 2));
-        assert!(!w.has_frag_seq(FragmentId(0), 1));
     }
 
     #[test]
@@ -276,12 +218,11 @@ mod tests {
         let mut w = Wal::new();
         w.append(entry(0, 2, 10, 1));
         assert!(w.fragment_range(FragmentId(0), 3, 1).is_empty());
-        assert!(w.fragment_range_scan(FragmentId(0), 3, 1).is_empty());
     }
 
     /// Seeded pseudo-random log (out-of-order seqs, duplicate seqs across
-    /// epochs, overlapping write sets): the indexed lookups must agree with
-    /// the scan oracles on every query.
+    /// epochs, overlapping write sets): every lookup must meet its
+    /// specification, stated over `entries()` alone.
     #[test]
     fn indexed_lookups_agree_with_scan_oracles() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -310,35 +251,62 @@ mod tests {
                 installed_at: SimTime(i),
             });
         }
+        // `installed_at` is each entry's position in `entries()`.
+        let pos = |e: &WalEntry| e.installed_at.0 as usize;
+        let log = w.entries();
+        assert!(log.iter().enumerate().all(|(i, e)| pos(e) == i));
+        let writes = |e: &WalEntry, o: ObjectId| e.updates.iter().any(|(x, _)| *x == o);
+
         for frag in 0..4u32 {
             let f = FragmentId(frag);
             for from in 0..42u64 {
                 for span in [0u64, 1, 5, 40] {
                     let to = from.saturating_add(span);
+                    let got = w.fragment_range(f, from, to);
+                    let in_range =
+                        |e: &WalEntry| e.fragment == f && (from..=to).contains(&e.frag_seq);
+                    let ctx = format!("frag={frag} from={from} to={to}");
+                    assert!(got.iter().all(|e| in_range(e)), "foreign entry, {ctx}");
                     assert_eq!(
-                        w.fragment_range(f, from, to),
-                        w.fragment_range_scan(f, from, to),
-                        "range mismatch frag={frag} from={from} to={to}"
+                        got.len(),
+                        log.iter().filter(|e| in_range(e)).count(),
+                        "missing entry, {ctx}"
                     );
+                    // Strictly increasing on (seq, position): sorted by seq,
+                    // same-seq entries in log order, and no entry twice —
+                    // which with the count above makes `got` every match.
+                    for pair in got.windows(2) {
+                        assert!(
+                            (pair[0].frag_seq, pos(pair[0])) < (pair[1].frag_seq, pos(pair[1])),
+                            "order, {ctx}"
+                        );
+                    }
                 }
-                assert_eq!(
-                    w.has_frag_seq(f, from),
-                    w.fragment_entries(f).any(|e| e.frag_seq == from),
-                    "has_frag_seq mismatch frag={frag} seq={from}"
-                );
             }
-            assert_eq!(
-                w.last_frag_seq(f),
-                w.fragment_entries(f).map(|e| e.frag_seq).max(),
-                "last_frag_seq mismatch frag={frag}"
-            );
+            let seqs = || log.iter().filter(|e| e.fragment == f).map(|e| e.frag_seq);
+            match w.last_frag_seq(f) {
+                Some(last) => {
+                    assert!(seqs().all(|s| s <= last), "below max, frag={frag}");
+                    assert!(seqs().any(|s| s == last), "not installed, frag={frag}");
+                }
+                None => assert_eq!(seqs().count(), 0, "fragment has entries, frag={frag}"),
+            }
         }
         for obj in 0..22u64 {
-            assert_eq!(
-                w.last_writer_of(ObjectId(obj)),
-                w.last_writer_of_scan(ObjectId(obj)),
-                "last_writer mismatch obj={obj}"
-            );
+            let o = ObjectId(obj);
+            match w.last_writer_of(o) {
+                Some(e) => {
+                    assert!(writes(e, o), "does not write, obj={obj}");
+                    assert!(
+                        !log[pos(e) + 1..].iter().any(|later| writes(later, o)),
+                        "a later entry writes, obj={obj}"
+                    );
+                }
+                None => assert!(
+                    !log.iter().any(|e| writes(e, o)),
+                    "writer missed, obj={obj}"
+                ),
+            }
         }
     }
 }

@@ -1,12 +1,18 @@
-//! Golden-trace determinism: the performance work (Arc-shared payloads,
-//! incremental checkers, indexed WAL) must not perturb execution.
+//! Golden-trace determinism: the performance and simplicity work
+//! (Arc-shared payloads, incremental checkers, the WAL's one index, the
+//! one install path) must not perturb execution.
 //!
-//! Two independent runs of the same seeded configuration must produce
-//! byte-identical telemetry exports and histories (hashed with FNV-1a), and
-//! the incremental analyzer — the "new path" — must return the exact
-//! same verdict as the batch oracle on every recorded history. The
-//! checkers are post-hoc, so any divergence here means the optimization
-//! changed observable behaviour, not just speed.
+//! Each seeded configuration is fingerprinted three ways (FNV-1a): its
+//! telemetry export, its recorded history, and every replica's WAL in log
+//! order (`txn fragment epoch frag_seq` per entry, node by node). The
+//! three hashes are pinned to constants, so a refactor that changes what
+//! runs, what is recorded or what is logged fails here even when it is
+//! deterministic; a second run of the same seed must reproduce them, and
+//! the incremental analyzer — the "new path" — must return the exact same
+//! verdict as the batch oracle on every recorded history. The checkers are
+//! post-hoc, so any divergence here means a change altered observable
+//! behaviour, not just speed. A change that means to alter it re-pins the
+//! constants and says why.
 
 use fragdb::core::{Submission, System, SystemConfig};
 use fragdb::model::{AgentId, FragmentCatalog, FragmentId, NodeId, ObjectId, UserId};
@@ -30,11 +36,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The run's fingerprint: a hash of the telemetry stream's JSONL export
-/// and a hash of the recorded history, plus both checkers' verdicts.
+/// The run's fingerprint: hashes of the telemetry stream's JSONL export,
+/// of the recorded history and of every replica's WAL, plus both
+/// checkers' verdicts.
 struct Fingerprint {
     trace_hash: u64,
     history_hash: u64,
+    wal_hash: u64,
     trace_len: usize,
     ops: usize,
     batch: fragdb::graphs::Verdict,
@@ -49,11 +57,22 @@ fn fingerprint(mut sys: System, limit: SimTime) -> Fingerprint {
     for op in sys.history.ops() {
         h.push_str(&format!("{op:?}\n"));
     }
+    let mut wal = String::new();
+    for n in 0..sys.node_count() {
+        wal.push_str(&format!("node {n}\n"));
+        for e in sys.replica(NodeId(n)).wal().entries() {
+            wal.push_str(&format!(
+                "{}.{} {} {} {}\n",
+                e.txn.origin.0, e.txn.seq, e.fragment.0, e.epoch, e.frag_seq
+            ));
+        }
+    }
     let batch = fragdb::graphs::analyze(&sys.history);
     let incremental = fragdb::graphs::IncrementalAnalyzer::from_history(&sys.history).verdict();
     Fingerprint {
         trace_hash: fnv1a(rendered.as_bytes()),
         history_hash: fnv1a(h.as_bytes()),
+        wal_hash: fnv1a(wal.as_bytes()),
         trace_len: sys.engine.telemetry.len(),
         ops: sys.history.len(),
         batch,
@@ -193,7 +212,21 @@ fn sweep_system(seed: u64) -> (System, SimTime) {
     (sys, horizon + SimDuration::from_secs(300))
 }
 
-fn assert_golden(build: impl Fn(u64) -> (System, SimTime), label: &str) {
+/// `(trace_hash, history_hash, wal_hash)` at `GOLDEN_SEED`.
+type Pinned = (u64, u64, u64);
+
+const CHAOS_PINNED: Pinned = (
+    0x83AC_89FB_A431_1C51,
+    0xEFB2_2B98_ED23_7752,
+    0x39E1_A1CE_912E_0EF1,
+);
+const SWEEP_PINNED: Pinned = (
+    0x9B3F_D9F5_4DBF_C5F6,
+    0xB7DF_5AB0_01C6_69C9,
+    0x0049_3739_783B_0197,
+);
+
+fn assert_golden(build: impl Fn(u64) -> (System, SimTime), pinned: Pinned, label: &str) {
     let (sys_a, limit_a) = build(GOLDEN_SEED);
     let (sys_b, limit_b) = build(GOLDEN_SEED);
     let a = fingerprint(sys_a, limit_a);
@@ -201,12 +234,14 @@ fn assert_golden(build: impl Fn(u64) -> (System, SimTime), label: &str) {
     assert!(a.trace_len > 0, "{label}: trace captured nothing");
     assert!(a.ops > 0, "{label}: history is empty");
     assert_eq!(
-        a.trace_hash, b.trace_hash,
-        "{label}: same seed must replay the identical event trace"
+        (a.trace_hash, a.history_hash, a.wal_hash),
+        pinned,
+        "{label}: seed {GOLDEN_SEED} must replay the pinned trace, history and WAL"
     );
     assert_eq!(
-        a.history_hash, b.history_hash,
-        "{label}: same seed must record the identical history"
+        (b.trace_hash, b.history_hash, b.wal_hash),
+        pinned,
+        "{label}: a second run of the same seed must replay them too"
     );
     assert!(
         a.incremental.agrees_with(&a.batch),
@@ -216,12 +251,12 @@ fn assert_golden(build: impl Fn(u64) -> (System, SimTime), label: &str) {
 
 #[test]
 fn chaos_trace_is_golden_at_seed_42() {
-    assert_golden(chaos_system, "chaos");
+    assert_golden(chaos_system, CHAOS_PINNED, "chaos");
 }
 
 #[test]
 fn sweep_trace_is_golden_at_seed_42() {
-    assert_golden(sweep_system, "sweep");
+    assert_golden(sweep_system, SWEEP_PINNED, "sweep");
 }
 
 #[test]
