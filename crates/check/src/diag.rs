@@ -307,9 +307,9 @@ impl Code {
                  smaller. The extra replica therefore adds one broadcast message per \
                  commit and one more node that can be down, while tolerating no \
                  additional failures: 4 replicas and 3 replicas both survive exactly \
-                 one. Shrink to the odd size (the fragment allocator's replication \
-                 factor does this automatically) or grow by two if more tolerance is \
-                 actually wanted."
+                 one. Declare the odd size with `with_replica_set`, or shrink to it at \
+                 run time with `shrink_replica_set_at`, or grow by two if more \
+                 tolerance is actually wanted."
             }
             Code::Fdb062 => {
                 "This replica set explicitly lists every node in the topology, which is \

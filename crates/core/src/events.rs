@@ -189,11 +189,11 @@ pub enum Ev {
         /// Token epoch the election was fenced to; stale timers no-op.
         epoch: u64,
     },
-    /// §6: the allocator shrinks `fragment`'s replica set to `new_set` —
-    /// a subset of the current set containing the token home. Dropped
-    /// replicas stop receiving broadcasts; quorums recompute over the new
-    /// set. No-op (deferred to the caller's retry) while a move or
-    /// election is in flight on the fragment.
+    /// §6: shrink `fragment`'s replica set to `new_set` — a subset of the
+    /// current set containing the token home. Dropped replicas stop
+    /// receiving broadcasts; quorums recompute over the new set. Skipped
+    /// silently (the caller retries) while a move, an election or a
+    /// majority commit is in flight on the fragment.
     ShrinkReplicaSet {
         /// Fragment whose replica set shrinks.
         fragment: FragmentId,

@@ -550,9 +550,10 @@ impl System {
 
     /// Schedule a §6 replica-set shrink at absolute time `at`. The new set
     /// must be a non-empty subset of the fragment's current replica set
-    /// (all nodes, if fully replicated) containing the token home; an
-    /// invalid or mid-move/mid-election request is skipped — the allocator
-    /// retries at its next epoch.
+    /// (all nodes, if fully replicated) containing the token home. An
+    /// invalid request, or one that lands while a move, an election or a
+    /// majority commit is in flight on the fragment, is skipped silently;
+    /// the caller retries.
     pub fn shrink_replica_set_at(
         &mut self,
         at: SimTime,
@@ -925,11 +926,14 @@ impl System {
 
     /// §6: shrink `fragment`'s replica set to `new_set`. Validates that the
     /// fragment exists, the set is a non-empty subset of the current
-    /// replica set containing the token home, and no move or election is
-    /// in flight; an invalid request is skipped (the allocator retries at
-    /// its next epoch). Dropped replicas stop receiving broadcasts
-    /// immediately; majority quorums recompute over the new set; each
-    /// node's detector roster is refreshed to the new monitor peers.
+    /// replica set containing the token home, and no move, election or
+    /// majority commit is in flight; a refused request is skipped silently
+    /// (the caller retries). A majority commit in flight would otherwise
+    /// count acks from dropped nodes against the new set's smaller
+    /// majority, and a later election over the new set could lose the
+    /// commit. Dropped replicas stop receiving broadcasts immediately;
+    /// majority quorums recompute over the new set; each node's detector
+    /// roster is refreshed to the new monitor peers.
     fn handle_shrink_replica_set(
         &mut self,
         at: SimTime,
@@ -940,6 +944,7 @@ impl System {
             || new_set.is_empty()
             || self.move_state.contains_key(&fragment)
             || self.elections.contains_key(&fragment)
+            || self.majority_inflight.contains_key(&fragment)
         {
             return Vec::new();
         }

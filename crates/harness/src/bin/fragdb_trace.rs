@@ -2,8 +2,7 @@
 //!
 //! Runs one or more telemetry scenarios (§4.1 read locks fault-free,
 //! §4.3 unrestricted under faults, §4.4.1 majority movement, §5
-//! self-healing token recovery, §6 allocator-driven partial replication)
-//! and renders:
+//! self-healing token recovery) and renders:
 //!
 //! 1. a per-fragment ASCII timeline joining each commit to the installs it
 //!    caused (flagging incomplete R-joins);

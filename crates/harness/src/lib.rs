@@ -12,7 +12,6 @@
 
 pub mod configs;
 pub mod experiments;
-pub mod partial;
 pub mod table;
 pub mod trace;
 

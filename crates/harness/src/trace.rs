@@ -1,7 +1,7 @@
 //! Telemetry trace scenarios and renderers behind the `fragdb-trace`
 //! explorer.
 //!
-//! Three shipped scenarios exercise the three regimes the paper contrasts:
+//! Four shipped scenarios exercise the regimes the paper contrasts:
 //!
 //! * [`READ_LOCKS_FIXED`] — §4.1 read locks with fixed agents, fault-free:
 //!   the globally-serializable end of the spectrum. Expected telemetry:
@@ -14,11 +14,9 @@
 //! * [`MAJORITY_MOVEMENT`] — §4.4.1 majority commit with token moves under
 //!   faults: `frag.<f>.move_stall` measures the §5 unavailability window
 //!   between `MoveRequested` and `TokenArrived`.
-//! * [`ALLOC`] — §6 partial replication: the telemetry-driven allocator
-//!   shrinks fully replicated fragments to replication factor 3 around
-//!   their reader clusters (`replica_set_changed`, the
-//!   `frag.<f>.replica_count` gauge) and migrates each token to its heavy
-//!   writer via §4.4.2B moves.
+//! * [`SELF_HEAL`] — §5 failure detector + quorum election: the crashed
+//!   home's token is re-homed without an operator, and
+//!   `frag.<f>.unavail_window` measures the outage.
 //!
 //! A [`TraceRun`] captures the full structured event log plus the derived
 //! probe metrics; the renderers turn it into a per-fragment causality
@@ -28,10 +26,9 @@
 
 use std::collections::BTreeMap;
 
-use fragdb_alloc::{AccessStats, AllocConfig, Allocator, Placement};
-use fragdb_core::{MovePolicy, Submission, System, SystemConfig};
-use fragdb_model::{AgentId, FragmentCatalog, FragmentId, NodeId, ObjectId};
-use fragdb_net::{FaultConfig, FaultPlan, Topology};
+use fragdb_core::{Submission, System};
+use fragdb_model::{FragmentId, NodeId, ObjectId};
+use fragdb_net::{FaultConfig, FaultPlan};
 use fragdb_sim::metrics::{keys, Metrics};
 use fragdb_sim::telemetry::{self, JsonlEntry};
 use fragdb_sim::{CausalId, SimDuration, SimTime, Telemetry, TelemetryEvent, TelemetryRecord};
@@ -48,18 +45,13 @@ pub const MAJORITY_MOVEMENT: &str = "majority-movement";
 /// §5 scenario name: failure detector + quorum election re-homing the
 /// token after the home crashes, without an operator in the loop.
 pub const SELF_HEAL: &str = "self-heal";
-/// §6 scenario name: the telemetry-driven allocator shrinking a fully
-/// replicated fragment to its replication factor and migrating the token
-/// to the heavy writer.
-pub const ALLOC: &str = "alloc";
 
 /// Every shipped scenario name, in a stable order.
-pub const SCENARIOS: [&str; 5] = [
+pub const SCENARIOS: [&str; 4] = [
     READ_LOCKS_FIXED,
     UNRESTRICTED_FAULTS,
     MAJORITY_MOVEMENT,
     SELF_HEAL,
-    ALLOC,
 ];
 
 /// Cap on retained telemetry events per run (probes stay exact past it).
@@ -296,99 +288,6 @@ fn self_heal(seed: u64, quick: bool) -> TraceRun {
     drive(sys, secs(rounds + 60), SELF_HEAL, "5")
 }
 
-/// §6: the allocator timeline. Two fragments start fully replicated on an
-/// 8-node mesh (the registry shapes are all 5-node full replication, so
-/// this one is built inline); each fragment's heavy writer is *not* its
-/// initial home and a two-node reader cluster sits next to the writer.
-/// After a warm-up burst the recorded access counts drive allocator
-/// epochs: each shrinks the replica set (a `replica_set_changed` event)
-/// and moves the token toward the writer (§4.4.2B `move_requested` /
-/// `token_arrived`), converging at replication factor 3. A second burst
-/// then commits into the narrowed sets.
-fn alloc_scenario(seed: u64, quick: bool) -> TraceRun {
-    let nodes = 8u32;
-    let rf = 3u32;
-    let mut b = FragmentCatalog::builder();
-    let frags: Vec<(FragmentId, Vec<ObjectId>)> =
-        (0..2).map(|i| b.add_fragment(format!("A{i}"), 3)).collect();
-    let agents = frags
-        .iter()
-        .map(|&(f, _)| (f, AgentId::Node(NodeId(f.0 % nodes)), NodeId(f.0 % nodes)))
-        .collect();
-    let mut sys = System::build(
-        Topology::full_mesh(nodes, ms(10)),
-        b.build(),
-        agents,
-        SystemConfig::unrestricted(seed).with_move_policy(MovePolicy::WithSeqNo),
-    )
-    .expect("admissible config");
-
-    let writer_of = |f: u32| NodeId((f * 3 + 1) % nodes);
-    let rounds = if quick { 6 } else { 16 };
-    // Warm-up burst: every update submitted from the fragment's heavy
-    // writer, reads from the two nodes next to it.
-    let mut stats = AccessStats::new();
-    for (fi, (f, objs)) in frags.iter().enumerate() {
-        let writer = writer_of(fi as u32);
-        for k in 0..rounds {
-            sys.submit_at(
-                secs(k + 1) + ms(fi as u64),
-                Submission::update(*f, bump(objs)).at(writer),
-            );
-            stats.record_write(*f, writer);
-        }
-        for r in 1..=2u32 {
-            let reader = NodeId((writer.0 + r) % nodes);
-            sys.submit_at(
-                secs(rounds / 2) + ms(50 * u64::from(r)),
-                Submission::read_only(*f, scan(objs)).at(reader),
-            );
-            for _ in 0..rounds / 2 {
-                stats.record_read(*f, reader);
-            }
-        }
-    }
-
-    // Allocator epochs over the recorded counts: shrink, then move the
-    // token inside the narrowed set, until the plan is a no-op.
-    let mut placement =
-        Placement::fully_replicated(nodes, frags.iter().map(|&(f, _)| (f, NodeId(f.0 % nodes))));
-    let mut allocator = Allocator::new(AllocConfig {
-        replication_factor: rf,
-        seed,
-    });
-    let mut t = secs(rounds + 5);
-    for _ in 0..4 {
-        let plan = allocator.plan(&placement, &stats);
-        let done = plan.migrations() + plan.shrinks() == 0;
-        for d in &plan.decisions {
-            if d.shrink {
-                sys.shrink_replica_set_at(t, d.fragment, d.replica_set.clone());
-            }
-            if d.migrate {
-                sys.move_agent_at(t + ms(500), d.fragment, d.target_home);
-            }
-        }
-        plan.publish(&stats, &mut sys.engine.metrics);
-        placement = placement.after(&plan);
-        if done {
-            break;
-        }
-        t += SimDuration::from_secs(1);
-    }
-
-    // Post-convergence burst: commits now broadcast to RF−1 peers only.
-    for (fi, (f, objs)) in frags.iter().enumerate() {
-        for k in 0..rounds {
-            sys.submit_at(
-                t + SimDuration::from_secs(2 + k) + ms(fi as u64),
-                Submission::update(*f, bump(objs)).at(writer_of(fi as u32)),
-            );
-        }
-    }
-    drive(sys, t + SimDuration::from_secs(2 + rounds + 60), ALLOC, "6")
-}
-
 /// Run a scenario by name. `quick` scales the workload down for CI smoke.
 pub fn run_scenario(name: &str, seed: u64, quick: bool) -> Option<TraceRun> {
     match name {
@@ -396,7 +295,6 @@ pub fn run_scenario(name: &str, seed: u64, quick: bool) -> Option<TraceRun> {
         UNRESTRICTED_FAULTS => Some(unrestricted_faults(seed, quick)),
         MAJORITY_MOVEMENT => Some(majority_movement(seed, quick)),
         SELF_HEAL => Some(self_heal(seed, quick)),
-        ALLOC => Some(alloc_scenario(seed, quick)),
         _ => None,
     }
 }
@@ -871,50 +769,6 @@ mod tests {
             summary.contains(".unavail_window"),
             "summary must show the §5 probe:\n{summary}"
         );
-    }
-
-    #[test]
-    fn alloc_scenario_shrinks_and_migrates() {
-        let run = alloc_scenario(42, true);
-        let shrinks: Vec<(u32, u32)> = run
-            .records
-            .iter()
-            .filter_map(|r| match r.event {
-                TelemetryEvent::ReplicaSetChanged {
-                    from_count,
-                    to_count,
-                    ..
-                } => Some((from_count, to_count)),
-                _ => None,
-            })
-            .collect();
-        assert!(!shrinks.is_empty(), "allocator must shrink a replica set");
-        assert!(
-            shrinks.iter().all(|&(from, to)| to < from),
-            "shrinks must be monotone: {shrinks:?}"
-        );
-        assert!(
-            shrinks.iter().any(|&(_, to)| to == 3),
-            "some fragment must land at the replication factor: {shrinks:?}"
-        );
-        let moved = run
-            .records
-            .iter()
-            .any(|r| matches!(r.event, TelemetryEvent::TokenArrived { .. }));
-        assert!(moved, "the token must migrate to the heavy writer");
-        for &(fid, _, replicas) in &run.fragments {
-            assert_eq!(replicas, 3, "fragment {fid} must converge at RF 3");
-            assert_eq!(
-                run.metrics.counter(&format!("frag.{fid}.replica_count")),
-                3,
-                "replica-count gauge must track the converged set"
-            );
-        }
-        assert!(run.metrics.counter(keys::ALLOC_MIGRATIONS) > 0);
-        // The export (including replica_set_changed) satisfies its schema.
-        let stats = validate_jsonl(&render_jsonl(&run)).expect("schema-valid");
-        assert!(stats.by_event.contains_key("replica_set_changed"));
-        assert!(stats.by_event.contains_key("token_arrived"));
     }
 
     #[test]

@@ -125,13 +125,6 @@ pub mod keys {
     /// Queued-behind-a-move wait (µs).
     pub const LATENCY_MOVE_WAIT: &str = "latency.move_wait";
 
-    /// Token migrations ordered by the fragment allocator (§4.4.2 moves
-    /// toward the heaviest writer).
-    pub const ALLOC_MIGRATIONS: &str = "alloc.migrations";
-    /// Broadcast messages sent per committed update under the current
-    /// placement (gauge; published by the allocator's cost model).
-    pub const ALLOC_MSGS_PER_COMMIT: &str = "alloc.msgs_per_commit";
-
     /// Commit spans that span reconstruction could only partially rebuild
     /// because ring-buffer eviction discarded their commit-side events.
     pub const TELEMETRY_SPANS_TRUNCATED: &str = "telemetry.spans_truncated";
@@ -183,8 +176,6 @@ pub mod keys {
         ELECTION_ABORTED,
         BATCH_DISCARDED,
         REPLAY_OPS,
-        ALLOC_MIGRATIONS,
-        ALLOC_MSGS_PER_COMMIT,
         LATENCY_COMMIT,
         LATENCY_RECOVERY,
         LATENCY_MOVE_WAIT,
@@ -325,12 +316,9 @@ pub mod keys {
         }
 
         #[test]
-        fn allocator_keys_are_registered() {
-            assert!(is_registered(ALLOC_MIGRATIONS));
-            assert!(is_registered(ALLOC_MSGS_PER_COMMIT));
+        fn replica_count_keys_are_registered() {
             assert!(is_registered("frag.0.replica_count"));
             assert!(is_registered("frag.42.replica_count"));
-            assert!(!is_registered("alloc.bogus"));
             assert!(!is_registered("node.3.replica_count"));
             assert!(!is_registered("frag.x.replica_count"));
         }

@@ -407,8 +407,8 @@ telemetry_events! {
         /// The crashed home that held the open batch.
         node: u32,
     }
-    /// A fragment's replica set changed size (allocator shrink toward the
-    /// configured replication factor, §6 partial replication).
+    /// A fragment's replica set changed size (a driver-scheduled shrink,
+    /// §6 partial replication).
     ReplicaSetChanged = "replica_set_changed" {
         /// Fragment whose replica set changed.
         fragment: u32,

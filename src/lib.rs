@@ -61,13 +61,12 @@
 //! | [`graphs`] | read-access / serialization graphs and all checkers |
 //! | [`core`] | the fragments-and-agents engine: strategies §4.1–4.3, movement §4.4 |
 //! | [`check`] | static admission analysis (`FDB0xx` diagnostics) over declared configs |
-//! | [`alloc`] | telemetry-driven fragment allocator: placement, migration, shrink (§6) |
 //! | [`mc`] | bounded exhaustive model checker + counterexample witnesses |
 //! | [`baselines`] | mutual exclusion and log transformation (§1) |
 //! | [`workloads`] | banking, warehouse, airline applications + generators |
-//! | [`harness`] | experiments E1–E10 regenerating the paper's figures |
+//! | [`obs`] | span reconstruction and critical-path profiling over telemetry |
+//! | [`harness`] | experiments E1–E12 regenerating the paper's figures |
 
-pub use fragdb_alloc as alloc;
 pub use fragdb_baselines as baselines;
 pub use fragdb_check as check;
 pub use fragdb_core as core;

@@ -345,3 +345,51 @@ fn false_suspicion_never_yields_two_holders_in_one_epoch() {
         );
     }
 }
+
+/// Divergent shape (d): an election re-homes a majority fragment whose
+/// last commit a live replica never prepared. Node 2 is cut off with node
+/// 1 while the home commits 7 with the acks of {3, 4}; the home then
+/// crashes, the partition heals, and node 1 is elected and recovers the
+/// entry from a majority. Nothing hands it to node 2, which stays behind
+/// until the next commit repairs it — here there is none, even after the
+/// old home recovers.
+#[test]
+#[ignore = "divergent shape (d), ROADMAP item 1"]
+fn rehomed_entry_reaches_the_replica_that_missed_its_prepare() {
+    let mut sys = protected_system(1, detector(), None);
+    let obj = ObjectId(0);
+    sys.net_change_at(
+        SimTime::ZERO,
+        NetworkChange::Split(vec![
+            vec![HOME, NodeId(3), NodeId(4)],
+            vec![NodeId(1), NodeId(2)],
+        ]),
+    );
+    sys.submit_at(
+        secs(1),
+        Submission::update(
+            FRAG,
+            Box::new(move |ctx| {
+                ctx.write(obj, 7)?;
+                Ok(())
+            }),
+        ),
+    );
+    sys.crash_at(secs(2), HOME);
+    sys.net_change_at(secs(3), NetworkChange::HealAll);
+    sys.recover_at(secs(60), HOME);
+    run(&mut sys, secs(60) + ms(900));
+    let values: Vec<_> = (0..5)
+        .map(|n| sys.replica(NodeId(n)).read(obj).clone())
+        .collect();
+    assert_eq!(
+        sys.divergent_fragments(),
+        Vec::new(),
+        "replicas read {values:?}"
+    );
+    assert_eq!(
+        values[2],
+        fragdb::model::Value::Int(7),
+        "node 2 never received the re-homed entry"
+    );
+}

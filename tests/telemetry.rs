@@ -132,12 +132,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// move. An intended format change re-pins them.
 #[test]
 fn seed_42_quick_exports_hash_to_the_pinned_values() {
-    let pinned: [(&str, u64); 5] = [
+    let pinned: [(&str, u64); 4] = [
         (READ_LOCKS_FIXED, 0x766c_06ed_c698_90e3),
         (UNRESTRICTED_FAULTS, 0x8854_c4f9_5e32_a664),
         (MAJORITY_MOVEMENT, 0x89af_d91b_53f0_558f),
         (trace::SELF_HEAL, 0xae86_0b1d_5fc3_a6b0),
-        (trace::ALLOC, 0x0ad8_ccc4_a513_8899),
     ];
     assert_eq!(pinned.map(|(name, _)| name), trace::SCENARIOS);
     for (name, hash) in pinned {
