@@ -718,7 +718,7 @@ impl System {
     }
 
     /// A wire packet arrives at a host. Crashed hosts drop everything on
-    /// the floor (no ack — the sender keeps retransmitting until the node
+    /// the floor (no ack — the sender keeps probing until the node
     /// recovers and resyncs); live hosts run the reliable layer, and each
     /// application message it releases is dispatched in order.
     fn handle_packet(&mut self, at: SimTime, pd: PktDelivery<Envelope>) -> Vec<Notification> {
@@ -737,7 +737,9 @@ impl System {
         let (released, actions) = self.net.on_packet(at, pd, &mut self.engine.rng);
         self.schedule_net(actions);
         if let Some(b) = before {
-            // Any loss here is of the ack the receiver sent back.
+            // Everything this call put on the wire went `to → from`: the
+            // ack the receiver sent back, and the overdue packets that ack
+            // progress on the reverse stream resent.
             self.emit_net_delta(b, to, from);
         }
         let mut notes = Vec::new();

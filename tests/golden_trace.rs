@@ -212,18 +212,20 @@ fn sweep_system(seed: u64) -> (System, SimTime) {
     (sys, horizon + SimDuration::from_secs(300))
 }
 
-/// `(trace_hash, history_hash, wal_hash)` at `GOLDEN_SEED`.
+/// `(trace_hash, history_hash, wal_hash)` at `GOLDEN_SEED`. Both were
+/// re-pinned when selective repair replaced go-back-N retransmission,
+/// which changes when packets get through lossy or partitioned links.
 type Pinned = (u64, u64, u64);
 
 const CHAOS_PINNED: Pinned = (
-    0x83AC_89FB_A431_1C51,
-    0xEFB2_2B98_ED23_7752,
-    0x39E1_A1CE_912E_0EF1,
+    0x9117_50FC_3CEC_08FD,
+    0x7D4D_6D01_3F54_AD8A,
+    0xFF2F_7DA2_7B2B_2E29,
 );
 const SWEEP_PINNED: Pinned = (
-    0x9B3F_D9F5_4DBF_C5F6,
-    0xB7DF_5AB0_01C6_69C9,
-    0x0049_3739_783B_0197,
+    0x65FD_5E64_0616_D437,
+    0x244B_9165_2226_F172,
+    0xAC88_71FA_8B99_303D,
 );
 
 fn assert_golden(build: impl Fn(u64) -> (System, SimTime), pinned: Pinned, label: &str) {

@@ -118,7 +118,8 @@ fn crash_of_home_heals_within_bound() {
 
         // Detection bound (2s with the 500ms/3 defaults) + the election's
         // patience + slack for the §4.4.1 recovery round trips under a
-        // 10% lossy plan (RTO 200ms, capped backoff).
+        // 10% lossy plan (a lost packet is probed every 200ms RTO, no
+        // backoff).
         let bound = det.detection_bound() + det.election_timeout + SimDuration::from_secs(3);
         let window = recovered_at.since(crash_at);
         assert!(

@@ -10,13 +10,17 @@
 //!   span is dominated by the network leg (10 ms links, no queue/lock
 //!   contention), and the folded output validates against the leaf
 //!   vocabulary.
+//! * Repair attribution: the overdue packets a home resends when ack
+//!   progress answers its probe after a heal are exported as a
+//!   `Retransmit` on the home → replica link, and the legs they carried
+//!   read as retransmitted.
 
 use fragdb::core::{Submission, System, SystemConfig};
 use fragdb::harness::trace::{self, UNRESTRICTED_FAULTS};
 use fragdb::model::{AgentId, FragmentCatalog, NodeId, UserId};
-use fragdb::net::Topology;
+use fragdb::net::{NetworkChange, Topology};
 use fragdb::obs::{folded, validate_folded, SpanReport, SpanStatus};
-use fragdb::sim::{SimDuration, SimTime, Telemetry};
+use fragdb::sim::{SimDuration, SimTime, Telemetry, TelemetryEvent};
 
 const SEED: u64 = 42;
 
@@ -119,11 +123,12 @@ fn folded_output_is_byte_identical_across_replays() {
     assert!(!a.is_empty());
     assert_eq!(a, b, "seed-42 folded stacks must be byte-identical");
     // Pinned at commit 528cb2e, before span reconstruction started to match
-    // `TelemetryEvent` directly (FNV-1a, as in `tests/golden_trace.rs`).
+    // `TelemetryEvent` directly (FNV-1a, as in `tests/golden_trace.rs`), and
+    // re-pinned when selective repair replaced go-back-N retransmission.
     let fnv1a = a.bytes().fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
-    assert_eq!(fnv1a, 0x1944_a0b9_783b_499f, "{fnv1a:#018x}");
+    assert_eq!(fnv1a, 0x0c8c_48a1_8886_a621, "{fnv1a:#018x}");
     validate_folded(&a).expect("folded output must satisfy the leaf schema");
     // A different seed perturbs the fault plan and therefore the stacks.
     let c = scenario_folded(7);
@@ -191,4 +196,71 @@ fn lock_scenario_spans_carry_lock_wait_phases() {
         report.phase.contains_key("lock_wait"),
         "the lock_wait phase must aggregate"
     );
+}
+
+#[test]
+fn repair_on_ack_progress_is_a_retransmit_from_the_home() {
+    // F0 homed at node 0 of a 3-node mesh; node 0 is cut off over
+    // [1 s, 3 s) and commits three updates meanwhile. After the heal, the
+    // next probe resends the lowest unacked packet to each replica, and
+    // its ack — handled in `on_packet`, not by a timer — resends the other
+    // two at once.
+    let mut b = FragmentCatalog::builder();
+    let (f, objs) = b.add_fragment("F0", 1);
+    let obj = objs[0];
+    let mut sys = System::build(
+        Topology::full_mesh(3, SimDuration::from_millis(10)),
+        b.build(),
+        vec![(f, AgentId::User(UserId(0)), NodeId(0))],
+        SystemConfig::unrestricted(SEED),
+    )
+    .unwrap();
+    let heal = secs(3);
+    let split = vec![vec![NodeId(0)], vec![NodeId(1), NodeId(2)]];
+    sys.net_change_at(secs(1), NetworkChange::Split(split));
+    sys.net_change_at(heal, NetworkChange::HealAll);
+    for k in 0..3 {
+        let update = Submission::update(
+            f,
+            Box::new(move |ctx| {
+                let v = ctx.read_int(obj, 0);
+                ctx.write(obj, v + 1)?;
+                Ok(())
+            }),
+        );
+        sys.submit_at(SimTime::from_millis(1_500 + 100 * k), update);
+    }
+    sys.engine.telemetry = Telemetry::bounded(10_000);
+    while sys.step_until(secs(10)).is_some() {}
+
+    let mut repaired = Vec::new();
+    for r in sys.engine.telemetry.events() {
+        if let TelemetryEvent::Retransmit { from, to, count } = r.event {
+            // Only the home sends data, so only it can retransmit.
+            assert_eq!(from, 0, "retransmit on {from} -> {to} at {:?}", r.at);
+            // A timeout probe is one packet; two at once is ack repair.
+            if count == 2 && r.at > heal {
+                repaired.push(to);
+            }
+        }
+    }
+    repaired.sort_unstable();
+    assert_eq!(repaired, [1, 2], "one ack-driven repair per replica");
+
+    let report = SpanReport::from_records(sys.engine.telemetry.events());
+    assert_eq!(report.len(), 3);
+    for s in &report.spans {
+        assert_eq!(s.status, SpanStatus::Complete);
+        for leg in s.legs.iter().filter(|l| l.node != 0) {
+            assert!(
+                leg.installed_at > heal.micros(),
+                "installed before the heal"
+            );
+            assert!(
+                leg.retransmitted,
+                "leg to {} not marked retransmitted",
+                leg.node
+            );
+        }
+    }
 }

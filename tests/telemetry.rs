@@ -129,14 +129,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// The export is a file format other tools read: its bytes are pinned.
 /// These hashes were computed at commit 528cb2e, before one declaration
 /// replaced the hand-written encoder, so passing proves the bytes did not
-/// move. An intended format change re-pins them.
+/// move. An intended format change re-pins them, and so does a change to
+/// what runs: the three scenarios with faults were re-pinned when
+/// selective repair replaced go-back-N retransmission.
 #[test]
 fn seed_42_quick_exports_hash_to_the_pinned_values() {
     let pinned: [(&str, u64); 4] = [
         (READ_LOCKS_FIXED, 0x766c_06ed_c698_90e3),
-        (UNRESTRICTED_FAULTS, 0x8854_c4f9_5e32_a664),
-        (MAJORITY_MOVEMENT, 0x89af_d91b_53f0_558f),
-        (trace::SELF_HEAL, 0xae86_0b1d_5fc3_a6b0),
+        (UNRESTRICTED_FAULTS, 0x44e5_7e4e_7e33_f00c),
+        (MAJORITY_MOVEMENT, 0x4c88_19d0_c160_9dc6),
+        (trace::SELF_HEAL, 0xbc9a_2014_54b5_48aa),
     ];
     assert_eq!(pinned.map(|(name, _)| name), trace::SCENARIOS);
     for (name, hash) in pinned {
