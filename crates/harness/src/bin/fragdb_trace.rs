@@ -103,11 +103,12 @@ fn cmd_spans(path: &str) {
     let report = load_report(path);
     print!("{}", span_lines(&report));
     println!(
-        "{} spans: {} complete, {} incomplete, {} truncated, {} discarded",
+        "{} spans: {} complete, {} incomplete, {} truncated, {} uncommitted, {} discarded",
         report.len(),
         report.complete,
         report.incomplete,
         report.truncated,
+        report.uncommitted,
         report.discarded
     );
 }

@@ -93,8 +93,8 @@ pub fn attribution_table(report: &SpanReport) -> String {
     let _ = writeln!(
         out,
         "critical-path attribution over {committed} committed spans \
-         ({} complete, {} incomplete, {} truncated, {} discarded)",
-        report.complete, report.incomplete, report.truncated, report.discarded
+         ({} complete, {} incomplete, {} truncated, {} uncommitted, {} discarded)",
+        report.complete, report.incomplete, report.truncated, report.uncommitted, report.discarded
     );
     let _ = writeln!(
         out,

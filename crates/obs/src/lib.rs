@@ -28,7 +28,8 @@
 //! header): the validator checks it run by run, span reconstruction
 //! refuses it, because causal ids restart with every run. Ring-evicted
 //! commits surface as explicit [`span::SpanStatus::Truncated`] spans,
-//! counted and never silently dropped.
+//! counted and never silently dropped; a §4.4.1 prepare whose home crashed
+//! before it committed is a [`span::SpanStatus::Uncommitted`] span.
 
 pub mod critical;
 pub mod span;
@@ -237,6 +238,78 @@ mod tests {
         // not the aborted first one.
         assert_eq!(s.queue_us, 21);
         assert_eq!(s.exec_us, 14);
+    }
+
+    #[test]
+    fn a_prepare_whose_home_crashed_is_uncommitted_not_truncated() {
+        // §4.4.1: home 0 broadcasts the prepare of (2, 0, 4) and crashes
+        // before a majority acknowledges; the elected home 1 resurrects
+        // the staged entry and installs it. Nothing was evicted.
+        let c = cause(2, 0, 4);
+        let prepare = TelemetryEvent::BroadcastSent {
+            cause: c,
+            node: 0,
+            recipients: 2,
+        };
+        let installed = |node| TelemetryEvent::Installed { cause: c, node };
+        let report = SpanReport::from_jsonl(&jsonl(vec![
+            (5, initiated(0, 2, 9)),
+            (10, prepare.clone()),
+            (12, TelemetryEvent::Crash { node: 0 }),
+            (80, installed(1)),
+            (90, installed(2)),
+        ]))
+        .unwrap();
+        assert_eq!((report.truncated, report.uncommitted), (0, 1));
+        let s = &report.spans[0];
+        assert_eq!(s.status, SpanStatus::Uncommitted);
+        assert_eq!(s.legs.len(), 2);
+        assert!(SpanReport::critical_path(s).is_empty());
+
+        // When the broadcast opens the stream, the ring may have evicted
+        // the commit just before it: that span stays truncated.
+        let evicted =
+            SpanReport::from_jsonl(&jsonl(vec![(10, prepare), (80, installed(1))])).unwrap();
+        assert_eq!((evicted.truncated, evicted.uncommitted), (1, 0));
+    }
+
+    #[test]
+    fn a_leg_joins_the_first_arrival_and_the_first_install() {
+        let c = cause(1, 0, 2);
+        let held_back = |at| {
+            (
+                at,
+                TelemetryEvent::HeldBack {
+                    cause: c,
+                    node: 1,
+                    depth: 1,
+                },
+            )
+        };
+        let installed = |at, node| (at, TelemetryEvent::Installed { cause: c, node });
+        let report = SpanReport::from_jsonl(&jsonl(vec![
+            (10, committed(c, 0, 0)),
+            installed(10, 0),
+            (
+                10,
+                TelemetryEvent::BroadcastSent {
+                    cause: c,
+                    node: 0,
+                    recipients: 1,
+                },
+            ),
+            held_back(20),
+            held_back(25),
+            installed(30, 1),
+            installed(50, 1),
+        ]))
+        .unwrap();
+        let s = &report.spans[0];
+        assert_eq!(s.status, SpanStatus::Complete);
+        assert_eq!(s.legs.len(), 2, "one leg per node");
+        let leg = &s.legs[1];
+        assert_eq!((leg.node, leg.arrived_at, leg.installed_at), (1, 20, 30));
+        assert_eq!((leg.net_us, leg.holdback_us), (10, 10));
     }
 
     #[test]

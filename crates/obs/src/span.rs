@@ -25,12 +25,14 @@
 //! FIFO, ambiguous only when an unrelated submission initiates on the
 //! same fragment inside the same drain instant). Spans whose commit-side
 //! events were evicted by the telemetry ring are reported **explicitly**
-//! as truncated — counted, never silently dropped.
+//! as truncated — counted, never silently dropped — and a §4.4.1 prepare
+//! whose home crashed before committing is reported as uncommitted, not
+//! mistaken for one.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use fragdb_sim::metrics::keys;
-use fragdb_sim::telemetry::{read_jsonl, JsonlEntry};
+use fragdb_sim::telemetry::{read_jsonl, IdMap, JsonlEntry};
 use fragdb_sim::{CausalId, Metrics, QuantileSketch, TelemetryEvent, TelemetryRecord};
 
 /// What the queue wait of a span was actually waiting on.
@@ -44,6 +46,45 @@ pub enum QueueAttr {
     Election,
 }
 
+/// One phase of a span's time, declared in `keys::SPAN_PHASES` order,
+/// which is also its index there.
+#[derive(Clone, Copy)]
+enum Phase {
+    Queue,
+    TokenMove,
+    Election,
+    LockWait,
+    Exec,
+    Net,
+    Retransmit,
+    Holdback,
+}
+
+impl Phase {
+    /// The `span.phase.<p>` name.
+    fn name(self) -> &'static str {
+        keys::SPAN_PHASES[self as usize]
+    }
+
+    /// The phase a queue wait with attribution `attr` observes under.
+    fn queue(attr: QueueAttr) -> Phase {
+        match attr {
+            QueueAttr::Wait => Phase::Queue,
+            QueueAttr::TokenMove => Phase::TokenMove,
+            QueueAttr::Election => Phase::Election,
+        }
+    }
+
+    /// The phase a leg's network time observes under.
+    fn net(leg: &InstallLeg) -> Phase {
+        if leg.retransmitted {
+            Phase::Retransmit
+        } else {
+            Phase::Net
+        }
+    }
+}
+
 /// Reconstruction status of one span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpanStatus {
@@ -55,6 +96,11 @@ pub enum SpanStatus {
     /// Install-side events exist but the commit itself was evicted by the
     /// telemetry ring — only hold-back durations are recoverable.
     Truncated,
+    /// A §4.4.1 prepare was broadcast but never committed: its home
+    /// crashed in between. Installs, if any, are the elected home's
+    /// resurrection of the staged entry; as for a truncated span, only
+    /// hold-back durations are recoverable.
+    Uncommitted,
     /// The commit's batch was discarded by a home crash; the causal id's
     /// lifecycle closed without installs.
     Discarded,
@@ -132,13 +178,15 @@ struct InitCtx {
     fragment: u32,
 }
 
-/// Span building state while the pass is still consuming events.
+/// Span building state while the pass is still consuming events. Until
+/// finalize, `span.legs` holds one leg per `installed` event in stream
+/// order, only `node` and `installed_at` filled in.
 struct SpanBuild {
     span: CommitSpan,
-    /// First `held_back` per node (arrival times).
-    arrived: BTreeMap<u32, u64>,
-    /// First `installed` per node.
-    installed: BTreeMap<u32, u64>,
+    /// `(node, instant)` of every `held_back`, in stream order.
+    arrived: Vec<(u32, u64)>,
+    /// Instant of the `broadcast_sent`, if seen.
+    broadcast_at: Option<u64>,
     discarded: bool,
     /// Pre-commit queue interval, re-checked against windows at finalize.
     queue_interval: Option<(u64, u64)>,
@@ -150,6 +198,9 @@ pub struct SpanReport {
     pub spans: Vec<CommitSpan>,
     /// Spans whose commit-side events were evicted (status `Truncated`).
     pub truncated: u64,
+    /// Prepares whose home crashed before the commit (status
+    /// `Uncommitted`).
+    pub uncommitted: u64,
     /// Spans discarded by a home crash before broadcast.
     pub discarded: u64,
     /// Spans with commit and full replica join.
@@ -170,9 +221,9 @@ pub struct SpanReport {
 #[derive(Default)]
 struct PreCommit {
     queued: BTreeMap<u32, VecDeque<u64>>,
-    lock_open: BTreeMap<(u32, u64), u64>,
-    lock_done: BTreeMap<(u32, u64), (u64, u64)>,
-    init_open: BTreeMap<(u32, u64), InitCtx>,
+    lock_open: IdMap<(u32, u64), u64>,
+    lock_done: IdMap<(u32, u64), (u64, u64)>,
+    init_open: IdMap<(u32, u64), InitCtx>,
 }
 
 /// Move / election windows per fragment, for queue-wait attribution.
@@ -215,26 +266,37 @@ struct Pass {
     pre: PreCommit,
     win: Windows,
     /// NACK-repair instants per `(from, to)` link.
-    retrans: BTreeMap<(u32, u32), Vec<u64>>,
-    builds: BTreeMap<CausalId, SpanBuild>,
+    retrans: IdMap<(u32, u32), Vec<u64>>,
+    /// Spans under construction, in order of first sight.
+    builds: Vec<SpanBuild>,
+    /// Each causal id's position in `builds`.
+    index: IdMap<CausalId, usize>,
+    /// Instant of the first event, once one is seen.
+    start_at: Option<u64>,
     end_at: u64,
 }
 
 impl Pass {
     fn build(&mut self, cause: CausalId) -> &mut SpanBuild {
-        self.builds.entry(cause).or_insert_with(|| SpanBuild {
-            span: CommitSpan::new(cause),
-            arrived: BTreeMap::new(),
-            installed: BTreeMap::new(),
-            discarded: false,
-            queue_interval: None,
-        })
+        let builds = &mut self.builds;
+        let i = *self.index.entry(cause).or_insert_with(|| {
+            builds.push(SpanBuild {
+                span: CommitSpan::new(cause),
+                arrived: Vec::new(),
+                broadcast_at: None,
+                discarded: false,
+                queue_interval: None,
+            });
+            builds.len() - 1
+        });
+        &mut builds[i]
     }
 
     /// Consume the next event of the (time-ordered) stream. Events spans
     /// do not use fall through the wildcard arm.
     fn feed(&mut self, r: &TelemetryRecord) {
         let at = r.at.micros();
+        self.start_at.get_or_insert(at);
         self.end_at = self.end_at.max(at);
         let (pre, win) = (&mut self.pre, &mut self.win);
         match r.event {
@@ -311,12 +373,29 @@ impl Pass {
             }
             TelemetryEvent::BroadcastSent {
                 cause, recipients, ..
-            } => self.build(cause).span.recipients = Some(recipients),
+            } => {
+                let b = self.build(cause);
+                b.span.recipients = Some(recipients);
+                b.broadcast_at = Some(at);
+                // Room for every install the broadcast leads to, the
+                // home's included. Only a hint: a forged count in an
+                // export must not abort the reader.
+                let legs = &mut b.span.legs;
+                let _ =
+                    legs.try_reserve_exact((recipients as usize + 1).saturating_sub(legs.len()));
+            }
             TelemetryEvent::HeldBack { cause, node, .. } => {
-                self.build(cause).arrived.entry(node).or_insert(at);
+                self.build(cause).arrived.push((node, at));
             }
             TelemetryEvent::Installed { cause, node } => {
-                self.build(cause).installed.entry(node).or_insert(at);
+                self.build(cause).span.legs.push(InstallLeg {
+                    node,
+                    installed_at: at,
+                    arrived_at: at,
+                    net_us: 0,
+                    holdback_us: 0,
+                    retransmitted: false,
+                });
             }
             TelemetryEvent::BatchDiscarded { cause, .. } => self.build(cause).discarded = true,
             TelemetryEvent::Retransmit { from, to, .. } => {
@@ -353,7 +432,14 @@ impl Pass {
 
     fn finish(mut self) -> SpanReport {
         self.win.close_open(self.end_at);
-        SpanReport::finalize(self.builds, &self.win, &self.retrans)
+        // Sorted, each link's repair instants answer "any repair inside
+        // this window?" by binary search, whatever order they came in.
+        for instants in self.retrans.values_mut() {
+            instants.sort_unstable();
+        }
+        drop(self.index);
+        self.builds.sort_unstable_by_key(|b| b.span.cause);
+        SpanReport::finalize(self.builds, self.start_at, &self.win, &self.retrans)
     }
 }
 
@@ -393,14 +479,18 @@ impl SpanReport {
         Ok(pass.finish())
     }
 
+    /// Turn the builds, in causal-id order, into the report. `start_at` is
+    /// the instant of the stream's first event.
     fn finalize(
-        builds: BTreeMap<CausalId, SpanBuild>,
+        builds: Vec<SpanBuild>,
+        start_at: Option<u64>,
         win: &Windows,
-        retrans: &BTreeMap<(u32, u32), Vec<u64>>,
+        retrans: &IdMap<(u32, u32), Vec<u64>>,
     ) -> SpanReport {
         let mut report = SpanReport {
             spans: Vec::with_capacity(builds.len()),
             truncated: 0,
+            uncommitted: 0,
             discarded: 0,
             complete: 0,
             incomplete: 0,
@@ -408,49 +498,60 @@ impl SpanReport {
             critical: BTreeMap::new(),
             critical_len: QuantileSketch::new(),
         };
+        // Per phase: its duration sketch, and (spans it dominated, µs).
+        let mut phase: [QuantileSketch; keys::SPAN_PHASES.len()] = Default::default();
+        let mut critical = [(0u64, 0u128); keys::SPAN_PHASES.len()];
 
-        for (_, mut b) in builds {
+        for mut b in builds {
             // Queue-wait attribution against the full window set.
             if let Some(iv) = b.queue_interval {
                 b.span.queue_attr = win.attr(b.span.cause.fragment, iv);
             }
 
-            // Assemble legs in node order (BTreeMap iteration).
-            for (&node, &installed_at) in &b.installed {
-                let is_home = b.span.commit_node == Some(node);
-                let arrived_at = if is_home {
-                    installed_at
-                } else {
-                    b.arrived
-                        .get(&node)
-                        .copied()
+            // One leg per node, in node order: the stable sort keeps each
+            // node's first install ahead of any later one.
+            let (committed_at, commit_node) = (b.span.committed_at, b.span.commit_node);
+            let legs = &mut b.span.legs;
+            legs.sort_by_key(|leg| leg.node);
+            legs.dedup_by_key(|leg| leg.node);
+            for leg in legs.iter_mut() {
+                let (node, installed_at) = (leg.node, leg.installed_at);
+                let is_home = commit_node == Some(node);
+                if !is_home {
+                    leg.arrived_at = b
+                        .arrived
+                        .iter()
+                        .find(|&&(n, _)| n == node)
+                        .map(|&(_, t)| t)
                         .filter(|&t| t <= installed_at)
-                        .unwrap_or(installed_at)
-                };
-                let (net_us, retransmitted) = match (b.span.committed_at, b.span.commit_node) {
-                    (Some(t0), Some(home)) if !is_home => {
-                        let rt = retrans
-                            .get(&(home, node))
-                            .is_some_and(|ts| ts.iter().any(|&t| t0 < t && t <= installed_at));
-                        (arrived_at.saturating_sub(t0), rt)
+                        .unwrap_or(installed_at);
+                }
+                if let (Some(t0), Some(home)) = (committed_at, commit_node) {
+                    if !is_home {
+                        leg.net_us = leg.arrived_at.saturating_sub(t0);
+                        // The first repair after the commit, if any, must
+                        // come no later than the install.
+                        leg.retransmitted = retrans.get(&(home, node)).is_some_and(|ts| {
+                            let after = ts.partition_point(|&t| t <= t0);
+                            ts.get(after).is_some_and(|&t| t <= installed_at)
+                        });
                     }
-                    _ => (0, false),
-                };
-                b.span.legs.push(InstallLeg {
-                    node,
-                    installed_at,
-                    arrived_at,
-                    net_us,
-                    holdback_us: installed_at - arrived_at,
-                    retransmitted,
-                });
+                }
+                leg.holdback_us = installed_at - leg.arrived_at;
             }
 
-            // Status.
+            // Status. Ring eviction removes a prefix of the stream, and a
+            // commit is emitted at its broadcast's instant or, for a
+            // §4.4.1 prepare, after it; so a broadcast later than the
+            // stream's first instant whose commit is missing never had one.
             b.span.status = if b.discarded {
                 SpanStatus::Discarded
             } else if b.span.committed_at.is_none() {
-                SpanStatus::Truncated
+                if b.broadcast_at.zip(start_at).is_some_and(|(t, s)| t > s) {
+                    SpanStatus::Uncommitted
+                } else {
+                    SpanStatus::Truncated
+                }
             } else {
                 let expected = b.span.recipients.map(|r| r as usize + 1);
                 match expected {
@@ -462,22 +563,69 @@ impl SpanReport {
                 SpanStatus::Complete => report.complete += 1,
                 SpanStatus::Incomplete => report.incomplete += 1,
                 SpanStatus::Truncated => report.truncated += 1,
+                SpanStatus::Uncommitted => report.uncommitted += 1,
                 SpanStatus::Discarded => report.discarded += 1,
             }
 
-            report.observe_phases(&b.span);
-            report.observe_critical(&b.span);
+            Self::phases(&b.span, |p, us| phase[p as usize].record(us));
+            if b.span.committed_at.is_some() {
+                // The dominant phase: max duration, earliest-in-pipeline
+                // on ties.
+                let mut len = 0;
+                let mut dominant: Option<(Phase, u64)> = None;
+                for (p, us) in Self::critical_segments(&b.span) {
+                    len += 1;
+                    if dominant.is_none_or(|(_, most)| us > most) {
+                        dominant = Some((p, us));
+                    }
+                }
+                report.critical_len.record(len);
+                if let Some((p, us)) = dominant {
+                    critical[p as usize].0 += 1;
+                    critical[p as usize].1 += u128::from(us);
+                }
+            }
             report.spans.push(b.span);
+        }
+        for ((&name, sketch), dominated) in keys::SPAN_PHASES.iter().zip(phase).zip(critical) {
+            if !sketch.is_empty() {
+                report.phase.insert(name, sketch);
+            }
+            if dominated.0 > 0 {
+                report.critical.insert(name, dominated);
+            }
         }
         report
     }
 
     /// The `span.phase.<p>` name the queue wait observes under.
     pub fn queue_phase_name(attr: QueueAttr) -> &'static str {
-        match attr {
-            QueueAttr::Wait => "queue",
-            QueueAttr::TokenMove => "token_move",
-            QueueAttr::Election => "election",
+        Phase::queue(attr).name()
+    }
+
+    /// Hand `observe` the `(phase, duration)` observations one span
+    /// contributes.
+    fn phases(s: &CommitSpan, mut observe: impl FnMut(Phase, u64)) {
+        if s.committed_at.is_none() {
+            // Truncated or uncommitted: only hold-back durations are
+            // trustworthy.
+            for leg in &s.legs {
+                observe(Phase::Holdback, leg.holdback_us);
+            }
+            return;
+        }
+        if s.initiated_at.is_some() {
+            if s.queue_us > 0 || s.queue_attr != QueueAttr::Wait {
+                observe(Phase::queue(s.queue_attr), s.queue_us);
+            }
+            if s.lock_wait_us > 0 {
+                observe(Phase::LockWait, s.lock_wait_us);
+            }
+            observe(Phase::Exec, s.exec_us);
+        }
+        for leg in &s.legs {
+            observe(Phase::net(leg), leg.net_us);
+            observe(Phase::Holdback, leg.holdback_us);
         }
     }
 
@@ -485,82 +633,43 @@ impl SpanReport {
     /// identical for sketch aggregation and metrics publication.
     pub fn phase_observations(s: &CommitSpan) -> Vec<(&'static str, u64)> {
         let mut out = Vec::new();
-        if s.committed_at.is_none() {
-            // Truncated: only hold-back durations are trustworthy.
-            for leg in &s.legs {
-                out.push(("holdback", leg.holdback_us));
-            }
-            return out;
-        }
-        if s.initiated_at.is_some() {
-            if s.queue_us > 0 || s.queue_attr != QueueAttr::Wait {
-                out.push((Self::queue_phase_name(s.queue_attr), s.queue_us));
-            }
-            if s.lock_wait_us > 0 {
-                out.push(("lock_wait", s.lock_wait_us));
-            }
-            out.push(("exec", s.exec_us));
-        }
-        for leg in &s.legs {
-            let name = if leg.retransmitted {
-                "retransmit"
-            } else {
-                "net"
-            };
-            out.push((name, leg.net_us));
-            out.push(("holdback", leg.holdback_us));
-        }
+        Self::phases(s, |p, us| out.push((p.name(), us)));
         out
     }
 
-    fn observe_phases(&mut self, s: &CommitSpan) {
-        for (name, us) in Self::phase_observations(s) {
-            self.phase_entry(name).record(us);
-        }
-    }
-
-    fn phase_entry(&mut self, name: &'static str) -> &mut QuantileSketch {
-        self.phase.entry(name).or_default()
+    /// The segments of [`SpanReport::critical_path`], in pipeline order.
+    fn critical_segments(s: &CommitSpan) -> impl Iterator<Item = (Phase, u64)> {
+        let committed = s.committed_at.is_some();
+        let pre = (committed && s.initiated_at.is_some()).then(|| {
+            [
+                (Phase::queue(s.queue_attr), s.queue_us),
+                (Phase::LockWait, s.lock_wait_us),
+                (Phase::Exec, s.exec_us),
+            ]
+        });
+        let last = s
+            .legs
+            .iter()
+            .max_by_key(|l| (l.installed_at, l.node))
+            .filter(|_| committed)
+            .map(|last| {
+                [
+                    (Phase::net(last), last.net_us),
+                    (Phase::Holdback, last.holdback_us),
+                ]
+            });
+        pre.into_iter()
+            .flatten()
+            .chain(last.into_iter().flatten())
+            .filter(|&(_, us)| us > 0)
     }
 
     /// The ordered critical path of one span: the chain of phases ending
     /// at the **last** install, zero-duration segments dropped.
     pub fn critical_path(s: &CommitSpan) -> Vec<(&'static str, u64)> {
-        if s.committed_at.is_none() {
-            return Vec::new();
-        }
-        let mut path = Vec::new();
-        if s.initiated_at.is_some() {
-            path.push((Self::queue_phase_name(s.queue_attr), s.queue_us));
-            path.push(("lock_wait", s.lock_wait_us));
-            path.push(("exec", s.exec_us));
-        }
-        if let Some(last) = s.legs.iter().max_by_key(|l| (l.installed_at, l.node)) {
-            let name = if last.retransmitted {
-                "retransmit"
-            } else {
-                "net"
-            };
-            path.push((name, last.net_us));
-            path.push(("holdback", last.holdback_us));
-        }
-        path.retain(|&(_, us)| us > 0);
-        path
-    }
-
-    fn observe_critical(&mut self, s: &CommitSpan) {
-        if s.committed_at.is_none() {
-            return;
-        }
-        let path = Self::critical_path(s);
-        self.critical_len.record(path.len() as u64);
-        // The dominant phase: max duration, earliest-in-pipeline on ties
-        // (`max_by_key` keeps the last max, so scan reversed).
-        if let Some(&(name, us)) = path.iter().rev().max_by_key(|&&(_, us)| us) {
-            let e = self.critical.entry(name).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += u128::from(us);
-        }
+        Self::critical_segments(s)
+            .map(|(p, us)| (p.name(), us))
+            .collect()
     }
 
     /// Publish span-derived metrics under their registered keys:

@@ -375,7 +375,7 @@ impl Metrics {
 
     /// Add `delta` to counter `key` without taking ownership of the key:
     /// allocates an owned copy only on the counter's *first* update, so a
-    /// hot path using an interned key (see `telemetry::DimKeys`) is
+    /// hot path using an interned key (see `telemetry::Probes`) is
     /// allocation-free in steady state.
     pub fn add_named(&mut self, key: &str, delta: u64) {
         if let Some(c) = self.counters.get_mut(key) {

@@ -24,7 +24,7 @@
 //! observation allocates nothing.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::histogram::QuantileSketch;
 use crate::metrics::{keys, Metrics};
@@ -35,7 +35,7 @@ use crate::time::SimTime;
 /// update sequence. Every event downstream of a commit (broadcast, install,
 /// forward, repackage) carries the same id, which is what makes the
 /// commit→install join well-defined even across §4.4.3 repackaging.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CausalId {
     /// Fragment whose update sequence this transaction extends.
     pub fragment: u32,
@@ -81,10 +81,10 @@ macro_rules! put_field {
             $field,
             stringify!($vocab)
         );
-        $out.push_str(label!($field));
-        $out.push('"');
-        $out.push_str($field);
-        $out.push('"');
+        $out.push(label!($field));
+        $out.push("\"");
+        $out.push($field);
+        $out.push("\"");
     }};
 }
 
@@ -149,7 +149,7 @@ macro_rules! telemetry_events {
             }
 
             /// Append the variant's fields in declared order.
-            fn put_fields(&self, out: &mut String) {
+            fn put_fields(&self, out: &mut Line) {
                 match self {
                     $( TelemetryEvent::$variant { $( $field ),+ } => {
                         $( put_field!(out, $field, $ty $(, $vocab)?); )+
@@ -431,24 +431,95 @@ pub struct TelemetryRecord {
 /// A declared field type: how it is written after its label, read back,
 /// and range-checked.
 trait Wire: Sized {
-    fn put(&self, label: &'static str, out: &mut String);
+    fn put(&self, label: &'static str, out: &mut Line);
     fn take(label: &'static str, cur: &mut Cursor<'_>) -> Result<Self, String>;
 }
 
-impl Wire for u64 {
-    fn put(&self, label: &'static str, out: &mut String) {
-        out.push_str(label);
-        write!(out, "{self}").expect("writing to a String cannot fail");
+/// `"00"`, `"01"`, … `"99"`: the two decimal digits of every value below 100.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
     }
+    pairs
+};
+
+/// One JSON line under construction, on the stack, so that appending a
+/// label or a number is a copy rather than a `String` growth check. Every
+/// line the vocabulary can produce fits: the longest, every number at
+/// `u64::MAX`, is under 200 bytes (the codec round-trip test writes it).
+struct Line {
+    bytes: [u8; 256],
+    len: usize,
+}
+
+impl Line {
+    fn new() -> Line {
+        Line {
+            bytes: [0; 256],
+            len: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn push(&mut self, s: &str) {
+        let end = self.len + s.len();
+        self.bytes[self.len..end].copy_from_slice(s.as_bytes());
+        self.len = end;
+    }
+
+    /// Append `v` in decimal, the digits `v.to_string()` has, written in
+    /// place two at a time from the right.
+    #[inline(always)]
+    fn decimal(&mut self, mut v: u64) {
+        let end = self.len + v.checked_ilog10().unwrap_or(0) as usize + 1;
+        let digits = &mut self.bytes[self.len..end];
+        let mut at = digits.len();
+        while v >= 100 {
+            let pair = (v % 100) as usize * 2;
+            v /= 100;
+            at -= 2;
+            digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        if v >= 10 {
+            let pair = v as usize * 2;
+            digits[..2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
+            digits[0] = b'0' + v as u8;
+        }
+        self.len = end;
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("the encoder writes ASCII")
+    }
+}
+
+impl Wire for u64 {
+    #[inline(always)]
+    fn put(&self, label: &'static str, out: &mut Line) {
+        out.push(label);
+        out.decimal(*self);
+    }
+    #[inline(always)]
     fn take(label: &'static str, cur: &mut Cursor<'_>) -> Result<u64, String> {
         cur.number(label)
     }
 }
 
 impl Wire for u32 {
-    fn put(&self, label: &'static str, out: &mut String) {
+    #[inline(always)]
+    fn put(&self, label: &'static str, out: &mut Line) {
         u64::from(*self).put(label, out);
     }
+    #[inline(always)]
     fn take(label: &'static str, cur: &mut Cursor<'_>) -> Result<u32, String> {
         let v = cur.number(label)?;
         u32::try_from(v).map_err(|_| format!("field {:?}: {v} exceeds u32", field_of(label)))
@@ -458,11 +529,13 @@ impl Wire for u32 {
 /// A causal id flattens to `fragment`/`epoch`/`frag_seq` whatever the
 /// field holding it is called.
 impl Wire for CausalId {
-    fn put(&self, _: &'static str, out: &mut String) {
+    #[inline(always)]
+    fn put(&self, _: &'static str, out: &mut Line) {
         self.fragment.put(label!(fragment), out);
         self.epoch.put(label!(epoch), out);
         self.frag_seq.put(label!(frag_seq), out);
     }
+    #[inline(always)]
     fn take(_: &'static str, cur: &mut Cursor<'_>) -> Result<CausalId, String> {
         Ok(CausalId {
             fragment: Wire::take(label!(fragment), cur)?,
@@ -484,18 +557,22 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     /// Consume `label`, the next declared field's `,"<field>":`.
+    #[inline(always)]
     fn label(&mut self, label: &'static str) -> Result<(), String> {
-        match self.rest.strip_prefix(label) {
-            Some(rest) => {
-                self.rest = rest;
-                Ok(())
-            }
-            None => Err(format!(
-                "expected field {:?}, found {}",
-                field_of(label),
-                self.found()
-            )),
+        if !self.rest.as_bytes().starts_with(label.as_bytes()) {
+            return Err(self.expected(label));
         }
+        self.rest = &self.rest[label.len()..];
+        Ok(())
+    }
+
+    #[cold]
+    fn expected(&self, label: &'static str) -> String {
+        format!(
+            "expected field {:?}, found {}",
+            field_of(label),
+            self.found()
+        )
     }
 
     /// What stands at the cursor, for an error message.
@@ -512,42 +589,66 @@ impl<'a> Cursor<'a> {
     }
 
     /// A number in the encoder's form: decimal digits, no sign, no
-    /// leading zero, at most `u64::MAX`.
+    /// leading zero, at most `u64::MAX`. The digits accumulate unchecked in
+    /// one pass: fewer than 20 cannot overflow, and 20 are in range when
+    /// they compare no greater than `u64::MAX`'s.
+    #[inline(always)]
     fn number(&mut self, label: &'static str) -> Result<u64, String> {
         self.label(label)?;
-        let len = self.rest.bytes().take_while(u8::is_ascii_digit).count();
-        let (digits, rest) = self.rest.split_at(len);
-        if len == 0 || (len > 1 && digits.starts_with('0')) {
-            return Err(format!(
+        let bytes = self.rest.as_bytes();
+        let mut len = 0;
+        let mut value = 0u64;
+        while let Some(&b) = bytes.get(len).filter(|b| b.is_ascii_digit()) {
+            value = value.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+            len += 1;
+        }
+        let canonical = len == 1 || (len > 1 && bytes[0] != b'0');
+        let in_range = len < 20 || (len == 20 && &bytes[..20] <= b"18446744073709551615");
+        if !(canonical && in_range) {
+            return Err(self.not_a_number(label, len));
+        }
+        self.rest = &self.rest[len..];
+        Ok(value)
+    }
+
+    #[cold]
+    fn not_a_number(&self, label: &'static str, len: usize) -> String {
+        if len == 0 || self.rest.starts_with('0') {
+            format!(
                 "field {:?}: expected a number, found {:?}",
                 field_of(label),
                 self.rest
-            ));
+            )
+        } else {
+            format!(
+                "field {:?}: {} exceeds u64",
+                field_of(label),
+                &self.rest[..len]
+            )
         }
-        let value = digits
-            .parse()
-            .map_err(|_| format!("field {:?}: {digits} exceeds u64", field_of(label)))?;
-        self.rest = rest;
-        Ok(value)
     }
 
     /// A quoted string. The encoder writes identifiers only, so there are
     /// no escapes to undo.
+    #[inline(always)]
     fn string(&mut self, label: &'static str) -> Result<&'a str, String> {
         self.label(label)?;
-        let (value, rest) = self
-            .rest
-            .strip_prefix('"')
-            .and_then(|r| r.split_once('"'))
-            .ok_or_else(|| {
-                format!(
-                    "field {:?}: expected a string, found {:?}",
-                    field_of(label),
-                    self.rest
-                )
-            })?;
-        self.rest = rest;
-        Ok(value)
+        let rest = self.rest;
+        let end = rest
+            .as_bytes()
+            .iter()
+            .skip(1)
+            .position(|&b| b == b'"')
+            .filter(|_| rest.starts_with('"'));
+        let Some(end) = end else {
+            return Err(format!(
+                "field {:?}: expected a string, found {:?}",
+                field_of(label),
+                rest
+            ));
+        };
+        self.rest = &rest[end + 2..];
+        Ok(&rest[1..end + 1])
     }
 
     /// A string that must be one of `vocabulary`'s words.
@@ -564,29 +665,29 @@ impl<'a> Cursor<'a> {
 }
 
 impl TelemetryRecord {
-    /// Append the record's JSON-lines encoding (hand-rolled: no serde in
-    /// this offline build), without a newline.
+    /// The record's JSON-lines encoding (hand-rolled: no serde in this
+    /// offline build), without a newline.
     ///
     /// One flat object per line: `at_micros`, `event`, then the variant's
     /// declared fields in declared order. Causal ids flatten to
     /// `fragment`/`epoch`/`frag_seq`. Numbers are unsigned decimals,
     /// strings are words of a closed vocabulary, and there is no
     /// whitespace.
-    pub fn write_json_line(&self, out: &mut String) {
-        self.at.micros().put("{\"at_micros\":", out);
-        out.push_str(label!(event));
-        out.push('"');
-        out.push_str(self.event.name());
-        out.push('"');
-        self.event.put_fields(out);
-        out.push('}');
+    pub fn to_json_line(&self) -> String {
+        self.json_line().as_str().to_owned()
     }
 
-    /// [`TelemetryRecord::write_json_line`] into a fresh `String`.
-    pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(96);
-        self.write_json_line(&mut out);
-        out
+    /// [`TelemetryRecord::to_json_line`] in a stack buffer.
+    fn json_line(&self) -> Line {
+        let mut line = Line::new();
+        self.at.micros().put("{\"at_micros\":", &mut line);
+        line.push(label!(event));
+        line.push("\"");
+        line.push(self.event.name());
+        line.push("\"");
+        self.event.put_fields(&mut line);
+        line.push("}");
+        line
     }
 
     /// Strict inverse of [`TelemetryRecord::to_json_line`]: accepts exactly
@@ -597,19 +698,49 @@ impl TelemetryRecord {
     /// vocabulary.
     pub fn from_json_line(line: &str) -> Result<TelemetryRecord, String> {
         let mut cur = Cursor { rest: line };
-        let at = cur.number("{\"at_micros\":")?;
-        let name = cur.string(label!(event))?;
-        let event = TelemetryEvent::take_fields(name, &mut cur)?;
+        let record = Self::take(&mut cur)?;
         if cur.rest != "}" {
             return Err(format!(
                 "expected the end of the object, found {}",
                 cur.found()
             ));
         }
+        Ok(record)
+    }
+
+    /// [`TelemetryRecord::from_json_line`] on the first line of `text`,
+    /// without splitting the line off first: the record and the text after
+    /// its line, or `None` when the line is not a valid record. Only a line
+    /// that opens an object is tried, so a comment costs no error message.
+    fn from_json_line_at(text: &str) -> Option<(TelemetryRecord, &str)> {
+        if !text.starts_with('{') {
+            return None;
+        }
+        let mut cur = Cursor { rest: text };
+        let record = Self::take(&mut cur).ok()?;
+        // No field runs past a newline, so the line ends at the brace.
+        let (rest_of_line, after) = first_line(cur.rest.strip_prefix('}')?);
+        rest_of_line.is_empty().then_some((record, after))
+    }
+
+    /// Everything of a record but its closing brace.
+    fn take(cur: &mut Cursor<'_>) -> Result<TelemetryRecord, String> {
+        let at = cur.number("{\"at_micros\":")?;
+        let name = cur.string(label!(event))?;
+        let event = TelemetryEvent::take_fields(name, cur)?;
         Ok(TelemetryRecord {
             at: SimTime(at),
             event,
         })
+    }
+}
+
+/// The first line of `text` as [`str::lines`] yields it, and the text
+/// after that line.
+fn first_line(text: &str) -> (&str, &str) {
+    match text.split_once('\n') {
+        Some((line, after)) => (line.strip_suffix('\r').unwrap_or(line), after),
+        None => (text, ""),
     }
 }
 
@@ -632,11 +763,13 @@ pub fn render_jsonl<'a>(
     if dropped > 0 {
         out.push_str(&format!("# {dropped} earlier events dropped\n"));
     }
+    // Lines are copied as bytes and the whole is checked as UTF-8 once.
+    let mut out = out.into_bytes();
     for r in records {
-        r.write_json_line(&mut out);
-        out.push('\n');
+        out.extend_from_slice(r.json_line().as_bytes());
+        out.push(b'\n');
     }
-    out
+    String::from_utf8(out).expect("the encoder writes ASCII")
 }
 
 /// One meaningful line of an export, as [`read_jsonl`] hands it out.
@@ -660,26 +793,40 @@ pub fn read_jsonl(
 ) -> Result<(), String> {
     let mut last_at = 0;
     let mut records = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        let n = i + 1;
-        let entry = if line.starts_with(SCENARIO_HEADER) {
-            last_at = 0;
-            JsonlEntry::Scenario
-        } else if line.is_empty() || line.starts_with('#') {
-            continue;
-        } else {
-            let r = TelemetryRecord::from_json_line(line).map_err(|e| format!("line {n}: {e}"))?;
-            let at = r.at.micros();
-            if at < last_at {
-                return Err(format!(
-                    "line {n}: at_micros {at} decreases (previous {last_at})"
-                ));
+    let (mut rest, mut n) = (text, 0);
+    while !rest.is_empty() {
+        n += 1;
+        // A record line decodes where it stands. Any other line is split
+        // off and read on its own, and so is a record line that does not
+        // decode, for the error message.
+        let r = match TelemetryRecord::from_json_line_at(rest) {
+            Some((r, after)) => {
+                rest = after;
+                r
             }
-            last_at = at;
-            records += 1;
-            JsonlEntry::Record(r)
+            None => {
+                let (line, after) = first_line(rest);
+                rest = after;
+                if line.starts_with(SCENARIO_HEADER) {
+                    last_at = 0;
+                    visit(JsonlEntry::Scenario).map_err(|e| format!("line {n}: {e}"))?;
+                    continue;
+                }
+                if line.is_empty() || line.starts_with('#') {
+                    continue;
+                }
+                TelemetryRecord::from_json_line(line).map_err(|e| format!("line {n}: {e}"))?
+            }
         };
-        visit(entry).map_err(|e| format!("line {n}: {e}"))?;
+        let at = r.at.micros();
+        if at < last_at {
+            return Err(format!(
+                "line {n}: at_micros {at} decreases (previous {last_at})"
+            ));
+        }
+        last_at = at;
+        records += 1;
+        visit(JsonlEntry::Record(r)).map_err(|e| format!("line {n}: {e}"))?;
     }
     if records == 0 {
         return Err("no event lines".to_string());
@@ -687,38 +834,102 @@ pub fn read_jsonl(
     Ok(())
 }
 
+/// Multiply-and-rotate hashing for the few integers of a causal id or a
+/// dimensioned key: the simulator assigns these itself, so SipHash's
+/// resistance to crafted keys buys nothing and costs most of a lookup.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.add(u64::from(v));
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by simulator-assigned ids (causal ids, node and fragment
+/// numbers), hashed with [`IdHasher`]: the commit→install joins of the
+/// probes here and of span reconstruction. The determinism lint bans
+/// `HashMap` for its per-process random hasher; this one's hasher is
+/// fixed, so even its iteration order is a function of the insertions.
+#[allow(clippy::disallowed_types)]
+pub type IdMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A family of dimensioned probe keys, `<prefix>.<index>.<suffix>`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Dim {
+    FragLag,
+    FragQueue,
+    FragMoveStall,
+    FragUnavailWindow,
+    FragReplicaCount,
+    NodeStaleness,
+    NodeHoldback,
+}
+
+impl Dim {
+    /// The family's `(prefix, suffix)`.
+    fn parts(self) -> (&'static str, &'static str) {
+        match self {
+            Dim::FragLag => ("frag", "lag"),
+            Dim::FragQueue => ("frag", "queue"),
+            Dim::FragMoveStall => ("frag", "move_stall"),
+            Dim::FragUnavailWindow => ("frag", "unavail_window"),
+            Dim::FragReplicaCount => ("frag", "replica_count"),
+            Dim::NodeStaleness => ("node", "staleness"),
+            Dim::NodeHoldback => ("node", "holdback"),
+        }
+    }
+}
+
 /// Interning cache for dimensioned metric keys (`frag.3.lag`,
-/// `node.7.staleness`, …). The first observation of a `(prefix, index,
-/// suffix)` triple formats and stores the key; every later observation
-/// reuses the stored `String`, so steady-state emission performs no
-/// formatting and no allocation.
+/// `node.7.staleness`, …). The first observation of a `(family, index)`
+/// pair formats and stores the key; every later observation reuses the
+/// stored `String`, so steady-state emission performs no formatting and no
+/// allocation.
 #[derive(Debug, Default)]
-pub struct DimKeys {
-    cache: BTreeMap<(&'static str, u32, &'static str), String>,
+struct DimKeys {
+    cache: IdMap<(Dim, u32), String>,
     interned: u64,
 }
 
 impl DimKeys {
-    /// Empty cache.
-    pub fn new() -> Self {
-        DimKeys::default()
-    }
-
-    /// The interned key for `<prefix>.<index>.<suffix>`, formatting it only
-    /// on first use.
-    pub fn key(&mut self, prefix: &'static str, index: u32, suffix: &'static str) -> &str {
+    /// The interned key for `dim` at `index`, formatting it only on first
+    /// use.
+    fn key(&mut self, dim: Dim, index: u32) -> &str {
         let interned = &mut self.interned;
-        self.cache
-            .entry((prefix, index, suffix))
-            .or_insert_with(|| {
-                *interned += 1;
-                format!("{prefix}.{index}.{suffix}")
-            })
+        self.cache.entry((dim, index)).or_insert_with(|| {
+            *interned += 1;
+            let (prefix, suffix) = dim.parts();
+            format!("{prefix}.{index}.{suffix}")
+        })
     }
 
     /// How many distinct keys have been formatted so far. Tests pin this to
     /// assert steady-state observation allocates no new keys.
-    pub fn interned(&self) -> u64 {
+    fn interned(&self) -> u64 {
         self.interned
     }
 }
@@ -749,7 +960,7 @@ impl DimKeys {
 #[derive(Debug, Default)]
 pub struct Probes {
     keys: DimKeys,
-    commit_at: BTreeMap<CausalId, SimTime>,
+    commit_at: IdMap<CausalId, SimTime>,
     move_started: BTreeMap<u32, (SimTime, u32, u32)>,
     unavail_started: BTreeMap<u32, SimTime>,
     /// Merged commit→install lag across all fragments, recorded online at
@@ -773,7 +984,7 @@ impl Probes {
                     // than silently absent; remote installs measure the
                     // mutual-consistency window.
                     let lag = at.micros().saturating_sub(t0.micros());
-                    let key = self.keys.key("frag", cause.fragment, "lag");
+                    let key = self.keys.key(Dim::FragLag, cause.fragment);
                     metrics.observe_named(key, lag);
                     self.lag_sketch.record(lag);
                 }
@@ -785,15 +996,15 @@ impl Probes {
                 ..
             } => {
                 let staleness = agent_seq.saturating_sub(*seen_seq);
-                let key = self.keys.key("node", *node, "staleness");
+                let key = self.keys.key(Dim::NodeStaleness, *node);
                 metrics.observe_named(key, staleness);
             }
             TelemetryEvent::HeldBack { node, depth, .. } => {
-                let key = self.keys.key("node", *node, "holdback");
+                let key = self.keys.key(Dim::NodeHoldback, *node);
                 metrics.observe_named(key, *depth);
             }
             TelemetryEvent::SubmissionQueued { fragment, depth } => {
-                let key = self.keys.key("frag", *fragment, "queue");
+                let key = self.keys.key(Dim::FragQueue, *fragment);
                 metrics.observe_named(key, *depth);
             }
             TelemetryEvent::MoveRequested { fragment, from, to } => {
@@ -804,7 +1015,7 @@ impl Probes {
             TelemetryEvent::TokenArrived { fragment, .. } => {
                 if let Some((t0, _, _)) = self.move_started.remove(fragment) {
                     let stall = at.micros().saturating_sub(t0.micros());
-                    let key = self.keys.key("frag", *fragment, "move_stall");
+                    let key = self.keys.key(Dim::FragMoveStall, *fragment);
                     metrics.observe_named(key, stall);
                 }
             }
@@ -818,7 +1029,7 @@ impl Probes {
                     if f0 == *from && t0_to == *to {
                         self.move_started.remove(fragment);
                         let stall = at.micros().saturating_sub(t0.micros());
-                        let key = self.keys.key("frag", *fragment, "move_stall");
+                        let key = self.keys.key(Dim::FragMoveStall, *fragment);
                         metrics.observe_named(key, stall);
                     }
                 }
@@ -829,7 +1040,7 @@ impl Probes {
             TelemetryEvent::TokenRecovered { fragment, .. } => {
                 if let Some(t0) = self.unavail_started.remove(fragment) {
                     let window = at.micros().saturating_sub(t0.micros());
-                    let key = self.keys.key("frag", *fragment, "unavail_window");
+                    let key = self.keys.key(Dim::FragUnavailWindow, *fragment);
                     metrics.observe_named(key, window);
                 }
             }
@@ -852,7 +1063,7 @@ impl Probes {
                 fragment, to_count, ..
             } => {
                 // Gauge semantics: the fragment's current replica-set size.
-                let key = self.keys.key("frag", *fragment, "replica_count");
+                let key = self.keys.key(Dim::FragReplicaCount, *fragment);
                 metrics.set_named(key, u64::from(*to_count));
             }
             _ => {}
@@ -1358,10 +1569,10 @@ mod tests {
 
     #[test]
     fn dim_keys_intern_once() {
-        let mut k = DimKeys::new();
-        assert_eq!(k.key("frag", 3, "lag"), "frag.3.lag");
-        assert_eq!(k.key("frag", 3, "lag"), "frag.3.lag");
-        assert_eq!(k.key("node", 3, "lag"), "node.3.lag");
+        let mut k = DimKeys::default();
+        assert_eq!(k.key(Dim::FragLag, 3), "frag.3.lag");
+        assert_eq!(k.key(Dim::FragLag, 3), "frag.3.lag");
+        assert_eq!(k.key(Dim::NodeStaleness, 3), "node.3.staleness");
         assert_eq!(k.interned(), 2);
     }
 
@@ -1430,6 +1641,67 @@ mod tests {
         );
     }
 
+    /// The reader's verdict on `digits` written as a field: the value, or
+    /// `None` for a refusal.
+    fn read_number(digits: &str) -> Option<u64> {
+        let field = format!(",\"x\":{digits}}}");
+        let mut cur = Cursor { rest: &field };
+        let value = cur.number(",\"x\":").ok()?;
+        assert_eq!(cur.rest, "}", "{digits}: the reader stops after the digits");
+        Some(value)
+    }
+
+    /// The integer writer and reader against `u64::to_string` and
+    /// `str::parse`, at every boundary and over a seeded sweep.
+    #[test]
+    fn integer_codec_agrees_with_std_formatting_and_parsing() {
+        let mut values = vec![0, 9, 10, u64::from(u32::MAX), u64::MAX];
+        for k in 1..=19 {
+            let p = 10u64.pow(k);
+            values.extend([p - 1, p, p + 1]);
+        }
+        let mut rng = crate::rng::SimRng::new(42);
+        for _ in 0..50_000 {
+            // Every magnitude, not just the 19- and 20-digit values a
+            // uniform u64 almost always is.
+            let shift = rng.gen_range(0..64u32);
+            values.push(rng.next_u64() >> shift);
+        }
+        for v in values {
+            let mut line = Line::new();
+            line.decimal(v);
+            assert_eq!(line.as_str(), v.to_string());
+            assert_eq!(read_number(&v.to_string()), Some(v));
+        }
+
+        // Any digit string: the reader accepts what `parse` accepts, minus
+        // a leading zero, which the writer never produces.
+        let mut digit_strings: Vec<String> = [
+            "18446744073709551616",
+            "18446744073709551619",
+            "18446744073709551620",
+            "99999999999999999999",
+            "100000000000000000000",
+            "00",
+            "007",
+        ]
+        .map(String::from)
+        .to_vec();
+        for _ in 0..50_000 {
+            let len = rng.gen_range(1..=22usize);
+            digit_strings.push(
+                (0..len)
+                    .map(|_| char::from(b'0' + rng.gen_range(0..10u8)))
+                    .collect(),
+            );
+        }
+        for digits in digit_strings {
+            let canonical = digits.len() == 1 || !digits.starts_with('0');
+            let expected = digits.parse::<u64>().ok().filter(|_| canonical);
+            assert_eq!(read_number(&digits), expected, "{digits}");
+        }
+    }
+
     #[test]
     fn every_variant_round_trips_through_the_codec() {
         for max in [false, true] {
@@ -1493,6 +1765,34 @@ mod tests {
             Record(_) => Err("stop".to_string()),
         });
         assert_eq!(err, Err("line 3: stop".to_string()));
+    }
+
+    #[test]
+    fn read_jsonl_splits_lines_as_str_lines_does() {
+        let r = |at| TelemetryRecord {
+            at: SimTime(at),
+            event: TelemetryEvent::Crash { node: 1 },
+        };
+        let (a, b) = (r(1).to_json_line(), r(2).to_json_line());
+        let read = |text: &str| {
+            let mut entries = Vec::new();
+            read_jsonl(text, |e| {
+                entries.push(e);
+                Ok(())
+            })
+            .map(|()| entries)
+        };
+        for text in [
+            format!("{a}\r\n\r\n{b}"),
+            format!("{a}\n\n{b}\n"),
+            format!("{a}\r\n{b}\r\n"),
+        ] {
+            let expected = vec![JsonlEntry::Record(r(1)), JsonlEntry::Record(r(2))];
+            assert_eq!(read(&text), Ok(expected), "{text:?}");
+        }
+        // A carriage return that ends no line belongs to it.
+        let err = TelemetryRecord::from_json_line(&format!("{b}\r")).unwrap_err();
+        assert_eq!(read(&format!("{a}\n{b}\r")), Err(format!("line 2: {err}")));
     }
 
     #[test]

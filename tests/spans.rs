@@ -14,13 +14,23 @@
 //!   progress answers its probe after a heal are exported as a
 //!   `Retransmit` on the home → replica link, and the legs they carried
 //!   read as retransmitted.
+//! * Pinned reconstruction: a lossy self-healing run with retransmitted
+//!   and held-back legs reconstructs, from the live stream and from its
+//!   export alike, to a report whose digest is a constant.
+//! * A §4.4.1 prepare whose home crashed before committing is reported as
+//!   uncommitted, not as a ring-evicted (truncated) span.
+
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use fragdb::core::{Submission, System, SystemConfig};
+use fragdb::harness::configs;
 use fragdb::harness::trace::{self, UNRESTRICTED_FAULTS};
 use fragdb::model::{AgentId, FragmentCatalog, NodeId, UserId};
-use fragdb::net::{NetworkChange, Topology};
+use fragdb::net::{FaultConfig, FaultPlan, NetworkChange, Topology};
 use fragdb::obs::{folded, validate_folded, SpanReport, SpanStatus};
-use fragdb::sim::{SimDuration, SimTime, Telemetry, TelemetryEvent};
+use fragdb::sim::telemetry::{read_jsonl, render_jsonl, JsonlEntry};
+use fragdb::sim::{QuantileSketch, SimDuration, SimTime, Telemetry, TelemetryEvent};
 
 const SEED: u64 = 42;
 
@@ -262,5 +272,159 @@ fn repair_on_ack_progress_is_a_retransmit_from_the_home() {
                 leg.node
             );
         }
+    }
+}
+
+/// FNV-1a, as in `tests/golden_trace.rs`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// §5 self-healing over lossy links: the `self-heal` configuration (one
+/// majority-commit fragment on five nodes, failure detector on) with 10 %
+/// loss, 5 % duplication and up to 5 ms of jitter on every link. The home
+/// crashes at 4 s, as a prepare goes out; an elected home takes over and
+/// the crashed one recovers at 9 s. Returns the run's export.
+fn lossy_self_heal_export() -> String {
+    let named = configs::by_name("self-heal", SEED).expect("registered");
+    let plan = FaultPlan::new(0.10, 0.05, SimDuration::from_millis(5));
+    let config = named.config.with_faults(FaultConfig::uniform(plan));
+    let fragment = &named.catalog.fragments()[0];
+    let (f, objs) = (fragment.id, fragment.objects.clone());
+    let mut sys = System::build(named.topology, named.catalog, named.agents, config).unwrap();
+    for k in 0..12u64 {
+        let obj = objs[k as usize % objs.len()];
+        sys.submit_at(
+            secs(k + 1),
+            Submission::update(
+                f,
+                Box::new(move |ctx| {
+                    let v = ctx.read_int(obj, 0);
+                    ctx.write(obj, v + 1)?;
+                    Ok(())
+                }),
+            ),
+        );
+    }
+    sys.crash_at(secs(4), NodeId(0));
+    sys.recover_at(secs(9), NodeId(0));
+    sys.engine.telemetry = Telemetry::bounded(100_000);
+    while sys.step_until(secs(60)).is_some() {}
+    let t = &sys.engine.telemetry;
+    render_jsonl(None, t.dropped(), t.events())
+}
+
+/// A digest of everything a report says: every span's fields and legs,
+/// the status counts, each phase sketch's moments and quantiles, and the
+/// critical-path map. `as_parent` reports an uncommitted span the way the
+/// parent of that status did, as truncated.
+fn report_digest(r: &SpanReport, as_parent: bool) -> u64 {
+    let status = |s: SpanStatus| match s {
+        SpanStatus::Uncommitted if as_parent => SpanStatus::Truncated,
+        s => s,
+    };
+    let mut text = String::new();
+    let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+    for s in &r.spans {
+        *counts.entry(format!("{:?}", status(s.status))).or_default() += 1;
+        let _ = writeln!(
+            text,
+            "{:?} {:?} {:?} {:?} {:?} {} {:?} {} {} {:?}",
+            s.cause,
+            status(s.status),
+            s.commit_node,
+            s.committed_at,
+            s.initiated_at,
+            s.queue_us,
+            s.queue_attr,
+            s.lock_wait_us,
+            s.exec_us,
+            s.recipients
+        );
+        for l in &s.legs {
+            let _ = writeln!(
+                text,
+                "  {} {} {} {} {} {}",
+                l.node, l.installed_at, l.arrived_at, l.net_us, l.holdback_us, l.retransmitted
+            );
+        }
+    }
+    let _ = writeln!(text, "{counts:?}");
+    let quantiles = |sk: &QuantileSketch| [50.0, 90.0, 99.0, 100.0].map(|q| sk.quantile(q));
+    for (name, sk) in &r.phase {
+        let _ = writeln!(
+            text,
+            "{name} n={} sum={} min={:?} max={:?} q={:?}",
+            sk.count(),
+            sk.sum(),
+            sk.min(),
+            sk.max(),
+            quantiles(sk)
+        );
+    }
+    let _ = writeln!(text, "{:?}", r.critical);
+    let len = &r.critical_len;
+    let _ = writeln!(
+        text,
+        "critical_len n={} q={:?}",
+        len.count(),
+        quantiles(len)
+    );
+    fnv1a(text.as_bytes())
+}
+
+#[test]
+fn lossy_self_heal_reconstruction_hashes_to_the_pinned_digest() {
+    let text = lossy_self_heal_export();
+    let mut records = Vec::new();
+    read_jsonl(&text, |entry| {
+        if let JsonlEntry::Record(r) = entry {
+            records.push(r);
+        }
+        Ok(())
+    })
+    .unwrap();
+    let live = SpanReport::from_records(&records);
+    let replayed = SpanReport::from_jsonl(&text).expect("export parses");
+    // The pin covers the legs that are easy to get wrong.
+    let legs = || live.spans.iter().flat_map(|s| &s.legs);
+    assert!(legs().any(|l| l.retransmitted), "no retransmitted leg");
+    assert!(legs().any(|l| l.holdback_us > 0), "no held-back leg");
+    assert_eq!(live.uncommitted, 1, "the prepare the crash interrupted");
+    // Taken from the parent of `SpanStatus::Uncommitted`, which reported
+    // that one span as truncated; the digest moves by that status alone.
+    const PARENT: u64 = 0x349e_d087_5bcb_27c1;
+    const PINNED: u64 = 0x006f_86fe_9cb6_2157;
+    for report in [&live, &replayed] {
+        assert_eq!(report_digest(report, true), PARENT);
+        let got = report_digest(report, false);
+        assert_eq!(got, PINNED, "report hashes to {got:#018x}");
+    }
+}
+
+#[test]
+fn a_prepare_the_home_crashed_on_is_uncommitted_not_truncated() {
+    // The home crashes at 4 s as the prepare of (0, 0, 3) goes out; the
+    // elected home resurrects the staged entry and installs it at all
+    // five nodes. The ring evicted nothing, so nothing is truncated.
+    let run = trace::run_scenario(trace::SELF_HEAL, SEED, true).unwrap();
+    assert_eq!(run.dropped, 0);
+    let live = SpanReport::from_records(run.records.iter());
+    let replayed = SpanReport::from_jsonl(&trace::render_jsonl(&run)).expect("export parses");
+    for report in [&live, &replayed] {
+        assert_eq!((report.truncated, report.uncommitted), (0, 1));
+        let s = report
+            .spans
+            .iter()
+            .find(|s| s.status == SpanStatus::Uncommitted)
+            .expect("one uncommitted span");
+        assert_eq!(
+            (s.cause.fragment, s.cause.epoch, s.cause.frag_seq),
+            (0, 0, 3)
+        );
+        assert_eq!((s.committed_at, s.recipients), (None, Some(4)));
+        assert_eq!(s.legs.len(), 5);
     }
 }
