@@ -118,10 +118,9 @@ pub fn check_tokens(input: &CheckInput) -> Vec<Diagnostic> {
     out
 }
 
-/// FDB002/FDB010/FDB011 — §3.2: classes may only reference declared
-/// fragments; writes outside the initiator's fragment violate the
-/// initiation requirement unless the class opts into the multi-fragment
-/// protocol, which is flagged informationally.
+/// FDB002/FDB010 — §3.2: classes may only reference declared fragments;
+/// writes outside the initiator's fragment violate the initiation
+/// requirement.
 pub fn check_classes(input: &CheckInput) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for class in input.classes {
@@ -140,12 +139,12 @@ pub fn check_classes(input: &CheckInput) -> Vec<Diagnostic> {
             }
         }
         let foreign: Vec<FragmentId> = class.foreign_writes().collect();
-        if !foreign.is_empty() && !class.multi_fragment {
+        if !foreign.is_empty() {
             let list = join_frags(&foreign);
             out.push(
                 Diagnostic::new(
                     Code::Fdb010,
-                    subject.clone(),
+                    subject,
                     format!(
                         "declares writes to {list} outside its initiator's fragment {} \
                          — instances would abort with an initiation violation",
@@ -153,23 +152,9 @@ pub fn check_classes(input: &CheckInput) -> Vec<Diagnostic> {
                     ),
                 )
                 .with_help(
-                    "let the written fragment's own agent initiate the update, or declare \
-                     the class multi-fragment (§3.2 footnote, two-phase commit)",
+                    "let the written fragment's own agent initiate the update, as a \
+                     sibling transaction per written fragment",
                 ),
-            );
-        }
-        if class.multi_fragment && !foreign.is_empty() {
-            out.push(
-                Diagnostic::new(
-                    Code::Fdb011,
-                    subject,
-                    format!(
-                        "multi-fragment class writing {} — commits atomically via \
-                         two-phase commit among the fragments' agents",
-                        join_frags(&class.writes.iter().copied().collect::<Vec<_>>())
-                    ),
-                )
-                .with_help("expect 2PC latency and blocking on partition (§3.2 footnote)"),
             );
         }
     }
@@ -573,9 +558,10 @@ pub fn check_lock_order(input: &CheckInput) -> Vec<Diagnostic> {
 /// FDB050/FDB051/FDB052 — §5 self-healing token recovery. Elections act
 /// only on fragments under the §4.4.1 majority-commit policy (the one
 /// policy whose recovery needs nothing from the dead home), so with the
-/// detector enabled the configuration must give it something to protect
-/// (FDB050), each protected fragment a population an election can win
-/// (FDB051), and the rounds a non-zero patience (FDB052).
+/// detector enabled the configuration should give it something to protect
+/// (FDB050 warns: otherwise the heartbeats buy nothing), must give each
+/// protected fragment a population an election can win (FDB051), and the
+/// rounds a non-zero patience (FDB052).
 pub fn check_self_heal(input: &CheckInput) -> Vec<Diagnostic> {
     if !input.config.detector.enabled() {
         return Vec::new();

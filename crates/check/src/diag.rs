@@ -45,14 +45,9 @@ pub enum Code {
     /// An agent's home node is invalid (out of range, or a node agent
     /// homed away from its own node) (§3.1).
     Fdb003,
-    /// A class declares writes outside its initiator's fragment without
-    /// opting into the §3.2-footnote multi-fragment protocol — the
+    /// A class declares writes outside its initiator's fragment — the
     /// initiation requirement would be violated at run time (§3.2).
     Fdb010,
-    /// A declared multi-fragment class: legal, but commits through the
-    /// two-phase protocol among the written fragments' agents (§3.2
-    /// footnote).
-    Fdb011,
     /// The read-access graph is not elementarily acyclic (§4.2).
     Fdb020,
     /// A class reads its own fragment: by definition (`i ≠ j`) this is
@@ -115,12 +110,11 @@ impl Code {
     /// Every code the analyzer can emit, in numeric order. Tests assert
     /// this stays complete, so `--explain` can never lag behind a new
     /// check.
-    pub const ALL: [Code; 22] = [
+    pub const ALL: [Code; 21] = [
         Code::Fdb001,
         Code::Fdb002,
         Code::Fdb003,
         Code::Fdb010,
-        Code::Fdb011,
         Code::Fdb020,
         Code::Fdb021,
         Code::Fdb022,
@@ -177,17 +171,10 @@ impl Code {
                 "A transaction must be initiated at the agent holding the token of the \
                  fragment it updates (§3.2's initiation requirement). A class declaring \
                  writes outside its initiator's fragment would commit updates whose \
-                 token-holder never saw them — unless the class opts into the §3.2 \
-                 footnote's multi-fragment protocol, which runs two-phase commit among \
-                 the written fragments' agents. Either restrict writes to the initiating \
-                 fragment or declare the class multi-fragment."
-            }
-            Code::Fdb011 => {
-                "This class declares writes to several fragments and opted into the §3.2 \
-                 footnote protocol: its commits run two-phase commit among the written \
-                 fragments' agents. That is legal and serializable, but slower than \
-                 single-fragment commits and unavailable while any participant is down — \
-                 this note exists so the cost is a decision, not a surprise."
+                 token-holder never saw them, so every instance aborts with an initiation \
+                 violation. Restrict the class's writes to the initiating fragment, and \
+                 let each other written fragment's own agent initiate a sibling \
+                 transaction for its share."
             }
             Code::Fdb020 => {
                 "The §4.2 strategy commits foreign-read transactions locally, without \
@@ -266,7 +253,9 @@ impl Code {
                 "The §5 failure detector is enabled, but no fragment runs under §4.4.1 \
                  majority commit — the only policy whose epoch fencing and majority \
                  recovery make a takeover safe. Elections can trigger but never act, so \
-                 the heartbeat traffic buys nothing. Run a fragment under \
+                 the heartbeat traffic buys nothing. That costs messages, not safety, so \
+                 this is a warning: a workload may keep the detector on to measure the \
+                 heartbeat cost. Otherwise run a fragment under \
                  MovePolicy::MajorityCommit or disable the detector."
             }
             Code::Fdb051 => {
@@ -330,7 +319,6 @@ impl Code {
             Code::Fdb002 => "FDB002",
             Code::Fdb003 => "FDB003",
             Code::Fdb010 => "FDB010",
-            Code::Fdb011 => "FDB011",
             Code::Fdb020 => "FDB020",
             Code::Fdb021 => "FDB021",
             Code::Fdb022 => "FDB022",
@@ -355,7 +343,7 @@ impl Code {
     pub fn paper_section(self) -> &'static str {
         match self {
             Code::Fdb001 | Code::Fdb002 | Code::Fdb003 => "§3.1",
-            Code::Fdb010 | Code::Fdb011 => "§3.2",
+            Code::Fdb010 => "§3.2",
             Code::Fdb020 | Code::Fdb021 | Code::Fdb022 => "§4.2",
             Code::Fdb030 => "§4.4.1",
             Code::Fdb031 | Code::Fdb040 => "§4.1",
@@ -369,8 +357,10 @@ impl Code {
     /// The severity this code is always emitted at.
     pub fn severity(self) -> Severity {
         match self {
-            Code::Fdb011 | Code::Fdb021 | Code::Fdb062 => Severity::Info,
-            Code::Fdb022 | Code::Fdb040 | Code::Fdb051 | Code::Fdb061 => Severity::Warning,
+            Code::Fdb021 | Code::Fdb062 => Severity::Info,
+            Code::Fdb022 | Code::Fdb040 | Code::Fdb050 | Code::Fdb051 | Code::Fdb061 => {
+                Severity::Warning
+            }
             _ => Severity::Error,
         }
     }

@@ -23,11 +23,6 @@ pub struct ClassDecl {
     /// Fragments instances write. `{initiator}` for ordinary update
     /// classes, empty for read-only classes.
     pub writes: BTreeSet<FragmentId>,
-    /// `true` when the class opts into the §3.2-footnote multi-fragment
-    /// protocol (atomic two-phase commit among the written fragments'
-    /// agents), which is the only sanctioned way to write outside the
-    /// initiator's fragment.
-    pub multi_fragment: bool,
 }
 
 impl ClassDecl {
@@ -42,7 +37,6 @@ impl ClassDecl {
             initiator,
             reads: reads.into_iter().collect(),
             writes: [initiator].into_iter().collect(),
-            multi_fragment: false,
         }
     }
 
@@ -57,24 +51,6 @@ impl ClassDecl {
             initiator,
             reads: reads.into_iter().collect(),
             writes: BTreeSet::new(),
-            multi_fragment: false,
-        }
-    }
-
-    /// A §3.2-footnote multi-fragment class committing via two-phase
-    /// commit among the written fragments' agents.
-    pub fn multi_update(
-        name: impl Into<String>,
-        initiator: FragmentId,
-        reads: impl IntoIterator<Item = FragmentId>,
-        writes: impl IntoIterator<Item = FragmentId>,
-    ) -> Self {
-        ClassDecl {
-            name: name.into(),
-            initiator,
-            reads: reads.into_iter().collect(),
-            writes: writes.into_iter().collect(),
-            multi_fragment: true,
         }
     }
 
@@ -89,7 +65,6 @@ impl ClassDecl {
             } else {
                 BTreeSet::new()
             },
-            multi_fragment: false,
         }
     }
 
@@ -161,9 +136,11 @@ mod tests {
         assert!(r.is_read_only());
         assert!(!r.to_access().updates);
 
-        let m = ClassDecl::multi_update("m", f(0), [f(0)], [f(0), f(2)]);
-        assert!(m.multi_fragment);
-        assert_eq!(m.foreign_writes().collect::<Vec<_>>(), vec![f(2)]);
+        let w = ClassDecl {
+            writes: [f(0), f(2)].into_iter().collect(),
+            ..u
+        };
+        assert_eq!(w.foreign_writes().collect::<Vec<_>>(), vec![f(2)]);
     }
 
     #[test]

@@ -120,22 +120,20 @@ fn fdb003_bad_homes() {
 }
 
 #[test]
-fn fdb010_foreign_write_without_2pc_and_fdb011_with() {
+fn fdb010_foreign_write_is_an_error() {
     let (catalog, agents, topology) = schema(2, 2);
     let bad = ClassDecl {
         name: "rogue".into(),
         initiator: f(0),
         reads: BTreeSet::new(),
         writes: [f(1)].into_iter().collect(),
-        multi_fragment: false,
     };
-    let sanctioned = ClassDecl::multi_update("transfer", f(0), [f(0)], [f(0), f(1)]);
     let config = SystemConfig::unrestricted(1);
     let report = check(&CheckInput {
         topology: &topology,
         catalog: &catalog,
         agents: &agents,
-        classes: &[bad, sanctioned],
+        classes: &[bad],
         config: &config,
     });
     let d010 = report
@@ -145,13 +143,31 @@ fn fdb010_foreign_write_without_2pc_and_fdb011_with() {
         .expect("rogue write flagged");
     assert!(d010.subject.contains("rogue"));
     assert_eq!(d010.severity, Severity::Error);
-    let d011 = report
+    assert!(!report.is_admissible());
+}
+
+/// A detector with nothing to protect costs heartbeats, not safety: FDB050
+/// warns and the configuration is admitted.
+#[test]
+fn fdb050_inert_detector_is_a_warning() {
+    let (catalog, agents, topology) = schema(2, 3);
+    let inert = SystemConfig::unrestricted(1)
+        .with_detector(DetectorConfig::period(SimDuration::from_millis(50)));
+    let report = check(&CheckInput {
+        topology: &topology,
+        catalog: &catalog,
+        agents: &agents,
+        classes: &[],
+        config: &inert,
+    });
+    let d050 = report
         .diagnostics()
         .iter()
-        .find(|d| d.code == Code::Fdb011)
-        .expect("2PC class noted");
-    assert!(d011.subject.contains("transfer"));
-    assert_eq!(d011.severity, Severity::Info);
+        .find(|d| d.code == Code::Fdb050)
+        .expect("inert detector flagged");
+    assert_eq!(d050.severity, Severity::Warning);
+    assert_eq!(Code::Fdb050.severity(), Severity::Warning);
+    assert!(report.is_admissible(), "{report}");
 }
 
 /// The acceptance criterion: two classes reading each other under §4.2.
@@ -524,19 +540,8 @@ fn fdb05x_self_heal_admission() {
         .collect::<Vec<_>>()
     };
 
-    // Detector on, but every fragment still on the default fixed policy:
-    // the heartbeats buy nothing (FDB050).
-    let inert = SystemConfig::unrestricted(1)
-        .with_detector(DetectorConfig::period(SimDuration::from_millis(50)));
-    let report = check(&CheckInput {
-        topology: &topology,
-        catalog: &catalog,
-        agents: &agents,
-        classes: &[],
-        config: &inert,
-    });
-    assert!(report.has(Code::Fdb050), "{report}");
-    assert!(!report.is_admissible());
+    // FDB050 (detector with nothing to protect):
+    // `fdb050_inert_detector_is_a_warning`.
 
     // Majority commit but only 2 replicas: a majority must include the
     // dead home, so the election is unwinnable (FDB051, warning only).

@@ -28,40 +28,21 @@ use crate::strategy::StrategyKind;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Maximum quasi-transactions coalesced into one envelope; a full
-    /// window flushes immediately. `0` or `1` disables batching.
+    /// window flushes immediately, an under-full one after a 5 ms
+    /// linger. `0` or `1` disables batching.
     pub window: usize,
-    /// How long an under-full batch may wait for more commits. Zero means
-    /// "flush on idle": the batch is flushed once every event at the
-    /// current instant has run, so same-instant commits still coalesce.
-    pub linger: SimDuration,
 }
 
 impl BatchConfig {
     /// Batching disabled (the default): every commit broadcasts alone.
     pub fn off() -> Self {
-        BatchConfig {
-            window: 1,
-            linger: SimDuration::ZERO,
-        }
+        BatchConfig { window: 1 }
     }
 
     /// Batch up to `window` commits, lingering at most 5 ms for the
     /// window to fill.
     pub fn window(window: usize) -> Self {
-        BatchConfig {
-            window,
-            linger: SimDuration::from_millis(5),
-        }
-    }
-
-    /// No size bound; a batch flushes as soon as the engine drains every
-    /// event at the current instant (maximal same-instant coalescing with
-    /// no added latency).
-    pub fn flush_on_idle() -> Self {
-        BatchConfig {
-            window: usize::MAX,
-            linger: SimDuration::ZERO,
-        }
+        BatchConfig { window }
     }
 
     /// Is group-commit batching on?
@@ -283,11 +264,6 @@ mod tests {
         let c = c.with_batching(BatchConfig::window(8));
         assert!(c.batch.enabled());
         assert_eq!(c.batch.window, 8);
-        assert_eq!(c.batch.linger, SimDuration::from_millis(5));
-
-        let idle = BatchConfig::flush_on_idle();
-        assert!(idle.enabled());
-        assert_eq!(idle.linger, SimDuration::ZERO);
     }
 
     #[test]

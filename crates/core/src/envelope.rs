@@ -12,7 +12,7 @@
 //!   and `ForwardMissing` (a late old-regime transaction routed to the new
 //!   home).
 
-use fragdb_model::{FragmentId, NodeId, ObjectId, QuasiTransaction, TxnId, Updates, Value};
+use fragdb_model::{FragmentId, NodeId, ObjectId, QuasiTransaction, TxnId, Value};
 use fragdb_storage::WalEntry;
 
 /// A network message.
@@ -143,43 +143,6 @@ pub enum Envelope {
         quasi: QuasiTransaction,
     },
 
-    // ---- §3.2 footnote: multi-fragment transactions (agent 2PC) --------
-    /// Coordinator asks `fragment`'s agent to stage this share of a
-    /// multi-fragment transaction.
-    MfPrepare {
-        /// The coordinating transaction (global id of the 2PC).
-        xid: TxnId,
-        /// The fragment this share updates.
-        fragment: FragmentId,
-        /// The share's `(object, value)` writes (shared payload).
-        updates: Updates,
-        /// Coordinator node to vote back to.
-        reply_to: NodeId,
-    },
-    /// Participant vote.
-    MfVote {
-        /// The coordinating transaction.
-        xid: TxnId,
-        /// The voting fragment.
-        fragment: FragmentId,
-        /// `true` = staged and ready; `false` = refused (busy fragment).
-        yes: bool,
-    },
-    /// Commit the staged share.
-    MfCommit {
-        /// The coordinating transaction.
-        xid: TxnId,
-        /// The fragment whose share commits.
-        fragment: FragmentId,
-    },
-    /// Abandon the staged share.
-    MfAbort {
-        /// The coordinating transaction.
-        xid: TxnId,
-        /// The fragment whose share is dropped.
-        fragment: FragmentId,
-    },
-
     // ---- self-healing token recovery ----------------------------------
     /// "I am alive" — periodic liveness beacon from the failure detector.
     Heartbeat {
@@ -234,10 +197,6 @@ impl Envelope {
             Envelope::SeqReply { .. } => "seq_reply",
             Envelope::M0 { .. } => "m0",
             Envelope::ForwardMissing { .. } => "forward_missing",
-            Envelope::MfPrepare { .. } => "mf_prepare",
-            Envelope::MfVote { .. } => "mf_vote",
-            Envelope::MfCommit { .. } => "mf_commit",
-            Envelope::MfAbort { .. } => "mf_abort",
             Envelope::Heartbeat { .. } => "heartbeat",
             Envelope::VoteReq { .. } => "vote_req",
             Envelope::Vote { .. } => "vote",
@@ -262,10 +221,6 @@ impl Envelope {
             Envelope::SeqReply { .. } => "msg.seq_reply",
             Envelope::M0 { .. } => "msg.m0",
             Envelope::ForwardMissing { .. } => "msg.forward_missing",
-            Envelope::MfPrepare { .. } => "msg.mf_prepare",
-            Envelope::MfVote { .. } => "msg.mf_vote",
-            Envelope::MfCommit { .. } => "msg.mf_commit",
-            Envelope::MfAbort { .. } => "msg.mf_abort",
             Envelope::Heartbeat { .. } => "msg.heartbeat",
             Envelope::VoteReq { .. } => "msg.vote_req",
             Envelope::Vote { .. } => "msg.vote",
@@ -287,7 +242,6 @@ impl Envelope {
             Envelope::M0 { entries, .. } | Envelope::SeqReply { entries, .. } => {
                 Some(entries.iter().map(|e| e.updates.approx_bytes()).sum())
             }
-            Envelope::MfPrepare { updates, .. } => Some(updates.approx_bytes()),
             _ => None,
         }
     }

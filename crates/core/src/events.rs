@@ -32,11 +32,6 @@ pub struct Submission {
     /// For read-only transactions: the node to execute at (defaults to the
     /// initiator fragment's home).
     pub at_node: Option<NodeId>,
-    /// Additional fragments this transaction updates (multi-fragment
-    /// transactions, §3.2 footnote): committed atomically with a
-    /// two-phase commit among the fragments' agents. Empty for ordinary
-    /// single-fragment transactions.
-    pub extra_fragments: Vec<FragmentId>,
 }
 
 impl Submission {
@@ -48,26 +43,6 @@ impl Submission {
             read_only: false,
             foreign_reads: Vec::new(),
             at_node: None,
-            extra_fragments: Vec::new(),
-        }
-    }
-
-    /// A multi-fragment update transaction (§3.2 footnote): initiated by
-    /// the first fragment's agent, writing any of `fragments`, committed
-    /// atomically via a two-phase commit among the fragments' agents.
-    ///
-    /// # Panics
-    /// Panics if `fragments` is empty.
-    pub fn multi_update(fragments: Vec<FragmentId>, program: UpdateFn) -> Self {
-        assert!(!fragments.is_empty(), "a transaction needs a fragment");
-        let fragment = fragments[0];
-        Submission {
-            fragment,
-            program,
-            read_only: false,
-            foreign_reads: Vec::new(),
-            at_node: None,
-            extra_fragments: fragments[1..].to_vec(),
         }
     }
 
@@ -84,7 +59,6 @@ impl Submission {
             read_only: false,
             foreign_reads,
             at_node: None,
-            extra_fragments: Vec::new(),
         }
     }
 
@@ -96,7 +70,6 @@ impl Submission {
             read_only: true,
             foreign_reads: Vec::new(),
             at_node: None,
-            extra_fragments: Vec::new(),
         }
     }
 

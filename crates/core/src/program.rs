@@ -64,9 +64,6 @@ pub struct TxnCtx<'a> {
     node: NodeId,
     txn: TxnId,
     fragment: FragmentId,
-    /// Additional fragments this transaction may write (multi-fragment
-    /// transactions, the §3.2 footnote; empty for ordinary transactions).
-    extra_fragments: Vec<FragmentId>,
     now: SimTime,
     replica: &'a Replica,
     catalog: &'a FragmentCatalog,
@@ -96,7 +93,6 @@ impl<'a> TxnCtx<'a> {
             node,
             txn,
             fragment,
-            extra_fragments: Vec::new(),
             now,
             replica,
             catalog,
@@ -106,11 +102,6 @@ impl<'a> TxnCtx<'a> {
             reads_seen: Vec::new(),
             read_only,
         }
-    }
-
-    /// Extend the set of writable fragments (multi-fragment path).
-    pub(crate) fn allow_fragments(&mut self, extra: &[FragmentId]) {
-        self.extra_fragments.extend_from_slice(extra);
     }
 
     /// This transaction's id.
@@ -162,7 +153,7 @@ impl<'a> TxnCtx<'a> {
             return Err(ProgramError::Logic("write in read-only transaction".into()));
         }
         match self.catalog.fragment_of(object) {
-            Ok(f) if f == self.fragment || self.extra_fragments.contains(&f) => {
+            Ok(f) if f == self.fragment => {
                 self.writes.push((object, value.into()));
                 Ok(())
             }

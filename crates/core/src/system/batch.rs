@@ -21,11 +21,14 @@
 
 use fragdb_model::{FragmentId, NodeId, QuasiTransaction};
 use fragdb_sim::metrics::keys;
-use fragdb_sim::SimTime;
+use fragdb_sim::{SimDuration, SimTime};
 
 use crate::envelope::Envelope;
 use crate::events::{Ev, Notification};
 use crate::system::{OpenBatch, System};
+
+/// How long an under-full batch waits for more commits.
+const LINGER: SimDuration = SimDuration(5_000);
 
 impl System {
     /// Park a freshly committed quasi-transaction in its fragment's open
@@ -35,7 +38,6 @@ impl System {
         let fragment = quasi.fragment;
         debug_assert!(self.batch_cfg.enabled());
         let window = self.batch_cfg.window;
-        let linger = self.batch_cfg.linger;
         let arm = match self.open_batches.get_mut(&fragment) {
             Some(ob) if ob.home == home => {
                 ob.quasis.push(quasi);
@@ -61,12 +63,8 @@ impl System {
                     quasis: vec![quasi],
                 },
             );
-            // A zero linger schedules at the current instant with a *later*
-            // sequence number, so the flush runs after every event already
-            // queued for this instant ("flush on idle"): same-instant
-            // commits still coalesce.
             self.engine
-                .schedule_at(at + linger, Ev::FlushBatch { fragment, gen });
+                .schedule_at(at + LINGER, Ev::FlushBatch { fragment, gen });
         }
         let full = self
             .open_batches

@@ -19,33 +19,21 @@ impl System {
         self.engine.metrics.incr(keys::TXN_SUBMITTED);
         let fragment = sub.fragment;
 
-        // Updates park while their fragment's agent is mid-move, while a
+        // Updates park while their fragment's agent is mid-move and while a
         // majority commit on the fragment is in flight (§4.4.1 keeps the
-        // update sequence uninterrupted), and while the fragment is bound
-        // into a multi-fragment two-phase commit.
-        let fragment_busy = |f: &fragdb_model::FragmentId| {
-            self.move_state.contains_key(f)
-                || self.majority_inflight.contains_key(f)
-                || self.mf_inflight.contains_key(f)
-        };
-        if !sub.read_only {
-            let busy = std::iter::once(&fragment)
-                .chain(sub.extra_fragments.iter())
-                .find(|f| fragment_busy(f))
-                .copied();
-            if let Some(busy_fragment) = busy {
-                let queue = self.queued.entry(busy_fragment).or_default();
-                queue.push_back(QueuedSub {
-                    submission: sub,
-                    queued_at: at,
-                });
-                let depth = queue.len() as u64;
-                self.engine.emit(|| TelemetryEvent::SubmissionQueued {
-                    fragment: busy_fragment.0,
-                    depth,
-                });
-                return Vec::new();
-            }
+        // update sequence uninterrupted).
+        if !sub.read_only && self.fragment_busy(fragment) {
+            let queue = self.queued.entry(fragment).or_default();
+            queue.push_back(QueuedSub {
+                submission: sub,
+                queued_at: at,
+            });
+            let depth = queue.len() as u64;
+            self.engine.emit(|| TelemetryEvent::SubmissionQueued {
+                fragment: fragment.0,
+                depth,
+            });
+            return Vec::new();
         }
 
         // Only read-only transactions may pin an execution node; updates
@@ -76,9 +64,6 @@ impl System {
             txn_seq,
         });
 
-        if !sub.extra_fragments.is_empty() {
-            return self.begin_multi_update(at, home, sub);
-        }
         if self.strategy_for(fragment).uses_read_locks() {
             return self.begin_lock_acquisition(at, home, sub);
         }
@@ -86,8 +71,7 @@ impl System {
     }
 
     /// Run a transaction program against `home`'s replica, mapping program
-    /// errors to abort reasons. `extra_fragments` widens the writable set
-    /// for multi-fragment transactions.
+    /// errors to abort reasons.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_program(
         &mut self,
@@ -95,7 +79,6 @@ impl System {
         home: NodeId,
         txn: TxnId,
         fragment: FragmentId,
-        extra_fragments: &[FragmentId],
         granted: &BTreeMap<ObjectId, (NodeId, Value)>,
         read_only: bool,
         program: crate::program::UpdateFn,
@@ -111,7 +94,6 @@ impl System {
             granted,
             read_only,
         );
-        ctx.allow_fragments(extra_fragments);
         match program(&mut ctx) {
             Ok(()) => Ok(ctx.finish()),
             Err(crate::program::ProgramError::Logic(m)) => Err(AbortReason::Logic(m)),
@@ -137,11 +119,10 @@ impl System {
             read_only,
             ..
         } = sub;
-        let effects =
-            match self.run_program(at, home, txn, fragment, &[], granted, read_only, program) {
-                Ok(e) => e,
-                Err(reason) => return self.finish_abort(txn, fragment, reason),
-            };
+        let effects = match self.run_program(at, home, txn, fragment, granted, read_only, program) {
+            Ok(e) => e,
+            Err(reason) => return self.finish_abort(txn, fragment, reason),
+        };
 
         // §6 partial replication: a replica read must happen at a node
         // holding the fragment (reads via §4.1 lock grants are recorded at
@@ -413,13 +394,6 @@ impl System {
                 notes.extend(self.release_all_sites(at, home, txn, &contacted_sites));
                 fragment
             }
-            Pending::MultiCoord {
-                participants, home, ..
-            } => {
-                let fragment = participants[0].0;
-                notes.extend(self.abort_multi(at, txn, participants, home));
-                fragment
-            }
             Pending::Majority {
                 fragment,
                 home,
@@ -445,6 +419,12 @@ impl System {
         notes
     }
 
+    /// Is an update on `fragment` blocked: a move or a majority commit in
+    /// flight?
+    fn fragment_busy(&self, fragment: FragmentId) -> bool {
+        self.move_state.contains_key(&fragment) || self.majority_inflight.contains_key(&fragment)
+    }
+
     /// Re-submit everything parked on `fragment` (move finished, or the
     /// in-flight majority commit resolved).
     pub(crate) fn drain_queued(&mut self, at: SimTime, fragment: FragmentId) -> Vec<Notification> {
@@ -454,12 +434,9 @@ impl System {
                 .metrics
                 .observe(keys::LATENCY_MOVE_WAIT, (at - q.queued_at).micros());
             notes.extend(self.handle_submission(at, q.submission));
-            // A drained submission may itself start a majority commit or a
-            // 2PC, which re-parks the rest; stop draining in that case.
-            if self.majority_inflight.contains_key(&fragment)
-                || self.move_state.contains_key(&fragment)
-                || self.mf_inflight.contains_key(&fragment)
-            {
+            // A drained submission may itself start a majority commit, which
+            // re-parks the rest; stop draining in that case.
+            if self.fragment_busy(fragment) {
                 break;
             }
         }

@@ -210,15 +210,15 @@ impl System {
         let contacted_sites = std::mem::take(contacted_sites);
         self.pending.remove(&txn);
 
-        let effects =
-            match self.run_program(at, home, txn, fragment, &[], &granted, read_only, program) {
-                Ok(e) => e,
-                Err(reason) => {
-                    let mut notes = self.release_all_sites(at, home, txn, &contacted_sites);
-                    notes.extend(self.finish_abort(txn, fragment, reason));
-                    return notes;
-                }
-            };
+        let effects = match self.run_program(at, home, txn, fragment, &granted, read_only, program)
+        {
+            Ok(e) => e,
+            Err(reason) => {
+                let mut notes = self.release_all_sites(at, home, txn, &contacted_sites);
+                notes.extend(self.finish_abort(txn, fragment, reason));
+                return notes;
+            }
+        };
 
         if read_only {
             self.engine.emit(|| TelemetryEvent::LockGranted {

@@ -295,9 +295,9 @@ impl System {
     /// the live home's to decide.
     ///
     /// Known limitation: if the move instead races an `AbortCmd`, a staged
-    /// share can be resurrected at the new home. Both races stem from
+    /// prepare can be resurrected at the new home. Both races stem from
     /// moving an agent with commands in flight; drivers should quiesce a
-    /// fragment before moving it (same caveat as for multi-fragment 2PC).
+    /// fragment before moving it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_seq_query(
         &mut self,

@@ -199,10 +199,6 @@ impl System {
             for (f, rc) in &slot.regime_close {
                 let _ = write!(s, "{f}e{}>{};", rc.old_epoch, rc.new_home);
             }
-            s.push_str("|mf:");
-            for (t, f) in slot.mf_staged.keys() {
-                let _ = write!(s, "{t}.{f};");
-            }
             s.push_str("|lk:");
             for &t in &lock_txns {
                 for &o in &objects {
@@ -233,7 +229,6 @@ impl System {
                     ..
                 } => format!("L{fragment}o{}g{}", outstanding_sites.len(), granted.len()),
                 Pending::XWait { fragment, .. } => format!("X{fragment}"),
-                Pending::MultiCoord { votes, .. } => format!("C{}", votes.len()),
                 Pending::Majority { fragment, acks, .. } => format!("M{fragment}a{}", acks.len()),
             };
             let _ = write!(s, "{t}={desc};");
@@ -265,9 +260,6 @@ impl System {
         s.push_str("|mi:");
         for (f, t) in &self.majority_inflight {
             let _ = write!(s, "{f}={t};");
-        }
-        for (f, t) in &self.mf_inflight {
-            let _ = write!(s, "mf{f}={t};");
         }
         s.push_str("|el:");
         for f in self.elections.keys() {

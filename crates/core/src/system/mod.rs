@@ -17,7 +17,6 @@ mod locks_proto;
 mod majority;
 mod mc;
 mod moves;
-mod multi;
 
 pub use mc::{McChoice, McDelivery};
 
@@ -62,22 +61,6 @@ pub(crate) struct NodeSlot {
     /// home) has already repackaged — a late transaction can arrive twice,
     /// once from the origin's broadcast and once forwarded by a third node.
     pub noprep_handled: BTreeMap<FragmentId, BTreeSet<(u64, u64)>>,
-    /// §3.2 footnote: shares of multi-fragment transactions staged at this
-    /// node (as the fragment's agent home), keyed by `(xid, fragment)`.
-    pub mf_staged: BTreeMap<(TxnId, FragmentId), MfStage>,
-}
-
-/// A staged share of a multi-fragment transaction.
-#[derive(Clone, Debug)]
-pub struct MfStage {
-    /// Local transaction id minted for this share.
-    pub local_txn: TxnId,
-    /// Reserved position in the fragment's update sequence.
-    pub frag_seq: u64,
-    /// Token epoch at staging time.
-    pub epoch: u64,
-    /// The share's writes, shared with the envelope that delivered them.
-    pub updates: Updates,
 }
 
 /// §4.4.3 knowledge recorded when `M0` arrives.
@@ -121,19 +104,6 @@ pub(crate) enum Pending {
         home: NodeId,
         effects: TxnEffects,
         contacted_sites: BTreeSet<NodeId>,
-        submitted_at: SimTime,
-    },
-    /// §3.2 footnote: a multi-fragment coordinator waiting for votes.
-    MultiCoord {
-        /// All participating fragments with their agent homes.
-        participants: Vec<(FragmentId, NodeId)>,
-        /// Fragments that have voted yes.
-        votes: BTreeSet<FragmentId>,
-        /// Coordinator (home of the first fragment).
-        home: NodeId,
-        /// The buffered reads (flushed on commit of the first share).
-        reads: Vec<(NodeId, ObjectId)>,
-        /// When the transaction was submitted.
         submitted_at: SimTime,
     },
     /// §4.4.1: staged; waiting for a majority of `PrepareAck`s.
@@ -186,11 +156,6 @@ pub(crate) struct QueuedSub {
 pub(crate) enum CrashTombstone {
     /// §4.4.1: tell the replica set to drop a staged prepare.
     AbortCmd { fragment: FragmentId, txn: TxnId },
-    /// §3.2 footnote: tell 2PC participants to drop their staged shares.
-    MfAbort {
-        xid: TxnId,
-        participants: Vec<(FragmentId, NodeId)>,
-    },
     /// §4.1: free the shared locks the dead coordinator held at lock sites.
     LockRelease { txn: TxnId, sites: BTreeSet<NodeId> },
 }
@@ -338,10 +303,6 @@ pub struct System {
     pub(crate) majority_inflight: BTreeMap<FragmentId, TxnId>,
     /// §6: partial replication map (absent = fully replicated).
     pub(crate) replica_sets: BTreeMap<FragmentId, BTreeSet<NodeId>>,
-    /// §3.2 footnote: fragments currently bound into a two-phase commit.
-    pub(crate) mf_inflight: BTreeMap<FragmentId, TxnId>,
-    /// How long a multi-fragment coordinator waits for votes.
-    pub(crate) mf_timeout: fragdb_sim::SimDuration,
     /// Group-commit batching knob (off by default).
     pub(crate) batch_cfg: crate::config::BatchConfig,
     /// Per-fragment open group-commit batch at the fragment's home.
@@ -463,7 +424,6 @@ impl System {
                 holdback: BTreeMap::new(),
                 regime_close: BTreeMap::new(),
                 noprep_handled: BTreeMap::new(),
-                mf_staged: BTreeMap::new(),
             })
             .collect();
         let mut system = System {
@@ -486,8 +446,6 @@ impl System {
             queued: BTreeMap::new(),
             majority_inflight: BTreeMap::new(),
             replica_sets: config.replica_sets,
-            mf_inflight: BTreeMap::new(),
-            mf_timeout: fragdb_sim::SimDuration::from_secs(30),
             batch_cfg: config.batch,
             open_batches: BTreeMap::new(),
             next_batch_gen: 0,
@@ -815,15 +773,6 @@ impl System {
                 entries,
             } => self.on_seq_reply(at, to, fragment, replier, entries),
             Envelope::ForwardMissing { quasi } => self.noprep_install(at, to, quasi),
-            Envelope::MfPrepare {
-                xid,
-                fragment,
-                updates,
-                reply_to,
-            } => self.on_mf_prepare(at, to, xid, fragment, updates, reply_to),
-            Envelope::MfVote { xid, fragment, yes } => self.on_mf_vote(at, xid, fragment, yes),
-            Envelope::MfCommit { xid, fragment } => self.on_mf_commit(at, to, xid, fragment),
-            Envelope::MfAbort { xid, fragment } => self.on_mf_abort(at, to, xid, fragment),
             Envelope::Heartbeat { from: beater, .. } => self.on_heartbeat(at, to, beater),
             Envelope::VoteReq {
                 fragment,
@@ -1169,7 +1118,6 @@ impl System {
         slot.holdback.clear();
         slot.regime_close.clear();
         slot.noprep_handled.clear();
-        slot.mf_staged.clear();
 
         let mine: Vec<TxnId> = self
             .pending
@@ -1177,7 +1125,6 @@ impl System {
             .filter(|(_, p)| match p {
                 Pending::LockAcq { home, .. }
                 | Pending::XWait { home, .. }
-                | Pending::MultiCoord { home, .. }
                 | Pending::Majority { home, .. } => *home == node,
             })
             .map(|(&t, _)| t)
@@ -1323,23 +1270,6 @@ impl System {
                     (!sites.is_empty()).then_some(CrashTombstone::LockRelease { txn, sites }),
                 )
             }
-            Pending::MultiCoord { participants, .. } => {
-                let fragment = participants[0].0;
-                for (f, _) in &participants {
-                    self.mf_inflight.remove(f);
-                }
-                let others: Vec<(FragmentId, NodeId)> = participants
-                    .into_iter()
-                    .filter(|&(_, home)| home != node)
-                    .collect();
-                (
-                    fragment,
-                    (!others.is_empty()).then_some(CrashTombstone::MfAbort {
-                        xid: txn,
-                        participants: others,
-                    }),
-                )
-            }
             Pending::Majority {
                 fragment, quasi, ..
             } => {
@@ -1403,16 +1333,6 @@ impl System {
             match t {
                 CrashTombstone::AbortCmd { fragment, txn } => {
                     self.broadcast_fragment(at, node, fragment, Envelope::AbortCmd { txn });
-                }
-                CrashTombstone::MfAbort { xid, participants } => {
-                    for (f, home) in participants {
-                        notes.extend(self.send_direct(
-                            at,
-                            node,
-                            home,
-                            Envelope::MfAbort { xid, fragment: f },
-                        ));
-                    }
                 }
                 CrashTombstone::LockRelease { txn, sites } => {
                     for site in sites {

@@ -88,9 +88,6 @@ impl System {
                 super::Pending::LockAcq { fragment: f, .. }
                 | super::Pending::XWait { fragment: f, .. }
                 | super::Pending::Majority { fragment: f, .. } => *f == fragment,
-                super::Pending::MultiCoord { participants, .. } => {
-                    participants.iter().any(|(f, _)| *f == fragment)
-                }
             })
             .map(|(&t, _)| t)
             .collect();

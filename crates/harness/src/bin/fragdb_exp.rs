@@ -1,8 +1,11 @@
 //! `fragdb-exp` — regenerates one of the paper's figures/scenarios.
 //!
 //! Usage:
-//!   fragdb-exp <e1…e12 | name> [seed] [trials]
-//!   fragdb-exp --list
+//!
+//! ```text
+//! fragdb-exp <e1…e12 | name> [seed] [trials]
+//! fragdb-exp --list
+//! ```
 //!
 //! `seed` defaults to 42 (the seed EXPERIMENTS.md records); `trials` is
 //! taken by the Monte-Carlo experiments only (E8, E9; default 50). A

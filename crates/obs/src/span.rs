@@ -38,7 +38,7 @@ use fragdb_sim::{CausalId, Metrics, QuantileSketch, TelemetryEvent, TelemetryRec
 /// What the queue wait of a span was actually waiting on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueueAttr {
-    /// Ordinary busy-fragment wait (2PC / majority commit in progress).
+    /// Ordinary busy-fragment wait (majority commit in progress).
     Wait,
     /// The wait overlapped an open token-move window (§4.4.2 stall).
     TokenMove,

@@ -86,17 +86,6 @@ pub mod keys {
     /// Node recovery events.
     pub const NODE_RECOVER: &str = "node.recover";
 
-    /// Multi-fragment 2PC transactions started.
-    pub const MF_STARTED: &str = "mf.started";
-    /// Participant no-votes.
-    pub const MF_VOTE_NO: &str = "mf.vote_no";
-    /// 2PC transactions committed.
-    pub const MF_COMMITTED: &str = "mf.committed";
-    /// 2PC transactions aborted by the coordinator.
-    pub const MF_ABORTED: &str = "mf.aborted";
-    /// Participant shares released by an abort.
-    pub const MF_ABORTED_SHARE: &str = "mf.aborted_share";
-
     /// §4.4.3 missing updates forwarded by peers.
     pub const NOPREP_FORWARDED: &str = "noprep.forwarded";
     /// §4.4.3 missing updates repackaged by the new agent.
@@ -162,11 +151,6 @@ pub mod keys {
         PAYLOAD_SHARE_BYTES,
         NODE_CRASH,
         NODE_RECOVER,
-        MF_STARTED,
-        MF_VOTE_NO,
-        MF_COMMITTED,
-        MF_ABORTED,
-        MF_ABORTED_SHARE,
         NOPREP_FORWARDED,
         NOPREP_REPACKAGED,
         DETECTOR_HEARTBEATS,
@@ -200,10 +184,6 @@ pub mod keys {
         "seq_reply",
         "m0",
         "forward_missing",
-        "mf_prepare",
-        "mf_vote",
-        "mf_commit",
-        "mf_abort",
         "heartbeat",
         "vote_req",
         "vote",

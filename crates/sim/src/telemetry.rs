@@ -100,7 +100,7 @@ macro_rules! take_field {
 
 /// A test value for one declared field: the type's minimum or maximum, or
 /// the first or last word of the vocabulary.
-#[cfg(test)]
+#[cfg_attr(not(test), allow(unused_macros))]
 macro_rules! sample_field {
     ($max:ident, $ty:ty) => {
         <$ty as tests::Sample>::sample($max)
@@ -276,7 +276,7 @@ telemetry_events! {
         /// Node-local sequence of the acquiring transaction.
         txn_seq: u64,
     }
-    /// A submission queued behind a move / majority commit / 2PC.
+    /// A submission queued behind a move or a majority commit.
     SubmissionQueued = "submission_queued" {
         /// Fragment whose queue grew.
         fragment: u32,
@@ -947,7 +947,7 @@ impl DimKeys {
 /// * `node.<n>.holdback` — histogram of hold-back buffer depth at each
 ///   out-of-order arrival.
 /// * `frag.<f>.queue` — histogram of submission queue depth behind a
-///   move/majority-commit/2PC.
+///   move or a majority commit.
 /// * `frag.<f>.move_stall` — histogram of token-movement stall time (µs),
 ///   `MoveRequested`→`TokenArrived` (§5 unavailability window). A move
 ///   aborted mid-flight (endpoint crash) **also** closes its window with

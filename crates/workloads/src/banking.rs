@@ -184,7 +184,6 @@ pub struct BankDriver {
     /// Count of withdrawals refused locally (insufficient local view).
     pub refused: u64,
     declare_reads: bool,
-    atomic_posting: bool,
 }
 
 impl BankDriver {
@@ -199,19 +198,7 @@ impl BankDriver {
             letters: Rc::new(RefCell::new(Vec::new())),
             refused: 0,
             declare_reads: false,
-            atomic_posting: false,
         }
-    }
-
-    /// Post BALANCES and RECORDED atomically as one multi-fragment
-    /// transaction (the §3.2-footnote two-phase commit) instead of two
-    /// sibling single-fragment transactions. Both fragments' agent is the
-    /// central office, so the 2PC degenerates to a local atomic commit —
-    /// eliminating the window where the balance reflects an operation that
-    /// RECORDED does not yet mark.
-    pub fn with_atomic_posting(mut self) -> Self {
-        self.atomic_posting = true;
-        self
     }
 
     /// Declare withdrawals' foreign reads up front, as §4.1 read locking
@@ -352,54 +339,40 @@ impl BankDriver {
             let rec_obj = self.schema.rec_objs[acct][k as usize];
             let fine = self.cfg.overdraft_fine;
             let letters = Rc::clone(&self.letters);
-            let post =
-                move |ctx: &mut fragdb_core::TxnCtx<'_>| -> Result<(), fragdb_core::ProgramError> {
-                    let bal = ctx.read_int(bal_obj, 0);
-                    let mut new = bal + amount;
-                    if new < 0 {
-                        letters.borrow_mut().push(Letter {
-                            account,
-                            balance_before_fine: new,
-                            fine,
-                            at: ctx.now(),
-                        });
-                        new -= fine;
-                    }
-                    ctx.write(bal_obj, new)?;
-                    Ok(())
-                };
-            if self.atomic_posting {
-                // One atomic posting across BALANCES and RECORDED(i).
-                sys.submit_at(
-                    at + SimDuration(1),
-                    Submission::multi_update(
-                        vec![self.schema.balances, self.schema.recorded[acct]],
-                        Box::new(move |ctx| {
-                            post(ctx)?;
-                            ctx.write(rec_obj, true)?;
-                            Ok(())
-                        }),
-                    ),
-                );
-            } else {
-                // Posting transaction on BALANCES (single-fragment, per the
-                // initiation requirement; RECORDED is flipped by a sibling
-                // transaction — the paper's multi-fragment workaround).
-                sys.submit_at(
-                    at + SimDuration(1),
-                    Submission::update(self.schema.balances, Box::new(post)),
-                );
-                sys.submit_at(
-                    at + SimDuration(2),
-                    Submission::update(
-                        self.schema.recorded[acct],
-                        Box::new(move |ctx| {
-                            ctx.write(rec_obj, true)?;
-                            Ok(())
-                        }),
-                    ),
-                );
-            }
+            // Posting transaction on BALANCES (single-fragment, per the
+            // initiation requirement; RECORDED is flipped by a sibling
+            // transaction — the paper's multi-fragment workaround).
+            sys.submit_at(
+                at + SimDuration(1),
+                Submission::update(
+                    self.schema.balances,
+                    Box::new(move |ctx| {
+                        let bal = ctx.read_int(bal_obj, 0);
+                        let mut new = bal + amount;
+                        if new < 0 {
+                            letters.borrow_mut().push(Letter {
+                                account,
+                                balance_before_fine: new,
+                                fine,
+                                at: ctx.now(),
+                            });
+                            new -= fine;
+                        }
+                        ctx.write(bal_obj, new)?;
+                        Ok(())
+                    }),
+                ),
+            );
+            sys.submit_at(
+                at + SimDuration(2),
+                Submission::update(
+                    self.schema.recorded[acct],
+                    Box::new(move |ctx| {
+                        ctx.write(rec_obj, true)?;
+                        Ok(())
+                    }),
+                ),
+            );
         }
     }
 
@@ -573,101 +546,5 @@ mod tests {
         assert!(bank.deposit(0, 1).is_some());
         assert!(bank.deposit(0, 1).is_some());
         assert!(bank.deposit(0, 1).is_none());
-    }
-}
-
-#[cfg(test)]
-mod atomic_posting_tests {
-    use super::*;
-    use fragdb_core::SystemConfig;
-    use fragdb_net::Topology;
-
-    fn secs(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    #[test]
-    fn atomic_posting_reaches_the_same_state() {
-        let mut finals = Vec::new();
-        for atomic in [false, true] {
-            let cfg = BankConfig {
-                accounts: 1,
-                slots_per_account: 8,
-                central: NodeId(0),
-                account_homes: vec![NodeId(1)],
-                overdraft_fine: 50,
-            };
-            let (catalog, schema, agents) = BankSchema::build(&cfg);
-            let mut sys = System::build(
-                Topology::full_mesh(2, SimDuration::from_millis(10)),
-                catalog,
-                agents,
-                SystemConfig::unrestricted(9),
-            )
-            .unwrap();
-            let mut bank = BankDriver::new(schema, cfg);
-            if atomic {
-                bank = bank.with_atomic_posting();
-            }
-            let d = bank.deposit(0, 300).unwrap();
-            sys.submit_at(secs(1), d);
-            let w = bank.withdraw(0, 400, false).unwrap();
-            sys.submit_at(secs(5), w);
-            bank.run(&mut sys, secs(120));
-            let bal = sys
-                .replica(NodeId(0))
-                .read(bank.schema.bal_objs[0])
-                .as_int_or(0)
-                .unwrap();
-            // 300 - 400 = -100, fined 50 => -150.
-            assert_eq!(bal, -150, "atomic={atomic}");
-            assert_eq!(bank.letters().len(), 1, "atomic={atomic}");
-            assert!(sys.divergent_fragments().is_empty());
-            // Fully recorded: local view equals balance everywhere.
-            assert_eq!(bank.schema.local_view(sys.replica(NodeId(1)), 0), bal);
-            finals.push(bal);
-        }
-        assert_eq!(finals[0], finals[1]);
-    }
-
-    #[test]
-    fn atomic_posting_leaves_no_posted_but_unrecorded_window() {
-        let cfg = BankConfig {
-            accounts: 1,
-            slots_per_account: 8,
-            central: NodeId(0),
-            account_homes: vec![NodeId(0)],
-            overdraft_fine: 0,
-        };
-        let (catalog, schema, agents) = BankSchema::build(&cfg);
-        let mut sys = System::build(
-            Topology::full_mesh(2, SimDuration::from_millis(10)),
-            catalog,
-            agents,
-            SystemConfig::unrestricted(10),
-        )
-        .unwrap();
-        let mut bank = BankDriver::new(schema, cfg).with_atomic_posting();
-        let d = bank.deposit(0, 100).unwrap();
-        sys.submit_at(secs(1), d);
-        // Step the system one event at a time: whenever the balance shows
-        // the deposit, RECORDED must already show it too (same-event
-        // atomicity at the central office).
-        let bal_obj = bank.schema.bal_objs[0];
-        let rec_obj = bank.schema.rec_objs[0][0];
-        while let Some((at, notes)) = sys.step_until(secs(60)) {
-            for n in &notes {
-                bank.react(&mut sys, at, n);
-            }
-            let central = sys.replica(NodeId(0));
-            let posted = central.read(bal_obj).as_int_or(0).unwrap() == 100;
-            if posted {
-                assert_eq!(
-                    central.read(rec_obj),
-                    &Value::Bool(true),
-                    "posted balance without RECORDED mark at {at}"
-                );
-            }
-        }
     }
 }
