@@ -296,9 +296,8 @@ impl Code {
                  smaller. The extra replica therefore adds one broadcast message per \
                  commit and one more node that can be down, while tolerating no \
                  additional failures: 4 replicas and 3 replicas both survive exactly \
-                 one. Declare the odd size with `with_replica_set`, or shrink to it at \
-                 run time with `shrink_replica_set_at`, or grow by two if more \
-                 tolerance is actually wanted."
+                 one. Declare the odd size with `with_replica_set`, or grow by two if \
+                 more tolerance is actually wanted."
             }
             Code::Fdb062 => {
                 "This replica set explicitly lists every node in the topology, which is \

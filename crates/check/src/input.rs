@@ -113,11 +113,6 @@ impl CheckInput<'_> {
             .find(|(f, _, _)| *f == fragment)
             .map(|&(_, _, home)| home)
     }
-
-    /// The runtime access declarations implied by the classes.
-    pub fn access_decls(&self) -> Vec<AccessDecl> {
-        self.classes.iter().map(ClassDecl::to_access).collect()
-    }
 }
 
 #[cfg(test)]

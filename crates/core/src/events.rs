@@ -162,17 +162,6 @@ pub enum Ev {
         /// Token epoch the election was fenced to; stale timers no-op.
         epoch: u64,
     },
-    /// §6: shrink `fragment`'s replica set to `new_set` — a subset of the
-    /// current set containing the token home. Dropped replicas stop
-    /// receiving broadcasts; quorums recompute over the new set. Skipped
-    /// silently (the caller retries) while a move, an election or a
-    /// majority commit is in flight on the fragment.
-    ShrinkReplicaSet {
-        /// Fragment whose replica set shrinks.
-        fragment: FragmentId,
-        /// The new, smaller replica set.
-        new_set: std::collections::BTreeSet<NodeId>,
-    },
 }
 
 impl std::fmt::Debug for Ev {
@@ -197,13 +186,6 @@ impl std::fmt::Debug for Ev {
             Ev::DetectorTick => write!(f, "DetectorTick"),
             Ev::ElectionTimeout { fragment, epoch } => {
                 write!(f, "ElectionTimeout({fragment} e{epoch})")
-            }
-            Ev::ShrinkReplicaSet { fragment, new_set } => {
-                write!(
-                    f,
-                    "ShrinkReplicaSet({fragment} -> {} replicas)",
-                    new_set.len()
-                )
             }
         }
     }

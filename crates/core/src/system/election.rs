@@ -111,10 +111,7 @@ impl System {
                 continue;
             }
             let home = self.tokens.home(fragment);
-            let replicas: Vec<NodeId> = match self.replicas_of(fragment) {
-                Some(set) => set.iter().copied().collect(),
-                None => (0..n).map(NodeId).collect(),
-            };
+            let replicas = self.roster(fragment);
             // A 2-replica set cannot out-vote its own home (majority = 2
             // includes the dead home); Fdb051 warns about this statically.
             if replicas.len() < 3 {
@@ -164,12 +161,8 @@ impl System {
             .insert((fragment, epoch, candidate), candidate);
         self.engine
             .schedule_at(deadline, Ev::ElectionTimeout { fragment, epoch });
-        let voters: Vec<NodeId> = match self.replicas_of(fragment) {
-            Some(set) => set.iter().copied().collect(),
-            None => (0..self.nodes.len() as u32).map(NodeId).collect(),
-        };
         let mut notes = Vec::new();
-        for v in voters {
+        for v in self.roster(fragment) {
             if v == candidate || v == home {
                 continue;
             }

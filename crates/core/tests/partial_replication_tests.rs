@@ -1,13 +1,10 @@
 //! Tests for partial replication (§6: "databases that are not fully
 //! replicated").
 
-use fragdb_core::{
-    AbortReason, DetectorConfig, MovePolicy, Notification, Submission, System, SystemConfig,
-};
+use fragdb_core::{AbortReason, MovePolicy, Notification, Submission, System, SystemConfig};
 use fragdb_model::{AgentId, FragmentCatalog, FragmentId, NodeId, ObjectId, Value};
 use fragdb_net::{NetworkChange, Topology};
-use fragdb_sim::telemetry::{read_jsonl, JsonlEntry};
-use fragdb_sim::{SimDuration, SimTime, Telemetry, TelemetryEvent};
+use fragdb_sim::{SimDuration, SimTime};
 
 fn secs(s: u64) -> SimTime {
     SimTime::from_secs(s)
@@ -33,16 +30,6 @@ fn build(seed: u64, policy: MovePolicy) -> (System, Vec<ObjectId>, Vec<ObjectId>
     )
     .unwrap();
     (sys, o0, o1)
-}
-
-/// Every `ReplicaSetChanged` event the run recorded, oldest first.
-fn replica_set_changes(sys: &System) -> Vec<TelemetryEvent> {
-    sys.engine
-        .telemetry
-        .events()
-        .filter(|r| matches!(r.event, TelemetryEvent::ReplicaSetChanged { .. }))
-        .map(|r| r.event.clone())
-        .collect()
 }
 
 fn write_update(fragment: FragmentId, object: ObjectId, value: i64) -> Submission {
@@ -273,147 +260,6 @@ fn monitor_peers_follow_the_replica_sets() {
     assert!(
         sys.monitor_peers(NodeId(4)).is_empty(),
         "a node holding no replica monitors nobody"
-    );
-}
-
-#[test]
-fn runtime_shrink_narrows_broadcasts_and_quorums() {
-    // F1 at {1, 2} shrinks to {1}: later commits broadcast to nobody.
-    let (mut sys, _, o1) = build(9, MovePolicy::Fixed);
-    sys.engine.telemetry = Telemetry::bounded(10_000);
-    sys.submit_at(secs(1), write_update(FragmentId(1), o1[0], 1));
-    sys.run_until(secs(30));
-    let before = sys.net_stats().sent;
-    sys.shrink_replica_set_at(secs(31), FragmentId(1), [NodeId(1)].into_iter().collect());
-    sys.submit_at(secs(32), write_update(FragmentId(1), o1[0], 2));
-    sys.run_until(secs(60));
-    assert_eq!(
-        sys.net_stats().sent - before,
-        0,
-        "a single-replica fragment broadcasts no copies"
-    );
-    assert_eq!(sys.replica(NodeId(1)).read(o1[0]), &Value::Int(2));
-    assert_eq!(
-        sys.replicas_of(FragmentId(1)).map(|s| s.len()),
-        Some(1),
-        "the shrink took effect"
-    );
-    // The dropped replica keeps its old copy but is no longer judged.
-    assert_eq!(sys.replica(NodeId(2)).read(o1[0]), &Value::Int(1));
-    assert!(sys.divergent_fragments().is_empty());
-    // One `replica_set_changed` record, the gauge it drives, and the record
-    // survives the JSONL export.
-    let changed = TelemetryEvent::ReplicaSetChanged {
-        fragment: 1,
-        from_count: 2,
-        to_count: 1,
-    };
-    assert_eq!(replica_set_changes(&sys), vec![changed.clone()]);
-    assert_eq!(sys.engine.metrics.counter("frag.1.replica_count"), 1);
-    let export = sys.engine.telemetry.render_jsonl();
-    let mut decoded = Vec::new();
-    read_jsonl(&export, |entry| {
-        if let JsonlEntry::Record(r) = entry {
-            if matches!(r.event, TelemetryEvent::ReplicaSetChanged { .. }) {
-                decoded.push(r.event);
-            }
-        }
-        Ok(())
-    })
-    .expect("the export decodes");
-    assert_eq!(decoded, vec![changed]);
-}
-
-#[test]
-fn invalid_shrinks_are_skipped() {
-    let (mut sys, o0, _) = build(10, MovePolicy::Fixed);
-    sys.engine.telemetry = Telemetry::bounded(10_000);
-    // Not a subset of the current set.
-    sys.shrink_replica_set_at(
-        secs(1),
-        FragmentId(1),
-        [NodeId(1), NodeId(3)].into_iter().collect(),
-    );
-    // Home (node 1) missing.
-    sys.shrink_replica_set_at(secs(2), FragmentId(1), [NodeId(2)].into_iter().collect());
-    // Empty set.
-    sys.shrink_replica_set_at(secs(3), FragmentId(1), std::collections::BTreeSet::new());
-    sys.run_until(secs(10));
-    assert_eq!(
-        sys.replicas_of(FragmentId(1)).map(|s| s.len()),
-        Some(2),
-        "every invalid request left the set untouched"
-    );
-    assert!(
-        replica_set_changes(&sys).is_empty(),
-        "a skipped request emits no event"
-    );
-    // A valid shrink of the fully replicated fragment pins the map.
-    sys.shrink_replica_set_at(
-        secs(11),
-        FragmentId(0),
-        [NodeId(0), NodeId(2)].into_iter().collect(),
-    );
-    sys.submit_at(secs(12), write_update(FragmentId(0), o0[0], 1));
-    sys.run_until(secs(30));
-    assert_eq!(sys.replicas_of(FragmentId(0)).map(|s| s.len()), Some(2));
-}
-
-#[test]
-fn shrink_racing_a_majority_commit_cannot_lose_it() {
-    // F0 fully replicated on 5 nodes under §4.4.1 majority commit, with
-    // {1, 2} cut off from the home. The update's prepare reaches {3, 4}
-    // only. A shrink to {0, 1, 2} lands while the commit is in flight: were
-    // it applied, the acks of {0, 3} would meet the new set's majority of
-    // 2, and after the home crashes an election over {1, 2} would re-home
-    // the token without the committed write.
-    let mut b = FragmentCatalog::builder();
-    let (f, objs) = b.add_fragment("F", 1);
-    let mut sys = System::build(
-        Topology::full_mesh(5, SimDuration::from_millis(10)),
-        b.build(),
-        vec![(f, AgentId::Node(NodeId(0)), NodeId(0))],
-        SystemConfig::unrestricted(1)
-            .with_move_policy(MovePolicy::MajorityCommit {
-                timeout: SimDuration::from_secs(5),
-            })
-            .with_detector(
-                DetectorConfig::period(SimDuration::from_millis(500))
-                    .with_election_timeout(SimDuration::from_secs(2)),
-            ),
-    )
-    .unwrap();
-    sys.net_change_at(
-        SimTime::ZERO,
-        NetworkChange::Split(vec![
-            vec![NodeId(0), NodeId(3), NodeId(4)],
-            vec![NodeId(1), NodeId(2)],
-        ]),
-    );
-    sys.submit_at(secs(1), write_update(f, objs[0], 7));
-    sys.shrink_replica_set_at(
-        secs(1) + SimDuration::from_millis(5),
-        f,
-        [NodeId(0), NodeId(1), NodeId(2)].into_iter().collect(),
-    );
-    sys.crash_at(secs(2), NodeId(0));
-    sys.net_change_at(secs(3), NetworkChange::HealAll);
-    let notes = sys.run_until(secs(30));
-    let committed = notes
-        .iter()
-        .filter(|n| matches!(n, Notification::Committed { .. }))
-        .count();
-    assert_eq!(committed, 1, "the client was told the write committed");
-    assert_eq!(sys.tokens().home(f), NodeId(1), "the election re-homed F0");
-    assert_eq!(
-        sys.replica(NodeId(1)).read(objs[0]),
-        &Value::Int(7),
-        "the re-homed token kept the committed write"
-    );
-    assert_eq!(
-        sys.replicas_of(f),
-        None,
-        "a shrink during a majority commit is skipped"
     );
 }
 

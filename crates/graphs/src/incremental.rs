@@ -18,9 +18,6 @@
 //!   [`crate::verdict::analyze`]: global serialization graph, Property 1
 //!   per-fragment install-order chains, Property 2 torn-read
 //!   classification.
-//! * [`IncrementalRag`] — union-find elementary-acyclicity for the
-//!   read-access graph of §4.2, the online analogue of
-//!   [`ReadAccessGraph::is_elementarily_acyclic`].
 //!
 //! # Verdict equivalence, not edge equivalence
 //!
@@ -50,8 +47,6 @@
 //! of seeded random histories.
 //!
 //! [`History`]: fragdb_model::History
-//! [`ReadAccessGraph::is_elementarily_acyclic`]:
-//! crate::rag::ReadAccessGraph::is_elementarily_acyclic
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -536,101 +531,6 @@ impl IncrementalAnalyzer {
     }
 }
 
-/// Union-find elementary-acyclicity for the read-access graph (§4.2),
-/// maintained as class declarations arrive: every undirected edge must
-/// join two previously-separate components, and an antiparallel directed
-/// pair is two parallel undirected edges — a cycle either way. The
-/// verdict latches once any edge closes a cycle.
-#[derive(Clone, Debug, Default)]
-pub struct IncrementalRag {
-    index: BTreeMap<FragmentId, usize>,
-    parent: Vec<usize>,
-    edges: BTreeSet<(FragmentId, FragmentId)>,
-    seen_pairs: BTreeSet<(FragmentId, FragmentId)>,
-    self_reads: BTreeSet<FragmentId>,
-    cycle_edge: Option<(FragmentId, FragmentId)>,
-}
-
-impl IncrementalRag {
-    /// Empty graph.
-    pub fn new() -> Self {
-        IncrementalRag::default()
-    }
-
-    fn index_of(&mut self, f: FragmentId) -> usize {
-        let next = self.parent.len();
-        let idx = *self.index.entry(f).or_insert(next);
-        if idx == next {
-            self.parent.push(next);
-        }
-        idx
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    /// Register a fragment with no edges yet.
-    pub fn add_fragment(&mut self, f: FragmentId) {
-        self.index_of(f);
-    }
-
-    /// Record that `A(initiator)`'s transactions read from `read`.
-    /// Own-fragment reads are not edges (the §4.2 definition requires
-    /// `i ≠ j`); duplicates of the same directed edge are no-ops.
-    pub fn add_edge(&mut self, initiator: FragmentId, read: FragmentId) {
-        let a = self.index_of(initiator);
-        let b = self.index_of(read);
-        if initiator == read {
-            self.self_reads.insert(initiator);
-            return;
-        }
-        if !self.edges.insert((initiator, read)) {
-            return;
-        }
-        if self.cycle_edge.is_some() {
-            return;
-        }
-        let key = if initiator <= read {
-            (initiator, read)
-        } else {
-            (read, initiator)
-        };
-        if !self.seen_pairs.insert(key) {
-            self.cycle_edge = Some((initiator, read));
-            return;
-        }
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            self.cycle_edge = Some((initiator, read));
-        } else {
-            self.parent[ra] = rb;
-        }
-    }
-
-    /// Number of distinct directed edges recorded.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Is the undirected (multiplicity-preserving) graph still a forest?
-    pub fn is_elementarily_acyclic(&self) -> bool {
-        self.cycle_edge.is_none()
-    }
-
-    /// The first *inserted* edge that closed an undirected cycle (the
-    /// batch [`crate::ReadAccessGraph::undirected_cycle_edge`] reports
-    /// the first in sorted order instead — same verdict, possibly a
-    /// different witness).
-    pub fn cycle_edge(&self) -> Option<(FragmentId, FragmentId)> {
-        self.cycle_edge
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -720,79 +620,6 @@ mod tests {
                     inc.is_acyclic(),
                     batch.is_acyclic(),
                     "divergence after inserting {a}->{b}"
-                );
-            }
-        }
-    }
-
-    // ----------------------------------------------------------------
-    // IncrementalRag
-    // ----------------------------------------------------------------
-
-    fn f(i: u32) -> FragmentId {
-        FragmentId(i)
-    }
-
-    #[test]
-    fn rag_forest_stays_acyclic() {
-        let mut g = IncrementalRag::new();
-        g.add_edge(f(0), f(1));
-        g.add_edge(f(1), f(2));
-        g.add_edge(f(0), f(3));
-        assert!(g.is_elementarily_acyclic());
-    }
-
-    #[test]
-    fn rag_triangle_is_cyclic_and_latches() {
-        let mut g = IncrementalRag::new();
-        g.add_edge(f(1), f(2));
-        g.add_edge(f(1), f(3));
-        assert!(g.is_elementarily_acyclic());
-        g.add_edge(f(2), f(3));
-        assert!(!g.is_elementarily_acyclic());
-        assert_eq!(g.cycle_edge(), Some((f(2), f(3))));
-    }
-
-    #[test]
-    fn rag_antiparallel_pair_is_cyclic() {
-        let mut g = IncrementalRag::new();
-        g.add_edge(f(0), f(1));
-        g.add_edge(f(1), f(0));
-        assert!(!g.is_elementarily_acyclic());
-    }
-
-    #[test]
-    fn rag_self_reads_and_duplicates_are_not_edges() {
-        let mut g = IncrementalRag::new();
-        g.add_edge(f(0), f(0));
-        g.add_edge(f(0), f(1));
-        g.add_edge(f(0), f(1));
-        assert_eq!(g.edge_count(), 1);
-        assert!(g.is_elementarily_acyclic());
-    }
-
-    #[test]
-    fn rag_agrees_with_batch_on_random_edge_sets() {
-        let mut state = 0x8FB5_ECA1_22C0_9E71u64;
-        let mut next = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            state
-        };
-        for _trial in 0..50 {
-            let k = 2 + next() % 7;
-            let mut inc = IncrementalRag::new();
-            let mut batch = crate::ReadAccessGraph::new();
-            for _ in 0..8 {
-                let (a, b) = (f((next() % k) as u32), f((next() % k) as u32));
-                inc.add_edge(a, b);
-                batch.add_edge(a, b);
-                assert_eq!(
-                    inc.is_elementarily_acyclic(),
-                    batch.is_elementarily_acyclic(),
-                    "divergence after edge {a:?}->{b:?}"
                 );
             }
         }

@@ -40,7 +40,7 @@ pub mod verdict;
 pub use digraph::DiGraph;
 pub use fragmentwise::{check_property1, check_property2, FragmentwiseReport};
 pub use gsg::GlobalSerializationGraph;
-pub use incremental::{IncrementalAnalyzer, IncrementalRag, IncrementalTopo, IncrementalVerdict};
+pub use incremental::{IncrementalAnalyzer, IncrementalTopo, IncrementalVerdict};
 pub use lsg::LocalSerializationGraph;
 pub use rag::ReadAccessGraph;
 pub use verdict::{analyze, Verdict};

@@ -39,8 +39,6 @@ pub enum ModelError {
         /// Object written outside that fragment.
         object: ObjectId,
     },
-    /// A write carried no value or a read carried one.
-    MalformedOp(&'static str),
 }
 
 impl fmt::Display for ModelError {
@@ -68,7 +66,6 @@ impl fmt::Display for ModelError {
                 f,
                 "initiation requirement violated: {txn} (agent of {agent_fragment}) writes {object}"
             ),
-            ModelError::MalformedOp(msg) => write!(f, "malformed operation: {msg}"),
         }
     }
 }
@@ -99,7 +96,6 @@ mod tests {
                 agent_fragment: FragmentId(0),
                 object: ObjectId(9),
             },
-            ModelError::MalformedOp("write without value"),
         ];
         for c in cases {
             assert!(!c.to_string().is_empty());

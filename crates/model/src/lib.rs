@@ -30,5 +30,5 @@ pub use error::ModelError;
 pub use fragment::{Fragment, FragmentCatalog};
 pub use history::{History, HistoryOp, TxnType};
 pub use ids::{FragmentId, NodeId, ObjectId, TxnId, UserId};
-pub use txn::{AccessDecl, Op, OpKind, QuasiTransaction, TxnSpec, Updates};
+pub use txn::{AccessDecl, OpKind, QuasiTransaction, Updates};
 pub use value::Value;

@@ -6,14 +6,9 @@
 //! propagated to the other replicas as a **quasi-transaction**: a write-only
 //! batch `(T; d1,v1; …; dn,vn)` that is installed atomically, never re-run.
 //!
-//! Two representations coexist:
-//!
-//! * [`TxnSpec`] — a literal sequence of [`Op`]s, used to replay the exact
-//!   schedules printed in the paper (§4.3's airline schedule, the Appendix
-//!   example) and by generated workloads.
-//! * [`AccessDecl`] — a transaction *class* declaration (which fragments it
-//!   reads, which it writes). Classes are what the read-access graph of
-//!   §4.2 is built from.
+//! An [`AccessDecl`] declares a transaction *class* (which fragments it
+//! reads, which it writes). Classes are what the read-access graph of §4.2
+//! is built from.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -108,123 +103,6 @@ pub enum OpKind {
     Read,
     /// Write a data object.
     Write,
-}
-
-/// One atomic action, the paper's `(T, r|w, d)` triplet (plus the written
-/// value for writes).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Op {
-    /// Read or write.
-    pub kind: OpKind,
-    /// Target data object.
-    pub object: ObjectId,
-    /// `Some` for writes, `None` for reads.
-    pub value: Option<Value>,
-}
-
-impl Op {
-    /// A read action.
-    pub fn read(object: ObjectId) -> Op {
-        Op {
-            kind: OpKind::Read,
-            object,
-            value: None,
-        }
-    }
-
-    /// A write action with its new value.
-    pub fn write(object: ObjectId, value: impl Into<Value>) -> Op {
-        Op {
-            kind: OpKind::Write,
-            object,
-            value: Some(value.into()),
-        }
-    }
-
-    /// Check the read/value invariant.
-    pub fn validate(&self) -> Result<(), ModelError> {
-        match (self.kind, &self.value) {
-            (OpKind::Read, Some(_)) => Err(ModelError::MalformedOp("read carries a value")),
-            (OpKind::Write, None) => Err(ModelError::MalformedOp("write carries no value")),
-            _ => Ok(()),
-        }
-    }
-}
-
-/// A literal transaction: an ordered sequence of operations.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TxnSpec {
-    /// The actions, in program order.
-    pub ops: Vec<Op>,
-}
-
-impl TxnSpec {
-    /// Build from a list of operations.
-    pub fn new(ops: Vec<Op>) -> TxnSpec {
-        TxnSpec { ops }
-    }
-
-    /// Objects read, in first-read order (deduplicated).
-    pub fn read_set(&self) -> Vec<ObjectId> {
-        let mut seen = BTreeSet::new();
-        self.ops
-            .iter()
-            .filter(|op| op.kind == OpKind::Read && seen.insert(op.object))
-            .map(|op| op.object)
-            .collect()
-    }
-
-    /// Objects written, in first-write order (deduplicated).
-    pub fn write_set(&self) -> Vec<ObjectId> {
-        let mut seen = BTreeSet::new();
-        self.ops
-            .iter()
-            .filter(|op| op.kind == OpKind::Write && seen.insert(op.object))
-            .map(|op| op.object)
-            .collect()
-    }
-
-    /// True if the transaction performs no writes.
-    pub fn is_read_only(&self) -> bool {
-        self.ops.iter().all(|op| op.kind == OpKind::Read)
-    }
-
-    /// Validate each op's shape.
-    pub fn validate(&self) -> Result<(), ModelError> {
-        self.ops.iter().try_for_each(Op::validate)
-    }
-
-    /// Enforce the **initiation requirement** (§3.2): every object written
-    /// must lie in `agent_fragment`. `txn` is used only for error reporting.
-    pub fn check_initiation(
-        &self,
-        catalog: &FragmentCatalog,
-        agent_fragment: FragmentId,
-        txn: TxnId,
-    ) -> Result<(), ModelError> {
-        for obj in self.write_set() {
-            let frag = catalog.fragment_of(obj)?;
-            if frag != agent_fragment {
-                return Err(ModelError::InitiationViolation {
-                    txn,
-                    agent_fragment,
-                    object: obj,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// The fragments this transaction reads from, given the catalog.
-    pub fn fragments_read(
-        &self,
-        catalog: &FragmentCatalog,
-    ) -> Result<BTreeSet<FragmentId>, ModelError> {
-        self.read_set()
-            .into_iter()
-            .map(|o| catalog.fragment_of(o))
-            .collect()
-    }
 }
 
 /// A transaction *class* declaration: which fragments instances read and
@@ -328,97 +206,6 @@ mod tests {
         let (_, a) = b.add_fragment("A", 2);
         let (_, c) = b.add_fragment("B", 2);
         (b.build(), a, c)
-    }
-
-    #[test]
-    fn read_and_write_sets_dedupe_in_order() {
-        let o = |i| ObjectId(i);
-        let t = TxnSpec::new(vec![
-            Op::read(o(3)),
-            Op::read(o(1)),
-            Op::read(o(3)),
-            Op::write(o(2), 5i64),
-            Op::write(o(2), 6i64),
-            Op::write(o(0), 7i64),
-        ]);
-        assert_eq!(t.read_set(), vec![o(3), o(1)]);
-        assert_eq!(t.write_set(), vec![o(2), o(0)]);
-        assert!(!t.is_read_only());
-    }
-
-    #[test]
-    fn read_only_detection() {
-        let t = TxnSpec::new(vec![Op::read(ObjectId(0))]);
-        assert!(t.is_read_only());
-        let empty = TxnSpec::new(vec![]);
-        assert!(empty.is_read_only());
-    }
-
-    #[test]
-    fn op_validation_catches_malformed_ops() {
-        let bad_read = Op {
-            kind: OpKind::Read,
-            object: ObjectId(0),
-            value: Some(Value::Int(1)),
-        };
-        assert!(bad_read.validate().is_err());
-        let bad_write = Op {
-            kind: OpKind::Write,
-            object: ObjectId(0),
-            value: None,
-        };
-        assert!(bad_write.validate().is_err());
-        assert!(Op::read(ObjectId(0)).validate().is_ok());
-        assert!(Op::write(ObjectId(0), 1i64).validate().is_ok());
-    }
-
-    #[test]
-    fn txn_spec_validate_checks_all_ops() {
-        let t = TxnSpec::new(vec![
-            Op::read(ObjectId(0)),
-            Op {
-                kind: OpKind::Write,
-                object: ObjectId(1),
-                value: None,
-            },
-        ]);
-        assert!(t.validate().is_err());
-    }
-
-    #[test]
-    fn initiation_requirement_enforced() {
-        let (cat, a_objs, b_objs) = catalog();
-        let txn = TxnId::new(NodeId(0), 0);
-        // Writing inside own fragment: OK.
-        let ok = TxnSpec::new(vec![Op::write(a_objs[0], 1i64)]);
-        assert!(ok.check_initiation(&cat, FragmentId(0), txn).is_ok());
-        // Writing a foreign fragment: violation.
-        let bad = TxnSpec::new(vec![Op::write(b_objs[0], 1i64)]);
-        let err = bad.check_initiation(&cat, FragmentId(0), txn).unwrap_err();
-        assert!(matches!(err, ModelError::InitiationViolation { .. }));
-        // Reads of foreign fragments are always allowed.
-        let read_foreign = TxnSpec::new(vec![Op::read(b_objs[1]), Op::write(a_objs[1], 2i64)]);
-        assert!(read_foreign
-            .check_initiation(&cat, FragmentId(0), txn)
-            .is_ok());
-    }
-
-    #[test]
-    fn fragments_read_maps_through_catalog() {
-        let (cat, a_objs, b_objs) = catalog();
-        let t = TxnSpec::new(vec![Op::read(a_objs[0]), Op::read(b_objs[0])]);
-        let frags = t.fragments_read(&cat).unwrap();
-        assert_eq!(
-            frags.into_iter().collect::<Vec<_>>(),
-            vec![FragmentId(0), FragmentId(1)]
-        );
-    }
-
-    #[test]
-    fn fragments_read_unknown_object_errors() {
-        let (cat, _, _) = catalog();
-        let t = TxnSpec::new(vec![Op::read(ObjectId(999))]);
-        assert!(t.fragments_read(&cat).is_err());
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl FailureDetector {
         );
     }
 
-    /// Stop tracking `peer` entirely (it left the roster).
-    pub fn forget(&mut self, peer: NodeId) {
-        self.peers.remove(&peer);
-    }
-
     /// Record a heartbeat (or any authenticated traffic) from `peer`.
     /// Returns `true` when this clears a standing suspicion — the caller
     /// uses that to abort an election the peer's silence started.
@@ -104,16 +99,6 @@ impl FailureDetector {
             }
         }
         newly
-    }
-
-    /// Is `peer` on the tracked roster?
-    pub fn is_tracked(&self, peer: NodeId) -> bool {
-        self.peers.contains_key(&peer)
-    }
-
-    /// The tracked roster, ascending.
-    pub fn tracked(&self) -> Vec<NodeId> {
-        self.peers.keys().copied().collect()
     }
 
     /// Is `peer` currently suspected?
@@ -175,13 +160,7 @@ mod tests {
         // A beat from an untracked peer starts tracking it.
         assert!(!d.heard(NodeId(9), t(1000)));
         assert_eq!(d.tick(t(2000)), vec![NodeId(3), NodeId(9)]);
-        assert!(d.is_tracked(NodeId(9)));
-        assert_eq!(d.tracked(), vec![NodeId(3), NodeId(9)]);
-        d.forget(NodeId(9));
-        assert!(!d.is_tracked(NodeId(9)));
-        assert_eq!(d.tracked(), vec![NodeId(3)]);
-        assert!(!d.is_suspected(NodeId(9)));
-        assert_eq!(d.suspected(), vec![NodeId(3)]);
+        assert_eq!(d.suspected(), vec![NodeId(3), NodeId(9)]);
     }
 
     #[test]

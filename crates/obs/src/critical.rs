@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::span::{CommitSpan, QueueAttr, SpanReport};
+use crate::span::SpanReport;
 
 /// Folded-stack leaf for one phase observation.
 fn folded_leaf(phase: &str) -> &'static str {
@@ -146,13 +146,4 @@ pub fn span_lines(report: &SpanReport) -> String {
         let _ = writeln!(out);
     }
     out
-}
-
-/// Convenience: the queue leaf a span's wait folds into.
-pub fn queue_leaf(s: &CommitSpan) -> &'static str {
-    match s.queue_attr {
-        QueueAttr::Wait => "commit;queue;wait",
-        QueueAttr::TokenMove => "commit;queue;token_move",
-        QueueAttr::Election => "commit;queue;election",
-    }
 }

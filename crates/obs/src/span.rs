@@ -598,11 +598,6 @@ impl SpanReport {
         report
     }
 
-    /// The `span.phase.<p>` name the queue wait observes under.
-    pub fn queue_phase_name(attr: QueueAttr) -> &'static str {
-        Phase::queue(attr).name()
-    }
-
     /// Hand `observe` the `(phase, duration)` observations one span
     /// contributes.
     fn phases(s: &CommitSpan, mut observe: impl FnMut(Phase, u64)) {

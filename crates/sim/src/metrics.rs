@@ -190,13 +190,7 @@ pub mod keys {
     ];
 
     /// Probe suffixes of the `frag.<f>.<probe>` dimension.
-    pub const FRAG_PROBES: &[&str] = &[
-        "lag",
-        "queue",
-        "move_stall",
-        "unavail_window",
-        "replica_count",
-    ];
+    pub const FRAG_PROBES: &[&str] = &["lag", "queue", "move_stall", "unavail_window"];
     /// Probe suffixes of the `node.<n>.<probe>` dimension.
     pub const NODE_PROBES: &[&str] = &["staleness", "holdback"];
     /// Phase names of the `span.phase.<p>` dimension — one duration
@@ -296,14 +290,6 @@ pub mod keys {
         }
 
         #[test]
-        fn replica_count_keys_are_registered() {
-            assert!(is_registered("frag.0.replica_count"));
-            assert!(is_registered("frag.42.replica_count"));
-            assert!(!is_registered("node.3.replica_count"));
-            assert!(!is_registered("frag.x.replica_count"));
-        }
-
-        #[test]
         fn dimensioned_keys_match_structurally() {
             assert!(is_registered("msg.quasi"));
             assert!(is_registered("frag.12.lag"));
@@ -362,17 +348,6 @@ impl Metrics {
             *c += delta;
         } else {
             self.counters.insert(Cow::Owned(key.to_owned()), delta);
-        }
-    }
-
-    /// Set counter `key` to an absolute `value` without taking ownership of
-    /// the key (gauge semantics; see [`Metrics::add_named`] for the
-    /// interned-key allocation discipline).
-    pub fn set_named(&mut self, key: &str, value: u64) {
-        if let Some(c) = self.counters.get_mut(key) {
-            *c = value;
-        } else {
-            self.counters.insert(Cow::Owned(key.to_owned()), value);
         }
     }
 
@@ -537,10 +512,6 @@ mod tests {
         m.set("g", 5);
         m.set("g", 3);
         assert_eq!(m.counter("g"), 3);
-        m.set_named("g", 9);
-        m.set_named("h", 1);
-        assert_eq!(m.counter("g"), 9);
-        assert_eq!(m.counter("h"), 1);
     }
 
     #[test]

@@ -407,16 +407,6 @@ telemetry_events! {
         /// The crashed home that held the open batch.
         node: u32,
     }
-    /// A fragment's replica set changed size (a driver-scheduled shrink,
-    /// §6 partial replication).
-    ReplicaSetChanged = "replica_set_changed" {
-        /// Fragment whose replica set changed.
-        fragment: u32,
-        /// Replica count before the change.
-        from_count: u32,
-        /// Replica count after the change.
-        to_count: u32,
-    }
 }
 
 /// A timestamped telemetry event.
@@ -884,7 +874,6 @@ enum Dim {
     FragQueue,
     FragMoveStall,
     FragUnavailWindow,
-    FragReplicaCount,
     NodeStaleness,
     NodeHoldback,
 }
@@ -897,7 +886,6 @@ impl Dim {
             Dim::FragQueue => ("frag", "queue"),
             Dim::FragMoveStall => ("frag", "move_stall"),
             Dim::FragUnavailWindow => ("frag", "unavail_window"),
-            Dim::FragReplicaCount => ("frag", "replica_count"),
             Dim::NodeStaleness => ("node", "staleness"),
             Dim::NodeHoldback => ("node", "holdback"),
         }
@@ -1058,13 +1046,6 @@ impl Probes {
                 // The commit will never install anywhere else; close the
                 // lag join so the causal id does not dangle.
                 self.commit_at.remove(cause);
-            }
-            TelemetryEvent::ReplicaSetChanged {
-                fragment, to_count, ..
-            } => {
-                // Gauge semantics: the fragment's current replica-set size.
-                let key = self.keys.key(Dim::FragReplicaCount, *fragment);
-                metrics.set_named(key, u64::from(*to_count));
             }
             _ => {}
         }
@@ -1529,45 +1510,6 @@ mod tests {
     }
 
     #[test]
-    fn replica_set_changed_publishes_gauge_and_serializes_flat() {
-        let mut t = Telemetry::bounded(16);
-        let mut m = Metrics::new();
-        t.record(
-            SimTime::from_secs(1),
-            TelemetryEvent::ReplicaSetChanged {
-                fragment: 3,
-                from_count: 8,
-                to_count: 3,
-            },
-            &mut m,
-        );
-        assert_eq!(m.counter("frag.3.replica_count"), 3);
-        // Gauge semantics: a later change overwrites, not accumulates.
-        t.record(
-            SimTime::from_secs(2),
-            TelemetryEvent::ReplicaSetChanged {
-                fragment: 3,
-                from_count: 3,
-                to_count: 5,
-            },
-            &mut m,
-        );
-        assert_eq!(m.counter("frag.3.replica_count"), 5);
-        let r = TelemetryRecord {
-            at: SimTime(12),
-            event: TelemetryEvent::ReplicaSetChanged {
-                fragment: 3,
-                from_count: 8,
-                to_count: 3,
-            },
-        };
-        assert_eq!(
-            r.to_json_line(),
-            "{\"at_micros\":12,\"event\":\"replica_set_changed\",\"fragment\":3,\"from_count\":8,\"to_count\":3}"
-        );
-    }
-
-    #[test]
     fn dim_keys_intern_once() {
         let mut k = DimKeys::default();
         assert_eq!(k.key(Dim::FragLag, 3), "frag.3.lag");
@@ -1708,7 +1650,7 @@ mod tests {
             let events = TelemetryEvent::samples(max);
             // A new event must be declared in `telemetry_events!`, which is
             // what puts it in this list.
-            assert_eq!(events.len(), 26);
+            assert_eq!(events.len(), 25);
             let mut names: Vec<&str> = events.iter().map(TelemetryEvent::name).collect();
             names.sort_unstable();
             names.dedup();
