@@ -241,7 +241,13 @@ impl System {
                     old_home,
                     elected,
                     replies,
-                } => format!("R{old_home}>{new_home}e{elected}r{}", replies.len()),
+                } => {
+                    let mut r = format!("R{old_home}>{new_home}e{elected}r");
+                    for (node, frontier) in replies {
+                        let _ = write!(r, "{node}:{frontier:?},");
+                    }
+                    r
+                }
                 MoveState::AwaitingData { new_home, old_home } => {
                     format!("D{old_home}>{new_home}")
                 }

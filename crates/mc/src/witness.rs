@@ -424,6 +424,75 @@ pub const REJECTING_CODES: [Code; 8] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fragdb_net::NetworkChange;
+
+    /// Divergent shape (d) at model-checking scope: three nodes, one
+    /// §4.4.1 fragment homed at node 0. The builder runs the fault prefix
+    /// to a fixed state: node 2 is cut off while the home commits with the
+    /// ack of node 1, the home crashes (its unacked sends to node 2 die
+    /// with it), the partition heals and the home recovers. The explorer
+    /// then interleaves an explicit move to node 1, its majority recovery
+    /// and every delivery, exhaustively. Without `with_moved`, so the
+    /// fragment stays under the `Divergence` invariant.
+    fn shape_d_instance() -> McInstance {
+        McInstance::new("shape-d-rehomed-entry", true, false, || {
+            let f = FragmentId(0);
+            let mut sys = System::build(
+                Topology::full_mesh(3, ms(5)),
+                catalog(&["LEDGER"]),
+                node_agents(&[0]),
+                SystemConfig::unrestricted(42).with_move_policy(MovePolicy::MajorityCommit {
+                    timeout: SimDuration::from_secs(2),
+                }),
+            )
+            .expect("shape (d) instance builds");
+            sys.net_change_at(
+                at(0),
+                NetworkChange::Split(vec![vec![NodeId(0), NodeId(1)], vec![NodeId(2)]]),
+            );
+            sys.submit_at(at(1), bump(f, ObjectId(0)));
+            sys.crash_at(at(30), NodeId(0));
+            sys.net_change_at(at(31), NetworkChange::HealAll);
+            sys.recover_at(at(32), NodeId(0));
+            sys.run_until(at(33));
+            let entries = |n: u32| sys.replica(NodeId(n)).wal().fragment_entries(f).count();
+            assert_eq!((entries(0), entries(2)), (1, 0), "node 2 missed the commit");
+            sys.move_agent_at(at(34), f, NodeId(1));
+            sys
+        })
+    }
+
+    /// The shortest `Divergence` witness of [`shape_d_instance`] before
+    /// the new home pushed the recovered tail to members behind it: node
+    /// 0's reply completes the recovery, node 2's lands after it.
+    const SHAPE_D_WITNESS: [u64; 10] = [16, 17, 19, 21, 22, 25, 27, 28, 8, 24];
+
+    #[test]
+    fn shape_d_no_longer_diverges() {
+        let inst = shape_d_instance();
+        let stats = explore(&inst, &ExploreConfig::full());
+        assert!(!stats.truncated, "the instance explores exhaustively");
+        assert!(
+            stats.clean(),
+            "{} violating state(s), first: {:?}",
+            stats.violation_states,
+            stats.violations.first()
+        );
+        let cfg = ExploreConfig::full();
+        let along = violations_along_path(&inst, &SHAPE_D_WITNESS, &cfg);
+        assert!(along.is_empty(), "the old witness still fails: {along:?}");
+        // The witness still replays step for step, and run on in the
+        // canonical order to quiescence it converges.
+        let mut sys = inst.replay(&SHAPE_D_WITNESS);
+        for _ in 0..1_000 {
+            let Some(next) = sys.mc_choices().first().map(|c| c.seq) else {
+                break;
+            };
+            sys.mc_step(next);
+        }
+        assert!(sys.mc_quiescent());
+        assert_eq!(sys.divergent_fragments(), Vec::new());
+    }
 
     #[test]
     fn every_rejecting_code_has_a_replaying_witness() {

@@ -347,15 +347,44 @@ fn false_suspicion_never_yields_two_holders_in_one_epoch() {
     }
 }
 
+/// The write of divergent shape (d): set the object to 7.
+fn write_seven(obj: ObjectId) -> Submission {
+    Submission::update(
+        FRAG,
+        Box::new(move |ctx| {
+            ctx.write(obj, 7)?;
+            Ok(())
+        }),
+    )
+}
+
+/// The five replicas' values of `obj`, asserted mutually consistent and
+/// holding the re-homed write.
+fn assert_all_read_seven(sys: &System, obj: ObjectId) {
+    let values: Vec<_> = (0..5)
+        .map(|n| sys.replica(NodeId(n)).read(obj).clone())
+        .collect();
+    assert_eq!(
+        sys.divergent_fragments(),
+        Vec::new(),
+        "replicas read {values:?}"
+    );
+    assert_eq!(
+        values,
+        vec![fragdb::model::Value::Int(7); 5],
+        "a replica never received the re-homed entry"
+    );
+}
+
 /// Divergent shape (d): an election re-homes a majority fragment whose
 /// last commit a live replica never prepared. Node 2 is cut off with node
 /// 1 while the home commits 7 with the acks of {3, 4}; the home then
 /// crashes, the partition heals, and node 1 is elected and recovers the
-/// entry from a majority. Nothing hands it to node 2, which stays behind
-/// until the next commit repairs it — here there is none, even after the
-/// old home recovers.
+/// entry from a majority. Node 2 answered the recovery query from behind,
+/// so the new home sends it the tail it lacks before any new prepare;
+/// without that push it would stay behind until a later commit repaired
+/// it, and here there is none.
 #[test]
-#[ignore = "divergent shape (d), ROADMAP item 1"]
 fn rehomed_entry_reaches_the_replica_that_missed_its_prepare() {
     let mut sys = protected_system(1, detector(), None);
     let obj = ObjectId(0);
@@ -366,31 +395,53 @@ fn rehomed_entry_reaches_the_replica_that_missed_its_prepare() {
             vec![NodeId(1), NodeId(2)],
         ]),
     );
-    sys.submit_at(
-        secs(1),
-        Submission::update(
-            FRAG,
-            Box::new(move |ctx| {
-                ctx.write(obj, 7)?;
-                Ok(())
-            }),
-        ),
-    );
+    sys.submit_at(secs(1), write_seven(obj));
     sys.crash_at(secs(2), HOME);
     sys.net_change_at(secs(3), NetworkChange::HealAll);
     sys.recover_at(secs(60), HOME);
     run(&mut sys, secs(60) + ms(900));
-    let values: Vec<_> = (0..5)
-        .map(|n| sys.replica(NodeId(n)).read(obj).clone())
-        .collect();
+    assert_all_read_seven(&sys, obj);
+}
+
+/// Shape (d) with the lagging member's reply arriving after the recovery
+/// completed. Node 2 stays cut off through the election, so node 1
+/// recovers from {1, 3, 4} without it; once the partition heals, node 2
+/// answers the new home's query late, and the home sends it the tail it
+/// lacks.
+#[test]
+fn a_reply_after_the_recovery_still_gets_the_rehomed_entry() {
+    let mut sys = protected_system(1, detector(), None);
+    let obj = ObjectId(0);
+    sys.net_change_at(
+        SimTime::ZERO,
+        NetworkChange::Split(vec![
+            vec![HOME, NodeId(3), NodeId(4)],
+            vec![NodeId(1), NodeId(2)],
+        ]),
+    );
+    sys.submit_at(secs(1), write_seven(obj));
+    sys.crash_at(secs(2), HOME);
+    sys.net_change_at(secs(3), NetworkChange::HealAll);
+    sys.net_change_at(
+        secs(3),
+        NetworkChange::Split(vec![
+            vec![HOME, NodeId(1), NodeId(3), NodeId(4)],
+            vec![NodeId(2)],
+        ]),
+    );
+    run(&mut sys, secs(20));
+    assert_eq!(sys.tokens().home(FRAG), NodeId(1), "node 1 was elected");
     assert_eq!(
-        sys.divergent_fragments(),
-        Vec::new(),
-        "replicas read {values:?}"
+        sys.replica(NodeId(1)).read(obj),
+        &fragdb::model::Value::Int(7)
     );
     assert_eq!(
-        values[2],
-        fragdb::model::Value::Int(7),
-        "node 2 never received the re-homed entry"
+        sys.replica(NodeId(2)).read(obj),
+        &fragdb::model::Value::Null,
+        "node 2 is still cut off"
     );
+    sys.net_change_at(secs(20), NetworkChange::HealAll);
+    sys.recover_at(secs(60), HOME);
+    run(&mut sys, secs(60) + ms(900));
+    assert_all_read_seven(&sys, obj);
 }

@@ -15,8 +15,10 @@
 //!   `Retransmit` on the home → replica link, and the legs they carried
 //!   read as retransmitted.
 //! * Pinned reconstruction: a lossy self-healing run with retransmitted
-//!   and held-back legs reconstructs, from the live stream and from its
-//!   export alike, to a report whose digest is a constant.
+//!   legs reconstructs, from the live stream and from its export alike,
+//!   to a report whose digest is a constant.
+//! * Hold-back accounting: a broadcast that overtakes a recovering
+//!   node's catch-up reply is held back for exactly the gap.
 //! * A §4.4.1 prepare whose home crashed before committing is reported as
 //!   uncommitted, not as a ring-evicted (truncated) span.
 
@@ -391,12 +393,18 @@ fn lossy_self_heal_reconstruction_hashes_to_the_pinned_digest() {
     // The pin covers the legs that are easy to get wrong.
     let legs = || live.spans.iter().flat_map(|s| &s.legs);
     assert!(legs().any(|l| l.retransmitted), "no retransmitted leg");
-    assert!(legs().any(|l| l.holdback_us > 0), "no held-back leg");
+    // The elected home resurrects (0, 0, 3) from the staged majority and
+    // pushes it to every member behind it before its first prepare, so
+    // (0, 1, 4) is held back nowhere; before that push it waited at nodes
+    // 2, 3 and 4 until each asked for the hole.
+    assert!(!legs().any(|l| l.holdback_us > 0), "a held-back leg");
     assert_eq!(live.uncommitted, 1, "the prepare the crash interrupted");
-    // Taken from the parent of `SpanStatus::Uncommitted`, which reported
-    // that one span as truncated; the digest moves by that status alone.
-    const PARENT: u64 = 0x349e_d087_5bcb_27c1;
-    const PINNED: u64 = 0x006f_86fe_9cb6_2157;
+    // `PARENT` renders that one span as truncated, the way the parent of
+    // `SpanStatus::Uncommitted` reported it; the digests differ by that
+    // status alone. Both were re-pinned when the tail push above removed
+    // the three held-back legs.
+    const PARENT: u64 = 0xca3c_99bd_bf38_a1e5;
+    const PINNED: u64 = 0x0e61_b599_e00e_2b7d;
     for report in [&live, &replayed] {
         assert_eq!(report_digest(report, true), PARENT);
         let got = report_digest(report, false);
@@ -427,4 +435,50 @@ fn a_prepare_the_home_crashed_on_is_uncommitted_not_truncated() {
         assert_eq!((s.committed_at, s.recipients), (None, Some(4)));
         assert_eq!(s.legs.len(), 5);
     }
+}
+
+#[test]
+fn a_broadcast_racing_a_crash_catch_up_is_held_back() {
+    // One §4.3 fragment homed at node 0 of a 3-node mesh with 10 ms links.
+    // Node 2 misses (0, 0, 1) while down; it recovers at 5 s and asks the
+    // home for it. (0, 0, 2) commits 1 ms later and its broadcast reaches
+    // node 2 at 5.011 s, ahead of the catch-up reply, so it is held back
+    // until the reply lands at 5.020 s plus 1 µs: the reply trails the
+    // home's ack on the same link by one FIFO slot.
+    let mut b = FragmentCatalog::builder();
+    let (f, objs) = b.add_fragment("F", 1);
+    let obj = objs[0];
+    let mut sys = System::build(
+        Topology::full_mesh(3, SimDuration::from_millis(10)),
+        b.build(),
+        vec![(f, AgentId::User(UserId(0)), NodeId(0))],
+        SystemConfig::unrestricted(SEED),
+    )
+    .unwrap();
+    let bump = || {
+        Submission::update(
+            f,
+            Box::new(move |ctx| {
+                let v = ctx.read_int(obj, 0);
+                ctx.write(obj, v + 1)?;
+                Ok(())
+            }),
+        )
+    };
+    sys.submit_at(secs(1), bump());
+    sys.crash_at(secs(2), NodeId(2));
+    sys.submit_at(secs(3), bump());
+    sys.recover_at(secs(5), NodeId(2));
+    sys.submit_at(secs(5) + SimDuration::from_millis(1), bump());
+    sys.engine.telemetry = Telemetry::bounded(10_000);
+    while sys.step_until(secs(10)).is_some() {}
+    let report = SpanReport::from_records(sys.engine.telemetry.events());
+    let held: Vec<_> = report
+        .spans
+        .iter()
+        .flat_map(|s| s.legs.iter().map(move |l| (s.cause.frag_seq, l)))
+        .filter(|(_, l)| l.holdback_us > 0)
+        .map(|(seq, l)| (seq, l.node, l.holdback_us))
+        .collect();
+    assert_eq!(held, vec![(2, 2, 9_001)]);
 }

@@ -131,14 +131,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// replaced the hand-written encoder, so passing proves the bytes did not
 /// move. An intended format change re-pins them, and so does a change to
 /// what runs: the three scenarios with faults were re-pinned when
-/// selective repair replaced go-back-N retransmission.
+/// selective repair replaced go-back-N retransmission, and `self-heal`
+/// again when an elected home began pushing the recovered tail to the
+/// members behind it (three pushes at seed 42).
 #[test]
 fn seed_42_quick_exports_hash_to_the_pinned_values() {
     let pinned: [(&str, u64); 4] = [
         (READ_LOCKS_FIXED, 0x766c_06ed_c698_90e3),
         (UNRESTRICTED_FAULTS, 0x44e5_7e4e_7e33_f00c),
         (MAJORITY_MOVEMENT, 0x4c88_19d0_c160_9dc6),
-        (trace::SELF_HEAL, 0xbc9a_2014_54b5_48aa),
+        (trace::SELF_HEAL, 0xfff0_56f8_501d_6897),
     ];
     assert_eq!(pinned.map(|(name, _)| name), trace::SCENARIOS);
     for (name, hash) in pinned {
