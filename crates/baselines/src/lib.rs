@@ -17,11 +17,33 @@
 //!   bolts on, evaluated *per node* (which is exactly how the paper's
 //!   "different fines at different nodes" chaos arises).
 //!
-//! Both reuse the same simulated network substrate as fragdb-core, so
-//! experiment E1/E2 comparisons are apples-to-apples.
+//! Both run on the same [`ReliableNet`] as fragdb-core, with fault-free
+//! links, so experiment E1/E2 comparisons are apples-to-apples.
+//!
+//! [`ReliableNet`]: fragdb_net::ReliableNet
 
 pub mod logtransform;
 pub mod mutex;
 
 pub use logtransform::{LogTransformConfig, LogTransformSystem, LoggedOp};
 pub use mutex::{MutexConfig, MutexSystem};
+
+use fragdb_net::{NetAction, PktDelivery, RetransmitTimer};
+use fragdb_sim::Engine;
+
+/// Schedule the reliable layer's follow-up work on a baseline's engine, as
+/// fragdb-core's `System::schedule_net` does: a packet arrival becomes a
+/// `pkt` event, a retransmission timer an `rto` event.
+fn schedule_net<M, E>(
+    engine: &mut Engine<E>,
+    actions: Vec<NetAction<M>>,
+    pkt: fn(PktDelivery<M>) -> E,
+    rto: fn(RetransmitTimer) -> E,
+) {
+    for action in actions {
+        match action {
+            NetAction::Deliver(at, pd) => engine.schedule_at(at, pkt(pd)),
+            NetAction::Timer(at, timer) => engine.schedule_at(at, rto(timer)),
+        }
+    }
+}

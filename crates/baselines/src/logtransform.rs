@@ -2,9 +2,11 @@
 //! spectrum).
 //!
 //! Every node applies operations **locally and immediately** — perfect
-//! availability — and logs them with a timestamp. Logs are exchanged
-//! whenever connectivity allows (our store-and-forward transport is the
-//! log exchange: during a partition the entries queue, on heal they flow).
+//! availability — and logs them with a timestamp. Each entry is sent to
+//! every other node over the reliable layer, which is the log exchange:
+//! an entry sent during a partition fails its transmission attempts and is
+//! retransmitted until one gets through after the heal, and every entry
+//! is released to each receiver exactly once.
 //! Each node deterministically **replays its merged log** in
 //! `(timestamp, origin, seq)` order, so all replicas converge to the same
 //! state once all logs are everywhere.
@@ -25,10 +27,10 @@
 //! transformation re-executes semantics, which is what distinguishes it
 //! from simple last-writer-wins.
 
-use std::collections::BTreeSet;
-
 use fragdb_model::NodeId;
-use fragdb_net::{Delivery, NetworkChange, Topology, Transport};
+use fragdb_net::{
+    NetAction, NetworkChange, PktDelivery, ReliableNet, ReliableStats, RetransmitTimer, Topology,
+};
 use fragdb_sim::metrics::keys;
 use fragdb_sim::{Engine, SimTime};
 
@@ -63,8 +65,10 @@ pub enum LtEv<O> {
         /// What.
         op: O,
     },
-    /// Log entry arriving from another node.
-    Deliver(Delivery<Entry<O>>),
+    /// A packet arrives.
+    Pkt(PktDelivery<Entry<O>>),
+    /// A link's retransmission timer fires.
+    Rto(RetransmitTimer),
     /// Network change.
     Net(NetworkChange),
 }
@@ -89,7 +93,6 @@ pub struct LogTransformConfig {
 struct LtNode<O: LoggedOp> {
     log: Vec<Entry<O>>,
     state: O::State,
-    seen: BTreeSet<(NodeId, u64)>,
     next_seq: u64,
 }
 
@@ -97,7 +100,7 @@ struct LtNode<O: LoggedOp> {
 pub struct LogTransformSystem<O: LoggedOp> {
     /// The event engine.
     pub engine: Engine<LtEv<O>>,
-    transport: Transport<Entry<O>>,
+    net: ReliableNet<Entry<O>>,
     nodes: Vec<LtNode<O>>,
 }
 
@@ -107,12 +110,11 @@ impl<O: LoggedOp> LogTransformSystem<O> {
         let n = topology.node_count();
         LogTransformSystem {
             engine: Engine::new(config.seed),
-            transport: Transport::new(topology),
+            net: ReliableNet::new(topology),
             nodes: (0..n)
                 .map(|_| LtNode {
                     log: Vec::new(),
                     state: O::State::default(),
-                    seen: BTreeSet::new(),
                     next_seq: 0,
                 })
                 .collect(),
@@ -150,9 +152,9 @@ impl<O: LoggedOp> LogTransformSystem<O> {
         &self.nodes[node.0 as usize].state
     }
 
-    /// Network transport statistics.
-    pub fn transport_stats(&self) -> fragdb_net::TransportStats {
-        self.transport.stats()
+    /// Reliable-network activity counters.
+    pub fn net_stats(&self) -> ReliableStats {
+        self.net.stats()
     }
 
     /// A node's current log length.
@@ -183,47 +185,54 @@ impl<O: LoggedOp> LogTransformSystem<O> {
                     seq,
                     op,
                 };
-                self.merge(at, node, entry.clone());
-                // Exchange with everyone (store-and-forward across partitions).
+                self.merge(node, entry.clone());
+                // Exchange with everyone (retransmitted across partitions).
                 let n = self.nodes.len() as u32;
                 for i in 0..n {
                     let to = NodeId(i);
                     if to == node {
                         continue;
                     }
-                    if let Some((deliver_at, d)) = self.transport.send(at, node, to, entry.clone())
-                    {
-                        self.engine.schedule_at(deliver_at, LtEv::Deliver(d));
-                    }
+                    let actions = self
+                        .net
+                        .send(at, node, to, entry.clone(), &mut self.engine.rng);
+                    self.schedule_net(actions);
                 }
                 Vec::new()
             }
-            LtEv::Deliver(d) => {
-                let node = d.to;
-                let entry = d.msg;
-                if self.nodes[node.0 as usize]
-                    .seen
-                    .contains(&(entry.origin, entry.seq))
-                {
-                    return Vec::new();
-                }
-                self.merge(at, node, entry.clone());
-                vec![Merged { node, entry }]
+            LtEv::Pkt(pd) => {
+                let (released, actions) = self.net.on_packet(at, pd, &mut self.engine.rng);
+                self.schedule_net(actions);
+                released
+                    .into_iter()
+                    .map(|d| {
+                        self.merge(d.to, d.msg.clone());
+                        Merged {
+                            node: d.to,
+                            entry: d.msg,
+                        }
+                    })
+                    .collect()
+            }
+            LtEv::Rto(timer) => {
+                let actions = self.net.on_timer(at, timer, &mut self.engine.rng);
+                self.schedule_net(actions);
+                Vec::new()
             }
             LtEv::Net(change) => {
-                let released = self.transport.apply_change(at, &change);
-                for (deliver_at, d) in released {
-                    self.engine.schedule_at(deliver_at, LtEv::Deliver(d));
-                }
+                self.net.apply_change(&change);
                 Vec::new()
             }
         }
     }
 
+    fn schedule_net(&mut self, actions: Vec<NetAction<Entry<O>>>) {
+        crate::schedule_net(&mut self.engine, actions, LtEv::Pkt, LtEv::Rto);
+    }
+
     /// Insert an entry into a node's log (sorted) and replay.
-    fn merge(&mut self, _at: SimTime, node: NodeId, entry: Entry<O>) {
+    fn merge(&mut self, node: NodeId, entry: Entry<O>) {
         let slot = &mut self.nodes[node.0 as usize];
-        slot.seen.insert((entry.origin, entry.seq));
         let pos = slot
             .log
             .partition_point(|e| (e.ts, e.origin, e.seq) <= (entry.ts, entry.origin, entry.seq));
@@ -335,8 +344,8 @@ mod tests {
         sys.submit_at(secs(1), NodeId(0), BankOp::Deposit(10));
         sys.run_until(secs(10));
         assert_eq!(sys.log_len(NodeId(1)), 1);
-        // No way to inject a duplicate from outside; the seen-set property
-        // is exercised via repeated heals releasing nothing twice.
+        // No way to inject a duplicate from outside: `ReliableNet` releases
+        // each entry exactly once, so a repeated heal merges nothing twice.
         sys.net_change_at(secs(11), NetworkChange::HealAll);
         sys.run_until(secs(20));
         assert_eq!(sys.log_len(NodeId(1)), 1);

@@ -11,9 +11,13 @@
 //! exactly like fragdb's quasi-transactions, so replicas converge.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use fragdb_model::{FragmentId, History, NodeId, ObjectId, OpKind, TxnId, TxnType, Value};
-use fragdb_net::{Delivery, NetworkChange, Topology, Transport};
+use fragdb_net::{
+    Delivery, NetAction, NetworkChange, PktDelivery, ReliableNet, ReliableStats, RetransmitTimer,
+    Topology,
+};
 use fragdb_sim::metrics::keys;
 use fragdb_sim::{Engine, SimTime};
 use fragdb_storage::Replica;
@@ -22,7 +26,9 @@ use fragdb_storage::Replica;
 const WHOLE_DB: FragmentId = FragmentId(0);
 
 /// A transaction body: reads and buffered writes against the primary copy.
-pub type MxProgram = Box<dyn FnOnce(&mut MxCtx<'_>) -> Result<(), String>>;
+/// Shared, because the reliable layer keeps a copy of every forwarded
+/// message until it is acknowledged.
+pub type MxProgram = Rc<dyn Fn(&mut MxCtx<'_>) -> Result<(), String>>;
 
 /// Execution context at the primary.
 pub struct MxCtx<'a> {
@@ -66,13 +72,16 @@ pub enum MxEv {
         /// restricts *access*, not just updates).
         read_only: bool,
     },
-    /// Network delivery.
-    Deliver(Delivery<MxMsg>),
+    /// A packet arrives.
+    Pkt(PktDelivery<MxMsg>),
+    /// A link's retransmission timer fires.
+    Rto(RetransmitTimer),
     /// Network change.
     Net(NetworkChange),
 }
 
 /// Messages exchanged.
+#[derive(Clone)]
 pub enum MxMsg {
     /// A forwarded transaction on its way to the primary.
     Forward {
@@ -122,7 +131,7 @@ pub struct MutexSystem {
     pub engine: Engine<MxEv>,
     /// Executed history (all access at the primary).
     pub history: History,
-    transport: Transport<MxMsg>,
+    net: ReliableNet<MxMsg>,
     replicas: Vec<Replica>,
     primary: NodeId,
     next_txn: u64,
@@ -137,7 +146,7 @@ impl MutexSystem {
         MutexSystem {
             engine: Engine::new(config.seed),
             history: History::new(),
-            transport: Transport::new(topology),
+            net: ReliableNet::new(topology),
             replicas: (0..n).map(|i| Replica::new(NodeId(i))).collect(),
             primary: config.primary,
             next_txn: 0,
@@ -176,9 +185,9 @@ impl MutexSystem {
         &self.replicas[node.0 as usize]
     }
 
-    /// Network transport statistics.
-    pub fn transport_stats(&self) -> fragdb_net::TransportStats {
-        self.transport.stats()
+    /// Reliable-network activity counters.
+    pub fn net_stats(&self) -> ReliableStats {
+        self.net.stats()
     }
 
     /// Do all replicas agree on `objects`?
@@ -199,7 +208,7 @@ impl MutexSystem {
                 if node == self.primary {
                     return self.execute_at_primary(at, program, read_only, at);
                 }
-                if !self.transport.connected(node, self.primary) {
+                if !self.net.connected(node, self.primary) {
                     // Mutual exclusion: no primary, no service.
                     self.engine.metrics.incr(keys::ABORT_UNAVAILABLE);
                     return vec![MxOutcome::Unavailable];
@@ -209,20 +218,37 @@ impl MutexSystem {
                     read_only,
                     submitted_at: at,
                 };
-                if let Some((deliver_at, d)) = self.transport.send(at, node, self.primary, msg) {
-                    self.engine.schedule_at(deliver_at, MxEv::Deliver(d));
-                }
+                self.send(at, node, self.primary, msg);
                 Vec::new()
             }
-            MxEv::Deliver(d) => self.deliver(at, d),
-            MxEv::Net(change) => {
-                let released = self.transport.apply_change(at, &change);
-                for (deliver_at, d) in released {
-                    self.engine.schedule_at(deliver_at, MxEv::Deliver(d));
+            MxEv::Pkt(pd) => {
+                let (released, actions) = self.net.on_packet(at, pd, &mut self.engine.rng);
+                self.schedule_net(actions);
+                let mut out = Vec::new();
+                for d in released {
+                    out.extend(self.deliver(at, d));
                 }
+                out
+            }
+            MxEv::Rto(timer) => {
+                let actions = self.net.on_timer(at, timer, &mut self.engine.rng);
+                self.schedule_net(actions);
+                Vec::new()
+            }
+            MxEv::Net(change) => {
+                self.net.apply_change(&change);
                 Vec::new()
             }
         }
+    }
+
+    fn send(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: MxMsg) {
+        let actions = self.net.send(at, from, to, msg, &mut self.engine.rng);
+        self.schedule_net(actions);
+    }
+
+    fn schedule_net(&mut self, actions: Vec<NetAction<MxMsg>>) {
+        crate::schedule_net(&mut self.engine, actions, MxEv::Pkt, MxEv::Rto);
     }
 
     fn deliver(&mut self, at: SimTime, d: Delivery<MxMsg>) -> Vec<MxOutcome> {
@@ -233,7 +259,8 @@ impl MutexSystem {
                 submitted_at,
             } => self.execute_at_primary(at, program, read_only, submitted_at),
             MxMsg::Install { txn, seq, updates } => {
-                // FIFO from the primary: `Transport` never reorders a pair.
+                // FIFO from the primary: `ReliableNet` releases each
+                // pair's messages once and in order.
                 let quasi = fragdb_model::QuasiTransaction {
                     txn,
                     fragment: WHOLE_DB,
@@ -337,9 +364,7 @@ impl MutexSystem {
                 seq,
                 updates: updates.clone(),
             };
-            if let Some((deliver_at, d)) = self.transport.send(at, self.primary, to, msg) {
-                self.engine.schedule_at(deliver_at, MxEv::Deliver(d));
-            }
+            self.send(at, self.primary, to, msg);
         }
         vec![MxOutcome::Committed(txn)]
     }
@@ -359,7 +384,7 @@ mod tests {
     }
 
     fn write_program(object: ObjectId, value: i64) -> MxProgram {
-        Box::new(move |ctx| {
+        Rc::new(move |ctx| {
             ctx.write(object, value);
             Ok(())
         })
@@ -440,7 +465,7 @@ mod tests {
             secs(2),
             NodeId(1),
             true,
-            Box::new(|ctx| {
+            Rc::new(|ctx| {
                 assert_eq!(ctx.read_int(ObjectId(0), -1), 9, "read sees primary state");
                 Ok(())
             }),
@@ -451,7 +476,7 @@ mod tests {
             .any(|(_, o)| matches!(o, MxOutcome::ReadServed(_))));
 
         sys.net_change_at(secs(20), NetworkChange::LinkDown(NodeId(0), NodeId(1)));
-        sys.submit_at(secs(21), NodeId(1), true, Box::new(|_| Ok(())));
+        sys.submit_at(secs(21), NodeId(1), true, Rc::new(|_| Ok(())));
         let outcomes = sys.run_until(secs(30));
         assert!(outcomes.iter().any(|(_, o)| *o == MxOutcome::Unavailable));
     }
@@ -469,7 +494,7 @@ mod tests {
             secs(1),
             NodeId(0),
             false,
-            Box::new(|ctx| {
+            Rc::new(|ctx| {
                 let bal = ctx.read_int(ObjectId(0), 0);
                 if bal < 100 {
                     return Err("insufficient".into());
@@ -496,7 +521,7 @@ mod tests {
                 secs(i + 1),
                 NodeId((i % 3) as u32),
                 false,
-                Box::new(move |ctx| {
+                Rc::new(move |ctx| {
                     let v = ctx.read_int(ObjectId(0), 0);
                     ctx.write(ObjectId(0), v + 1);
                     Ok(())

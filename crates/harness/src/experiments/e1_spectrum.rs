@@ -13,6 +13,7 @@
 //! while the correctness guarantee weakens — becomes a measured table.
 
 use std::fmt;
+use std::rc::Rc;
 
 use fragdb_baselines::{
     mutex::MxOutcome, LogTransformConfig, LogTransformSystem, LoggedOp, MutexConfig, MutexSystem,
@@ -198,7 +199,7 @@ fn run_mutex(seed: u64, sc: &Scenario) -> SpectrumRow {
             op.at,
             op.node,
             false,
-            Box::new(move |ctx| {
+            Rc::new(move |ctx| {
                 let cur = ctx.read_int(bal, 0);
                 ctx.write(bal, cur + amount);
                 Ok(())
@@ -227,7 +228,7 @@ fn run_mutex(seed: u64, sc: &Scenario) -> SpectrumRow {
             .histogram("latency.commit")
             .and_then(|h| h.mean())
             .unwrap_or(0.0) as u64,
-        messages: sys.transport_stats().sent,
+        messages: sys.net_stats().sent,
         replay_ops: 0,
         guarantee: if verdict.globally_serializable {
             "globally serializable".into()
@@ -283,7 +284,7 @@ fn run_logtransform(seed: u64, sc: &Scenario) -> SpectrumRow {
         served: sc.ops.len() as u64, // free-for-all: everything is served
         unavailable: 0,
         mean_latency_us: 0, // local application is instantaneous
-        messages: sys.transport_stats().sent,
+        messages: sys.net_stats().sent,
         replay_ops: sys.engine.metrics.counter("replay.ops"),
         guarantee: "eventual convergence only".into(),
         converged: sys.converged(),

@@ -13,6 +13,7 @@
 //! one centralized fine).
 
 use std::fmt;
+use std::rc::Rc;
 
 use fragdb_baselines::{
     mutex::MxOutcome, LogTransformConfig, LogTransformSystem, LoggedOp, MutexConfig, MutexSystem,
@@ -106,7 +107,7 @@ fn mutex_scenario(amount: i64, seed: u64) -> ScenarioOutcome {
         secs(1),
         NodeId(0),
         false,
-        Box::new(move |ctx| {
+        Rc::new(move |ctx| {
             ctx.write(bal, 300i64);
             Ok(())
         }),
@@ -120,8 +121,8 @@ fn mutex_scenario(amount: i64, seed: u64) -> ScenarioOutcome {
         ctx.write(bal, cur - amount);
         Ok(())
     };
-    sys.submit_at(secs(10), NodeId(0), false, Box::new(withdraw));
-    sys.submit_at(secs(10), NodeId(1), false, Box::new(withdraw));
+    sys.submit_at(secs(10), NodeId(0), false, Rc::new(withdraw));
+    sys.submit_at(secs(10), NodeId(1), false, Rc::new(withdraw));
     let outcomes = sys.run_until(secs(30));
     sys.net_change_at(secs(40), NetworkChange::HealAll);
     let outcomes2 = sys.run_until(secs(120));

@@ -6,11 +6,11 @@
 //! 2. messages broadcast by one node are *processed* at all other nodes in
 //!    the order they were sent.
 //!
-//! (1) is provided by the transport underneath (the store-and-forward
-//! [`Transport`], or [`ReliableNet`] when links are lossy). (2) is enforced
-//! here: every broadcast carries a per-`(sender, receiver)` sequence
-//! number, and each receiver keeps a **hold-back queue** per sender,
-//! releasing messages to the application strictly in sequence order.
+//! (1) is provided by the channel underneath ([`ReliableNet`] in this
+//! crate). (2) is enforced here: every broadcast carries a
+//! per-`(sender, receiver)` sequence number, and each receiver keeps a
+//! **hold-back queue** per sender, releasing messages to the application
+//! strictly in sequence order.
 //! Duplicates (possible under retransmission schemes) are dropped.
 //!
 //! Sequencing is per ordered pair rather than per sender so that a message
@@ -29,14 +29,13 @@
 //! streams after a crash, abstracting the recovery handshake of a real
 //! deployment.
 //!
-//! **No caller left in the workspace.** Both transports already deliver
-//! each ordered pair's messages once and in order, so over them this layer
+//! **No caller left in the workspace.** [`ReliableNet`] already delivers
+//! each ordered pair's messages once and in order, so over it this layer
 //! only ever released the arriving message; `fragdb-core` and the mutex
 //! baseline stopped stamping (DESIGN.md §3f). The one remaining caller is
 //! the outside-in driver in `benchmark/src/layers.rs` (the
 //! `net.broadcast.*` rows), and the type leaves with that driver.
 //!
-//! [`Transport`]: crate::transport::Transport
 //! [`ReliableNet`]: crate::reliable::ReliableNet
 //! [`stamp_for`]: BroadcastLayer::stamp_for
 //! [`resync_node`]: BroadcastLayer::resync_node

@@ -15,28 +15,25 @@
 //! * [`topology`] — the static link graph with per-link delays.
 //! * [`linkstate`] — which links are currently severed.
 //! * [`partition`] — timed schedules of partition/heal events.
-//! * [`transport`] — store-and-forward point-to-point delivery: a message
-//!   is delivered (after shortest-path delay) iff sender and receiver are
-//!   in the same connected component; otherwise it waits in the sender's
-//!   outbox and is released, in order, when connectivity returns. This is
-//!   the standard model of a routed network with retransmission.
-//! * [`broadcast`] — per-pair sequence stamps plus per-receiver hold-back
-//!   queues, for a channel that may reorder or duplicate. Neither delivery
-//!   layer here does, so nothing in the workspace stacks it on them any
-//!   more; it stays for the benchmark's layer driver.
 //! * [`fault`] — per-link fault plans: drop/duplication probabilities and
 //!   reordering jitter, as pure data sampled by the reliable layer.
 //! * [`reliable`] — ack/retransmit point-to-point delivery that *earns*
 //!   eventual, exactly-once, per-pair-FIFO delivery under injected loss,
-//!   duplication, and reordering, instead of assuming it.
+//!   duplication, reordering and partitions, instead of assuming it. It is
+//!   the only layer that delivers messages: fragdb-core and both §1
+//!   baselines run on it.
+//! * [`broadcast`] — per-pair sequence stamps plus per-receiver hold-back
+//!   queues, for a channel that may reorder or duplicate. [`reliable`]
+//!   does neither, so nothing in the workspace stacks it on it any more;
+//!   it stays for the benchmark's layer driver.
 //! * [`detector`] — deterministic heartbeat failure detection: each node's
 //!   local view of peer liveness, feeding the quorum election that
 //!   replaces the paper's manual post-failure operator hooks.
 //!
 //! The crate is engine-agnostic: methods take the current [`SimTime`] and
-//! return `(deliver_at, Delivery)` pairs (or [`reliable::NetAction`]s) for
-//! the caller to schedule, so any event-loop owner (fragdb-core, the
-//! baselines, tests) can drive it.
+//! return [`reliable::NetAction`]s (packet arrivals and retransmission
+//! timers) for the caller to schedule, so any event-loop owner
+//! (fragdb-core, the baselines, tests) can drive it.
 //!
 //! [`SimTime`]: fragdb_sim::SimTime
 
@@ -47,7 +44,6 @@ pub mod linkstate;
 pub mod partition;
 pub mod reliable;
 pub mod topology;
-pub mod transport;
 mod wire;
 
 pub use broadcast::BroadcastLayer;
@@ -55,6 +51,7 @@ pub use detector::FailureDetector;
 pub use fault::{FaultConfig, FaultPlan};
 pub use linkstate::LinkState;
 pub use partition::{NetworkChange, PartitionSchedule};
-pub use reliable::{NetAction, Pkt, PktDelivery, ReliableNet, ReliableStats, RetransmitTimer};
+pub use reliable::{
+    Delivery, NetAction, Pkt, PktDelivery, ReliableNet, ReliableStats, RetransmitTimer,
+};
 pub use topology::{RouteCache, Topology};
-pub use transport::{Delivery, Transport, TransportStats};

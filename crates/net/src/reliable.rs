@@ -1,22 +1,21 @@
 //! Ack/retransmit point-to-point delivery over faulty links.
 //!
-//! [`Transport`] realizes §3.2's "all messages are eventually delivered"
-//! *by construction*: nothing is ever lost, parked messages wait out the
-//! partition. [`ReliableNet`] earns the same guarantee the way a real
-//! network stack does — every application message becomes a numbered
-//! `Data` packet that stays in the sender's window until covered by a
-//! **cumulative ack** (`Ack { upto }` acknowledges every id below `upto`,
-//! and the same watermark piggybacks on reverse-direction `Data` when
-//! there is any). Repair is **selective**. The sender stamps each packet
-//! with when it last went on the wire; a packet is *overdue* once its
-//! stamp is `RTO` old. One retransmission timer per ordered link — not
-//! per packet — tracks the oldest stamp. When it expires, only the lowest
-//! unacked id is resent (a *probe*: the packet the cumulative ack is stuck
-//! on) and the timer re-arms one `RTO` later, with no backoff. When ack
-//! progress answers a probe, every packet still overdue is resent at once
-//! and the timer re-arms at the new oldest stamp; ack progress with no
-//! probe outstanding resends nothing. Between retransmission and the
-//! receiver's in-order reassembly buffer, the layer delivers every message
+//! §3.2 requires that "all messages are eventually delivered", and
+//! [`ReliableNet`] earns that the way a real network stack does — every
+//! application message becomes a numbered `Data` packet that stays in
+//! the sender's window until covered by a **cumulative ack**
+//! (`Ack { upto }` acknowledges every id below `upto`, and the same
+//! watermark piggybacks on reverse-direction `Data` when there is any).
+//! Repair is **selective**. The sender stamps each packet with when it
+//! last went on the wire; a packet is *overdue* once its stamp is `RTO`
+//! old. One retransmission timer per ordered link — not per packet —
+//! tracks the oldest stamp. When it expires, only the lowest unacked id is
+//! resent (a *probe*: the packet the cumulative ack is stuck on) and the
+//! timer re-arms one `RTO` later, with no backoff. When ack progress
+//! answers a probe, every packet still overdue is resent at once and the
+//! timer re-arms at the new oldest stamp; ack progress with no probe
+//! outstanding resends nothing. Between retransmission and the receiver's
+//! in-order reassembly buffer, the layer delivers every message
 //! **exactly once, in per-pair send order**, under any mix of:
 //!
 //! * message loss ([`FaultPlan::drop`]), including total loss while the
@@ -51,12 +50,11 @@
 //! Message *content* lost to the crash is the application's to repair
 //! (WAL replay + anti-entropy).
 //!
-//! This is the one FIFO in the message path (§3.2): nothing above it
-//! numbers, re-orders or de-duplicates messages again. All of its state —
-//! both ends of a directed stream — is one `Stream` record per ordered
-//! pair.
+//! This is the one FIFO in the message path (§3.2) of fragdb-core and of
+//! both §1 baselines: nothing above it numbers, re-orders or de-duplicates
+//! messages again. All of its state — both ends of a directed stream — is
+//! one `Stream` record per ordered pair.
 //!
-//! [`Transport`]: crate::transport::Transport
 //! [`FaultPlan::drop`]: crate::fault::FaultPlan
 //! [`FaultPlan::dup`]: crate::fault::FaultPlan
 //! [`FaultPlan::jitter`]: crate::fault::FaultPlan
@@ -71,8 +69,18 @@ use fragdb_sim::{SimDuration, SimRng, SimTime};
 use crate::fault::FaultConfig;
 use crate::partition::NetworkChange;
 use crate::topology::Topology;
-use crate::transport::Delivery;
 use crate::wire::{fifo_slot, Wire};
+
+/// An application message released to its receiver.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Delivery<M> {
+    /// Sender.
+    pub from: NodeId,
+    /// Receiver.
+    pub to: NodeId,
+    /// Payload.
+    pub msg: M,
+}
 
 /// A packet on the wire.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -195,9 +203,7 @@ struct Stream<M> {
     inbuf: BTreeMap<u64, M>,
     /// Last arrival scheduled `from -> to` — this stream's data and the
     /// reverse stream's acks — which keeps jitter-free links FIFO on the
-    /// wire, matching [`Transport`]'s timing.
-    ///
-    /// [`Transport`]: crate::transport::Transport
+    /// wire.
     last_sched: Option<SimTime>,
 }
 
@@ -268,13 +274,16 @@ impl<M: Clone> ReliableNet<M> {
         self.streams.values().map(|s| s.pending.len()).sum()
     }
 
-    /// Apply a network change. Unlike [`Transport`], nothing is parked and
-    /// so nothing is released: blocked packets simply fail their
-    /// transmission attempts and get through on a later retransmission.
-    ///
-    /// [`Transport`]: crate::transport::Transport
+    /// Apply a network change. Nothing is parked and so nothing is
+    /// released: blocked packets simply fail their transmission attempts
+    /// and get through on a later retransmission.
     pub fn apply_change(&mut self, change: &NetworkChange) {
         self.wire.apply_change(change);
+    }
+
+    /// Can `a` reach `b` under the current link state?
+    pub fn connected(&self, a: NodeId, b: NodeId) -> bool {
+        self.wire.connected(a, b)
     }
 
     /// Put one packet on the wire, rolling the link's fault dice.
@@ -307,7 +316,7 @@ impl<M: Clone> ReliableNet<M> {
                 // Per-packet jitter: packets may overtake — real reordering.
                 now + base + SimDuration(rng.gen_range(0..=plan.jitter.0))
             } else {
-                // Jitter-free links stay FIFO on the wire, like Transport.
+                // Jitter-free links stay FIFO on the wire.
                 let s = self.streams.entry((from, to)).or_default();
                 fifo_slot(&mut s.last_sched, now + base)
             };
@@ -661,6 +670,13 @@ mod tests {
         assert_eq!(got, (0..10).collect::<Vec<_>>());
         assert_eq!(l.net.stats().retransmissions, 0);
         assert_eq!(l.net.pending_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "loopback")]
+    fn loopback_send_panics() {
+        let mut net: ReliableNet<u64> = ReliableNet::new(Topology::full_mesh(2, ms(10)));
+        net.send(SimTime::ZERO, n(0), n(0), 1, &mut SimRng::new(1));
     }
 
     #[test]

@@ -241,8 +241,8 @@ impl Topology {
 
 /// Memoized [`Topology::path_delay`] answers, valid for exactly the
 /// [`LinkState`] they were computed under: [`invalidate`] on every change
-/// (inside the crate the `Wire` that [`ReliableNet`] and [`Transport`]
-/// hold owns topology, state and cache, and does so in its one mutator).
+/// (inside the crate the `Wire` that [`ReliableNet`] holds owns topology,
+/// state and cache, and does so in its one mutator).
 ///
 /// A simulation asks for the same `(from, to)` delay once per packet, so
 /// repeats are one map lookup. One entry per pair asked and nothing per
@@ -252,7 +252,6 @@ impl Topology {
 ///
 /// [`invalidate`]: RouteCache::invalidate
 /// [`ReliableNet`]: crate::reliable::ReliableNet
-/// [`Transport`]: crate::transport::Transport
 #[derive(Clone, Debug, Default)]
 pub struct RouteCache {
     cache: BTreeMap<(NodeId, NodeId), Option<SimDuration>>,

@@ -1,12 +1,9 @@
-//! What [`Transport`] and [`ReliableNet`] both stand on: the static link
-//! graph, the live link state, and the route cache that is valid for
-//! exactly one link state. [`Wire::apply_change`] is the only way to
-//! change the state, so every change invalidates the cache.
+//! What [`ReliableNet`] stands on: the static link graph, the live link
+//! state, and the route cache that is valid for exactly one link state.
+//! [`Wire::apply_change`] is the only way to change the state, so every
+//! change invalidates the cache.
 //!
-//! [`Transport`]: crate::transport::Transport
 //! [`ReliableNet`]: crate::reliable::ReliableNet
-
-use std::collections::BTreeSet;
 
 use fragdb_model::NodeId;
 use fragdb_sim::{SimDuration, SimTime};
@@ -35,10 +32,6 @@ impl Wire {
 
     pub(crate) fn connected(&self, a: NodeId, b: NodeId) -> bool {
         self.topo.connected(a, b, &self.state)
-    }
-
-    pub(crate) fn components(&self) -> Vec<BTreeSet<NodeId>> {
-        self.topo.components(&self.state)
     }
 
     /// Apply a link-state change; the memoized routes die with the old state.

@@ -263,7 +263,7 @@ fn baselines_compose_with_core_types() {
         secs(6),
         NodeId(1),
         false,
-        Box::new(|ctx| {
+        std::rc::Rc::new(|ctx| {
             ctx.write(ObjectId(0), 1i64);
             Ok(())
         }),
