@@ -2,8 +2,9 @@
 //!
 //! Used for latency-style quantities (virtual-time durations in
 //! microseconds). Buckets grow geometrically so one histogram covers
-//! microseconds through hours with bounded memory and ~4% relative error on
-//! percentile queries — ample for reproducing the *shape* of the paper's
+//! microseconds through hours with bounded memory. `count`, `sum`, `min`
+//! and `max` are exact; a percentile reads its bucket's lower bound, so it
+//! is up to ≈7 % low — ample for reproducing the *shape* of the paper's
 //! qualitative results.
 
 /// Geometric growth factor per bucket (~7% wide buckets).
@@ -177,7 +178,8 @@ const SKETCH_BUCKETS: usize =
 /// union is the element-wise sum of the sketches). Relative error of a
 /// quantile query is ≤ 2⁻⁵ ≈ 3.1% by construction; `count`/`sum`/
 /// `min`/`max` are exact. High-cardinality scale probes use this for
-/// percentile reads; the exact per-fragment histograms remain available
+/// percentile reads; the per-fragment [`Histogram`]s (exact count, sum,
+/// min and max; percentiles from ≈7 % geometric buckets) remain available
 /// as a differential oracle.
 #[derive(Clone, Debug)]
 pub struct QuantileSketch {

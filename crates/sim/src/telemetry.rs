@@ -952,10 +952,11 @@ pub struct Probes {
     move_started: BTreeMap<u32, (SimTime, u32, u32)>,
     unavail_started: BTreeMap<u32, SimTime>,
     /// Merged commit→install lag across all fragments, recorded online at
-    /// observation time — exact even after ring-buffer eviction, bounded
+    /// observation time — complete even after ring-buffer eviction, bounded
     /// memory at any cardinality. The benchmark of record reads its
-    /// `lag_p50_us`/`lag_p99_us` from here; per-fragment exact histograms
-    /// remain the differential oracle.
+    /// `lag_p50_us`/`lag_p99_us` from here; the per-fragment histograms
+    /// (exact count, sum, min and max; percentiles from ≈7 % geometric
+    /// buckets) remain the differential oracle.
     lag_sketch: QuantileSketch,
 }
 

@@ -56,7 +56,7 @@
 //! |-----------|----------|
 //! | [`sim`] | deterministic discrete-event kernel (clock, engine, RNG, metrics) |
 //! | [`model`] | fragments, agents, tokens, transactions, executed histories |
-//! | [`net`] | topology, partitions, store-and-forward transport, reliable per-pair FIFO delivery |
+//! | [`net`] | topology, partitions, fault plans, reliable per-pair FIFO delivery |
 //! | [`storage`] | per-node replicas, WAL, lock manager |
 //! | [`graphs`] | read-access / serialization graphs and all checkers |
 //! | [`core`] | the fragments-and-agents engine: strategies §4.1–4.3, movement §4.4 |
