@@ -367,7 +367,11 @@ impl System {
     }
 
     /// Abort a pending (cross-event) transaction: release its locks or
-    /// majority staging, then record the abort.
+    /// majority staging, then record the abort. This is the one routine
+    /// that ends a pending transaction as aborted: a lock denial, a
+    /// timeout, a move's orphans, the epoch fence and a crash of the home
+    /// all come here. A crashed home's releases and `AbortCmd`s wait in
+    /// `owed` until it recovers, and its queue stays parked.
     pub(crate) fn abort_pending(
         &mut self,
         at: SimTime,
@@ -400,18 +404,19 @@ impl System {
                 quasi,
                 ..
             } => {
-                self.majority_inflight.remove(&fragment);
                 // Return the reserved sequence number so no gap forms —
-                // unless an election has re-homed the token since staging
-                // (epoch bumped): the new regime's recovery already reset
-                // the counter, and rolling it back would corrupt it.
+                // unless a move or an election has re-homed the token since
+                // staging (epoch bumped): the new regime's recovery already
+                // reset the counter, and rolling it back would corrupt it.
                 if quasi.epoch == self.tokens.epoch(fragment) {
                     let seq = self.tokens.peek_frag_seq(fragment);
                     self.tokens
                         .set_next_frag_seq(fragment, seq.saturating_sub(1));
                 }
                 self.broadcast_fragment(at, home, fragment, Envelope::AbortCmd { txn });
-                notes.extend(self.drain_queued(at, fragment));
+                if !self.down.contains(&home) {
+                    notes.extend(self.drain_queued(at, fragment));
+                }
                 fragment
             }
         };
@@ -420,9 +425,14 @@ impl System {
     }
 
     /// Is an update on `fragment` blocked: a move or a majority commit in
-    /// flight?
-    fn fragment_busy(&self, fragment: FragmentId) -> bool {
-        self.move_state.contains_key(&fragment) || self.majority_inflight.contains_key(&fragment)
+    /// flight? §4.4.1 allows one commit in flight per fragment.
+    pub(crate) fn fragment_busy(&self, fragment: FragmentId) -> bool {
+        self.move_state.contains_key(&fragment)
+            || (self.move_policy_for(fragment).needs_majority_commit()
+                && self
+                    .pending
+                    .values()
+                    .any(|p| matches!(p, Pending::Majority { fragment: f, .. } if *f == fragment)))
     }
 
     /// Re-submit everything parked on `fragment` (move finished, or the

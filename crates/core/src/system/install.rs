@@ -19,7 +19,7 @@ use fragdb_sim::metrics::keys;
 use fragdb_sim::{SimTime, TelemetryEvent};
 
 use crate::events::Notification;
-use crate::system::{MoveState, System};
+use crate::system::{MoveState, MoveWait, System};
 
 impl System {
     /// Refuse a malformed quasi-transaction: the replica is untouched, the
@@ -150,29 +150,20 @@ impl System {
 
         // §4.4.2B: if this node is a new home waiting to catch up, check
         // whether this install completed the prefix.
-        if let Some(MoveState::AwaitingSeq { new_home, upto, .. }) =
-            self.move_state.get(&quasi.fragment)
+        if let Some(MoveState {
+            new_home,
+            wait: MoveWait::AwaitingSeq { upto },
+            ..
+        }) = self.move_state.get(&quasi.fragment)
         {
             let (new_home, upto) = (*new_home, *upto);
-            if new_home == node {
-                let caught_up = self.nodes[node.0 as usize]
+            let caught_up = new_home == node
+                && self.nodes[node.0 as usize]
                     .next_install
                     .get(&quasi.fragment)
                     .is_some_and(|&n| n >= upto);
-                if caught_up {
-                    let fragment = quasi.fragment;
-                    self.move_state.remove(&fragment);
-                    self.engine.emit(|| TelemetryEvent::TokenArrived {
-                        fragment: fragment.0,
-                        node: new_home.0,
-                    });
-                    notes.push(Notification::MoveCompleted {
-                        fragment,
-                        node: new_home,
-                        at,
-                    });
-                    notes.extend(self.drain_queued(at, fragment));
-                }
+            if caught_up {
+                notes.extend(self.complete_move(at, quasi.fragment, new_home));
             }
         }
         notes

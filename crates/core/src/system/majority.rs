@@ -29,7 +29,7 @@ use crate::envelope::Envelope;
 use crate::events::Notification;
 use crate::movement::MovePolicy;
 use crate::program::TxnEffects;
-use crate::system::{MoveState, Pending, System};
+use crate::system::{MoveState, MoveWait, Pending, System};
 
 impl System {
     /// Nodes needed for a majority of `fragment`'s replica set (home
@@ -64,7 +64,6 @@ impl System {
             epoch,
             updates,
         };
-        self.majority_inflight.insert(fragment, txn);
         if self.engine.telemetry.is_enabled() {
             let cause = Self::cid(fragment, epoch, frag_seq);
             let recipients = self.broadcast_recipients(fragment);
@@ -127,13 +126,25 @@ impl System {
 
     /// Commit if the majority has been reached.
     fn check_majority(&mut self, at: SimTime, txn: TxnId) -> Vec<Notification> {
-        let reached = matches!(
-            self.pending.get(&txn),
-            Some(Pending::Majority { fragment, acks, .. })
-                if acks.len() >= self.majority(*fragment)
-        );
-        if !reached {
+        let Some(Pending::Majority {
+            fragment,
+            quasi,
+            acks,
+            ..
+        }) = self.pending.get(&txn)
+        else {
             return Vec::new();
+        };
+        if acks.len() < self.majority(*fragment) {
+            return Vec::new();
+        }
+        // Epoch fence: the quasi was staged under `quasi.epoch`. If a
+        // quorum election (or an explicit move) has re-homed the token
+        // since, this commit belongs to a deposed regime — refuse it even
+        // though a majority acked, so a falsely-suspected home that
+        // rejoins cannot fork the update sequence.
+        if quasi.epoch != self.tokens.epoch(*fragment) {
+            return self.abort_pending(at, txn, crate::AbortReason::Unavailable);
         }
         let Some(Pending::Majority {
             fragment,
@@ -146,20 +157,6 @@ impl System {
         else {
             unreachable!("checked above");
         };
-        self.majority_inflight.remove(&fragment);
-        // Epoch fence: the quasi was staged under `quasi.epoch`. If a
-        // quorum election (or an explicit move) has re-homed the token
-        // since, this commit belongs to a deposed regime — refuse it even
-        // though a majority acked, so a falsely-suspected home that
-        // rejoins cannot fork the update sequence. The reserved sequence
-        // number is NOT returned: the new regime's recovery already reset
-        // the counter.
-        if quasi.epoch != self.tokens.epoch(fragment) {
-            self.broadcast_fragment(at, home, fragment, Envelope::AbortCmd { txn });
-            let mut notes = self.finish_abort(txn, fragment, crate::AbortReason::Unavailable);
-            notes.extend(self.drain_queued(at, fragment));
-            return notes;
-        }
         let mut notes = self.finish_commit(
             at,
             home,
@@ -230,11 +227,13 @@ impl System {
             .last_frag_seq(fragment);
         self.move_state.insert(
             fragment,
-            MoveState::MajorityRecovery {
+            MoveState {
                 new_home,
                 old_home,
-                elected,
-                replies: [(new_home, frontier)].into_iter().collect(),
+                wait: MoveWait::MajorityRecovery {
+                    elected,
+                    replies: [(new_home, frontier)].into_iter().collect(),
+                },
             },
         );
         self.send_seq_query(at, new_home, fragment, self.roster(fragment), None, true);
@@ -357,8 +356,10 @@ impl System {
     ) -> Vec<Notification> {
         let mut notes = Vec::new();
         let late = match self.move_state.get_mut(&fragment) {
-            Some(MoveState::MajorityRecovery {
-                new_home, replies, ..
+            Some(MoveState {
+                new_home,
+                wait: MoveWait::MajorityRecovery { replies, .. },
+                ..
             }) => {
                 if *new_home == node {
                     replies.insert(replier, frontier);
@@ -398,7 +399,7 @@ impl System {
     /// Send `member` the entries `home` holds above `frontier`, the
     /// member's installed frontier, when it is behind. This is the
     /// ordinary `SeqQuery` answer, addressed to the member.
-    fn push_tail(
+    pub(crate) fn push_tail(
         &mut self,
         at: SimTime,
         home: NodeId,
@@ -414,56 +415,25 @@ impl System {
     }
 
     fn check_recovery_done(&mut self, at: SimTime, fragment: FragmentId) -> Vec<Notification> {
-        let done = matches!(
-            self.move_state.get(&fragment),
-            Some(MoveState::MajorityRecovery { replies, .. })
-                if replies.len() >= self.majority(fragment)
-        );
-        if !done {
+        let Some(MoveState {
+            new_home,
+            wait: MoveWait::MajorityRecovery { replies, .. },
+            ..
+        }) = self.move_state.get(&fragment)
+        else {
+            return Vec::new();
+        };
+        if replies.len() < self.majority(fragment) {
             return Vec::new();
         }
-        let Some(MoveState::MajorityRecovery {
-            new_home,
-            elected,
-            replies,
-            ..
-        }) = self.move_state.remove(&fragment)
-        else {
-            unreachable!("checked above");
-        };
         // The recovered prefix defines where the sequence resumes.
+        let new_home = *new_home;
         let next = self.nodes[new_home.0 as usize]
             .next_install
             .get(&fragment)
             .copied()
             .unwrap_or(0);
         self.tokens.set_next_frag_seq(fragment, next);
-        self.engine.emit(|| TelemetryEvent::TokenArrived {
-            fragment: fragment.0,
-            node: new_home.0,
-        });
-        if elected {
-            // Self-healing complete: the fragment is writable again at the
-            // elected home. Probes close `frag.<f>.unavail_window` here.
-            let epoch = self.tokens.epoch(fragment);
-            self.engine.emit(|| TelemetryEvent::TokenRecovered {
-                fragment: fragment.0,
-                epoch,
-                node: new_home.0,
-            });
-        }
-        let mut notes = vec![Notification::MoveCompleted {
-            fragment,
-            node: new_home,
-            at,
-        }];
-        // Bring every replier behind the recovered sequence up to it, ahead
-        // of the new regime's first prepare on the same per-pair FIFO
-        // stream, so a member that missed a prepare does not stay behind.
-        for (member, frontier) in replies {
-            notes.extend(self.push_tail(at, new_home, fragment, member, frontier));
-        }
-        notes.extend(self.drain_queued(at, fragment));
-        notes
+        self.complete_move(at, fragment, new_home)
     }
 }

@@ -29,7 +29,7 @@ use fragdb_sim::SimTime;
 use crate::envelope::Envelope;
 use crate::events::{Ev, Notification};
 
-use super::{MoveState, Pending, System};
+use super::{MoveWait, Pending, System};
 
 /// One enabled transition of the current state.
 #[derive(Clone, Debug)]
@@ -235,37 +235,23 @@ impl System {
         }
         s.push_str("|mv:");
         for (f, m) in &self.move_state {
-            let desc = match m {
-                MoveState::MajorityRecovery {
-                    new_home,
-                    old_home,
-                    elected,
-                    replies,
-                } => {
+            let (old_home, new_home) = (m.old_home, m.new_home);
+            let desc = match &m.wait {
+                MoveWait::MajorityRecovery { elected, replies } => {
                     let mut r = format!("R{old_home}>{new_home}e{elected}r");
                     for (node, frontier) in replies {
                         let _ = write!(r, "{node}:{frontier:?},");
                     }
                     r
                 }
-                MoveState::AwaitingData { new_home, old_home } => {
-                    format!("D{old_home}>{new_home}")
-                }
-                MoveState::AwaitingSeq {
-                    new_home,
-                    old_home,
-                    upto,
-                } => format!("S{old_home}>{new_home}u{upto}"),
+                MoveWait::AwaitingData => format!("D{old_home}>{new_home}"),
+                MoveWait::AwaitingSeq { upto } => format!("S{old_home}>{new_home}u{upto}"),
             };
             let _ = write!(s, "{f}={desc};");
         }
         s.push_str("|q:");
         for (f, q) in &self.queued {
             let _ = write!(s, "{f}={};", q.len());
-        }
-        s.push_str("|mi:");
-        for (f, t) in &self.majority_inflight {
-            let _ = write!(s, "{f}={t};");
         }
         s.push_str("|el:");
         for f in self.elections.keys() {
@@ -278,8 +264,8 @@ impl System {
         for ((n, f), (e, _)) in &self.recovering {
             let _ = write!(s, "{n}.{f}e{e};");
         }
-        s.push_str("|ts:");
-        for (n, v) in &self.tombstones {
+        s.push_str("|ow:");
+        for (n, v) in &self.owed {
             let _ = write!(s, "{n}x{};", v.len());
         }
         let _ = write!(s, "|seq:{:?}", self.next_txn_seq);

@@ -9,7 +9,7 @@ use fragdb_storage::WalEntry;
 use crate::envelope::Envelope;
 use crate::events::{AbortReason, Ev, Notification};
 use crate::movement::MovePolicy;
-use crate::system::{MoveState, RegimeClose, System};
+use crate::system::{MoveState, MoveWait, RegimeClose, System};
 
 impl System {
     /// Handle a token move request.
@@ -33,20 +33,9 @@ impl System {
         self.flush_batch(at, fragment);
         let old_home = self.tokens.home(fragment);
         // Either endpoint down: the move cannot proceed (the old home must
-        // snapshot/close the regime, the new home must receive). Retry
-        // shortly, like a move racing another move.
+        // snapshot/close the regime, the new home must receive).
         if self.down.contains(&old_home) || self.down.contains(&to) {
-            self.engine.metrics.incr(keys::MOVES_DEFERRED);
-            self.engine.emit(|| TelemetryEvent::MoveAborted {
-                fragment: fragment.0,
-                from: old_home.0,
-                to: to.0,
-            });
-            self.engine.schedule(
-                fragdb_sim::SimDuration::from_secs(1),
-                Ev::Move { fragment, to },
-            );
-            return Vec::new();
+            return self.defer_move(fragment, old_home, to);
         }
         if old_home == to {
             return vec![Notification::MoveCompleted {
@@ -56,19 +45,9 @@ impl System {
             }];
         }
         // A move while the previous one is still completing would corrupt
-        // the protocol state; retry shortly instead.
+        // the protocol state.
         if self.move_state.contains_key(&fragment) {
-            self.engine.metrics.incr(keys::MOVES_DEFERRED);
-            self.engine.emit(|| TelemetryEvent::MoveAborted {
-                fragment: fragment.0,
-                from: old_home.0,
-                to: to.0,
-            });
-            self.engine.schedule(
-                fragdb_sim::SimDuration::from_secs(1),
-                Ev::Move { fragment, to },
-            );
-            return Vec::new();
+            return self.defer_move(fragment, old_home, to);
         }
         self.engine.metrics.incr(keys::MOVES_REQUESTED);
         self.engine.emit(|| TelemetryEvent::MoveRequested {
@@ -114,9 +93,10 @@ impl System {
                 let epoch = self.tokens.reattach(fragment, to);
                 self.move_state.insert(
                     fragment,
-                    MoveState::AwaitingData {
+                    MoveState {
                         new_home: to,
                         old_home,
+                        wait: MoveWait::AwaitingData,
                     },
                 );
                 self.engine.schedule(
@@ -141,22 +121,14 @@ impl System {
                     .unwrap_or(0)
                     >= upto;
                 if caught_up {
-                    self.engine.emit(|| TelemetryEvent::TokenArrived {
-                        fragment: fragment.0,
-                        node: to.0,
-                    });
-                    notes.push(Notification::MoveCompleted {
-                        fragment,
-                        node: to,
-                        at,
-                    });
+                    notes.extend(self.complete_move(at, fragment, to));
                 } else {
                     self.move_state.insert(
                         fragment,
-                        MoveState::AwaitingSeq {
+                        MoveState {
                             new_home: to,
                             old_home,
-                            upto,
+                            wait: MoveWait::AwaitingSeq { upto },
                         },
                     );
                 }
@@ -168,6 +140,79 @@ impl System {
         for t in orphans {
             notes.extend(self.abort_pending(at, t, AbortReason::Unavailable));
         }
+        notes
+    }
+
+    /// Retry a move that cannot run yet in one second, like a move racing
+    /// another move.
+    fn defer_move(&mut self, fragment: FragmentId, from: NodeId, to: NodeId) -> Vec<Notification> {
+        self.engine.metrics.incr(keys::MOVES_DEFERRED);
+        self.engine.emit(|| TelemetryEvent::MoveAborted {
+            fragment: fragment.0,
+            from: from.0,
+            to: to.0,
+        });
+        self.engine.schedule(
+            fragdb_sim::SimDuration::from_secs(1),
+            Ev::Move { fragment, to },
+        );
+        Vec::new()
+    }
+
+    /// Finish `fragment`'s move at `new_home`: the token is usable there
+    /// from now on. What the move waited for decides the rest. An elected
+    /// §4.4.1 recovery reports the fragment recovered, and every replier
+    /// behind the recovered sequence gets its tail ahead of the new
+    /// regime's first prepare on the same per-pair FIFO stream, so a
+    /// member that missed a prepare does not stay behind. A §4.4.2A
+    /// destination installs what it held back at or above the restore
+    /// point. Then whatever parked behind the move runs.
+    pub(crate) fn complete_move(
+        &mut self,
+        at: SimTime,
+        fragment: FragmentId,
+        new_home: NodeId,
+    ) -> Vec<Notification> {
+        let wait = self.move_state.remove(&fragment).map(|st| st.wait);
+        self.engine.emit(|| TelemetryEvent::TokenArrived {
+            fragment: fragment.0,
+            node: new_home.0,
+        });
+        let mut notes = vec![Notification::MoveCompleted {
+            fragment,
+            node: new_home,
+            at,
+        }];
+        match wait {
+            Some(MoveWait::MajorityRecovery { elected, replies }) => {
+                if elected {
+                    // Self-healing complete: the fragment is writable again
+                    // at the elected home. Probes close
+                    // `frag.<f>.unavail_window` here.
+                    let epoch = self.tokens.epoch(fragment);
+                    self.engine.emit(|| TelemetryEvent::TokenRecovered {
+                        fragment: fragment.0,
+                        epoch,
+                        node: new_home.0,
+                    });
+                }
+                for (member, frontier) in replies {
+                    notes.extend(self.push_tail(at, new_home, fragment, member, frontier));
+                }
+            }
+            Some(MoveWait::AwaitingData) => {
+                // Take the whole hold-back map (ascending seq order)
+                // instead of materializing a key list and removing one by
+                // one.
+                let slot = &mut self.nodes[new_home.0 as usize];
+                let resume = std::mem::take(slot.holdback.entry(fragment).or_default());
+                for q in resume.into_values() {
+                    notes.extend(self.ordered_install(at, new_home, q));
+                }
+            }
+            Some(MoveWait::AwaitingSeq { .. }) | None => {}
+        }
+        notes.extend(self.drain_queued(at, fragment));
         notes
     }
 
@@ -186,7 +231,7 @@ impl System {
         // the node (the paper's tape on the crashed mainframe's desk).
         if !matches!(
             self.move_state.get(&fragment),
-            Some(MoveState::AwaitingData { new_home, .. }) if *new_home == to
+            Some(MoveState { new_home, wait: MoveWait::AwaitingData, .. }) if *new_home == to
         ) {
             return Vec::new();
         }
@@ -201,29 +246,7 @@ impl System {
             .entry(fragment)
             .or_default()
             .retain(|&seq, _| seq >= next_frag_seq);
-        self.move_state.remove(&fragment);
-        self.engine.emit(|| TelemetryEvent::TokenArrived {
-            fragment: fragment.0,
-            node: to.0,
-        });
-        let mut notes = vec![Notification::MoveCompleted {
-            fragment,
-            node: to,
-            at,
-        }];
-        // Queued quasi-transactions at or above the restore point may now
-        // be installable.
-        let resume = {
-            let slot = &mut self.nodes[to.0 as usize];
-            // Take the whole hold-back map (ascending seq order) instead of
-            // materializing a key list and removing one by one.
-            std::mem::take(slot.holdback.entry(fragment).or_default())
-        };
-        for q in resume.into_values() {
-            notes.extend(self.ordered_install(at, to, q));
-        }
-        notes.extend(self.drain_queued(at, fragment));
-        notes
+        self.complete_move(at, fragment, to)
     }
 
     // ---- §4.4.3: no preparation -----------------------------------------
