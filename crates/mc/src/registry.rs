@@ -341,8 +341,10 @@ fn chaos(seed: u64) -> McInstance {
 
 /// `scale-zipf-open-loop` shrink: the open-loop Zipf shape at model-check
 /// scope — independent unrestricted fragments homed on distinct nodes,
-/// with the hot fragment receiving skewed traffic (two bumps to the other
-/// fragment's one, the smallest expression of a Zipf key distribution).
+/// with the hot fragment receiving skewed traffic (an update and a read
+/// to the other fragment's one update, the smallest expression of a Zipf
+/// key distribution). The read is the open loop's far reader: a read-only
+/// submission of the hot object at N2, which homes neither fragment.
 fn scale(seed: u64) -> McInstance {
     McInstance::new("scale-zipf-open-loop", true, false, move || {
         let hot = FragmentId(0);
@@ -356,7 +358,14 @@ fn scale(seed: u64) -> McInstance {
         .expect("scale shrink builds");
         sys.submit_at(at(1), bump(hot, ObjectId(0)));
         sys.submit_at(at(2), bump(cold, ObjectId(1)));
-        sys.submit_at(at(3), bump(hot, ObjectId(0)));
+        let read_hot = Submission::read_only(
+            hot,
+            Box::new(|ctx| {
+                ctx.read(ObjectId(0));
+                Ok(())
+            }),
+        );
+        sys.submit_at(at(3), read_hot.at(NodeId(2)));
         sys
     })
 }
