@@ -53,7 +53,10 @@
 //! This is the one FIFO in the message path (§3.2) of fragdb-core and of
 //! both §1 baselines: nothing above it numbers, re-orders or de-duplicates
 //! messages again. All of its state — both ends of a directed stream — is
-//! one `Stream` record per ordered pair.
+//! one `Stream` record per ordered pair. Neither end searches for an order
+//! it already knows: the sender's window is a FIFO in id order, which a
+//! cumulative ack trims from the front, and the arrival the receiver's
+//! watermark waits for is released without touching the reassembly buffer.
 //!
 //! [`FaultPlan::drop`]: crate::fault::FaultPlan
 //! [`FaultPlan::dup`]: crate::fault::FaultPlan
@@ -61,7 +64,7 @@
 //! [`crash`]: ReliableNet::crash
 //! [`resync_node`]: ReliableNet::resync_node
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use fragdb_model::NodeId;
 use fragdb_sim::{SimDuration, SimRng, SimTime};
@@ -180,15 +183,18 @@ pub struct ReliableStats {
 
 /// Both ends of one directed stream `from -> to`: the sender's numbering,
 /// window and timer, the receiver's watermark and reassembly buffer, and
-/// the wire slot of the `from -> to` direction.
+/// the wire slot of the `from -> to` direction. Neither end searches for
+/// an order it knows: the window is trimmed and probed at its front, and
+/// only an arrival past the watermark enters the reassembly buffer.
 #[derive(Debug)]
 struct Stream<M> {
     /// Next packet id the sender assigns. Survives crashes (conceptually
     /// re-negotiated by the recovery handshake).
     next_id: u64,
-    /// Sender-side unacked packets: when each last went on the wire, and
-    /// its message. Volatile.
-    pending: BTreeMap<u64, (SimTime, M)>,
+    /// Sender-side unacked packets in id order: the id, when it last went
+    /// on the wire, and its message. Ids are assigned in order and a
+    /// cumulative ack clears a prefix, so this is a FIFO. Volatile.
+    pending: VecDeque<(u64, SimTime, M)>,
     /// Timer generation; bumped when the window drains or ack progress
     /// re-arms the link, so a still-scheduled older timer becomes a no-op.
     gen: u64,
@@ -211,7 +217,7 @@ impl<M> Default for Stream<M> {
     fn default() -> Self {
         Stream {
             next_id: 0,
-            pending: BTreeMap::new(),
+            pending: VecDeque::new(),
             gen: 0,
             armed: false,
             probing: false,
@@ -226,7 +232,7 @@ impl<M> Stream<M> {
     /// When the oldest unacked packet becomes overdue; `None` when the
     /// window is empty.
     fn deadline(&self) -> Option<SimTime> {
-        let oldest = self.pending.values().map(|&(at, _)| at).min()?;
+        let oldest = self.pending.iter().map(|&(_, at, _)| at).min()?;
         Some(oldest + RTO)
     }
 }
@@ -373,9 +379,8 @@ impl<M: Clone> ReliableNet<M> {
         let Some(s) = self.streams.get_mut(&(from, to)) else {
             return;
         };
-        let keep = s.pending.split_off(&upto);
-        let cleared = s.pending.len();
-        s.pending = keep;
+        let cleared = s.pending.partition_point(|&(id, ..)| id < upto);
+        s.pending.drain(..cleared);
         if cleared == 0 {
             return;
         }
@@ -390,10 +395,10 @@ impl<M: Clone> ReliableNet<M> {
             return;
         }
         let mut overdue = Vec::new();
-        for (&id, (at, msg)) in &mut s.pending {
+        for (id, at, msg) in &mut s.pending {
             if *at + RTO <= now {
                 *at = now;
-                overdue.push((id, msg.clone()));
+                overdue.push((*id, msg.clone()));
             }
         }
         s.gen += 1;
@@ -428,7 +433,7 @@ impl<M: Clone> ReliableNet<M> {
         let s = self.streams.entry((from, to)).or_default();
         let id = s.next_id;
         s.next_id += 1;
-        s.pending.insert(id, (now, msg.clone()));
+        s.pending.push_back((id, now, msg.clone()));
         let (arm, gen) = (!s.armed, s.gen);
         s.armed = true;
         // At most the data transmission plus one timer arm.
@@ -470,7 +475,8 @@ impl<M: Clone> ReliableNet<M> {
             return vec![NetAction::Timer(deadline, timer)];
         }
         s.probing = true;
-        let (&id, (at, msg)) = s.pending.iter_mut().next().expect("window is open");
+        let (id, at, msg) = s.pending.front_mut().expect("window is open");
+        let id = *id;
         *at = now;
         let msg = msg.clone();
         // The probe (twice under a dup fault) plus the re-armed timer.
@@ -509,11 +515,18 @@ impl<M: Clone> ReliableNet<M> {
                     self.stats.dup_dropped += 1;
                     Some(*expected)
                 } else {
-                    if s.inbuf.insert(id, msg).is_some() {
-                        self.stats.dup_dropped += 1;
-                    }
                     let before = *expected;
-                    while let Some(m) = s.inbuf.remove(expected) {
+                    // Only ids past the watermark are parked, so the one
+                    // it waits for skips the reassembly buffer.
+                    let mut next = if id == before {
+                        Some(msg)
+                    } else {
+                        if s.inbuf.insert(id, msg).is_some() {
+                            self.stats.dup_dropped += 1;
+                        }
+                        None
+                    };
+                    while let Some(m) = next {
                         self.stats.delivered += 1;
                         released.push(Delivery {
                             from: d.from,
@@ -521,6 +534,7 @@ impl<M: Clone> ReliableNet<M> {
                             msg: m,
                         });
                         *expected += 1;
+                        next = s.inbuf.remove(expected);
                     }
                     (*expected > before).then_some(*expected)
                 };

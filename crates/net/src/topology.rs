@@ -160,7 +160,11 @@ impl Topology {
     }
 
     /// Dijkstra over link delays that stops as soon as the answer is final;
-    /// also returns how many nodes it settled. When a node is popped at `d`
+    /// also returns how many nodes it settled. An up direct link no slower
+    /// than `2 × min_delay` is the answer without a search, and the scan of
+    /// the source's row that finds it counts as settling the source: every
+    /// other route has at least two hops, and a stale-low `min_delay` only
+    /// makes the test fail safe. Otherwise, when a node is popped at `d`
     /// and `to` is tentatively at a finite `best`: a route whose last hop
     /// leaves a settled node is already in `best`, and any other reaches
     /// `to` from an unsettled node (distance `>= d`) over one more link
@@ -171,6 +175,11 @@ impl Topology {
     fn search(&self, from: NodeId, to: NodeId, state: &LinkState) -> (Option<SimDuration>, usize) {
         if to.0 >= self.n {
             return (None, 0);
+        }
+        let two_hops = self.min_delay.micros().saturating_mul(2);
+        let direct = self.link_delay(from, to).filter(|d| d.micros() <= two_hops);
+        if direct.is_some() && !state.is_down(from, to) {
+            return (direct, 1);
         }
         let mut settled = 0;
         let mut dist = vec![u64::MAX; self.n as usize];
@@ -246,9 +255,10 @@ impl Topology {
 ///
 /// A simulation asks for the same `(from, to)` delay once per packet, so
 /// repeats are one map lookup. One entry per pair asked and nothing per
-/// source: a cold lookup on a mesh relaxes one row, so there is no sweep
-/// to share between a source's destinations, and a dense row per source
-/// would hold `n` slots for ackers that use eight.
+/// source: a cold lookup on a mesh is a scan of the source's row for the
+/// direct link, so there is no sweep to share between a source's
+/// destinations, and a dense row per source would hold `n` slots for
+/// ackers that use eight.
 ///
 /// [`invalidate`]: RouteCache::invalidate
 /// [`ReliableNet`]: crate::reliable::ReliableNet
@@ -492,16 +502,17 @@ mod tests {
     }
 
     #[test]
-    fn a_lookup_on_a_mesh_with_every_link_up_settles_at_most_two_nodes() {
-        // The work bound, clock-free: the source's row is relaxed, the
-        // nearest neighbour's pop already proves the direct link final.
+    fn a_lookup_on_a_mesh_with_every_link_up_settles_at_most_one_node() {
+        // The work bound, clock-free: every link of a mesh jittered by at
+        // most a tenth is under twice the fastest, so one scan of the
+        // source's row finds the answer and nothing is pushed or popped.
         let t = Topology::jittered_mesh(256, ms(10), ms(1), 42);
         let up = LinkState::all_up();
         for from in t.nodes() {
             for to in t.nodes().filter(|&to| to != from) {
                 let (delay, settled) = t.search(from, to, &up);
                 assert_eq!(delay, t.link_delay(from, to), "{from:?}->{to:?}");
-                assert!(settled <= 2, "{from:?}->{to:?} settled {settled} nodes");
+                assert!(settled <= 1, "{from:?}->{to:?} settled {settled} nodes");
             }
         }
     }
@@ -599,6 +610,20 @@ mod tests {
         t.add_link(NodeId(0), NodeId(2), ms(50));
         let up = LinkState::all_up();
         assert_eq!(t.path_delay(NodeId(0), NodeId(2), &up), Some(ms(20)));
+    }
+
+    #[test]
+    fn a_direct_link_over_twice_the_fastest_can_lose_to_two_hops() {
+        // The search is skipped only up to `2 × min_delay`: one µs past it
+        // a two-hop route is shorter, at it the two tie.
+        for (direct, want) in [(ms(20), ms(20)), (SimDuration(20_001), ms(20))] {
+            let mut t = Topology::new(3);
+            t.add_link(NodeId(0), NodeId(1), ms(10));
+            t.add_link(NodeId(1), NodeId(2), ms(10));
+            t.add_link(NodeId(0), NodeId(2), direct);
+            let up = LinkState::all_up();
+            assert_eq!(t.path_delay(NodeId(0), NodeId(2), &up), Some(want));
+        }
     }
 
     #[test]

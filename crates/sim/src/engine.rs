@@ -1,18 +1,26 @@
 //! The discrete-event engine.
 //!
-//! [`Engine`] owns an ordered queue of future events: one `BinaryHeap`
-//! keyed `(at, seq)`. Events scheduled for the same instant are delivered
-//! in the order they were scheduled — `seq` is a monotone counter stamped
-//! at schedule time, so the order is total and the pop sequence is a
-//! function of the schedule calls alone. That is essential for
-//! reproducibility: a heap keyed on time only would break ties arbitrarily.
+//! [`Engine`] owns an ordered queue of future events keyed `(at, seq)`.
+//! Events scheduled for the same instant are delivered in the order they
+//! were scheduled — `seq` is a monotone counter stamped at schedule time,
+//! so the order is total and the pop sequence is a function of the
+//! schedule calls alone. That is essential for reproducibility: a queue
+//! keyed on time only would break ties arbitrarily.
+//!
+//! The queue is a `BinaryHeap` beside a *run*, a FIFO `VecDeque`: a
+//! schedule no earlier than the run's last entry is appended to it, so the
+//! run is sorted without a search, and any other goes to the heap. `pop`
+//! takes the smaller `(at, seq)` of the two fronts; `seq` is unique, so the
+//! pop sequence is exactly one heap's. Open-loop arrivals scheduled in time
+//! order before the loop stay out of the heap, whose depth is then only
+//! what the protocol has in flight.
 //!
 //! There is no cancellation: a timer that may go stale carries a
-//! generation or epoch its handler checks, and fires as a no-op. The heap
-//! is `Vec`-backed, so once the buffer has grown to the run's peak
+//! generation or epoch its handler checks, and fires as a no-op. Both
+//! containers are buffer-backed, so once each has grown to its peak
 //! population the schedule/pop loop performs no heap allocation
-//! (`tests/alloc_probe.rs`). The measurements behind the choice of one
-//! heap are in DESIGN.md §3i.
+//! (`tests/alloc_probe.rs`). The measurements behind the design are in
+//! DESIGN.md §3i.
 //!
 //! The engine is generic over the event payload `E` so that each layer of
 //! the system (network, nodes, workload) can define one event enum and drive
@@ -36,7 +44,7 @@
 //! ```
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::metrics::{keys, Metrics};
 use crate::rng::SimRng;
@@ -85,11 +93,13 @@ impl<E> Ord for Entry<E> {
 /// and the caller's world state.
 pub struct Engine<E> {
     now: SimTime,
-    /// Every future event, smallest `(at, seq)` on top.
+    /// Future events scheduled out of order, smallest `(at, seq)` on top.
     queue: BinaryHeap<Entry<E>>,
-    /// High-water mark of `queue.len()`.
+    /// Future events scheduled in order: sorted by `(at, seq)`, front first.
+    run: VecDeque<Entry<E>>,
+    /// High-water mark of [`Engine::pending`].
     peak_pending: usize,
-    /// Schedules that found room in the queue's existing buffer.
+    /// Schedules that found room in the buffer they entered.
     buffer_reuses: u64,
     next_seq: u64,
     /// Seeded random source shared by all simulation components.
@@ -109,6 +119,7 @@ impl<E> Engine<E> {
         Engine {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
+            run: VecDeque::new(),
             peak_pending: 0,
             buffer_reuses: 0,
             next_seq: 0,
@@ -140,7 +151,7 @@ impl<E> Engine<E> {
             .set(keys::TELEMETRY_DROPPED, self.telemetry.dropped());
     }
 
-    /// Schedules that reused the queue's buffer instead of growing it.
+    /// Schedules that reused a queue buffer instead of growing it.
     pub fn pool_reuse(&self) -> u64 {
         self.buffer_reuses
     }
@@ -159,7 +170,7 @@ impl<E> Engine<E> {
     /// Number of events still queued.
     #[inline]
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.run.len()
     }
 
     /// Schedule `payload` to fire `delay` after the current time.
@@ -167,7 +178,8 @@ impl<E> Engine<E> {
         self.schedule_at(self.now + delay, payload);
     }
 
-    /// Schedule `payload` at an absolute instant.
+    /// Schedule `payload` at an absolute instant: onto the run when it is
+    /// no earlier than the run's last entry, else into the heap.
     ///
     /// # Panics
     /// Panics if `at` is in the past — scheduling backwards in time is
@@ -181,18 +193,34 @@ impl<E> Engine<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.queue.len() < self.queue.capacity() {
-            self.buffer_reuses += 1;
+        let entry = Entry { at, seq, payload };
+        if self.run.back().is_none_or(|last| at >= last.at) {
+            self.buffer_reuses += u64::from(self.run.len() < self.run.capacity());
+            self.run.push_back(entry);
+        } else {
+            self.buffer_reuses += u64::from(self.queue.len() < self.queue.capacity());
+            self.queue.push(entry);
         }
-        self.queue.push(Entry { at, seq, payload });
-        self.peak_pending = self.peak_pending.max(self.queue.len());
+        self.peak_pending = self.peak_pending.max(self.pending());
+    }
+
+    /// Is the next event the run's front rather than the heap's top?
+    fn next_in_run(&self) -> bool {
+        match (self.run.front(), self.queue.peek()) {
+            (Some(r), Some(h)) => r.key() < h.key(),
+            (r, _) => r.is_some(),
+        }
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     ///
     /// Returns `None` when the queue is empty (the simulation has quiesced).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = self.queue.pop()?;
+        let e = if self.next_in_run() {
+            self.run.pop_front()
+        } else {
+            self.queue.pop()
+        }?;
         debug_assert!(e.at >= self.now, "event queue went backwards");
         self.now = e.at;
         self.metrics.incr(keys::SIM_EVENTS);
@@ -214,7 +242,8 @@ impl<E> Engine<E> {
 
     /// Timestamp of the next queued event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|e| e.at)
+        let (run, heap) = (self.run.front(), self.queue.peek());
+        run.into_iter().chain(heap).map(|e| e.at).min()
     }
 
     /// Enumerate every pending event as `(at, seq, payload)`, sorted by the
@@ -224,6 +253,7 @@ impl<E> Engine<E> {
         let mut pending: Vec<_> = self
             .queue
             .iter()
+            .chain(&self.run)
             .map(|e| (e.at, e.seq, &e.payload))
             .collect();
         pending.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
@@ -240,10 +270,11 @@ impl<E> Engine<E> {
     /// is the post-advance clock, safe to feed back into handlers that
     /// schedule follow-up events.
     ///
-    /// The heap is rebuilt around the hole (O(pending)); model-checking
-    /// instances hold tens of events.
+    /// The run is folded into the heap, which is rebuilt around the hole
+    /// (O(pending)); model-checking instances hold tens of events.
     pub fn mc_take(&mut self, seq: u64) -> Option<(SimTime, E)> {
         let mut entries = std::mem::take(&mut self.queue).into_vec();
+        entries.extend(self.run.drain(..));
         let found = entries.iter().position(|e| e.seq == seq);
         let taken = found.map(|idx| entries.swap_remove(idx));
         self.queue = BinaryHeap::from(entries);
@@ -257,6 +288,7 @@ impl<E> Engine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     #[derive(Debug, PartialEq, Clone)]
     enum Ev {
@@ -486,6 +518,137 @@ mod tests {
         assert_eq!(e.mc_take(keys[0]), Some((SimTime(50), Ev::A(0))));
         assert_eq!(e.mc_take(keys[0]), None, "already taken");
         assert_eq!(e.pending(), 1);
+    }
+
+    /// The reference the heap-plus-run is checked against: every pending
+    /// `(at, seq, payload)` in schedule order, the next found by sorting.
+    #[derive(Default)]
+    struct Reference {
+        pending: Vec<(SimTime, u64, u32)>,
+    }
+
+    impl Reference {
+        fn schedule(&mut self, e: &mut Engine<Ev>, at: SimTime) {
+            let seq = e.next_seq;
+            self.pending.push((at, seq, seq as u32));
+            e.schedule_at(at, Ev::A(seq as u32));
+        }
+
+        fn sorted(&self) -> Vec<(SimTime, u64, u32)> {
+            let mut all = self.pending.clone();
+            all.sort_unstable();
+            all
+        }
+
+        /// Remove `seq` and return what `pop`/`mc_take` should answer.
+        fn take(&mut self, seq: u64, now: SimTime) -> (SimTime, Ev) {
+            let i = self.pending.iter().position(|p| p.1 == seq).unwrap();
+            let (at, _, payload) = self.pending.remove(i);
+            (at.max(now), Ev::A(payload))
+        }
+
+        fn check_listing(&self, e: &Engine<Ev>, seed: u64) {
+            let listed: Vec<_> = e
+                .mc_pending()
+                .into_iter()
+                .map(|(at, seq, &Ev::A(p))| (at, seq, p))
+                .collect();
+            assert_eq!(listed, self.sorted(), "seed {seed}: mc_pending");
+        }
+    }
+
+    /// Differential: seeded schedules that mix in-order bursts (which land
+    /// in the run), out-of-order inserts (the heap), same-instant ties and
+    /// interleaved pops, with `mc_take` of events held in the run and in
+    /// the heap. Every pop must equal the reference sorted by `(at, seq)`,
+    /// and `mc_pending` must list the same events.
+    #[test]
+    fn heap_plus_run_pops_in_reference_order() {
+        // Takes, then pops, served by the run and by the heap.
+        let (mut from_run, mut from_heap) = (0, 0);
+        let (mut run_pops, mut heap_pops) = (0, 0);
+        for seed in 0..40u64 {
+            let mut rng = SimRng::new(0x0072_756e ^ seed);
+            let mut e = Engine::new(seed);
+            let mut r = Reference::default();
+            for _ in 0..600 {
+                let now = e.now();
+                match rng.gen_range(0..100u32) {
+                    // In-order burst past everything pending, ties included.
+                    0..=19 => {
+                        let far = r.pending.iter().map(|p| p.0).max().unwrap_or(now);
+                        let mut at = far.max(now);
+                        for _ in 0..rng.gen_range(1..20u32) {
+                            at += SimDuration(rng.gen_range(0..3u64));
+                            r.schedule(&mut e, at);
+                        }
+                    }
+                    // Out-of-order inserts near the clock.
+                    20..=39 => r.schedule(&mut e, now + SimDuration(rng.gen_range(0..500u64))),
+                    // Same-instant ties.
+                    40..=44 => {
+                        let at = now + SimDuration(rng.gen_range(0..500u64));
+                        for _ in 0..rng.gen_range(2..8u32) {
+                            r.schedule(&mut e, at);
+                        }
+                    }
+                    45..=47 => r.check_listing(&e, seed),
+                    // Take one event held in the run, or in the heap, then
+                    // the events the clock has passed, in reference order.
+                    48..=50 => {
+                        let in_run = rng.chance(0.5);
+                        let held: Vec<u64> = if in_run {
+                            e.run.iter().map(|x| x.seq).collect()
+                        } else {
+                            e.queue.iter().map(|x| x.seq).collect()
+                        };
+                        if held.is_empty() {
+                            continue;
+                        }
+                        let seq = *rng.pick(&held);
+                        *(if in_run {
+                            &mut from_run
+                        } else {
+                            &mut from_heap
+                        }) += 1;
+                        let want = r.take(seq, now);
+                        assert_eq!(e.mc_take(seq), Some(want), "seed {seed}: take {seq}");
+                        assert_eq!(e.mc_take(seq), None, "seed {seed}: taken twice");
+                        r.check_listing(&e, seed);
+                        for (at, seq, _) in r.sorted() {
+                            if at >= e.now() {
+                                break;
+                            }
+                            let want = r.take(seq, e.now());
+                            assert_eq!(e.mc_take(seq), Some(want), "seed {seed}");
+                        }
+                    }
+                    _ => {
+                        *(if e.next_in_run() {
+                            &mut run_pops
+                        } else {
+                            &mut heap_pops
+                        }) += 1;
+                        let want = r.sorted().first().map(|&(_, seq, _)| seq);
+                        let want = want.map(|seq| r.take(seq, now));
+                        assert_eq!(e.peek_time(), want.as_ref().map(|w| w.0));
+                        assert_eq!(e.pop(), want, "seed {seed}: pop");
+                    }
+                }
+                assert_eq!(e.pending(), r.pending.len(), "seed {seed}");
+            }
+            r.check_listing(&e, seed);
+            let drained = r.sorted().into_iter().map(|(at, _, p)| (at, Ev::A(p)));
+            assert_eq!(drain(&mut e), drained.collect::<Vec<_>>(), "seed {seed}");
+        }
+        assert!(
+            from_run > 0 && from_heap > 0,
+            "takes {from_run} / {from_heap}"
+        );
+        assert!(
+            run_pops > 0 && heap_pops > 0,
+            "pops {run_pops} / {heap_pops}"
+        );
     }
 
     #[test]

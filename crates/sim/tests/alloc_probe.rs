@@ -1,14 +1,16 @@
 //! No-alloc regression guard for the engine's steady-state loop.
 //!
-//! The engine's queue is one `Vec`-backed `BinaryHeap`: once its buffer has
-//! grown to the run's peak population, the schedule/pop cycle reuses it
-//! instead of allocating per event. This test installs the vendored
-//! `alloc-probe` counting allocator and asserts the warm loop performs zero
-//! heap allocations, at a small population and at the pending depth the
-//! 1024-node benchmark shapes actually hold.
+//! The engine's queue is a `Vec`-backed `BinaryHeap` beside a `VecDeque`
+//! run of in-order schedules: once each buffer has grown to its peak
+//! population, the schedule/pop cycle reuses it instead of allocating per
+//! event. This test installs the vendored `alloc-probe` counting allocator
+//! and asserts the warm loop performs zero heap allocations, at a small
+//! population and at the pending depth the 1024-node benchmark shapes
+//! actually hold, and with far-future events parked in the run while the
+//! loop runs on the heap.
 
 use alloc_probe::CountingAllocator;
-use fragdb_sim::{Engine, SimDuration};
+use fragdb_sim::{Engine, SimDuration, SimTime};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -23,6 +25,23 @@ fn spin(engine: &mut Engine<u32>, iterations: usize) {
     }
 }
 
+/// Warm `engine` up with `warmup` spins, then assert that 1 000 more
+/// allocate nothing and leave `pending` events queued.
+fn assert_warm_loop_is_allocation_free(engine: &mut Engine<u32>, warmup: usize, pending: usize) {
+    spin(engine, warmup);
+    let (allocs, _) = alloc_probe::count_allocs(|| spin(engine, 1000));
+    assert_eq!(
+        allocs, 0,
+        "steady-state schedule/pop loop must not allocate at {pending} pending \
+         (got {allocs} allocations)"
+    );
+    assert_eq!(engine.pending(), pending);
+    assert!(
+        engine.pool_reuse() > 0,
+        "the queue's buffers should have been reused at {pending} pending"
+    );
+}
+
 #[test]
 fn steady_state_sim_loop_is_allocation_free() {
     assert!(
@@ -31,25 +50,40 @@ fn steady_state_sim_loop_is_allocation_free() {
     );
     assert!(alloc_probe::is_installed());
 
-    for population in [64u64, 20_000] {
+    for population in [64usize, 20_000] {
         let mut engine: Engine<u32> = Engine::new(7);
         for i in 0..population {
-            engine.schedule(SimDuration(1024 + i), i as u32);
+            engine.schedule(SimDuration(1024 + i as u64), i as u32);
         }
-        // Warm-up: the queue's buffer is at capacity for the population
-        // after the loop above; this also settles the metric counters.
-        spin(&mut engine, 2000);
-
-        let (allocs, _) = alloc_probe::count_allocs(|| spin(&mut engine, 1000));
-        assert_eq!(
-            allocs, 0,
-            "steady-state schedule/pop loop must not allocate at {population} pending \
-             (got {allocs} allocations)"
-        );
-        assert_eq!(engine.pending() as u64, population);
-        assert!(
-            engine.pool_reuse() > 0,
-            "the queue's buffer should have been reused at {population} pending"
-        );
+        // The population was scheduled in order, so it starts in the run
+        // and moves to the heap as the spins reschedule it out of order.
+        // Warm-up is one full turnover plus 2 000 spins: the heap reaches
+        // its steady capacity only once every original event has been
+        // popped, and the metric counters settle.
+        assert_warm_loop_is_allocation_free(&mut engine, population + 2000, population);
     }
+    far_future_events_parked_in_the_run_cost_the_heap_loop_nothing();
+}
+
+/// A second case in the same test: the probe's counter is process-wide,
+/// so a concurrently running test would count into it.
+fn far_future_events_parked_in_the_run_cost_the_heap_loop_nothing() {
+    let (parked, population) = (1_000usize, 64usize);
+    let mut engine: Engine<u32> = Engine::new(7);
+    // In order and far beyond anything the loop reaches: they go to the
+    // run and stay there. Every later schedule is earlier than the run's
+    // last entry, so the loop's population lives in the heap.
+    for i in 0..parked {
+        engine.schedule_at(SimTime::from_secs(1_000_000 + i as u64), i as u32);
+    }
+    for i in 0..population {
+        engine.schedule(SimDuration(1024 + i as u64), i as u32);
+    }
+    assert_warm_loop_is_allocation_free(&mut engine, 2000, parked + population);
+    let far = SimTime::from_secs(1_000_000);
+    assert!(
+        engine.now() < far,
+        "the loop never reached the parked events"
+    );
+    assert_eq!(engine.peek_time().map(|at| at < far), Some(true));
 }

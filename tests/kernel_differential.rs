@@ -3,14 +3,15 @@
 //!
 //! Two layers, both driven by seeded histories:
 //!
-//! * **Event queue** — the engine (one `BinaryHeap` keyed `(at, seq)`)
-//!   versus an oracle that is not a heap: a plain unsorted `Vec` whose pop
-//!   is a linear scan for the smallest `(at, seq)`. Random mixes of single
-//!   schedules (1 µs – 4 000 s ahead), same-instant bursts, `pop`,
-//!   `pop_until`, `mc_pending` listings and `mc_take`, then a phase that
-//!   holds 20 000 events pending while scheduling 10 ms ahead — the shape
-//!   the 1024-node benchmark workloads give the queue. Every returned event
-//!   and the clock after every call must match.
+//! * **Event queue** — the engine (a `BinaryHeap` beside a FIFO run of
+//!   in-order schedules, keyed `(at, seq)`) versus an oracle that is not a
+//!   heap: a plain unsorted `Vec` whose pop is a linear scan for the
+//!   smallest `(at, seq)`. Random mixes of single schedules (1 µs –
+//!   4 000 s ahead), same-instant bursts, `pop`, `pop_until`, `mc_pending`
+//!   listings and `mc_take`, then a phase that holds 20 000 events pending
+//!   while scheduling 10 ms ahead — the shape the 1024-node benchmark
+//!   workloads give the queue. Every returned event and the clock after
+//!   every call must match.
 //! * **Full system** — chaos runs (random link faults, a crash/recovery
 //!   cycle) over the new kernel: the same seed must reproduce the exact
 //!   history twice, every replica pair must agree on every fragment
