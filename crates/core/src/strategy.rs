@@ -81,19 +81,7 @@ impl StrategyKind {
         initiator: FragmentId,
         reads: impl IntoIterator<Item = FragmentId>,
     ) -> bool {
-        match self {
-            StrategyKind::AcyclicRag { decls, .. } => {
-                let read_set: std::collections::BTreeSet<FragmentId> = reads.into_iter().collect();
-                decls.iter().any(|d| {
-                    d.updates
-                        && d.initiator == initiator
-                        && read_set
-                            .iter()
-                            .all(|f| *f == initiator || d.reads.contains(f))
-                })
-            }
-            _ => true,
-        }
+        self.declared_cover(initiator, reads, true)
     }
 
     /// §4.2 admission for read-only transactions.
@@ -102,24 +90,33 @@ impl StrategyKind {
         initiator: FragmentId,
         reads: impl IntoIterator<Item = FragmentId>,
     ) -> bool {
-        match self {
+        matches!(
+            self,
             StrategyKind::AcyclicRag {
-                decls,
-                allow_violating_read_only,
-            } => {
-                if *allow_violating_read_only {
-                    return true;
-                }
-                let read_set: std::collections::BTreeSet<FragmentId> = reads.into_iter().collect();
-                decls.iter().any(|d| {
-                    d.initiator == initiator
-                        && read_set
-                            .iter()
-                            .all(|f| *f == initiator || d.reads.contains(f))
-                })
+                allow_violating_read_only: true,
+                ..
             }
-            _ => true,
-        }
+        ) || self.declared_cover(initiator, reads, false)
+    }
+
+    /// Does a declared class of `initiator` (an update class, if `update`)
+    /// declare every fragment of `reads` other than its own? Strategies
+    /// without declared classes cover everything.
+    fn declared_cover(
+        &self,
+        initiator: FragmentId,
+        reads: impl IntoIterator<Item = FragmentId>,
+        update: bool,
+    ) -> bool {
+        let StrategyKind::AcyclicRag { decls, .. } = self else {
+            return true;
+        };
+        let reads: Vec<FragmentId> = reads.into_iter().collect();
+        decls.iter().any(|d| {
+            (d.updates || !update)
+                && d.initiator == initiator
+                && reads.iter().all(|f| *f == initiator || d.reads.contains(f))
+        })
     }
 
     /// Does this strategy use the §4.1 remote read-lock protocol?
@@ -209,6 +206,8 @@ mod tests {
         assert!(!s.admits_update(f(1), [f(0)]));
         // Declared read-only class.
         assert!(s.admits_read_only(f(2), [f(0)]));
+        // A read-only class does not admit an update with its reads.
+        assert!(!s.admits_update(f(2), [f(0)]));
         // Undeclared read-only class: refused.
         assert!(!s.admits_read_only(f(1), [f(0)]));
     }

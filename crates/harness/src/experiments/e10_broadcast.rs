@@ -237,7 +237,7 @@ fn one_level(seed: u64, level: &FaultLevel) -> FaultSample {
             .engine
             .metrics
             .histogram("latency.recovery")
-            .and_then(|h| h.percentile(50.0))
+            .and_then(|h| h.quantile(50.0))
             .unwrap_or(0),
         converged: sys.divergent_fragments().is_empty(),
         fragmentwise: verdict.fragmentwise_serializable(),

@@ -459,7 +459,7 @@ pub fn render_summary(run: &TraceRun) -> String {
             h.count().to_string(),
             h.min().map_or("-".into(), &fmt),
             h.mean().map_or("-".into(), |m| fmt(m.round() as u64)),
-            h.percentile(99.0).map_or("-".into(), &fmt),
+            h.quantile(99.0).map_or("-".into(), &fmt),
             h.max().map_or("-".into(), &fmt),
         ]);
     }

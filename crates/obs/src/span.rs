@@ -213,7 +213,7 @@ pub struct SpanReport {
     /// Critical-path attribution: phase → (spans where it dominated the
     /// critical path, µs it contributed on those paths).
     pub critical: BTreeMap<&'static str, (u64, u128)>,
-    /// Histogram source for `obs.critical_path.len`.
+    /// Sketch behind the `obs.critical_path.len` histogram.
     pub critical_len: QuantileSketch,
 }
 

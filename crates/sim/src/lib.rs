@@ -19,7 +19,8 @@
 //!   workloads need (exponential inter-arrivals, Zipf-ish picks).
 //! * [`metrics`] — counters and histograms ([`Metrics`]) used by the
 //!   experiment harness to measure availability and staleness.
-//! * [`histogram`] — a log-bucketed histogram with percentile queries.
+//! * [`histogram`] — the one histogram type ([`QuantileSketch`]): a
+//!   log-linear sketch with exact moments and quantiles within 2⁻⁵.
 //! * [`telemetry`] — typed, causally-joined event stream with online
 //!   probes (propagation lag, read staleness, move stalls).
 
@@ -31,7 +32,7 @@ pub mod telemetry;
 pub mod time;
 
 pub use engine::Engine;
-pub use histogram::{Histogram, QuantileSketch};
+pub use histogram::QuantileSketch;
 pub use metrics::Metrics;
 pub use rng::SimRng;
 pub use telemetry::{CausalId, Telemetry, TelemetryEvent, TelemetryRecord};

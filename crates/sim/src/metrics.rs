@@ -2,12 +2,13 @@
 //!
 //! Keys are `&'static str` in the common case but owned strings are
 //! accepted too (formatted per-node keys). A `BTreeMap` keeps report output
-//! deterministically ordered.
+//! deterministically ordered. Every histogram is a [`QuantileSketch`]:
+//! exact count, sum, min, max and mean, quantiles at most 2⁻⁵ low.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use crate::histogram::Histogram;
+use crate::histogram::QuantileSketch;
 
 pub mod keys {
     //! Central registry of metric keys.
@@ -117,7 +118,7 @@ pub mod keys {
     /// Commit spans that span reconstruction could only partially rebuild
     /// because ring-buffer eviction discarded their commit-side events.
     pub const TELEMETRY_SPANS_TRUNCATED: &str = "telemetry.spans_truncated";
-    /// Histogram of per-commit critical-path length (number of nonzero
+    /// Per-commit critical-path length (histogram; number of nonzero
     /// phase segments on the longest chain to the last install).
     pub const OBS_CRITICAL_PATH_LEN: &str = "obs.critical_path.len";
 
@@ -309,7 +310,7 @@ pub mod keys {
 #[derive(Debug, Default)]
 pub struct Metrics {
     counters: BTreeMap<Cow<'static, str>, u64>,
-    histograms: BTreeMap<Cow<'static, str>, Histogram>,
+    histograms: BTreeMap<Cow<'static, str>, QuantileSketch>,
 }
 
 impl Metrics {
@@ -339,38 +340,27 @@ impl Metrics {
         *self.counters.entry(key.into()).or_insert(0) = value;
     }
 
-    /// Add `delta` to counter `key` without taking ownership of the key:
-    /// allocates an owned copy only on the counter's *first* update, so a
-    /// hot path using an interned key (see `telemetry::Probes`) is
-    /// allocation-free in steady state.
-    pub fn add_named(&mut self, key: &str, delta: u64) {
-        if let Some(c) = self.counters.get_mut(key) {
-            *c += delta;
-        } else {
-            self.counters.insert(Cow::Owned(key.to_owned()), delta);
-        }
-    }
-
     /// Record `value` in histogram `key`.
     pub fn observe(&mut self, key: impl Into<Cow<'static, str>>, value: u64) {
         self.histograms.entry(key.into()).or_default().record(value);
     }
 
     /// Record `value` in histogram `key` without taking ownership of the
-    /// key; allocates only on the histogram's first observation (see
-    /// [`Metrics::add_named`]).
+    /// key: allocates an owned copy only on the histogram's *first*
+    /// observation, so a hot path using an interned key (see
+    /// `telemetry::Probes`) is allocation-free in steady state.
     pub fn observe_named(&mut self, key: &str, value: u64) {
         if let Some(h) = self.histograms.get_mut(key) {
             h.record(value);
         } else {
-            let mut h = Histogram::default();
+            let mut h = QuantileSketch::default();
             h.record(value);
             self.histograms.insert(Cow::Owned(key.to_owned()), h);
         }
     }
 
     /// Read histogram `key`, if it exists.
-    pub fn histogram(&self, key: &str) -> Option<&Histogram> {
+    pub fn histogram(&self, key: &str) -> Option<&QuantileSketch> {
         self.histograms.get(key)
     }
 
@@ -380,26 +370,8 @@ impl Metrics {
     }
 
     /// All histograms in key order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+    pub fn histograms(&self) -> impl Iterator<Item = (&str, &QuantileSketch)> {
         self.histograms.iter().map(|(k, v)| (k.as_ref(), v))
-    }
-
-    /// Merge another registry into this one (summing counters, merging
-    /// histograms) — used to aggregate per-trial metrics into experiment
-    /// totals.
-    pub fn merge(&mut self, other: &Metrics) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-    }
-
-    /// Drop all data.
-    pub fn reset(&mut self) {
-        self.counters.clear();
-        self.histograms.clear();
     }
 
     /// Render a human-readable report: counters, then histogram summaries,
@@ -424,7 +396,7 @@ impl Metrics {
                 h.count(),
                 h.min().unwrap_or(0),
                 h.mean().unwrap_or(0.0),
-                h.percentile(99.0).unwrap_or(0),
+                h.quantile(99.0).unwrap_or(0),
                 h.max().unwrap_or(0),
             ));
         }
@@ -480,30 +452,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counters_and_histograms() {
-        let mut a = Metrics::new();
-        let mut b = Metrics::new();
-        a.add("x", 2);
-        b.add("x", 3);
-        b.add("y", 1);
-        a.observe("h", 5);
-        b.observe("h", 10);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 5);
-        assert_eq!(a.counter("y"), 1);
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
-    }
-
-    #[test]
     fn named_variants_accumulate_like_owned() {
         let mut m = Metrics::new();
-        m.add_named("node.1.x", 2);
-        m.add_named("node.1.x", 3);
-        m.incr("node.1.x");
-        assert_eq!(m.counter("node.1.x"), 6);
         m.observe_named("h", 5);
         m.observe_named("h", 7);
-        assert_eq!(m.histogram("h").unwrap().count(), 2);
+        m.observe("h", 9);
+        assert_eq!(m.histogram("h").unwrap().count(), 3);
     }
 
     #[test]
@@ -527,15 +481,5 @@ mod tests {
         assert!(m
             .render()
             .starts_with("WARNING: 2 telemetry events dropped"));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut m = Metrics::new();
-        m.incr("a");
-        m.observe("h", 1);
-        m.reset();
-        assert_eq!(m.counter("a"), 0);
-        assert!(m.histogram("h").is_none());
     }
 }

@@ -19,9 +19,10 @@
 //!   byte-for-byte reproducible.
 //!
 //! On top of the raw stream, [`Probes`] derives online measurements and
-//! publishes them as dimensioned [`Metrics`] keys (`frag.<f>.lag`,
+//! publishes them as dimensioned [`Metrics`] histograms (`frag.<f>.lag`,
 //! `node.<n>.staleness`, …) through an interning cache so steady-state
-//! observation allocates nothing.
+//! observation allocates nothing, and keeps one [`QuantileSketch`] of the
+//! commit→install lag merged over every fragment.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -953,10 +954,10 @@ pub struct Probes {
     unavail_started: BTreeMap<u32, SimTime>,
     /// Merged commit→install lag across all fragments, recorded online at
     /// observation time — complete even after ring-buffer eviction, bounded
-    /// memory at any cardinality. The benchmark of record reads its
-    /// `lag_p50_us`/`lag_p99_us` from here; the per-fragment histograms
-    /// (exact count, sum, min and max; percentiles from ≈7 % geometric
-    /// buckets) remain the differential oracle.
+    /// memory at any cardinality. It equals the merge of the per-fragment
+    /// `frag.<f>.lag` histograms. The benchmark of record reads its
+    /// `lag_p50_us`/`lag_p99_us` from exact notification lags and this
+    /// sketch only as the cross-check `sim.telemetry.lag_p99_us`.
     lag_sketch: QuantileSketch,
 }
 
@@ -1769,7 +1770,6 @@ mod tests {
 
     #[test]
     fn lag_sketch_tracks_the_probe_histograms() {
-        use crate::histogram::Histogram;
         let mut t = Telemetry::bounded(2); // tiny ring: eviction is constant
         let mut m = Metrics::new();
         for seq in 0..8u64 {
@@ -1790,15 +1790,21 @@ mod tests {
             );
         }
         // The merged sketch saw every install despite ring eviction, and
-        // its exact moments equal the union of the per-frag histograms.
+        // it equals the union of the per-frag histograms, moments and
+        // every quantile.
         let s = t.probes().lag_sketch();
-        let mut union = Histogram::new();
+        let mut union = QuantileSketch::new();
         union.merge(m.histogram("frag.0.lag").unwrap());
         union.merge(m.histogram("frag.1.lag").unwrap());
+        assert_eq!(s.count(), 8);
         assert_eq!(s.count(), union.count());
         assert_eq!(s.sum(), union.sum());
         assert_eq!(s.min(), union.min());
         assert_eq!(s.max(), union.max());
+        for q in 0..=100 {
+            let q = q as f64;
+            assert_eq!(s.quantile(q), union.quantile(q), "q={q}");
+        }
         assert!(t.dropped() > 0, "ring must actually have wrapped");
     }
 

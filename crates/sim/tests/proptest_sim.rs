@@ -1,7 +1,7 @@
 //! Property tests for the simulation kernel, run as seeded randomized
 //! loops (reproducible from the case number, no external deps).
 
-use fragdb_sim::{Engine, Histogram, SimDuration, SimRng, SimTime};
+use fragdb_sim::{Engine, QuantileSketch, SimDuration, SimRng, SimTime};
 
 /// Events always pop in non-decreasing time order, and same-time events
 /// pop in insertion order.
@@ -33,8 +33,8 @@ fn engine_orders_events() {
     }
 }
 
-/// The histogram's percentile always lies within [min, max], and
-/// percentiles are monotone in q.
+/// The histogram's quantile always lies within [min, max], and quantiles
+/// are monotone in q.
 #[test]
 fn histogram_percentiles_are_bounded_and_monotone() {
     for case in 0..256u64 {
@@ -42,7 +42,7 @@ fn histogram_percentiles_are_bounded_and_monotone() {
         let n = rng.gen_range(1..300usize);
         let samples: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1_000_000u64)).collect();
 
-        let mut h = Histogram::new();
+        let mut h = QuantileSketch::new();
         for &s in &samples {
             h.record(s);
         }
@@ -50,7 +50,7 @@ fn histogram_percentiles_are_bounded_and_monotone() {
         let hi = *samples.iter().max().unwrap();
         let mut prev = 0u64;
         for q in [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0] {
-            let p = h.percentile(q).unwrap();
+            let p = h.quantile(q).unwrap();
             assert!(
                 p >= lo && p <= hi,
                 "case {case}: p{q}={p} outside [{lo}, {hi}]"
@@ -64,8 +64,8 @@ fn histogram_percentiles_are_bounded_and_monotone() {
     }
 }
 
-/// The approximate median is within the histogram's relative-error
-/// budget of the exact median.
+/// The approximate median is at most 2⁻⁵ below the same-rank sample of
+/// the sorted set, and never above it.
 #[test]
 fn histogram_median_error_is_bounded() {
     for case in 0..256u64 {
@@ -73,17 +73,17 @@ fn histogram_median_error_is_bounded() {
         let n = rng.gen_range(10..300usize);
         let samples: Vec<u64> = (0..n).map(|_| rng.gen_range(1..1_000_000u64)).collect();
 
-        let mut h = Histogram::new();
+        let mut h = QuantileSketch::new();
         for &s in &samples {
             h.record(s);
         }
         let mut sorted = samples.clone();
         sorted.sort_unstable();
-        let exact = sorted[(sorted.len() - 1) / 2] as f64;
-        let approx = h.percentile(50.0).unwrap() as f64;
-        // One geometric bucket is ~7% wide; allow double for rank rounding.
+        // Rank ceil(n/2), 1-based: the sketch's rule at q = 50.
+        let exact = sorted[n.div_ceil(2) - 1] as f64;
+        let approx = h.quantile(50.0).unwrap() as f64;
         assert!(
-            approx <= exact * 1.15 + 1.0 && approx >= exact / 1.15 - 1.0,
+            exact * (1.0 - 1.0 / 32.0) <= approx && approx <= exact,
             "case {case}: approx {approx} vs exact {exact}"
         );
     }
@@ -99,9 +99,9 @@ fn histogram_merge_is_union() {
         let a: Vec<u64> = (0..na).map(|_| rng.gen_range(0..10_000u64)).collect();
         let b: Vec<u64> = (0..nb).map(|_| rng.gen_range(0..10_000u64)).collect();
 
-        let mut ha = Histogram::new();
-        let mut hb = Histogram::new();
-        let mut hall = Histogram::new();
+        let mut ha = QuantileSketch::new();
+        let mut hb = QuantileSketch::new();
+        let mut hall = QuantileSketch::new();
         for &s in &a {
             ha.record(s);
             hall.record(s);
@@ -116,7 +116,7 @@ fn histogram_merge_is_union() {
         assert_eq!(ha.min(), hall.min(), "case {case}");
         assert_eq!(ha.max(), hall.max(), "case {case}");
         for q in [25.0, 50.0, 95.0] {
-            assert_eq!(ha.percentile(q), hall.percentile(q), "case {case}");
+            assert_eq!(ha.quantile(q), hall.quantile(q), "case {case}");
         }
     }
 }
