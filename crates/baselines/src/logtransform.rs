@@ -31,7 +31,7 @@ use fragdb_model::NodeId;
 use fragdb_net::{
     NetAction, NetworkChange, PktDelivery, ReliableNet, ReliableStats, RetransmitTimer, Topology,
 };
-use fragdb_sim::metrics::keys;
+use fragdb_sim::metrics::keys::counter;
 use fragdb_sim::{Engine, SimTime};
 
 /// A domain operation that can be replayed against a state.
@@ -171,8 +171,8 @@ impl<O: LoggedOp> LogTransformSystem<O> {
     fn handle(&mut self, at: SimTime, ev: LtEv<O>) -> Vec<Merged<O>> {
         match ev {
             LtEv::Submit { node, op } => {
-                self.engine.metrics.incr(keys::TXN_SUBMITTED);
-                self.engine.metrics.incr(keys::TXN_COMMITTED); // always available
+                self.engine.metrics.incr(counter::TXN_SUBMITTED);
+                self.engine.metrics.incr(counter::TXN_COMMITTED); // always available
                 let seq = {
                     let slot = &mut self.nodes[node.0 as usize];
                     let s = slot.next_seq;
@@ -245,7 +245,7 @@ impl<O: LoggedOp> LogTransformSystem<O> {
         }
         self.engine
             .metrics
-            .add(keys::REPLAY_OPS, slot.log.len() as u64);
+            .add(counter::REPLAY_OPS, slot.log.len() as u64);
         slot.state = state;
     }
 }

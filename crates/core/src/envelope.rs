@@ -13,6 +13,8 @@
 //!   home).
 
 use fragdb_model::{FragmentId, NodeId, ObjectId, QuasiTransaction, TxnId, Value};
+use fragdb_sim::metrics::keys::counter;
+use fragdb_sim::metrics::Slot;
 use fragdb_storage::WalEntry;
 
 /// A network message.
@@ -189,27 +191,32 @@ impl Envelope {
         &self.metric_key()["msg.".len()..]
     }
 
-    /// The pre-formed `msg.<kind>` metric key, so the delivery hot path
-    /// counts messages without a per-delivery `format!` allocation.
+    /// The `msg.<kind>` metric key.
     pub fn metric_key(&self) -> &'static str {
+        self.metric_slot().key()
+    }
+
+    /// The counter slot of the `msg.<kind>` key, so the delivery hot path
+    /// counts messages without a string comparison.
+    pub fn metric_slot(&self) -> Slot {
         match self {
-            Self::Quasi { .. } => "msg.quasi",
-            Self::Batch { .. } => "msg.batch",
-            Self::LockReq { .. } => "msg.lock_req",
-            Self::LockGrant { .. } => "msg.lock_grant",
-            Self::LockDenied { .. } => "msg.lock_denied",
-            Self::LockRelease { .. } => "msg.lock_release",
-            Self::Prepare { .. } => "msg.prepare",
-            Self::PrepareAck { .. } => "msg.prepare_ack",
-            Self::CommitCmd { .. } => "msg.commit_cmd",
-            Self::AbortCmd { .. } => "msg.abort_cmd",
-            Self::SeqQuery { .. } => "msg.seq_query",
-            Self::SeqReply { .. } => "msg.seq_reply",
-            Self::M0 { .. } => "msg.m0",
-            Self::ForwardMissing { .. } => "msg.forward_missing",
-            Self::Heartbeat { .. } => "msg.heartbeat",
-            Self::VoteReq { .. } => "msg.vote_req",
-            Self::Vote { .. } => "msg.vote",
+            Self::Quasi { .. } => counter::MSG_QUASI,
+            Self::Batch { .. } => counter::MSG_BATCH,
+            Self::LockReq { .. } => counter::MSG_LOCK_REQ,
+            Self::LockGrant { .. } => counter::MSG_LOCK_GRANT,
+            Self::LockDenied { .. } => counter::MSG_LOCK_DENIED,
+            Self::LockRelease { .. } => counter::MSG_LOCK_RELEASE,
+            Self::Prepare { .. } => counter::MSG_PREPARE,
+            Self::PrepareAck { .. } => counter::MSG_PREPARE_ACK,
+            Self::CommitCmd { .. } => counter::MSG_COMMIT_CMD,
+            Self::AbortCmd { .. } => counter::MSG_ABORT_CMD,
+            Self::SeqQuery { .. } => counter::MSG_SEQ_QUERY,
+            Self::SeqReply { .. } => counter::MSG_SEQ_REPLY,
+            Self::M0 { .. } => counter::MSG_M0,
+            Self::ForwardMissing { .. } => counter::MSG_FORWARD_MISSING,
+            Self::Heartbeat { .. } => counter::MSG_HEARTBEAT,
+            Self::VoteReq { .. } => counter::MSG_VOTE_REQ,
+            Self::Vote { .. } => counter::MSG_VOTE,
         }
     }
 
@@ -254,7 +261,7 @@ mod tests {
         assert_eq!(q.metric_key(), format!("msg.{}", q.kind()));
         assert!(fragdb_sim::metrics::keys::is_registered(q.metric_key()));
         // Every wire kind the registry knows structurally is a real kind.
-        assert!(fragdb_sim::metrics::keys::MSG_KINDS.contains(&q.kind()));
+        assert!(fragdb_sim::metrics::keys::MSG_KEYS.contains(&q.metric_key()));
     }
 
     #[test]
@@ -279,7 +286,7 @@ mod tests {
         ] {
             assert_eq!(env.payload_bytes(), None);
             assert_eq!(env.metric_key(), format!("msg.{}", env.kind()));
-            assert!(fragdb_sim::metrics::keys::MSG_KINDS.contains(&env.kind()));
+            assert!(fragdb_sim::metrics::keys::MSG_KEYS.contains(&env.metric_key()));
         }
     }
 }

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use fragdb_model::{
     FragmentId, NodeId, ObjectId, OpKind, QuasiTransaction, TxnId, TxnType, Updates, Value,
 };
-use fragdb_sim::metrics::keys;
+use fragdb_sim::metrics::keys::{self, counter};
 use fragdb_sim::{SimTime, TelemetryEvent};
 
 use crate::envelope::Envelope;
@@ -16,7 +16,7 @@ use crate::system::{Pending, QueuedSub, System};
 impl System {
     /// Entry point for a submission event.
     pub(crate) fn handle_submission(&mut self, at: SimTime, sub: Submission) -> Vec<Notification> {
-        self.engine.metrics.incr(keys::TXN_SUBMITTED);
+        self.engine.metrics.incr(counter::TXN_SUBMITTED);
         let fragment = sub.fragment;
 
         // Updates park while their fragment's agent is mid-move and while a
@@ -167,7 +167,7 @@ impl System {
 
         if read_only {
             self.flush_reads(txn, TxnType::ReadOnly(fragment), &effects.reads, at);
-            self.engine.metrics.incr(keys::TXN_READ_FINISHED);
+            self.engine.metrics.incr(counter::TXN_READ_FINISHED);
             return vec![Notification::ReadFinished { txn, node: home }];
         }
 
@@ -313,7 +313,7 @@ impl System {
                 self.broadcast_fragment(at, home, fragment, Envelope::Quasi { quasi });
             }
         }
-        self.engine.metrics.incr(keys::TXN_COMMITTED);
+        self.engine.metrics.incr(counter::TXN_COMMITTED);
         vec![Notification::Committed {
             txn,
             fragment,
@@ -342,16 +342,17 @@ impl System {
         fragment: FragmentId,
         reason: AbortReason,
     ) -> Vec<Notification> {
-        self.engine.metrics.incr(keys::TXN_ABORTED);
-        let key = match &reason {
-            AbortReason::Logic(_) => keys::ABORT_LOGIC,
-            AbortReason::Initiation => keys::ABORT_INITIATION,
-            AbortReason::Deadlock => keys::ABORT_DEADLOCK,
-            AbortReason::Unavailable => keys::ABORT_UNAVAILABLE,
-            AbortReason::UndeclaredClass => keys::ABORT_UNDECLARED_CLASS,
-            AbortReason::Model(_) => keys::ABORT_MALFORMED,
+        self.engine.metrics.incr(counter::TXN_ABORTED);
+        let abort = match &reason {
+            AbortReason::Logic(_) => counter::ABORT_LOGIC,
+            AbortReason::Initiation => counter::ABORT_INITIATION,
+            AbortReason::Deadlock => counter::ABORT_DEADLOCK,
+            AbortReason::Unavailable => counter::ABORT_UNAVAILABLE,
+            AbortReason::UndeclaredClass => counter::ABORT_UNDECLARED_CLASS,
+            AbortReason::Model(_) => counter::ABORT_MALFORMED,
         };
-        self.engine.metrics.incr(key);
+        self.engine.metrics.incr(abort);
+        let key = abort.key();
         let why = key.strip_prefix("abort.").unwrap_or(key);
         self.engine.emit(|| TelemetryEvent::Aborted {
             node: txn.origin.0,

@@ -29,7 +29,7 @@ use fragdb_model::{
 use fragdb_net::{
     Delivery, FailureDetector, NetAction, NetworkChange, PktDelivery, ReliableNet, Topology,
 };
-use fragdb_sim::metrics::keys;
+use fragdb_sim::metrics::keys::{self, counter};
 use fragdb_sim::{CausalId, Engine, SimDuration, SimTime, TelemetryEvent};
 use fragdb_storage::{LockManager, Replica};
 
@@ -297,6 +297,10 @@ pub struct System {
     /// §6: partial replication map (absent = fully replicated). Fixed by
     /// `build`; nothing changes membership afterwards.
     pub(crate) replica_sets: BTreeMap<FragmentId, BTreeSet<NodeId>>,
+    /// Each node's [`System::monitor_peers`], derived from the replica
+    /// sets at build; `None` when a fully replicated fragment makes every
+    /// other node a peer, which needs no table.
+    pub(crate) peer_sets: Option<Vec<Vec<NodeId>>>,
     /// Group-commit batching knob (off by default).
     pub(crate) batch_cfg: crate::config::BatchConfig,
     /// Per-fragment open group-commit batch at the fragment's home.
@@ -420,6 +424,7 @@ impl System {
                 noprep_handled: BTreeMap::new(),
             })
             .collect();
+        let peer_sets = peer_sets(&catalog, &config.replica_sets, n);
         let mut system = System {
             engine: Engine::new(config.seed),
             history: History::new(),
@@ -438,6 +443,7 @@ impl System {
             pending: BTreeMap::new(),
             move_state: BTreeMap::new(),
             queued: BTreeMap::new(),
+            peer_sets,
             replica_sets: config.replica_sets,
             batch_cfg: config.batch,
             open_batches: BTreeMap::new(),
@@ -561,7 +567,7 @@ impl System {
         let stats = self.net.stats();
         self.engine
             .metrics
-            .set(keys::NET_ACK_CUMULATIVE, stats.cumulative_acks);
+            .set(counter::NET_ACK_CUMULATIVE, stats.cumulative_acks);
     }
 
     /// Number of nodes.
@@ -655,7 +661,7 @@ impl System {
     /// application message it releases is dispatched in order.
     fn handle_packet(&mut self, at: SimTime, pd: PktDelivery<Envelope>) -> Vec<Notification> {
         if self.down.contains(&pd.to) {
-            self.engine.metrics.incr(keys::NET_DROPPED_AT_DOWN_NODE);
+            self.engine.metrics.incr(counter::NET_DROPPED_AT_DOWN_NODE);
             let (from, to) = (pd.from, pd.to);
             self.engine.emit(|| TelemetryEvent::Dropped {
                 from: from.0,
@@ -682,7 +688,7 @@ impl System {
     }
 
     fn handle_delivery(&mut self, at: SimTime, d: Delivery<Envelope>) -> Vec<Notification> {
-        self.engine.metrics.incr(d.msg.metric_key());
+        self.engine.metrics.incr(d.msg.metric_slot());
         let Delivery { from, to, msg } = d;
         let kind = msg.kind();
         self.engine.emit(|| TelemetryEvent::Delivered {
@@ -836,27 +842,20 @@ impl System {
             .is_none_or(|set| set.contains(&node))
     }
 
-    /// The peers `node` exchanges heartbeats with: every node it shares at
-    /// least one fragment replica set with. Any fully replicated fragment
-    /// (no explicit replica set) makes every other node a monitor peer, so
-    /// fully replicated systems keep the all-pairs detector behavior and
-    /// their golden traces; under partial replication the detector fan-out
-    /// is bounded by the replica sets instead of O(n²).
-    pub fn monitor_peers(&self, node: NodeId) -> BTreeSet<NodeId> {
-        let n = self.nodes.len() as u32;
-        let mut peers = BTreeSet::new();
-        for frag in self.catalog.fragments() {
-            match self.replica_sets.get(&frag.id) {
-                None => {
-                    return (0..n).map(NodeId).filter(|&p| p != node).collect();
-                }
-                Some(set) if set.contains(&node) => {
-                    peers.extend(set.iter().copied().filter(|&p| p != node));
-                }
-                Some(_) => {}
+    /// The peers `node` exchanges heartbeats with, ascending: every node it
+    /// shares at least one fragment replica set with. Any fully replicated
+    /// fragment (no explicit replica set) makes every other node a monitor
+    /// peer, so fully replicated systems keep the all-pairs detector
+    /// behavior and their golden traces; under partial replication the
+    /// detector fan-out is bounded by the replica sets instead of O(n²).
+    pub fn monitor_peers(&self, node: NodeId) -> Vec<NodeId> {
+        match &self.peer_sets {
+            Some(sets) => sets[node.0 as usize].clone(),
+            None => {
+                let n = self.nodes.len() as u32;
+                (0..n).map(NodeId).filter(|&p| p != node).collect()
             }
         }
-        peers
     }
 
     /// The effective control strategy for `fragment` (§6 mixtures).
@@ -914,8 +913,8 @@ impl System {
     /// shared reference, where it used to be deep-cloned once per receiver.
     fn meter_payload_share(&mut self, env: &Envelope) {
         if let Some(bytes) = env.payload_bytes() {
-            self.engine.metrics.incr(keys::PAYLOAD_SHARES);
-            self.engine.metrics.add(keys::PAYLOAD_SHARE_BYTES, bytes);
+            self.engine.metrics.incr(counter::PAYLOAD_SHARES);
+            self.engine.metrics.add(counter::PAYLOAD_SHARE_BYTES, bytes);
         }
     }
 
@@ -926,10 +925,10 @@ impl System {
     /// property.
     pub(crate) fn materialize_payload(&mut self, writes: Vec<(ObjectId, Value)>) -> Updates {
         let updates: Updates = writes.into();
-        self.engine.metrics.incr(keys::PAYLOAD_CLONES);
+        self.engine.metrics.incr(counter::PAYLOAD_CLONES);
         self.engine
             .metrics
-            .add(keys::PAYLOAD_CLONE_BYTES, updates.approx_bytes());
+            .add(counter::PAYLOAD_CLONE_BYTES, updates.approx_bytes());
         updates
     }
 
@@ -989,7 +988,7 @@ impl System {
         if !self.down.insert(node) {
             return Vec::new(); // already down
         }
-        self.engine.metrics.incr(keys::NODE_CRASH);
+        self.engine.metrics.incr(counter::NODE_CRASH);
         self.engine.emit(|| TelemetryEvent::Crash { node: node.0 });
         self.net.crash(node);
         // Un-flushed group-commit batches are volatile send-side state,
@@ -1007,7 +1006,7 @@ impl System {
         for f in dead_batches {
             let ob = self.open_batches.remove(&f).expect("collected above");
             for q in &ob.quasis {
-                self.engine.metrics.incr(keys::BATCH_DISCARDED);
+                self.engine.metrics.incr(counter::BATCH_DISCARDED);
                 let cause = Self::cid(q.fragment, q.epoch, q.frag_seq);
                 self.engine.emit(|| TelemetryEvent::BatchDiscarded {
                     cause,
@@ -1119,7 +1118,7 @@ impl System {
         if !self.down.remove(&node) {
             return Vec::new(); // was not down
         }
-        self.engine.metrics.incr(keys::NODE_RECOVER);
+        self.engine.metrics.incr(counter::NODE_RECOVER);
 
         let frags: Vec<FragmentId> = self.catalog.fragments().iter().map(|f| f.id).collect();
         let slot = &mut self.nodes[node.0 as usize];
@@ -1191,4 +1190,22 @@ impl System {
         }
         notes
     }
+}
+
+/// Each node's monitor peers under `replica_sets`, ascending (see
+/// [`System::monitor_peers`]); `None` when some fragment has no replica
+/// set, which makes every other node a peer of every node.
+fn peer_sets(
+    catalog: &FragmentCatalog,
+    replica_sets: &BTreeMap<FragmentId, BTreeSet<NodeId>>,
+    n: u32,
+) -> Option<Vec<Vec<NodeId>>> {
+    let mut peers = vec![BTreeSet::new(); n as usize];
+    for frag in catalog.fragments() {
+        let set = replica_sets.get(&frag.id)?;
+        for &node in set {
+            peers[node.0 as usize].extend(set.iter().copied().filter(|&p| p != node));
+        }
+    }
+    Some(peers.into_iter().map(Vec::from_iter).collect())
 }

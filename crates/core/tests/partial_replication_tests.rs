@@ -228,7 +228,7 @@ fn monitor_peers_follow_the_replica_sets() {
     let (sys, _, _) = build(8, MovePolicy::Fixed);
     assert_eq!(
         sys.monitor_peers(NodeId(0)),
-        [NodeId(1), NodeId(2), NodeId(3)].into_iter().collect()
+        [NodeId(1), NodeId(2), NodeId(3)]
     );
     // With every fragment under an explicit replica set, only set-sharing
     // peers are monitored.
@@ -249,13 +249,10 @@ fn monitor_peers_follow_the_replica_sets() {
             .with_replica_set(f1, [NodeId(1), NodeId(2), NodeId(3)]),
     )
     .unwrap();
-    assert_eq!(
-        sys.monitor_peers(NodeId(0)),
-        [NodeId(1)].into_iter().collect()
-    );
+    assert_eq!(sys.monitor_peers(NodeId(0)), [NodeId(1)]);
     assert_eq!(
         sys.monitor_peers(NodeId(1)),
-        [NodeId(0), NodeId(2), NodeId(3)].into_iter().collect()
+        [NodeId(0), NodeId(2), NodeId(3)]
     );
     assert!(
         sys.monitor_peers(NodeId(4)).is_empty(),

@@ -53,21 +53,28 @@
 //! This is the one FIFO in the message path (§3.2) of fragdb-core and of
 //! both §1 baselines: nothing above it numbers, re-orders or de-duplicates
 //! messages again. All of its state — both ends of a directed stream — is
-//! one `Stream` record per ordered pair. Neither end searches for an order
-//! it already knows: the sender's window is a FIFO in id order, which a
-//! cumulative ack trims from the front, and the arrival the receiver's
-//! watermark waits for is released without touching the reassembly buffer.
+//! one `Stream` record per ordered pair, found through a hashed [`IdMap`]
+//! keyed `(from, to)`: each packet, ack and timer finds its stream with one
+//! hash probe, and the passes over every stream ([`crash`],
+//! [`resync_node`], [`pending_count`]) do not depend on the map's order.
+//! The map holds only an index into a packed `Vec` of the records, so its
+//! spare buckets cost a key and an index rather than a whole record.
+//! Neither end searches for an order it already knows: the sender's window
+//! is a FIFO in id order, which a cumulative ack trims from the front, and
+//! the arrival the receiver's watermark waits for is released without
+//! touching the reassembly buffer.
 //!
 //! [`FaultPlan::drop`]: crate::fault::FaultPlan
 //! [`FaultPlan::dup`]: crate::fault::FaultPlan
 //! [`FaultPlan::jitter`]: crate::fault::FaultPlan
 //! [`crash`]: ReliableNet::crash
 //! [`resync_node`]: ReliableNet::resync_node
+//! [`pending_count`]: ReliableNet::pending_count
 
 use std::collections::{BTreeMap, VecDeque};
 
 use fragdb_model::NodeId;
-use fragdb_sim::{SimDuration, SimRng, SimTime};
+use fragdb_sim::{IdMap, SimDuration, SimRng, SimTime};
 
 use crate::fault::FaultConfig;
 use crate::partition::NetworkChange;
@@ -237,6 +244,45 @@ impl<M> Stream<M> {
     }
 }
 
+/// Every directed stream that has carried anything: the records packed in
+/// a `Vec` in first-use order, and an `IdMap` from `(from, to)` to a
+/// record's index. The hash table's spare buckets then hold a key and an
+/// index, not a whole record.
+#[derive(Debug)]
+struct Streams<M> {
+    index: IdMap<(NodeId, NodeId), u32>,
+    records: Vec<Stream<M>>,
+}
+
+impl<M> Streams<M> {
+    fn new() -> Self {
+        Streams {
+            index: IdMap::default(),
+            records: Vec::new(),
+        }
+    }
+
+    fn get(&self, key: (NodeId, NodeId)) -> Option<&Stream<M>> {
+        let &i = self.index.get(&key)?;
+        Some(&self.records[i as usize])
+    }
+
+    fn get_mut(&mut self, key: (NodeId, NodeId)) -> Option<&mut Stream<M>> {
+        let &i = self.index.get(&key)?;
+        Some(&mut self.records[i as usize])
+    }
+
+    /// The stream `key`, created empty on first use.
+    fn entry(&mut self, key: (NodeId, NodeId)) -> &mut Stream<M> {
+        let records = &mut self.records;
+        let &mut i = self.index.entry(key).or_insert_with(|| {
+            records.push(Stream::default());
+            u32::try_from(records.len() - 1).expect("fewer than 2^32 streams")
+        });
+        &mut self.records[i as usize]
+    }
+}
+
 /// Reliable, in-order, exactly-once point-to-point delivery with
 /// deterministic fault injection.
 #[derive(Debug)]
@@ -244,7 +290,7 @@ pub struct ReliableNet<M> {
     wire: Wire,
     faults: FaultConfig,
     /// Every directed stream that has carried anything, keyed `(from, to)`.
-    streams: BTreeMap<(NodeId, NodeId), Stream<M>>,
+    streams: Streams<M>,
     stats: ReliableStats,
 }
 
@@ -254,7 +300,7 @@ impl<M: Clone> ReliableNet<M> {
         ReliableNet {
             wire: Wire::new(topo),
             faults: FaultConfig::clean(),
-            streams: BTreeMap::new(),
+            streams: Streams::new(),
             stats: ReliableStats::default(),
         }
     }
@@ -277,7 +323,7 @@ impl<M: Clone> ReliableNet<M> {
 
     /// Application messages accepted but not yet acknowledged.
     pub fn pending_count(&self) -> usize {
-        self.streams.values().map(|s| s.pending.len()).sum()
+        self.streams.records.iter().map(|s| s.pending.len()).sum()
     }
 
     /// Apply a network change. Nothing is parked and so nothing is
@@ -323,7 +369,7 @@ impl<M: Clone> ReliableNet<M> {
                 now + base + SimDuration(rng.gen_range(0..=plan.jitter.0))
             } else {
                 // Jitter-free links stay FIFO on the wire.
-                let s = self.streams.entry((from, to)).or_default();
+                let s = self.streams.entry((from, to));
                 fifo_slot(&mut s.last_sched, now + base)
             };
             out.push(NetAction::Deliver(
@@ -341,7 +387,7 @@ impl<M: Clone> ReliableNet<M> {
     /// one past the highest id released in order from the `to -> from`
     /// stream, or `None` if that stream never delivered anything.
     fn reverse_ack(&self, from: NodeId, to: NodeId) -> Option<u64> {
-        self.streams.get(&(to, from))?.expected
+        self.streams.get((to, from))?.expected
     }
 
     /// Put `Data { id, msg }` on the `from -> to` wire, piggybacking the
@@ -376,7 +422,7 @@ impl<M: Clone> ReliableNet<M> {
         rng: &mut SimRng,
         out: &mut Vec<NetAction<M>>,
     ) {
-        let Some(s) = self.streams.get_mut(&(from, to)) else {
+        let Some(s) = self.streams.get_mut((from, to)) else {
             return;
         };
         let cleared = s.pending.partition_point(|&(id, ..)| id < upto);
@@ -430,7 +476,7 @@ impl<M: Clone> ReliableNet<M> {
     ) -> Vec<NetAction<M>> {
         assert!(from != to, "loopback send through the network");
         self.stats.sent += 1;
-        let s = self.streams.entry((from, to)).or_default();
+        let s = self.streams.entry((from, to));
         let id = s.next_id;
         s.next_id += 1;
         s.pending.push_back((id, now, msg.clone()));
@@ -460,7 +506,7 @@ impl<M: Clone> ReliableNet<M> {
         rng: &mut SimRng,
     ) -> Vec<NetAction<M>> {
         let RetransmitTimer { from, to, gen } = timer;
-        let Some(s) = self.streams.get_mut(&(from, to)) else {
+        let Some(s) = self.streams.get_mut((from, to)) else {
             return Vec::new();
         };
         if s.gen != gen {
@@ -506,7 +552,7 @@ impl<M: Clone> ReliableNet<M> {
                     // Piggybacked ack for the reverse stream (d.to -> d.from).
                     self.apply_cum_ack(now, (d.to, d.from), upto, rng, &mut actions);
                 }
-                let s = self.streams.entry((d.from, d.to)).or_default();
+                let s = self.streams.entry((d.from, d.to));
                 let expected = s.expected.get_or_insert(0);
                 // Decide whether this arrival draws a standalone ack:
                 // stale packets always do (so post-resync windows drain),
@@ -561,9 +607,10 @@ impl<M: Clone> ReliableNet<M> {
     /// [`ReliableNet::resync_node`] at recovery, the first probe to arrive
     /// is stale and its cumulative ack drains the whole window.
     pub fn crash(&mut self, node: NodeId) {
-        let outbound = (node, NodeId(0))..=(node, NodeId(u32::MAX));
-        for (_, s) in self.streams.range_mut(outbound) {
-            s.pending.clear();
+        for (&(from, _), &i) in &self.streams.index {
+            if from == node {
+                self.streams.records[i as usize].pending.clear();
+            }
         }
     }
 
@@ -579,13 +626,14 @@ impl<M: Clone> ReliableNet<M> {
     pub fn resync_node(&mut self, node: NodeId) {
         let peers: std::collections::BTreeSet<NodeId> = self
             .streams
+            .index
             .keys()
             .filter(|&&(a, b)| a == node || b == node)
             .map(|&(a, b)| if a == node { b } else { a })
             .collect();
         for p in peers {
             for key in [(p, node), (node, p)] {
-                let s = self.streams.entry(key).or_default();
+                let s = self.streams.entry(key);
                 s.expected = Some(s.next_id);
                 s.inbuf.clear();
             }
@@ -792,6 +840,25 @@ mod tests {
     }
 
     #[test]
+    fn crash_empties_only_the_crashed_senders_windows() {
+        let (a, b, c) = (n(0), n(1), n(2));
+        let net: ReliableNet<u64> = ReliableNet::new(Topology::full_mesh(3, ms(10)));
+        let mut l = Loop::new(net, 5);
+        l.send(SimTime::ZERO, a, b, 1);
+        l.send(SimTime::ZERO, a, c, 2);
+        l.send(SimTime::ZERO, c, a, 3);
+        l.net.crash(a);
+        let window = |l: &Loop<u64>, from, to| l.net.streams.get((from, to)).unwrap().pending.len();
+        assert_eq!((window(&l, a, b), window(&l, a, c)), (0, 0));
+        assert_eq!(window(&l, c, a), 1, "sends toward the crashed node stay");
+        // With `a` down, C→A keeps probing and stays unacked.
+        l.down = Some(a);
+        l.run(SimTime::from_secs(2));
+        assert_eq!(l.net.pending_count(), 1);
+        assert!(l.net.stats().retransmissions >= 5, "C→A keeps probing");
+    }
+
+    #[test]
     fn one_link_arms_one_timer() {
         let net: ReliableNet<u64> = ReliableNet::new(Topology::full_mesh(2, ms(10)));
         let mut l = Loop::new(net, 1);
@@ -890,8 +957,8 @@ mod tests {
         l.net.crash(n(1));
         l.net.resync_node(n(1));
         for silent in [n(2), n(3)] {
-            assert!(!l.net.streams.contains_key(&(n(1), silent)));
-            assert!(!l.net.streams.contains_key(&(silent, n(1))));
+            assert!(l.net.streams.get((n(1), silent)).is_none());
+            assert!(l.net.streams.get((silent, n(1))).is_none());
         }
         let piggybacked = l.net.stats().acks_piggybacked;
         let first = l.net.send(SimTime::from_secs(1), n(1), n(2), 6, &mut l.rng);

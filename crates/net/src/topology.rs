@@ -1,10 +1,16 @@
 //! Static network topology: nodes, undirected links, per-link delays.
+//!
+//! [`Topology`] answers shortest-path delays over the links a
+//! [`LinkState`] leaves up; [`RouteCache`] memoizes those answers per
+//! ordered pair for one link state. The cache is a hashed [`IdMap`] that is
+//! only probed by pair and cleared, never iterated, so a per-packet route
+//! lookup is one hash probe and its order reaches no output.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use fragdb_model::NodeId;
-use fragdb_sim::SimDuration;
+use fragdb_sim::{IdMap, SimDuration};
 
 use crate::linkstate::LinkState;
 
@@ -254,7 +260,7 @@ impl Topology {
 /// state and cache, and does so in its one mutator).
 ///
 /// A simulation asks for the same `(from, to)` delay once per packet, so
-/// repeats are one map lookup. One entry per pair asked and nothing per
+/// repeats are one hash probe. One entry per pair asked and nothing per
 /// source: a cold lookup on a mesh is a scan of the source's row for the
 /// direct link, so there is no sweep to share between a source's
 /// destinations, and a dense row per source would hold `n` slots for
@@ -264,7 +270,7 @@ impl Topology {
 /// [`ReliableNet`]: crate::reliable::ReliableNet
 #[derive(Clone, Debug, Default)]
 pub struct RouteCache {
-    cache: BTreeMap<(NodeId, NodeId), Option<SimDuration>>,
+    cache: IdMap<(NodeId, NodeId), Option<SimDuration>>,
 }
 
 impl RouteCache {

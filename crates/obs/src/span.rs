@@ -31,7 +31,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use fragdb_sim::metrics::keys;
+use fragdb_sim::metrics::keys::{self, counter};
 use fragdb_sim::telemetry::{read_jsonl, IdMap, JsonlEntry};
 use fragdb_sim::{CausalId, Metrics, QuantileSketch, TelemetryEvent, TelemetryRecord};
 
@@ -671,7 +671,7 @@ impl SpanReport {
     /// `telemetry.spans_truncated`, `obs.critical_path.len`, and one
     /// `span.phase.<p>` histogram per observed phase.
     pub fn publish(&self, metrics: &mut Metrics) {
-        metrics.set(keys::TELEMETRY_SPANS_TRUNCATED, self.truncated);
+        metrics.set(counter::TELEMETRY_SPANS_TRUNCATED, self.truncated);
         for s in &self.spans {
             if s.committed_at.is_some() {
                 let len = Self::critical_path(s).len() as u64;

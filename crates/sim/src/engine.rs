@@ -46,7 +46,8 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::metrics::{keys, Metrics};
+use crate::metrics::keys::counter;
+use crate::metrics::Metrics;
 use crate::rng::SimRng;
 use crate::telemetry::{Telemetry, TelemetryEvent};
 use crate::time::{SimDuration, SimTime};
@@ -143,12 +144,12 @@ impl<E> Engine<E> {
     }
 
     /// Publish the telemetry buffer's drop count as a metric
-    /// ([`keys::TELEMETRY_DROPPED`]) so report rendering can warn about a
-    /// truncated log. Call before reading or rendering metrics at the end
-    /// of a run.
+    /// ([`TELEMETRY_DROPPED`](crate::metrics::keys::TELEMETRY_DROPPED)) so
+    /// report rendering can warn about a truncated log. Call before reading
+    /// or rendering metrics at the end of a run.
     pub fn sync_drop_metrics(&mut self) {
         self.metrics
-            .set(keys::TELEMETRY_DROPPED, self.telemetry.dropped());
+            .set(counter::TELEMETRY_DROPPED, self.telemetry.dropped());
     }
 
     /// Schedules that reused a queue buffer instead of growing it.
@@ -223,7 +224,7 @@ impl<E> Engine<E> {
         }?;
         debug_assert!(e.at >= self.now, "event queue went backwards");
         self.now = e.at;
-        self.metrics.incr(keys::SIM_EVENTS);
+        self.metrics.incr(counter::SIM_EVENTS);
         Some((e.at, e.payload))
     }
 
@@ -280,7 +281,7 @@ impl<E> Engine<E> {
         self.queue = BinaryHeap::from(entries);
         let e = taken?;
         self.now = self.now.max(e.at);
-        self.metrics.incr(keys::SIM_EVENTS);
+        self.metrics.incr(counter::SIM_EVENTS);
         Some((self.now, e.payload))
     }
 }
@@ -288,6 +289,7 @@ impl<E> Engine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::keys;
     use crate::rng::SimRng;
 
     #[derive(Debug, PartialEq, Clone)]

@@ -35,5 +35,5 @@ pub use engine::Engine;
 pub use histogram::QuantileSketch;
 pub use metrics::Metrics;
 pub use rng::SimRng;
-pub use telemetry::{CausalId, Telemetry, TelemetryEvent, TelemetryRecord};
+pub use telemetry::{CausalId, IdMap, Telemetry, TelemetryEvent, TelemetryRecord};
 pub use time::{SimDuration, SimTime};

@@ -54,7 +54,7 @@ fn abort_reasons() -> impl Iterator<Item = &'static str> {
 
 /// Closed vocabulary of `delivered.kind`: the `msg.<kind>` dimension.
 fn msg_kinds() -> impl Iterator<Item = &'static str> {
-    keys::MSG_KINDS.iter().copied()
+    keys::MSG_KEYS.iter().map(|k| &k["msg.".len()..])
 }
 
 /// Closed vocabulary of `election_aborted.reason`.
