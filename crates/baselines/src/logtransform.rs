@@ -31,7 +31,7 @@ use fragdb_model::NodeId;
 use fragdb_net::{
     NetAction, NetworkChange, PktDelivery, ReliableNet, ReliableStats, RetransmitTimer, Topology,
 };
-use fragdb_sim::metrics::keys::counter;
+use fragdb_sim::metrics::keys::slot;
 use fragdb_sim::{Engine, SimTime};
 
 /// A domain operation that can be replayed against a state.
@@ -171,8 +171,8 @@ impl<O: LoggedOp> LogTransformSystem<O> {
     fn handle(&mut self, at: SimTime, ev: LtEv<O>) -> Vec<Merged<O>> {
         match ev {
             LtEv::Submit { node, op } => {
-                self.engine.metrics.incr(counter::TXN_SUBMITTED);
-                self.engine.metrics.incr(counter::TXN_COMMITTED); // always available
+                self.engine.metrics.incr(slot::TXN_SUBMITTED);
+                self.engine.metrics.incr(slot::TXN_COMMITTED); // always available
                 let seq = {
                     let slot = &mut self.nodes[node.0 as usize];
                     let s = slot.next_seq;
@@ -232,21 +232,21 @@ impl<O: LoggedOp> LogTransformSystem<O> {
 
     /// Insert an entry into a node's log (sorted) and replay.
     fn merge(&mut self, node: NodeId, entry: Entry<O>) {
-        let slot = &mut self.nodes[node.0 as usize];
-        let pos = slot
+        let ns = &mut self.nodes[node.0 as usize];
+        let pos = ns
             .log
             .partition_point(|e| (e.ts, e.origin, e.seq) <= (entry.ts, entry.origin, entry.seq));
-        slot.log.insert(pos, entry);
+        ns.log.insert(pos, entry);
         // The log transformation: deterministic full replay. This is the
         // measured reconciliation overhead.
         let mut state = O::State::default();
-        for e in &slot.log {
+        for e in &ns.log {
             e.op.apply(&mut state);
         }
         self.engine
             .metrics
-            .add(counter::REPLAY_OPS, slot.log.len() as u64);
-        slot.state = state;
+            .add(slot::REPLAY_OPS, ns.log.len() as u64);
+        ns.state = state;
     }
 }
 

@@ -18,7 +18,7 @@ use fragdb_net::{
     Delivery, NetAction, NetworkChange, PktDelivery, ReliableNet, ReliableStats, RetransmitTimer,
     Topology,
 };
-use fragdb_sim::metrics::keys::{self, counter};
+use fragdb_sim::metrics::keys::slot;
 use fragdb_sim::{Engine, SimTime};
 use fragdb_storage::Replica;
 
@@ -204,13 +204,13 @@ impl MutexSystem {
                 program,
                 read_only,
             } => {
-                self.engine.metrics.incr(counter::TXN_SUBMITTED);
+                self.engine.metrics.incr(slot::TXN_SUBMITTED);
                 if node == self.primary {
                     return self.execute_at_primary(at, program, read_only, at);
                 }
                 if !self.net.connected(node, self.primary) {
                     // Mutual exclusion: no primary, no service.
-                    self.engine.metrics.incr(counter::ABORT_UNAVAILABLE);
+                    self.engine.metrics.incr(slot::ABORT_UNAVAILABLE);
                     return vec![MxOutcome::Unavailable];
                 }
                 let msg = MxMsg::Forward {
@@ -273,7 +273,7 @@ impl MutexSystem {
                     self.history
                         .record_install(d.to, txn, TxnType::Update(WHOLE_DB), *o, at);
                 }
-                self.engine.metrics.incr(counter::INSTALL_COUNT);
+                self.engine.metrics.incr(slot::INSTALL_COUNT);
                 Vec::new()
             }
         }
@@ -299,7 +299,7 @@ impl MutexSystem {
             (r, ctx.reads, ctx.writes)
         };
         if let Err(msg) = result {
-            self.engine.metrics.incr(counter::ABORT_LOGIC);
+            self.engine.metrics.incr(slot::ABORT_LOGIC);
             return vec![MxOutcome::LogicAbort(msg)];
         }
         let ttype = if read_only {
@@ -313,9 +313,9 @@ impl MutexSystem {
         }
         self.engine
             .metrics
-            .observe(keys::LATENCY_COMMIT, (at - submitted_at).micros());
+            .observe(slot::LATENCY_COMMIT, (at - submitted_at).micros());
         if read_only {
-            self.engine.metrics.incr(counter::TXN_READ_FINISHED);
+            self.engine.metrics.incr(slot::TXN_READ_FINISHED);
             return vec![MxOutcome::ReadServed(txn)];
         }
         // Deduplicate writes last-wins.
@@ -336,7 +336,7 @@ impl MutexSystem {
                 (o, v)
             })
             .collect();
-        self.engine.metrics.incr(counter::PAYLOAD_CLONES);
+        self.engine.metrics.incr(slot::PAYLOAD_CLONES);
         for (o, _) in &updates {
             self.history
                 .record_local(self.primary, txn, ttype, OpKind::Write, *o, at);
@@ -351,7 +351,7 @@ impl MutexSystem {
             updates.clone(),
             at,
         );
-        self.engine.metrics.incr(counter::TXN_COMMITTED);
+        self.engine.metrics.incr(slot::TXN_COMMITTED);
         // Fan out, FIFO from the primary.
         let n = self.replicas.len() as u32;
         for i in 0..n {

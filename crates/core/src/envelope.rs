@@ -13,7 +13,7 @@
 //!   home).
 
 use fragdb_model::{FragmentId, NodeId, ObjectId, QuasiTransaction, TxnId, Value};
-use fragdb_sim::metrics::keys::counter;
+use fragdb_sim::metrics::keys::slot;
 use fragdb_sim::metrics::Slot;
 use fragdb_storage::WalEntry;
 
@@ -200,23 +200,23 @@ impl Envelope {
     /// counts messages without a string comparison.
     pub fn metric_slot(&self) -> Slot {
         match self {
-            Self::Quasi { .. } => counter::MSG_QUASI,
-            Self::Batch { .. } => counter::MSG_BATCH,
-            Self::LockReq { .. } => counter::MSG_LOCK_REQ,
-            Self::LockGrant { .. } => counter::MSG_LOCK_GRANT,
-            Self::LockDenied { .. } => counter::MSG_LOCK_DENIED,
-            Self::LockRelease { .. } => counter::MSG_LOCK_RELEASE,
-            Self::Prepare { .. } => counter::MSG_PREPARE,
-            Self::PrepareAck { .. } => counter::MSG_PREPARE_ACK,
-            Self::CommitCmd { .. } => counter::MSG_COMMIT_CMD,
-            Self::AbortCmd { .. } => counter::MSG_ABORT_CMD,
-            Self::SeqQuery { .. } => counter::MSG_SEQ_QUERY,
-            Self::SeqReply { .. } => counter::MSG_SEQ_REPLY,
-            Self::M0 { .. } => counter::MSG_M0,
-            Self::ForwardMissing { .. } => counter::MSG_FORWARD_MISSING,
-            Self::Heartbeat { .. } => counter::MSG_HEARTBEAT,
-            Self::VoteReq { .. } => counter::MSG_VOTE_REQ,
-            Self::Vote { .. } => counter::MSG_VOTE,
+            Self::Quasi { .. } => slot::MSG_QUASI,
+            Self::Batch { .. } => slot::MSG_BATCH,
+            Self::LockReq { .. } => slot::MSG_LOCK_REQ,
+            Self::LockGrant { .. } => slot::MSG_LOCK_GRANT,
+            Self::LockDenied { .. } => slot::MSG_LOCK_DENIED,
+            Self::LockRelease { .. } => slot::MSG_LOCK_RELEASE,
+            Self::Prepare { .. } => slot::MSG_PREPARE,
+            Self::PrepareAck { .. } => slot::MSG_PREPARE_ACK,
+            Self::CommitCmd { .. } => slot::MSG_COMMIT_CMD,
+            Self::AbortCmd { .. } => slot::MSG_ABORT_CMD,
+            Self::SeqQuery { .. } => slot::MSG_SEQ_QUERY,
+            Self::SeqReply { .. } => slot::MSG_SEQ_REPLY,
+            Self::M0 { .. } => slot::MSG_M0,
+            Self::ForwardMissing { .. } => slot::MSG_FORWARD_MISSING,
+            Self::Heartbeat { .. } => slot::MSG_HEARTBEAT,
+            Self::VoteReq { .. } => slot::MSG_VOTE_REQ,
+            Self::Vote { .. } => slot::MSG_VOTE,
         }
     }
 
@@ -259,8 +259,10 @@ mod tests {
         };
         assert_eq!(q.metric_key(), "msg.lock_release");
         assert_eq!(q.metric_key(), format!("msg.{}", q.kind()));
-        assert!(fragdb_sim::metrics::keys::is_registered(q.metric_key()));
-        // Every wire kind the registry knows structurally is a real kind.
+        // The name reads back the counter the slot writes.
+        let mut m = fragdb_sim::Metrics::new();
+        m.incr(q.metric_slot());
+        assert_eq!(m.counter(q.metric_key()), 1);
         assert!(fragdb_sim::metrics::keys::MSG_KEYS.contains(&q.metric_key()));
     }
 

@@ -20,7 +20,7 @@
 //! [`BatchConfig::enabled`]: crate::config::BatchConfig::enabled
 
 use fragdb_model::{FragmentId, NodeId, QuasiTransaction};
-use fragdb_sim::metrics::keys;
+use fragdb_sim::metrics::keys::slot;
 use fragdb_sim::{SimDuration, SimTime};
 
 use crate::envelope::Envelope;
@@ -103,7 +103,7 @@ impl System {
         let OpenBatch { home, quasis, .. } = ob;
         self.engine
             .metrics
-            .observe(keys::NET_BATCH_SIZE, quasis.len() as u64);
+            .observe(slot::NET_BATCH_SIZE, quasis.len() as u64);
         if quasis.len() == 1 {
             let quasi = quasis.into_iter().next().expect("len checked");
             self.broadcast_fragment(at, home, fragment, Envelope::Quasi { quasi });
@@ -132,6 +132,7 @@ impl System {
 mod tests {
     use fragdb_model::{AgentId, FragmentCatalog, TxnId, Value};
     use fragdb_net::Topology;
+    use fragdb_sim::metrics::keys;
     use fragdb_sim::SimDuration;
 
     use crate::config::{BatchConfig, SystemConfig};

@@ -29,7 +29,7 @@
 use std::collections::BTreeSet;
 
 use fragdb_model::{FragmentId, NodeId};
-use fragdb_sim::metrics::keys::counter;
+use fragdb_sim::metrics::keys::slot;
 use fragdb_sim::{SimTime, TelemetryEvent};
 
 use crate::envelope::Envelope;
@@ -78,7 +78,7 @@ impl System {
             .collect();
         for &from in &live {
             for peer in self.monitor_peers(from) {
-                self.engine.metrics.incr(counter::DETECTOR_HEARTBEATS);
+                self.engine.metrics.incr(slot::DETECTOR_HEARTBEATS);
                 self.send_direct(at, from, peer, Envelope::Heartbeat { from, beat });
             }
         }
@@ -90,7 +90,7 @@ impl System {
                 continue;
             };
             for suspect in d.tick(at) {
-                self.engine.metrics.incr(counter::DETECTOR_SUSPICIONS);
+                self.engine.metrics.incr(slot::DETECTOR_SUSPICIONS);
                 self.engine.emit(|| TelemetryEvent::SuspectRaised {
                     node: observer.0,
                     suspect: suspect.0,
@@ -140,7 +140,7 @@ impl System {
     ) -> Vec<Notification> {
         let home = self.tokens.home(fragment);
         let epoch = self.tokens.epoch(fragment);
-        self.engine.metrics.incr(counter::ELECTION_ROUNDS);
+        self.engine.metrics.incr(slot::ELECTION_ROUNDS);
         self.engine.emit(|| TelemetryEvent::ElectionStarted {
             fragment: fragment.0,
             epoch,
@@ -280,7 +280,7 @@ impl System {
             self.abort_election(fragment, e.fenced_epoch, "superseded");
             return Vec::new();
         }
-        self.engine.metrics.incr(counter::ELECTION_WON);
+        self.engine.metrics.incr(slot::ELECTION_WON);
         self.engine.emit(|| TelemetryEvent::ElectionWon {
             fragment: fragment.0,
             epoch: e.fenced_epoch,
@@ -319,7 +319,7 @@ impl System {
         epoch: u64,
         reason: &'static str,
     ) {
-        self.engine.metrics.incr(counter::ELECTION_ABORTED);
+        self.engine.metrics.incr(slot::ELECTION_ABORTED);
         self.engine.emit(|| TelemetryEvent::ElectionAborted {
             fragment: fragment.0,
             epoch,

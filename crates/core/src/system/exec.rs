@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use fragdb_model::{
     FragmentId, NodeId, ObjectId, OpKind, QuasiTransaction, TxnId, TxnType, Updates, Value,
 };
-use fragdb_sim::metrics::keys::{self, counter};
+use fragdb_sim::metrics::keys::slot;
 use fragdb_sim::{SimTime, TelemetryEvent};
 
 use crate::envelope::Envelope;
@@ -16,7 +16,7 @@ use crate::system::{Pending, QueuedSub, System};
 impl System {
     /// Entry point for a submission event.
     pub(crate) fn handle_submission(&mut self, at: SimTime, sub: Submission) -> Vec<Notification> {
-        self.engine.metrics.incr(counter::TXN_SUBMITTED);
+        self.engine.metrics.incr(slot::TXN_SUBMITTED);
         let fragment = sub.fragment;
 
         // Updates park while their fragment's agent is mid-move and while a
@@ -167,7 +167,7 @@ impl System {
 
         if read_only {
             self.flush_reads(txn, TxnType::ReadOnly(fragment), &effects.reads, at);
-            self.engine.metrics.incr(counter::TXN_READ_FINISHED);
+            self.engine.metrics.incr(slot::TXN_READ_FINISHED);
             return vec![Notification::ReadFinished { txn, node: home }];
         }
 
@@ -313,7 +313,7 @@ impl System {
                 self.broadcast_fragment(at, home, fragment, Envelope::Quasi { quasi });
             }
         }
-        self.engine.metrics.incr(counter::TXN_COMMITTED);
+        self.engine.metrics.incr(slot::TXN_COMMITTED);
         vec![Notification::Committed {
             txn,
             fragment,
@@ -331,7 +331,7 @@ impl System {
     ) -> Vec<Notification> {
         self.engine
             .metrics
-            .observe(keys::LATENCY_COMMIT, (committed_at - submitted_at).micros());
+            .observe(slot::LATENCY_COMMIT, (committed_at - submitted_at).micros());
         Vec::new()
     }
 
@@ -342,14 +342,14 @@ impl System {
         fragment: FragmentId,
         reason: AbortReason,
     ) -> Vec<Notification> {
-        self.engine.metrics.incr(counter::TXN_ABORTED);
+        self.engine.metrics.incr(slot::TXN_ABORTED);
         let abort = match &reason {
-            AbortReason::Logic(_) => counter::ABORT_LOGIC,
-            AbortReason::Initiation => counter::ABORT_INITIATION,
-            AbortReason::Deadlock => counter::ABORT_DEADLOCK,
-            AbortReason::Unavailable => counter::ABORT_UNAVAILABLE,
-            AbortReason::UndeclaredClass => counter::ABORT_UNDECLARED_CLASS,
-            AbortReason::Model(_) => counter::ABORT_MALFORMED,
+            AbortReason::Logic(_) => slot::ABORT_LOGIC,
+            AbortReason::Initiation => slot::ABORT_INITIATION,
+            AbortReason::Deadlock => slot::ABORT_DEADLOCK,
+            AbortReason::Unavailable => slot::ABORT_UNAVAILABLE,
+            AbortReason::UndeclaredClass => slot::ABORT_UNDECLARED_CLASS,
+            AbortReason::Model(_) => slot::ABORT_MALFORMED,
         };
         self.engine.metrics.incr(abort);
         let key = abort.key();
@@ -443,7 +443,7 @@ impl System {
         while let Some(q) = self.queued.get_mut(&fragment).and_then(|v| v.pop_front()) {
             self.engine
                 .metrics
-                .observe(keys::LATENCY_MOVE_WAIT, (at - q.queued_at).micros());
+                .observe(slot::LATENCY_MOVE_WAIT, (at - q.queued_at).micros());
             notes.extend(self.handle_submission(at, q.submission));
             // A drained submission may itself start a majority commit, which
             // re-parks the rest; stop draining in that case.

@@ -15,7 +15,7 @@
 //! processing).
 
 use fragdb_model::{ModelError, NodeId, QuasiTransaction, TxnType};
-use fragdb_sim::metrics::keys::{self, counter};
+use fragdb_sim::metrics::keys::slot;
 use fragdb_sim::{SimTime, TelemetryEvent};
 
 use crate::events::Notification;
@@ -31,7 +31,7 @@ impl System {
         quasi: &QuasiTransaction,
         error: ModelError,
     ) -> Vec<Notification> {
-        self.engine.metrics.incr(counter::INSTALL_REJECTED);
+        self.engine.metrics.incr(slot::INSTALL_REJECTED);
         vec![Notification::InstallRejected {
             node,
             txn: quasi.txn,
@@ -56,11 +56,11 @@ impl System {
         let fragment = quasi.fragment;
         let next = slot.next_install.entry(fragment).or_insert(0);
         if quasi.frag_seq < *next {
-            self.engine.metrics.incr(counter::INSTALL_DUPLICATE);
+            self.engine.metrics.incr(slot::INSTALL_DUPLICATE);
             return Vec::new();
         }
         if quasi.frag_seq > *next {
-            self.engine.metrics.incr(counter::INSTALL_HELDBACK);
+            self.engine.metrics.incr(slot::INSTALL_HELDBACK);
             let cause = Self::cid(fragment, quasi.epoch, quasi.frag_seq);
             let hb = slot.holdback.entry(fragment).or_default();
             hb.insert(quasi.frag_seq, quasi);
@@ -117,7 +117,7 @@ impl System {
             self.history
                 .record_install(node, quasi.txn, ttype, *object, at);
         }
-        self.engine.metrics.incr(counter::INSTALL_COUNT);
+        self.engine.metrics.incr(slot::INSTALL_COUNT);
         let cause = Self::cid(quasi.fragment, quasi.epoch, quasi.frag_seq);
         self.engine.emit(|| TelemetryEvent::Installed {
             cause,
@@ -134,7 +134,7 @@ impl System {
                 self.recovering.remove(&(node, quasi.fragment));
                 self.engine
                     .metrics
-                    .observe(keys::LATENCY_RECOVERY, (at - since).micros());
+                    .observe(slot::LATENCY_RECOVERY, (at - since).micros());
                 if !self.recovering.keys().any(|&(n, _)| n == node) {
                     self.engine
                         .emit(|| TelemetryEvent::CatchupComplete { node: node.0 });

@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fragdb_model::{NodeId, ObjectId, TxnId, TxnType, Value};
-use fragdb_sim::metrics::keys::counter;
+use fragdb_sim::metrics::keys::slot;
 use fragdb_sim::{SimTime, TelemetryEvent};
 use fragdb_storage::{LockMode, LockOutcome};
 
@@ -227,7 +227,7 @@ impl System {
                 txn_seq: txn.seq,
             });
             self.flush_reads(txn, TxnType::ReadOnly(fragment), &effects.reads, at);
-            self.engine.metrics.incr(counter::TXN_READ_FINISHED);
+            self.engine.metrics.incr(slot::TXN_READ_FINISHED);
             let mut notes = self.release_all_sites(at, home, txn, &contacted_sites);
             notes.push(Notification::ReadFinished { txn, node: home });
             notes.extend(self.observe_commit_latency(submitted_at, at));

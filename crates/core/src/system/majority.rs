@@ -21,7 +21,7 @@
 //! after a re-master, as in LARK).
 
 use fragdb_model::{FragmentId, NodeId, QuasiTransaction, TxnId};
-use fragdb_sim::metrics::keys;
+use fragdb_sim::metrics::keys::slot;
 use fragdb_sim::{SimTime, TelemetryEvent};
 use fragdb_storage::WalEntry;
 
@@ -325,7 +325,7 @@ impl System {
         entries.sort_by_key(|e| e.frag_seq);
         self.engine
             .metrics
-            .observe(keys::CATCHUP_RANGE_LEN, entries.len() as u64);
+            .observe(slot::CATCHUP_RANGE_LEN, entries.len() as u64);
         self.send_direct(
             at,
             node,

@@ -29,7 +29,7 @@ use fragdb_model::{
 use fragdb_net::{
     Delivery, FailureDetector, NetAction, NetworkChange, PktDelivery, ReliableNet, Topology,
 };
-use fragdb_sim::metrics::keys::{self, counter};
+use fragdb_sim::metrics::keys::slot;
 use fragdb_sim::{CausalId, Engine, SimDuration, SimTime, TelemetryEvent};
 use fragdb_storage::{LockManager, Replica};
 
@@ -567,7 +567,7 @@ impl System {
         let stats = self.net.stats();
         self.engine
             .metrics
-            .set(counter::NET_ACK_CUMULATIVE, stats.cumulative_acks);
+            .set(slot::NET_ACK_CUMULATIVE, stats.cumulative_acks);
     }
 
     /// Number of nodes.
@@ -661,7 +661,7 @@ impl System {
     /// application message it releases is dispatched in order.
     fn handle_packet(&mut self, at: SimTime, pd: PktDelivery<Envelope>) -> Vec<Notification> {
         if self.down.contains(&pd.to) {
-            self.engine.metrics.incr(counter::NET_DROPPED_AT_DOWN_NODE);
+            self.engine.metrics.incr(slot::NET_DROPPED_AT_DOWN_NODE);
             let (from, to) = (pd.from, pd.to);
             self.engine.emit(|| TelemetryEvent::Dropped {
                 from: from.0,
@@ -913,8 +913,8 @@ impl System {
     /// shared reference, where it used to be deep-cloned once per receiver.
     fn meter_payload_share(&mut self, env: &Envelope) {
         if let Some(bytes) = env.payload_bytes() {
-            self.engine.metrics.incr(counter::PAYLOAD_SHARES);
-            self.engine.metrics.add(counter::PAYLOAD_SHARE_BYTES, bytes);
+            self.engine.metrics.incr(slot::PAYLOAD_SHARES);
+            self.engine.metrics.add(slot::PAYLOAD_SHARE_BYTES, bytes);
         }
     }
 
@@ -925,10 +925,10 @@ impl System {
     /// property.
     pub(crate) fn materialize_payload(&mut self, writes: Vec<(ObjectId, Value)>) -> Updates {
         let updates: Updates = writes.into();
-        self.engine.metrics.incr(counter::PAYLOAD_CLONES);
+        self.engine.metrics.incr(slot::PAYLOAD_CLONES);
         self.engine
             .metrics
-            .add(counter::PAYLOAD_CLONE_BYTES, updates.approx_bytes());
+            .add(slot::PAYLOAD_CLONE_BYTES, updates.approx_bytes());
         updates
     }
 
@@ -988,7 +988,7 @@ impl System {
         if !self.down.insert(node) {
             return Vec::new(); // already down
         }
-        self.engine.metrics.incr(counter::NODE_CRASH);
+        self.engine.metrics.incr(slot::NODE_CRASH);
         self.engine.emit(|| TelemetryEvent::Crash { node: node.0 });
         self.net.crash(node);
         // Un-flushed group-commit batches are volatile send-side state,
@@ -1006,7 +1006,7 @@ impl System {
         for f in dead_batches {
             let ob = self.open_batches.remove(&f).expect("collected above");
             for q in &ob.quasis {
-                self.engine.metrics.incr(counter::BATCH_DISCARDED);
+                self.engine.metrics.incr(slot::BATCH_DISCARDED);
                 let cause = Self::cid(q.fragment, q.epoch, q.frag_seq);
                 self.engine.emit(|| TelemetryEvent::BatchDiscarded {
                     cause,
@@ -1118,7 +1118,7 @@ impl System {
         if !self.down.remove(&node) {
             return Vec::new(); // was not down
         }
-        self.engine.metrics.incr(counter::NODE_RECOVER);
+        self.engine.metrics.incr(slot::NODE_RECOVER);
 
         let frags: Vec<FragmentId> = self.catalog.fragments().iter().map(|f| f.id).collect();
         let slot = &mut self.nodes[node.0 as usize];
@@ -1176,7 +1176,7 @@ impl System {
         });
         if behind == 0 {
             // Nothing was missed: recovery completes with WAL replay alone.
-            self.engine.metrics.observe(keys::LATENCY_RECOVERY, 0);
+            self.engine.metrics.observe(slot::LATENCY_RECOVERY, 0);
             self.engine
                 .emit(|| TelemetryEvent::CatchupComplete { node: node.0 });
         }

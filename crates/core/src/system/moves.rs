@@ -2,7 +2,7 @@
 //! other than majority recovery (which lives in `majority.rs`).
 
 use fragdb_model::{FragmentId, NodeId, ObjectId, QuasiTransaction, TxnId, Value};
-use fragdb_sim::metrics::keys::counter;
+use fragdb_sim::metrics::keys::slot;
 use fragdb_sim::{SimTime, TelemetryEvent};
 use fragdb_storage::WalEntry;
 
@@ -49,7 +49,7 @@ impl System {
         if self.move_state.contains_key(&fragment) {
             return self.defer_move(fragment, old_home, to);
         }
-        self.engine.metrics.incr(counter::MOVES_REQUESTED);
+        self.engine.metrics.incr(slot::MOVES_REQUESTED);
         self.engine.emit(|| TelemetryEvent::MoveRequested {
             fragment: fragment.0,
             from: old_home.0,
@@ -146,7 +146,7 @@ impl System {
     /// Retry a move that cannot run yet in one second, like a move racing
     /// another move.
     fn defer_move(&mut self, fragment: FragmentId, from: NodeId, to: NodeId) -> Vec<Notification> {
-        self.engine.metrics.incr(counter::MOVES_DEFERRED);
+        self.engine.metrics.incr(slot::MOVES_DEFERRED);
         self.engine.emit(|| TelemetryEvent::MoveAborted {
             fragment: fragment.0,
             from: from.0,
@@ -359,7 +359,7 @@ impl System {
             return self.reject_install(at, node, &quasi, e);
         }
         if quasi.origin() == node || self.already_installed(node, &quasi) {
-            self.engine.metrics.incr(counter::INSTALL_DUPLICATE);
+            self.engine.metrics.incr(slot::INSTALL_DUPLICATE);
             return Vec::new();
         }
         let close = self.nodes[node.0 as usize]
@@ -379,7 +379,7 @@ impl System {
                         // again. Forward to the current home rather than
                         // repackaging under a sequence we no longer own.
                         let current = self.tokens.home(quasi.fragment);
-                        self.engine.metrics.incr(counter::NOPREP_FORWARDED);
+                        self.engine.metrics.incr(slot::NOPREP_FORWARDED);
                         return self.send_direct(
                             at,
                             node,
@@ -392,7 +392,7 @@ impl System {
                 } else {
                     // Step B.2: forward to the new home for corrective
                     // handling; do not install.
-                    self.engine.metrics.incr(counter::NOPREP_FORWARDED);
+                    self.engine.metrics.incr(slot::NOPREP_FORWARDED);
                     self.send_direct(at, node, close.new_home, Envelope::ForwardMissing { quasi })
                 }
             }
@@ -427,10 +427,10 @@ impl System {
             .entry(fragment)
             .or_default();
         if !handled.insert((quasi.epoch, quasi.frag_seq)) {
-            self.engine.metrics.incr(counter::INSTALL_DUPLICATE);
+            self.engine.metrics.incr(slot::INSTALL_DUPLICATE);
             return Vec::new();
         }
-        self.engine.metrics.incr(counter::NOPREP_REPACKAGED);
+        self.engine.metrics.incr(slot::NOPREP_REPACKAGED);
         let (kept, dropped): (Vec<_>, Vec<_>) = {
             let wal = self.nodes[node.0 as usize].replica.wal();
             quasi.updates.iter().cloned().partition(|(object, _)| {

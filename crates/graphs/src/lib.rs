@@ -19,7 +19,7 @@
 //!   together define **fragmentwise serializability**.
 //! * [`verdict`] — a one-call summary running every checker over a history.
 //! * [`incremental`] — online versions of the same checkers (Pearce–Kelly
-//!   incremental topological order, union-find), fed one op at a time so
+//!   incremental topological order), fed one op at a time so
 //!   repeated verdict queries cost O(1) instead of O(history). The batch
 //!   checkers above remain the oracle they are tested against.
 //!

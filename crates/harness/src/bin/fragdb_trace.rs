@@ -11,11 +11,9 @@
 //!    `--validate` checks (every line decodes strictly, virtual time never
 //!    decreases within a scenario).
 //!
-//! The run fails (exit 1) if any emitted metric key is missing from the
-//! `fragdb_sim::metrics::keys` registry — CI uses this as the telemetry
-//! smoke check. A path that cannot be read or written is one line on
-//! stderr and exit 1; arguments that do not parse are the usage line and
-//! exit 2, as in `fragdb-exp`. Neither prints anything on stdout.
+//! A path that cannot be read or written is one line on stderr and exit 1;
+//! arguments that do not parse are the usage line and exit 2, as in
+//! `fragdb-exp`. Neither prints anything on stdout.
 //!
 //! Two subcommands consume a saved JSONL export through the `fragdb-obs`
 //! span reconstruction. They read through the same decoder as
@@ -37,8 +35,7 @@
 use std::io::Write as _;
 
 use fragdb_harness::trace::{
-    render_jsonl, render_summary, render_timeline, run_scenario, unregistered_metric_keys,
-    validate_jsonl, SCENARIOS,
+    render_jsonl, render_summary, render_timeline, run_scenario, validate_jsonl, SCENARIOS,
 };
 use fragdb_obs::{attribution_table, folded, span_lines, validate_folded, SpanReport};
 
@@ -209,16 +206,12 @@ fn main() {
     let sink = out.as_deref().map(|p| (create(p), p));
 
     let mut export = String::new();
-    let mut bad_keys: Vec<String> = Vec::new();
     for name in &scenarios {
         let Some(run) = run_scenario(name, seed, quick) else {
             refuse(format!("unknown scenario {name:?} (try --list)"));
         };
         println!("{}", render_timeline(&run, rows));
         println!("{}", render_summary(&run));
-        for key in unregistered_metric_keys(&run.metrics) {
-            bad_keys.push(format!("{name}: {key}"));
-        }
         if sink.is_some() {
             let text = render_jsonl(&run);
             validate_jsonl(&text).expect("the export must read back");
@@ -228,13 +221,5 @@ fn main() {
 
     if let Some((file, path)) = sink {
         write(file, path, &export);
-    }
-
-    if !bad_keys.is_empty() {
-        eprintln!("unregistered metric keys emitted:");
-        for k in &bad_keys {
-            eprintln!("  {k}");
-        }
-        std::process::exit(1);
     }
 }

@@ -29,14 +29,14 @@ fn folded_leaf(phase: &str) -> &'static str {
 /// Render the report's phase totals as a folded stack.
 ///
 /// Leaves are disjoint (every µs of every span phase lands in exactly
-/// one), sorted lexicographically, and zero-count leaves are omitted.
+/// one), sorted lexicographically, and zero-count leaves are omitted. A
+/// phase's total is its sketch's sum, which is exact.
 pub fn folded(report: &SpanReport) -> String {
-    let mut totals: BTreeMap<&'static str, u128> = BTreeMap::new();
-    for s in &report.spans {
-        for (phase, us) in SpanReport::phase_observations(s) {
-            *totals.entry(folded_leaf(phase)).or_insert(0) += u128::from(us);
-        }
-    }
+    let totals: BTreeMap<&'static str, u128> = report
+        .phase
+        .iter()
+        .map(|(&phase, sketch)| (folded_leaf(phase), sketch.sum()))
+        .collect();
     let mut out = String::new();
     for (leaf, us) in totals {
         let _ = writeln!(out, "{leaf} {us}");

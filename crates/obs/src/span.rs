@@ -31,7 +31,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use fragdb_sim::metrics::keys::{self, counter};
+use fragdb_sim::metrics::keys::{slot, SpanPhase as Phase};
+use fragdb_sim::metrics::HistKey;
 use fragdb_sim::telemetry::{read_jsonl, IdMap, JsonlEntry};
 use fragdb_sim::{CausalId, Metrics, QuantileSketch, TelemetryEvent, TelemetryRecord};
 
@@ -46,42 +47,21 @@ pub enum QueueAttr {
     Election,
 }
 
-/// One phase of a span's time, declared in `keys::SPAN_PHASES` order,
-/// which is also its index there.
-#[derive(Clone, Copy)]
-enum Phase {
-    Queue,
-    TokenMove,
-    Election,
-    LockWait,
-    Exec,
-    Net,
-    Retransmit,
-    Holdback,
+/// The phase a queue wait with attribution `attr` observes under.
+fn queue_phase(attr: QueueAttr) -> Phase {
+    match attr {
+        QueueAttr::Wait => Phase::Queue,
+        QueueAttr::TokenMove => Phase::TokenMove,
+        QueueAttr::Election => Phase::Election,
+    }
 }
 
-impl Phase {
-    /// The `span.phase.<p>` name.
-    fn name(self) -> &'static str {
-        keys::SPAN_PHASES[self as usize]
-    }
-
-    /// The phase a queue wait with attribution `attr` observes under.
-    fn queue(attr: QueueAttr) -> Phase {
-        match attr {
-            QueueAttr::Wait => Phase::Queue,
-            QueueAttr::TokenMove => Phase::TokenMove,
-            QueueAttr::Election => Phase::Election,
-        }
-    }
-
-    /// The phase a leg's network time observes under.
-    fn net(leg: &InstallLeg) -> Phase {
-        if leg.retransmitted {
-            Phase::Retransmit
-        } else {
-            Phase::Net
-        }
+/// The phase a leg's network time observes under.
+fn net_phase(leg: &InstallLeg) -> Phase {
+    if leg.retransmitted {
+        Phase::Retransmit
+    } else {
+        Phase::Net
     }
 }
 
@@ -208,7 +188,7 @@ pub struct SpanReport {
     /// Spans with commit but missing installs at stream end.
     pub incomplete: u64,
     /// Per-phase duration sketches, keyed by phase name (the
-    /// `sim::metrics::keys::SPAN_PHASES` vocabulary).
+    /// `sim::metrics::keys::SpanPhase` vocabulary).
     pub phase: BTreeMap<&'static str, QuantileSketch>,
     /// Critical-path attribution: phase → (spans where it dominated the
     /// critical path, µs it contributed on those paths).
@@ -499,8 +479,8 @@ impl SpanReport {
             critical_len: QuantileSketch::new(),
         };
         // Per phase: its duration sketch, and (spans it dominated, µs).
-        let mut phase: [QuantileSketch; keys::SPAN_PHASES.len()] = Default::default();
-        let mut critical = [(0u64, 0u128); keys::SPAN_PHASES.len()];
+        let mut phase: [QuantileSketch; Phase::ALL.len()] = Default::default();
+        let mut critical = [(0u64, 0u128); Phase::ALL.len()];
 
         for mut b in builds {
             // Queue-wait attribution against the full window set.
@@ -587,12 +567,12 @@ impl SpanReport {
             }
             report.spans.push(b.span);
         }
-        for ((&name, sketch), dominated) in keys::SPAN_PHASES.iter().zip(phase).zip(critical) {
+        for ((&p, sketch), dominated) in Phase::ALL.iter().zip(phase).zip(critical) {
             if !sketch.is_empty() {
-                report.phase.insert(name, sketch);
+                report.phase.insert(p.name(), sketch);
             }
             if dominated.0 > 0 {
-                report.critical.insert(name, dominated);
+                report.critical.insert(p.name(), dominated);
             }
         }
         report
@@ -611,7 +591,7 @@ impl SpanReport {
         }
         if s.initiated_at.is_some() {
             if s.queue_us > 0 || s.queue_attr != QueueAttr::Wait {
-                observe(Phase::queue(s.queue_attr), s.queue_us);
+                observe(queue_phase(s.queue_attr), s.queue_us);
             }
             if s.lock_wait_us > 0 {
                 observe(Phase::LockWait, s.lock_wait_us);
@@ -619,17 +599,9 @@ impl SpanReport {
             observe(Phase::Exec, s.exec_us);
         }
         for leg in &s.legs {
-            observe(Phase::net(leg), leg.net_us);
+            observe(net_phase(leg), leg.net_us);
             observe(Phase::Holdback, leg.holdback_us);
         }
-    }
-
-    /// The `(phase, duration)` observations one span contributes,
-    /// identical for sketch aggregation and metrics publication.
-    pub fn phase_observations(s: &CommitSpan) -> Vec<(&'static str, u64)> {
-        let mut out = Vec::new();
-        Self::phases(s, |p, us| out.push((p.name(), us)));
-        out
     }
 
     /// The segments of [`SpanReport::critical_path`], in pipeline order.
@@ -637,7 +609,7 @@ impl SpanReport {
         let committed = s.committed_at.is_some();
         let pre = (committed && s.initiated_at.is_some()).then(|| {
             [
-                (Phase::queue(s.queue_attr), s.queue_us),
+                (queue_phase(s.queue_attr), s.queue_us),
                 (Phase::LockWait, s.lock_wait_us),
                 (Phase::Exec, s.exec_us),
             ]
@@ -649,7 +621,7 @@ impl SpanReport {
             .filter(|_| committed)
             .map(|last| {
                 [
-                    (Phase::net(last), last.net_us),
+                    (net_phase(last), last.net_us),
                     (Phase::Holdback, last.holdback_us),
                 ]
             });
@@ -667,20 +639,15 @@ impl SpanReport {
             .collect()
     }
 
-    /// Publish span-derived metrics under their registered keys:
-    /// `telemetry.spans_truncated`, `obs.critical_path.len`, and one
-    /// `span.phase.<p>` histogram per observed phase.
+    /// Publish span-derived metrics: `telemetry.spans_truncated`, and
+    /// the `obs.critical_path.len` and `span.phase.<p>` sketches built with
+    /// the report, merged as they are (a merge is exact).
     pub fn publish(&self, metrics: &mut Metrics) {
-        metrics.set(counter::TELEMETRY_SPANS_TRUNCATED, self.truncated);
-        for s in &self.spans {
-            if s.committed_at.is_some() {
-                let len = Self::critical_path(s).len() as u64;
-                metrics.observe(keys::OBS_CRITICAL_PATH_LEN, len);
-            }
-            for (name, us) in Self::phase_observations(s) {
-                let key = format!("span.phase.{name}");
-                debug_assert!(keys::is_registered(&key), "{key} must be registered");
-                metrics.observe(key, us);
+        metrics.set(slot::TELEMETRY_SPANS_TRUNCATED, self.truncated);
+        metrics.merge(slot::OBS_CRITICAL_PATH_LEN, &self.critical_len);
+        for &p in Phase::ALL {
+            if let Some(sketch) = self.phase.get(p.name()) {
+                metrics.merge(HistKey::Phase(p), sketch);
             }
         }
     }

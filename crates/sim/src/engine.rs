@@ -46,7 +46,7 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::metrics::keys::counter;
+use crate::metrics::keys::slot;
 use crate::metrics::Metrics;
 use crate::rng::SimRng;
 use crate::telemetry::{Telemetry, TelemetryEvent};
@@ -149,7 +149,7 @@ impl<E> Engine<E> {
     /// or rendering metrics at the end of a run.
     pub fn sync_drop_metrics(&mut self) {
         self.metrics
-            .set(counter::TELEMETRY_DROPPED, self.telemetry.dropped());
+            .set(slot::TELEMETRY_DROPPED, self.telemetry.dropped());
     }
 
     /// Schedules that reused a queue buffer instead of growing it.
@@ -224,7 +224,7 @@ impl<E> Engine<E> {
         }?;
         debug_assert!(e.at >= self.now, "event queue went backwards");
         self.now = e.at;
-        self.metrics.incr(counter::SIM_EVENTS);
+        self.metrics.incr(slot::SIM_EVENTS);
         Some((e.at, e.payload))
     }
 
@@ -281,7 +281,7 @@ impl<E> Engine<E> {
         self.queue = BinaryHeap::from(entries);
         let e = taken?;
         self.now = self.now.max(e.at);
-        self.metrics.incr(counter::SIM_EVENTS);
+        self.metrics.incr(slot::SIM_EVENTS);
         Some((self.now, e.payload))
     }
 }

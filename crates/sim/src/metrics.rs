@@ -1,18 +1,20 @@
-//! Run metrics: named counters and histograms.
+//! Run metrics: counters and histograms, addressed by typed keys.
 //!
-//! Every counter under a fixed key — [`keys::ALL`] and the `msg.<kind>`
-//! keys of [`keys::MSG_KEYS`] — lives in a slot array at an index fixed at
-//! compile time ([`keys::counter`]), so the per-event, per-message and
-//! per-install writers do no string comparison. Any other key (owned,
-//! formatted per-node keys) goes to a `BTreeMap`. A name passed to the
-//! string API resolves to the same slot, so both paths write one counter,
-//! and reading back merges slots and map in key order, listing exactly the
-//! keys written (a slot holds `None` until its first write). Every
-//! histogram is a [`QuantileSketch`] under a `BTreeMap` key: exact count,
+//! A counter's address is a [`Slot`], an array index fixed at compile time
+//! for each key in [`keys::SLOTTED`] ([`keys::slot`]). A histogram's
+//! address is a [`HistKey`]: a fixed key's slot, a per-fragment or
+//! per-node probe, or a span phase. So no writer compares or builds a
+//! string. Every histogram is a [`QuantileSketch`] in one map: exact count,
 //! sum, min, max and mean, quantiles at most 2⁻⁵ low.
+//!
+//! Names exist only to read and render. [`HistKey`]'s `Display` renders a
+//! key's name and [`HistKey::parse`] reads one back; nothing else knows the
+//! format. The read API takes names and lists metrics in name order
+//! (`frag.10.lag` before `frag.2.lag`), each written key exactly once (a
+//! slot holds `None` until its first write).
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt;
 
 use crate::histogram::QuantileSketch;
 
@@ -20,17 +22,16 @@ pub mod keys {
     //! Central registry of metric keys.
     //!
     //! Every fixed key spelled anywhere in the workspace lives here as a
-    //! `&'static str` constant; call sites reference the constant instead
-    //! of an inline literal, so a typo is a compile error instead of a
-    //! silent zero counter. Each fixed key and each `msg.<kind>` key also
-    //! has a same-named counter [`Slot`](super::Slot) in [`counter`], which
-    //! hot writers pass instead of the name. Dimensioned keys
-    //! (`frag.<f>.<probe>`, `node.<n>.<probe>`, `span.phase.<p>`) are
-    //! validated structurally by [`is_registered`].
+    //! `&'static str` constant, and each fixed key and each `msg.<kind>`
+    //! key has a same-named [`Slot`](super::Slot) in [`slot`], which
+    //! writers pass instead of the name. The dimensioned histograms
+    //! (`frag.<f>.<probe>`, `node.<n>.<probe>`, `span.phase.<p>`) take their
+    //! last part from the closed vocabularies [`FragProbe`], [`NodeProbe`]
+    //! and [`SpanPhase`].
 
     /// Declares groups of keys: a `&str` constant per key, a list constant
     /// per group, [`SLOTTED`] over all groups in order, and a same-named
-    /// `Slot` per key in [`counter`], numbered in declaration order.
+    /// `Slot` per key in [`slot`], numbered in declaration order.
     macro_rules! slotted_keys {
         ($(
             $(#[$list_doc:meta])*
@@ -42,12 +43,13 @@ pub mod keys {
 
             $($(#[$list_doc])* pub const $list: &[&str] = &[$($name),+];)+
 
-            /// Every key with a counter slot, in slot order.
+            /// Every key with a slot, in slot order.
             pub const SLOTTED: &[&str] = &[$($($name,)+)+];
 
-            pub mod counter {
-                //! The counter slot of each key in [`SLOTTED`](super::SLOTTED),
-                //! under its key constant's name.
+            pub mod slot {
+                //! The slot of each key in [`SLOTTED`](super::SLOTTED), under
+                //! its key constant's name: the address of its counter and,
+                //! for a histogram key, of its histogram.
 
                 use crate::metrics::Slot;
 
@@ -59,11 +61,43 @@ pub mod keys {
                 }
 
                 $($(
-                    #[doc = concat!("Counter slot of `", $key, "`.")]
+                    #[doc = concat!("Slot of `", $key, "`.")]
                     pub const $name: Slot = Slot(Index::$name as u8);
                 )+)+
             }
         };
+    }
+
+    /// Declares closed vocabularies: per vocabulary a fieldless enum, its
+    /// variants in declaration order, and each variant's name.
+    macro_rules! vocabulary {
+        ($(
+            $(#[$doc:meta])*
+            $ty:ident { $($var:ident = $name:literal,)+ }
+        )+) => {$(
+            $(#[$doc])*
+            #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+            pub enum $ty {
+                $(#[doc = concat!("`", $name, "`.")] $var,)+
+            }
+
+            impl $ty {
+                /// Every variant, in declaration order.
+                pub const ALL: &[$ty] = &[$($ty::$var),+];
+
+                /// The variant's name.
+                pub fn name(self) -> &'static str {
+                    match self {
+                        $($ty::$var => $name,)+
+                    }
+                }
+
+                /// The variant named `name`.
+                pub(crate) fn parse(name: &str) -> Option<$ty> {
+                    $ty::ALL.iter().copied().find(|v| v.name() == name)
+                }
+            }
+        )+};
     }
 
     slotted_keys! {
@@ -212,125 +246,46 @@ pub mod keys {
         }
     }
 
-    /// Probe suffixes of the `frag.<f>.<probe>` dimension.
-    pub const FRAG_PROBES: &[&str] = &["lag", "queue", "move_stall", "unavail_window"];
-    /// Probe suffixes of the `node.<n>.<probe>` dimension.
-    pub const NODE_PROBES: &[&str] = &["staleness", "holdback"];
-    /// Phase names of the `span.phase.<p>` dimension — one duration
-    /// histogram per reconstructed commit-span phase. `queue` splits into
-    /// `token_move`/`election` when the wait overlapped an open move or
-    /// election window; `net` splits out `retransmit` legs.
-    pub const SPAN_PHASES: &[&str] = &[
-        "queue",
-        "token_move",
-        "election",
-        "lock_wait",
-        "exec",
-        "net",
-        "retransmit",
-        "holdback",
-    ];
-
-    /// Whether `key` is `<prefix><digits>.<suffix>` for one of `suffixes`
-    /// (the prefix includes its trailing dot, e.g. `"frag."`).
-    pub fn dim_matches(key: &str, prefix: &str, suffixes: &[&str]) -> bool {
-        let Some(rest) = key.strip_prefix(prefix) else {
-            return false;
-        };
-        let Some(dot) = rest.find('.') else {
-            return false;
-        };
-        let (index, suffix) = rest.split_at(dot);
-        !index.is_empty()
-            && index.bytes().all(|b| b.is_ascii_digit())
-            && suffixes.contains(&&suffix[1..])
-    }
-
-    /// Whether `key` is a registered fixed key, a `msg.<kind>` key, or
-    /// matches a registered dimensioned pattern.
-    pub fn is_registered(key: &str) -> bool {
-        if SLOTTED.contains(&key) {
-            return true;
-        }
-        // `span.phase.<p>` is dimensioned by phase *name*, not by a numeric
-        // index, so it gets its own rule instead of `dim_matches`.
-        if let Some(phase) = key.strip_prefix("span.phase.") {
-            return SPAN_PHASES.contains(&phase);
-        }
-        dim_matches(key, "frag.", FRAG_PROBES) || dim_matches(key, "node.", NODE_PROBES)
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn fixed_keys_are_registered() {
-            for k in ALL {
-                assert!(is_registered(k), "{k} should be registered");
-            }
+    vocabulary! {
+        /// The probe of a `frag.<f>.<probe>` histogram.
+        FragProbe {
+            Lag = "lag",
+            Queue = "queue",
+            MoveStall = "move_stall",
+            UnavailWindow = "unavail_window",
         }
 
-        #[test]
-        fn batching_and_catchup_keys_are_registered() {
-            assert!(is_registered(NET_BATCH_SIZE));
-            assert!(is_registered(NET_ACK_CUMULATIVE));
-            assert!(is_registered(CATCHUP_RANGE_LEN));
-            assert!(is_registered("msg.batch"));
+        /// The probe of a `node.<n>.<probe>` histogram.
+        NodeProbe {
+            Staleness = "staleness",
+            Holdback = "holdback",
         }
 
-        #[test]
-        fn self_heal_keys_are_registered() {
-            assert!(is_registered(DETECTOR_HEARTBEATS));
-            assert!(is_registered(DETECTOR_SUSPICIONS));
-            assert!(is_registered(ELECTION_ROUNDS));
-            assert!(is_registered(ELECTION_WON));
-            assert!(is_registered(ELECTION_ABORTED));
-            assert!(is_registered(BATCH_DISCARDED));
-            assert!(is_registered("msg.heartbeat"));
-            assert!(is_registered("msg.vote_req"));
-            assert!(is_registered("msg.vote"));
-            assert!(is_registered("frag.3.unavail_window"));
-        }
-
-        #[test]
-        fn span_phase_dimension_is_fully_covered() {
-            assert!(is_registered(TELEMETRY_SPANS_TRUNCATED));
-            assert!(is_registered(OBS_CRITICAL_PATH_LEN));
-            for p in SPAN_PHASES {
-                let key = format!("span.phase.{p}");
-                assert!(is_registered(&key), "{key} should be registered");
-            }
-            // Unknown phase names and malformed span keys stay strict.
-            assert!(!is_registered("span.phase.bogus"));
-            assert!(!is_registered("span.phase."));
-            assert!(!is_registered("span.phase.net.extra"));
-            assert!(!is_registered("span.bogus.net"));
-            assert!(!is_registered("obs.critical_path.bogus"));
-        }
-
-        #[test]
-        fn dimensioned_keys_match_structurally() {
-            assert!(is_registered("msg.quasi"));
-            assert!(is_registered("frag.12.lag"));
-            assert!(is_registered("frag.0.move_stall"));
-            assert!(is_registered("node.7.staleness"));
-            assert!(!is_registered("msg.bogus"));
-            assert!(!is_registered("frag.12.bogus"));
-            assert!(!is_registered("frag.x.lag"));
-            assert!(!is_registered("frag..lag"));
-            assert!(!is_registered("node.7.lag"));
-            assert!(!is_registered("latency.typo"));
+        /// A reconstructed commit-span phase, one `span.phase.<p>` duration
+        /// histogram each. `queue` splits into `token_move`/`election` when
+        /// the wait overlapped an open move or election window; `net`
+        /// splits out `retransmit` legs.
+        SpanPhase {
+            Queue = "queue",
+            TokenMove = "token_move",
+            Election = "election",
+            LockWait = "lock_wait",
+            Exec = "exec",
+            Net = "net",
+            Retransmit = "retransmit",
+            Holdback = "holdback",
         }
     }
 }
 
-/// The fixed array index of a counter whose key is known at compile time:
-/// one per key in [`keys::SLOTTED`], named in [`keys::counter`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+use keys::{FragProbe, NodeProbe, SpanPhase};
+
+/// The fixed array index of a key known at compile time: one per key in
+/// [`keys::SLOTTED`], named in [`keys::slot`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Slot(u8);
 
-/// Number of counter slots.
+/// Number of slots.
 const SLOTS: usize = keys::SLOTTED.len();
 
 impl Slot {
@@ -340,65 +295,79 @@ impl Slot {
         Some(Slot(i as u8))
     }
 
-    /// The key this slot counts.
+    /// The key this slot addresses.
     pub fn key(self) -> &'static str {
         keys::SLOTTED[self.0 as usize]
     }
 }
 
-/// A counter's address: a fixed key's slot, or any other name. A name
-/// that has a slot converts to the slot, so a counter is the same counter
-/// whichever form writes it.
-#[derive(Clone, Debug)]
-pub enum CounterKey {
-    /// A fixed key, written without a string comparison.
-    Slot(Slot),
-    /// An owned or dimensioned key, kept in the map.
-    Name(Cow<'static, str>),
+/// A histogram's address. `Display` renders its name and
+/// [`HistKey::parse`] reads the name back.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum HistKey {
+    /// A fixed key (`latency.commit`, `net.batch.size`, …).
+    Fixed(Slot),
+    /// `frag.<f>.<probe>`.
+    Frag(u32, FragProbe),
+    /// `node.<n>.<probe>`.
+    Node(u32, NodeProbe),
+    /// `span.phase.<p>`.
+    Phase(SpanPhase),
 }
 
-impl From<Slot> for CounterKey {
+impl From<Slot> for HistKey {
     fn from(slot: Slot) -> Self {
-        CounterKey::Slot(slot)
+        HistKey::Fixed(slot)
     }
 }
 
-impl From<Cow<'static, str>> for CounterKey {
-    fn from(key: Cow<'static, str>) -> Self {
-        match Slot::of(&key) {
-            Some(slot) => CounterKey::Slot(slot),
-            None => CounterKey::Name(key),
+impl fmt::Display for HistKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            HistKey::Fixed(slot) => f.write_str(slot.key()),
+            HistKey::Frag(i, probe) => write!(f, "frag.{i}.{}", probe.name()),
+            HistKey::Node(i, probe) => write!(f, "node.{i}.{}", probe.name()),
+            HistKey::Phase(phase) => write!(f, "span.phase.{}", phase.name()),
         }
     }
 }
 
-impl From<&'static str> for CounterKey {
-    fn from(key: &'static str) -> Self {
-        Cow::Borrowed(key).into()
-    }
-}
-
-impl From<String> for CounterKey {
-    fn from(key: String) -> Self {
-        Cow::<'static, str>::Owned(key).into()
+impl HistKey {
+    /// The key whose rendered name is `name`, if any. Every slot's key
+    /// parses, so this also tells whether a name is a known metric.
+    pub fn parse(name: &str) -> Option<HistKey> {
+        if let Some(phase) = name.strip_prefix("span.phase.") {
+            return SpanPhase::parse(phase).map(HistKey::Phase);
+        }
+        // `<prefix><index>.<probe>`, the index in canonical decimal.
+        let dim = |prefix: &str| {
+            let (index, probe) = name.strip_prefix(prefix)?.split_once('.')?;
+            let canonical = index.bytes().all(|b| b.is_ascii_digit())
+                && (index == "0" || !index.starts_with('0'));
+            Some((index.parse().ok().filter(|_| canonical)?, probe))
+        };
+        if let Some((i, probe)) = dim("frag.") {
+            return FragProbe::parse(probe).map(|p| HistKey::Frag(i, p));
+        }
+        if let Some((i, probe)) = dim("node.") {
+            return NodeProbe::parse(probe).map(|p| HistKey::Node(i, p));
+        }
+        Slot::of(name).map(HistKey::Fixed)
     }
 }
 
 /// Counter / histogram registry for one simulation run.
 #[derive(Debug)]
 pub struct Metrics {
-    /// Counters under slotted keys; `None` until first written.
-    slots: [Option<u64>; SLOTS],
-    /// Counters under every other key.
-    counters: BTreeMap<Cow<'static, str>, u64>,
-    histograms: BTreeMap<Cow<'static, str>, QuantileSketch>,
+    /// Counters by slot; `None` until first written.
+    counters: [Option<u64>; SLOTS],
+    histograms: BTreeMap<HistKey, QuantileSketch>,
 }
 
 impl Default for Metrics {
     fn default() -> Self {
         Metrics {
-            slots: [None; SLOTS],
-            counters: BTreeMap::new(),
+            counters: [None; SLOTS],
             histograms: BTreeMap::new(),
         }
     }
@@ -410,82 +379,71 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// The cell of counter `key`, created at zero.
-    fn cell(&mut self, key: impl Into<CounterKey>) -> &mut u64 {
-        match key.into() {
-            CounterKey::Slot(Slot(i)) => self.slots[i as usize].get_or_insert(0),
-            CounterKey::Name(name) => self.counters.entry(name).or_insert(0),
-        }
+    /// Add 1 to counter `slot`.
+    pub fn incr(&mut self, slot: Slot) {
+        self.add(slot, 1);
     }
 
-    /// Add 1 to counter `key`.
-    pub fn incr(&mut self, key: impl Into<CounterKey>) {
-        self.add(key, 1);
+    /// Add `delta` to counter `slot`.
+    pub fn add(&mut self, slot: Slot, delta: u64) {
+        *self.counters[slot.0 as usize].get_or_insert(0) += delta;
     }
 
-    /// Add `delta` to counter `key`.
-    pub fn add(&mut self, key: impl Into<CounterKey>, delta: u64) {
-        *self.cell(key) += delta;
+    /// Set counter `slot` to an absolute `value` (gauge semantics) — used
+    /// to publish buffer drop counts, which are totals rather than deltas.
+    pub fn set(&mut self, slot: Slot, value: u64) {
+        self.counters[slot.0 as usize] = Some(value);
     }
 
-    /// Read counter `key` (0 if never written).
-    pub fn counter(&self, key: &str) -> u64 {
-        let value = match Slot::of(key) {
-            Some(Slot(i)) => self.slots[i as usize],
-            None => self.counters.get(key).copied(),
-        };
-        value.unwrap_or(0)
-    }
-
-    /// Set counter `key` to an absolute `value` (gauge semantics) — used to
-    /// publish buffer drop counts, which are totals rather than deltas.
-    pub fn set(&mut self, key: impl Into<CounterKey>, value: u64) {
-        *self.cell(key) = value;
+    /// Read the counter named `name` (0 if never written).
+    pub fn counter(&self, name: &str) -> u64 {
+        Slot::of(name)
+            .and_then(|Slot(i)| self.counters[i as usize])
+            .unwrap_or(0)
     }
 
     /// Record `value` in histogram `key`.
-    pub fn observe(&mut self, key: impl Into<Cow<'static, str>>, value: u64) {
+    pub fn observe(&mut self, key: impl Into<HistKey>, value: u64) {
         self.histograms.entry(key.into()).or_default().record(value);
     }
 
-    /// Record `value` in histogram `key` without taking ownership of the
-    /// key: allocates an owned copy only on the histogram's *first*
-    /// observation, so a hot path using an interned key (see
-    /// `telemetry::Probes`) is allocation-free in steady state.
-    pub fn observe_named(&mut self, key: &str, value: u64) {
-        if let Some(h) = self.histograms.get_mut(key) {
-            h.record(value);
-        } else {
-            let mut h = QuantileSketch::default();
-            h.record(value);
-            self.histograms.insert(Cow::Owned(key.to_owned()), h);
+    /// Merge `sketch` into histogram `key`: the same histogram as observing
+    /// each of its values. An empty sketch creates no histogram.
+    pub fn merge(&mut self, key: impl Into<HistKey>, sketch: &QuantileSketch) {
+        if !sketch.is_empty() {
+            self.histograms.entry(key.into()).or_default().merge(sketch);
         }
     }
 
-    /// Read histogram `key`, if it exists.
-    pub fn histogram(&self, key: &str) -> Option<&QuantileSketch> {
-        self.histograms.get(key)
+    /// Read the histogram named `name`, if it exists.
+    pub fn histogram(&self, name: &str) -> Option<&QuantileSketch> {
+        self.histograms.get(&HistKey::parse(name)?)
     }
 
-    /// All counters in key order: the written slots merged with the map.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        let slots = keys::SLOTTED
+    /// All written counters in name order.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        let mut all: Vec<(&str, u64)> = keys::SLOTTED
             .iter()
-            .zip(self.slots)
-            .filter_map(|(&k, v)| Some((k, v?)));
-        let named = self.counters.iter().map(|(k, v)| (k.as_ref(), *v));
-        let mut all: Vec<(&str, u64)> = slots.chain(named).collect();
+            .zip(self.counters)
+            .filter_map(|(&k, v)| Some((k, v?)))
+            .collect();
         all.sort_unstable_by_key(|&(k, _)| k);
         all.into_iter()
     }
 
-    /// All histograms in key order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &QuantileSketch)> {
-        self.histograms.iter().map(|(k, v)| (k.as_ref(), v))
+    /// All histograms in name order.
+    pub fn histograms(&self) -> impl Iterator<Item = (String, &QuantileSketch)> {
+        let mut all: Vec<(String, &QuantileSketch)> = self
+            .histograms
+            .iter()
+            .map(|(k, h)| (k.to_string(), h))
+            .collect();
+        all.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        all.into_iter()
     }
 
     /// Render a human-readable report: counters, then histogram summaries,
-    /// in key order. Leads with a WARNING when [`keys::TELEMETRY_DROPPED`]
+    /// in name order. Leads with a WARNING when [`keys::TELEMETRY_DROPPED`]
     /// is nonzero, so a truncated log cannot silently masquerade as a
     /// complete run.
     pub fn render(&self) -> String {
@@ -516,133 +474,93 @@ impl Metrics {
 
 #[cfg(test)]
 mod tests {
+    use super::keys::slot;
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
+    fn counters_accumulate_and_set_is_absolute() {
         let mut m = Metrics::new();
-        m.incr("a");
-        m.incr("a");
-        m.add("a", 3);
-        assert_eq!(m.counter("a"), 5);
-    }
-
-    #[test]
-    fn missing_counter_is_zero() {
-        let m = Metrics::new();
+        m.incr(slot::TXN_COMMITTED);
+        m.incr(slot::TXN_COMMITTED);
+        m.add(slot::TXN_COMMITTED, 3);
+        assert_eq!(m.counter(keys::TXN_COMMITTED), 5);
+        m.set(slot::TXN_COMMITTED, 2);
+        assert_eq!(m.counter("txn.committed"), 2);
+        assert_eq!(m.counter(keys::TXN_ABORTED), 0);
         assert_eq!(m.counter("nope"), 0);
     }
 
     #[test]
-    fn owned_and_static_keys_collide_correctly() {
+    fn histograms_record_under_any_key_form() {
         let mut m = Metrics::new();
-        m.incr("node.1.txns");
-        m.incr(format!("node.{}.txns", 1));
-        assert_eq!(m.counter("node.1.txns"), 2);
+        m.observe(slot::LATENCY_COMMIT, 10);
+        m.observe(HistKey::Fixed(slot::LATENCY_COMMIT), 20);
+        m.observe(HistKey::Frag(3, FragProbe::Lag), 7);
+        assert_eq!(m.histogram("latency.commit").unwrap().count(), 2);
+        assert_eq!(m.histogram("frag.3.lag").unwrap().sum(), 7);
+        assert!(m.histogram("frag.4.lag").is_none());
+        assert!(m.histogram("bogus").is_none());
     }
 
     #[test]
-    fn histograms_record() {
-        let mut m = Metrics::new();
-        m.observe("lat", 10);
-        m.observe("lat", 20);
-        let h = m.histogram("lat").unwrap();
-        assert_eq!(h.count(), 2);
-        assert!(m.histogram("other").is_none());
-    }
-
-    #[test]
-    fn iteration_is_sorted() {
-        let mut m = Metrics::new();
-        m.incr("zz");
-        m.incr("aa");
-        m.incr("mm");
-        let keys: Vec<&str> = m.counters().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["aa", "mm", "zz"]);
-    }
-
-    #[test]
-    fn named_variants_accumulate_like_owned() {
-        let mut m = Metrics::new();
-        m.observe_named("h", 5);
-        m.observe_named("h", 7);
-        m.observe("h", 9);
-        assert_eq!(m.histogram("h").unwrap().count(), 3);
-    }
-
-    #[test]
-    fn set_is_absolute() {
-        let mut m = Metrics::new();
-        m.set("g", 5);
-        m.set("g", 3);
-        assert_eq!(m.counter("g"), 3);
+    fn merge_equals_observing_and_skips_empty_sketches() {
+        let (mut merged, mut observed) = (Metrics::new(), Metrics::new());
+        let mut sketch = QuantileSketch::new();
+        for v in [3, 900, 70_000] {
+            sketch.record(v);
+            observed.observe(HistKey::Phase(SpanPhase::Net), v);
+        }
+        merged.merge(HistKey::Phase(SpanPhase::Net), &sketch);
+        merged.merge(slot::OBS_CRITICAL_PATH_LEN, &QuantileSketch::new());
+        assert_eq!(merged.render(), observed.render());
+        assert!(merged.histogram(keys::OBS_CRITICAL_PATH_LEN).is_none());
     }
 
     #[test]
     fn render_warns_on_dropped_trace() {
         let mut m = Metrics::new();
-        m.incr("txn.committed");
-        m.observe("lat", 10);
+        m.incr(slot::TXN_COMMITTED);
+        m.observe(slot::LATENCY_COMMIT, 10);
         let clean = m.render();
         assert!(!clean.contains("WARNING"));
         assert!(clean.contains("txn.committed = 1"));
-        assert!(clean.contains("lat: n=1"));
-        m.set(keys::TELEMETRY_DROPPED, 2);
+        assert!(clean.contains("latency.commit: n=1"));
+        m.set(slot::TELEMETRY_DROPPED, 2);
         assert!(m
             .render()
             .starts_with("WARNING: 2 telemetry events dropped"));
     }
 
     #[test]
-    fn slot_and_name_write_one_counter() {
+    fn counters_and_histograms_list_in_name_order() {
         let mut m = Metrics::new();
-        m.incr(keys::counter::SIM_EVENTS);
-        m.incr("sim.events");
-        m.add(keys::SIM_EVENTS, 3);
-        m.add(String::from("sim.events"), 1);
-        assert_eq!(m.counter(keys::SIM_EVENTS), 6);
-        m.set("sim.events", 2);
-        m.incr(keys::counter::SIM_EVENTS);
-        assert_eq!(m.counter("sim.events"), 3);
-        m.incr(keys::counter::MSG_QUASI);
-        m.add(format!("msg.{}", "quasi"), 1);
-        assert_eq!(m.counter("msg.quasi"), 2);
-        let listed: Vec<_> = m.counters().collect();
-        assert_eq!(listed, vec![("msg.quasi", 2), ("sim.events", 3)]);
-    }
-
-    #[test]
-    fn counters_and_render_merge_slots_and_names_in_key_order() {
-        let mut m = Metrics::new();
-        m.incr("zz.named");
-        m.incr(keys::counter::TXN_COMMITTED);
-        m.incr("aa.named");
-        m.incr(keys::counter::MSG_QUASI);
-        m.incr(format!("node.{}.txns", 3));
-        let order = [
-            "aa.named",
-            "msg.quasi",
-            "node.3.txns",
-            "txn.committed",
-            "zz.named",
-        ];
-        let listed: Vec<&str> = m.counters().map(|(k, _)| k).collect();
-        assert_eq!(listed, order);
-        let rendered: Vec<String> = m.render().lines().map(str::to_owned).collect();
-        let expected: Vec<String> = order.iter().map(|k| format!("{k} = 1")).collect();
-        assert_eq!(rendered, expected);
-    }
-
-    #[test]
-    fn a_zero_write_still_lists_the_key() {
-        let mut m = Metrics::new();
-        m.add(keys::counter::INSTALL_COUNT, 0);
-        m.add("other", 0);
-        m.set(keys::counter::NODE_CRASH, 0);
+        m.incr(slot::TXN_COMMITTED);
+        m.incr(slot::MSG_QUASI);
+        m.add(slot::INSTALL_COUNT, 0);
         let listed: Vec<_> = m.counters().collect();
         assert_eq!(
             listed,
-            vec![("install.count", 0), ("node.crash", 0), ("other", 0)]
+            [("install.count", 0), ("msg.quasi", 1), ("txn.committed", 1)]
+        );
+        for key in [
+            HistKey::Phase(SpanPhase::Exec),
+            HistKey::Frag(2, FragProbe::Lag),
+            HistKey::Node(1, NodeProbe::Staleness),
+            HistKey::Frag(10, FragProbe::Lag),
+            HistKey::Fixed(slot::LATENCY_COMMIT),
+        ] {
+            m.observe(key, 1);
+        }
+        let names: Vec<String> = m.histograms().map(|(k, _)| k).collect();
+        assert_eq!(
+            names,
+            [
+                "frag.10.lag",
+                "frag.2.lag",
+                "latency.commit",
+                "node.1.staleness",
+                "span.phase.exec",
+            ]
         );
     }
 
@@ -655,22 +573,16 @@ mod tests {
             assert_eq!((slot, slot.key()), (Slot(i as u8), k));
             assert!(k.starts_with("msg.") == (i >= keys::ALL.len()), "{k}");
         }
-        for k in [
-            "frag.1.lag",
-            "node.2.staleness",
-            "span.phase.net",
-            "msg.bogus",
-            "msg.",
-        ] {
-            assert_eq!(Slot::of(k), None, "{k} must stay in the map");
+        for k in ["frag.1.lag", "node.2.staleness", "span.phase.net", "msg."] {
+            assert_eq!(Slot::of(k), None, "{k} has no slot");
         }
     }
 
     #[test]
     fn every_written_slot_is_listed() {
         let mut m = Metrics::new();
-        for (i, &k) in keys::SLOTTED.iter().enumerate() {
-            m.add(Slot::of(k).expect("slotted"), i as u64 + 1);
+        for i in 0..SLOTS {
+            m.add(Slot(i as u8), i as u64 + 1);
         }
         let mut expected: Vec<(&str, u64)> = keys::SLOTTED
             .iter()
@@ -679,5 +591,41 @@ mod tests {
             .collect();
         expected.sort_unstable();
         assert_eq!(m.counters().collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
+    fn every_name_round_trips() {
+        let mut all: Vec<HistKey> = (0..SLOTS).map(|i| HistKey::Fixed(Slot(i as u8))).collect();
+        for i in [0, 9, 10, u32::MAX] {
+            all.extend(FragProbe::ALL.iter().map(|&p| HistKey::Frag(i, p)));
+            all.extend(NodeProbe::ALL.iter().map(|&p| HistKey::Node(i, p)));
+        }
+        all.extend(SpanPhase::ALL.iter().map(|&p| HistKey::Phase(p)));
+        for key in all {
+            let name = key.to_string();
+            assert_eq!(HistKey::parse(&name), Some(key), "{name}");
+        }
+        for name in [
+            "frag.12.bogus",
+            "frag.x.lag",
+            "frag..lag",
+            "frag.+1.lag",
+            "frag.01.lag",
+            "frag.4294967296.lag",
+            "frag.1.lag.x",
+            "node.7.lag",
+            "node.7",
+            "msg.bogus",
+            "msg.",
+            "latency.typo",
+            "span.phase.bogus",
+            "span.phase.",
+            "span.phase.net.extra",
+            "span.bogus.net",
+            "obs.critical_path.bogus",
+            "",
+        ] {
+            assert_eq!(HistKey::parse(name), None, "{name} must not parse");
+        }
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! On top of the raw stream, [`Probes`] derives online measurements and
 //! publishes them as dimensioned [`Metrics`] histograms (`frag.<f>.lag`,
-//! `node.<n>.staleness`, …) through an interning cache so steady-state
+//! `node.<n>.staleness`, …) under typed [`HistKey`]s, so steady-state
 //! observation allocates nothing, and keeps one [`QuantileSketch`] of the
 //! commit→install lag merged over every fragment.
 
@@ -28,7 +28,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::histogram::QuantileSketch;
-use crate::metrics::{keys, Metrics};
+use crate::metrics::keys::{self, FragProbe, NodeProbe};
+use crate::metrics::{HistKey, Metrics};
 use crate::time::SimTime;
 
 /// Causal identity of a quasi-transaction: the fragment it updates, the
@@ -826,7 +827,7 @@ pub fn read_jsonl(
 }
 
 /// Multiply-and-rotate hashing for the few integers of a causal id or a
-/// dimensioned key: the simulator assigns these itself, so SipHash's
+/// node pair: the simulator assigns these itself, so SipHash's
 /// resistance to crafted keys buys nothing and costs most of a lookup.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IdHasher(u64);
@@ -868,61 +869,6 @@ impl Hasher for IdHasher {
 #[allow(clippy::disallowed_types)]
 pub type IdMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
-/// A family of dimensioned probe keys, `<prefix>.<index>.<suffix>`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum Dim {
-    FragLag,
-    FragQueue,
-    FragMoveStall,
-    FragUnavailWindow,
-    NodeStaleness,
-    NodeHoldback,
-}
-
-impl Dim {
-    /// The family's `(prefix, suffix)`.
-    fn parts(self) -> (&'static str, &'static str) {
-        match self {
-            Dim::FragLag => ("frag", "lag"),
-            Dim::FragQueue => ("frag", "queue"),
-            Dim::FragMoveStall => ("frag", "move_stall"),
-            Dim::FragUnavailWindow => ("frag", "unavail_window"),
-            Dim::NodeStaleness => ("node", "staleness"),
-            Dim::NodeHoldback => ("node", "holdback"),
-        }
-    }
-}
-
-/// Interning cache for dimensioned metric keys (`frag.3.lag`,
-/// `node.7.staleness`, …). The first observation of a `(family, index)`
-/// pair formats and stores the key; every later observation reuses the
-/// stored `String`, so steady-state emission performs no formatting and no
-/// allocation.
-#[derive(Debug, Default)]
-struct DimKeys {
-    cache: IdMap<(Dim, u32), String>,
-    interned: u64,
-}
-
-impl DimKeys {
-    /// The interned key for `dim` at `index`, formatting it only on first
-    /// use.
-    fn key(&mut self, dim: Dim, index: u32) -> &str {
-        let interned = &mut self.interned;
-        self.cache.entry((dim, index)).or_insert_with(|| {
-            *interned += 1;
-            let (prefix, suffix) = dim.parts();
-            format!("{prefix}.{index}.{suffix}")
-        })
-    }
-
-    /// How many distinct keys have been formatted so far. Tests pin this to
-    /// assert steady-state observation allocates no new keys.
-    fn interned(&self) -> u64 {
-        self.interned
-    }
-}
-
 /// Online probe state derived from the event stream.
 ///
 /// Probes publish into [`Metrics`] under dimensioned keys:
@@ -948,7 +894,6 @@ impl DimKeys {
 ///   the home proved alive discards the window (no recovery happened).
 #[derive(Debug, Default)]
 pub struct Probes {
-    keys: DimKeys,
     commit_at: IdMap<CausalId, SimTime>,
     move_started: BTreeMap<u32, (SimTime, u32, u32)>,
     unavail_started: BTreeMap<u32, SimTime>,
@@ -974,8 +919,7 @@ impl Probes {
                     // than silently absent; remote installs measure the
                     // mutual-consistency window.
                     let lag = at.micros().saturating_sub(t0.micros());
-                    let key = self.keys.key(Dim::FragLag, cause.fragment);
-                    metrics.observe_named(key, lag);
+                    metrics.observe(HistKey::Frag(cause.fragment, FragProbe::Lag), lag);
                     self.lag_sketch.record(lag);
                 }
             }
@@ -986,16 +930,13 @@ impl Probes {
                 ..
             } => {
                 let staleness = agent_seq.saturating_sub(*seen_seq);
-                let key = self.keys.key(Dim::NodeStaleness, *node);
-                metrics.observe_named(key, staleness);
+                metrics.observe(HistKey::Node(*node, NodeProbe::Staleness), staleness);
             }
             TelemetryEvent::HeldBack { node, depth, .. } => {
-                let key = self.keys.key(Dim::NodeHoldback, *node);
-                metrics.observe_named(key, *depth);
+                metrics.observe(HistKey::Node(*node, NodeProbe::Holdback), *depth);
             }
             TelemetryEvent::SubmissionQueued { fragment, depth } => {
-                let key = self.keys.key(Dim::FragQueue, *fragment);
-                metrics.observe_named(key, *depth);
+                metrics.observe(HistKey::Frag(*fragment, FragProbe::Queue), *depth);
             }
             TelemetryEvent::MoveRequested { fragment, from, to } => {
                 self.move_started
@@ -1005,8 +946,7 @@ impl Probes {
             TelemetryEvent::TokenArrived { fragment, .. } => {
                 if let Some((t0, _, _)) = self.move_started.remove(fragment) {
                     let stall = at.micros().saturating_sub(t0.micros());
-                    let key = self.keys.key(Dim::FragMoveStall, *fragment);
-                    metrics.observe_named(key, stall);
+                    metrics.observe(HistKey::Frag(*fragment, FragProbe::MoveStall), stall);
                 }
             }
             TelemetryEvent::MoveAborted { fragment, from, to } => {
@@ -1019,8 +959,7 @@ impl Probes {
                     if f0 == *from && t0_to == *to {
                         self.move_started.remove(fragment);
                         let stall = at.micros().saturating_sub(t0.micros());
-                        let key = self.keys.key(Dim::FragMoveStall, *fragment);
-                        metrics.observe_named(key, stall);
+                        metrics.observe(HistKey::Frag(*fragment, FragProbe::MoveStall), stall);
                     }
                 }
             }
@@ -1030,8 +969,7 @@ impl Probes {
             TelemetryEvent::TokenRecovered { fragment, .. } => {
                 if let Some(t0) = self.unavail_started.remove(fragment) {
                     let window = at.micros().saturating_sub(t0.micros());
-                    let key = self.keys.key(Dim::FragUnavailWindow, *fragment);
-                    metrics.observe_named(key, window);
+                    metrics.observe(HistKey::Frag(*fragment, FragProbe::UnavailWindow), window);
                 }
             }
             // A false suspicion (the home answered mid-election) never
@@ -1051,11 +989,6 @@ impl Probes {
             }
             _ => {}
         }
-    }
-
-    /// Number of distinct dimensioned keys formatted so far.
-    pub fn interned_keys(&self) -> u64 {
-        self.keys.interned()
     }
 
     /// The merged commit→install lag sketch (all fragments, all installs
@@ -1144,7 +1077,7 @@ impl Telemetry {
         self.events.is_empty()
     }
 
-    /// Probe state (for key-interning assertions).
+    /// Probe state.
     pub fn probes(&self) -> &Probes {
         &self.probes
     }
@@ -1509,40 +1442,6 @@ mod tests {
             r.to_json_line(),
             "{\"at_micros\":8,\"event\":\"batch_discarded\",\"fragment\":2,\"epoch\":0,\"frag_seq\":11,\"node\":4}"
         );
-    }
-
-    #[test]
-    fn dim_keys_intern_once() {
-        let mut k = DimKeys::default();
-        assert_eq!(k.key(Dim::FragLag, 3), "frag.3.lag");
-        assert_eq!(k.key(Dim::FragLag, 3), "frag.3.lag");
-        assert_eq!(k.key(Dim::NodeStaleness, 3), "node.3.staleness");
-        assert_eq!(k.interned(), 2);
-    }
-
-    #[test]
-    fn steady_state_observation_interns_no_new_keys() {
-        let mut t = Telemetry::bounded(64);
-        let mut m = Metrics::new();
-        let warm = |t: &mut Telemetry, m: &mut Metrics, at: u64| {
-            t.record(
-                SimTime(at),
-                TelemetryEvent::ReadObserved {
-                    node: 1,
-                    fragment: 0,
-                    seen_seq: 0,
-                    agent_seq: 1,
-                },
-                m,
-            );
-        };
-        warm(&mut t, &mut m, 1);
-        let after_first = t.probes().interned_keys();
-        for i in 2..50 {
-            warm(&mut t, &mut m, i);
-        }
-        assert_eq!(t.probes().interned_keys(), after_first);
-        assert_eq!(m.histogram("node.1.staleness").unwrap().count(), 49);
     }
 
     #[test]

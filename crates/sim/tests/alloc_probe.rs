@@ -7,10 +7,13 @@
 //! and asserts the warm loop performs zero heap allocations, at a small
 //! population and at the pending depth the 1024-node benchmark shapes
 //! actually hold, and with far-future events parked in the run while the
-//! loop runs on the heap.
+//! loop runs on the heap. It also asserts that recording probe events and
+//! fixed-key histograms into `Metrics`, once warm, allocates nothing:
+//! histograms are addressed by typed keys, so no write builds a name.
 
 use alloc_probe::CountingAllocator;
-use fragdb_sim::{Engine, SimDuration, SimTime};
+use fragdb_sim::metrics::keys::slot;
+use fragdb_sim::{CausalId, Engine, Metrics, SimDuration, SimTime, Telemetry, TelemetryEvent};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -63,6 +66,7 @@ fn steady_state_sim_loop_is_allocation_free() {
         assert_warm_loop_is_allocation_free(&mut engine, population + 2000, population);
     }
     far_future_events_parked_in_the_run_cost_the_heap_loop_nothing();
+    warm_metric_writes_allocate_nothing();
 }
 
 /// A second case in the same test: the probe's counter is process-wide,
@@ -86,4 +90,49 @@ fn far_future_events_parked_in_the_run_cost_the_heap_loop_nothing() {
         "the loop never reached the parked events"
     );
     assert_eq!(engine.peek_time().map(|at| at < far), Some(true));
+}
+
+/// Record `n` probe events (a read and a hold-back at each of four nodes,
+/// in turn) and as many fixed-key observations. The values are constant,
+/// so no sketch grows past its warm-up size.
+fn probe_and_observe(telemetry: &mut Telemetry, metrics: &mut Metrics, n: u64) {
+    let cause = CausalId {
+        fragment: 1,
+        epoch: 0,
+        frag_seq: 0,
+    };
+    for i in 0..n {
+        let node = (i % 4) as u32;
+        let event = if i % 2 == 0 {
+            TelemetryEvent::ReadObserved {
+                node,
+                fragment: 1,
+                seen_seq: 3,
+                agent_seq: 5,
+            }
+        } else {
+            TelemetryEvent::HeldBack {
+                cause,
+                node,
+                depth: 2,
+            }
+        };
+        telemetry.record(SimTime(i), event, metrics);
+        metrics.observe(slot::LATENCY_COMMIT, 700);
+    }
+}
+
+/// A third case in the same test: the warm probe and histogram write path.
+fn warm_metric_writes_allocate_nothing() {
+    let mut telemetry = Telemetry::bounded(64);
+    let mut metrics = Metrics::new();
+    // Fills the ring and creates every histogram the loop writes.
+    probe_and_observe(&mut telemetry, &mut metrics, 200);
+    let (allocs, _) =
+        alloc_probe::count_allocs(|| probe_and_observe(&mut telemetry, &mut metrics, 1000));
+    assert_eq!(allocs, 0, "warm metric writes allocated {allocs} times");
+    let count = |name: &str| metrics.histogram(name).map(|h| h.count());
+    assert_eq!(count("node.3.holdback"), Some(300));
+    assert_eq!(count("node.2.staleness"), Some(300));
+    assert_eq!(count("latency.commit"), Some(1200));
 }
