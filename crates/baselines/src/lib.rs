@@ -31,9 +31,9 @@ pub use mutex::{MutexConfig, MutexSystem};
 use fragdb_net::{NetAction, PktDelivery, RetransmitTimer};
 use fragdb_sim::Engine;
 
-/// Schedule the reliable layer's follow-up work on a baseline's engine, as
-/// fragdb-core's `System::schedule_net` does: a packet arrival becomes a
-/// `pkt` event, a retransmission timer an `rto` event.
+/// Schedule the reliable layer's follow-up work on a baseline's engine: a
+/// packet arrival becomes a `pkt` event, a retransmission timer an `rto`
+/// event.
 fn schedule_net<M, E>(
     engine: &mut Engine<E>,
     actions: Vec<NetAction<M>>,

@@ -179,6 +179,6 @@ mod tests {
         assert_eq!(held, 0, "a held-back entry was stranded");
         assert_eq!(sys.engine.metrics.counter(keys::INSTALL_DUPLICATE), 1);
         assert_eq!(slot.replica.wal().len(), 3);
-        assert_eq!(slot.next_install[&f], 3);
+        assert_eq!(slot.install_frontier(f), 3);
     }
 }

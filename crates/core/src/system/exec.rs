@@ -210,11 +210,7 @@ impl System {
                 // Both counters are "next sequence number": what the agent
                 // would assign next vs. what the replica expects next.
                 let agent_seq = self.tokens.peek_frag_seq(frag);
-                let seen_seq = self.nodes[site.0 as usize]
-                    .next_install
-                    .get(&frag)
-                    .copied()
-                    .unwrap_or(0);
+                let seen_seq = self.nodes[site.0 as usize].install_frontier(frag);
                 self.engine.emit(|| TelemetryEvent::ReadObserved {
                     node: site.0,
                     fragment: frag.0,
@@ -271,7 +267,7 @@ impl System {
             .commit_local(txn, fragment, frag_seq, epoch, updates.clone(), at);
         // The home already has the data; ordered installation at the home
         // resumes from the next sequence number.
-        slot.next_install.insert(fragment, frag_seq + 1);
+        slot.set_install_frontier(fragment, frag_seq + 1);
 
         if self.engine.telemetry.is_enabled() {
             let cause = Self::cid(fragment, epoch, frag_seq);

@@ -54,7 +54,7 @@ impl System {
         }
         let slot = &mut self.nodes[node.0 as usize];
         let fragment = quasi.fragment;
-        let next = slot.next_install.entry(fragment).or_insert(0);
+        let next = slot.frontier_mut(fragment).get_or_insert(0);
         if quasi.frag_seq < *next {
             self.engine.metrics.incr(slot::INSTALL_DUPLICATE);
             return Vec::new();
@@ -77,9 +77,7 @@ impl System {
         let mut notes = self.do_install(at, node, quasi);
         loop {
             let slot = &mut self.nodes[node.0 as usize];
-            let Some(&next) = slot.next_install.get(&fragment) else {
-                break;
-            };
+            let next = slot.install_frontier(fragment);
             let Some(q) = slot
                 .holdback
                 .get_mut(&fragment)
@@ -106,7 +104,7 @@ impl System {
         // during catch-up after an elected successor resurrected it.
         let slot = &mut self.nodes[node.0 as usize];
         slot.replica.install_quasi(&quasi, at);
-        slot.next_install.insert(quasi.fragment, quasi.frag_seq + 1);
+        slot.set_install_frontier(quasi.fragment, quasi.frag_seq + 1);
         // Prune any staged copy of this transaction: once installed, the
         // stage is redundant, and leaving it would let a later
         // `include_staged` recovery resurrect an entry that is already in
@@ -126,10 +124,7 @@ impl System {
 
         // Crash recovery: did this install reach the catch-up target?
         if let Some(&(target, since)) = self.recovering.get(&(node, quasi.fragment)) {
-            let caught_up = self.nodes[node.0 as usize]
-                .next_install
-                .get(&quasi.fragment)
-                .is_some_and(|&n| n >= target);
+            let caught_up = self.nodes[node.0 as usize].install_frontier(quasi.fragment) >= target;
             if caught_up {
                 self.recovering.remove(&(node, quasi.fragment));
                 self.engine
@@ -158,10 +153,7 @@ impl System {
         {
             let (new_home, upto) = (*new_home, *upto);
             let caught_up = new_home == node
-                && self.nodes[node.0 as usize]
-                    .next_install
-                    .get(&quasi.fragment)
-                    .is_some_and(|&n| n >= upto);
+                && self.nodes[node.0 as usize].install_frontier(quasi.fragment) >= upto;
             if caught_up {
                 notes.extend(self.complete_move(at, quasi.fragment, new_home));
             }

@@ -198,7 +198,7 @@ impl System {
         // or every later commit at this node is held back forever.
         let slot = &mut self.nodes[node.0 as usize];
         let staged = slot.staged.remove(&txn);
-        let next = slot.next_install.get(&fragment).copied().unwrap_or(0);
+        let next = slot.install_frontier(fragment);
         if staged.as_ref().is_none_or(|quasi| quasi.frag_seq > next) {
             let upto = staged.as_ref().map(|quasi| quasi.frag_seq - 1);
             self.send_seq_query(at, node, fragment, [from], upto, false);
@@ -428,11 +428,7 @@ impl System {
         }
         // The recovered prefix defines where the sequence resumes.
         let new_home = *new_home;
-        let next = self.nodes[new_home.0 as usize]
-            .next_install
-            .get(&fragment)
-            .copied()
-            .unwrap_or(0);
+        let next = self.nodes[new_home.0 as usize].install_frontier(fragment);
         self.tokens.set_next_frag_seq(fragment, next);
         self.complete_move(at, fragment, new_home)
     }

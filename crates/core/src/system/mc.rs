@@ -131,7 +131,7 @@ impl System {
     pub fn mc_install_frontier(&self) -> Vec<(NodeId, FragmentId, u64)> {
         let mut out = Vec::new();
         for slot in &self.nodes {
-            for (&frag, &next) in &slot.next_install {
+            for (frag, next) in tracked(&slot.next_install) {
                 out.push((slot.replica.node, frag, next));
             }
         }
@@ -182,7 +182,7 @@ impl System {
                 let _ = write!(s, "{}@{}.{}.{};", e.txn, e.fragment, e.epoch, e.frag_seq);
             }
             s.push_str("|ni:");
-            for (f, v) in &slot.next_install {
+            for (f, v) in tracked(&slot.next_install) {
                 let _ = write!(s, "{f}={v};");
             }
             s.push_str("|hb:");
@@ -303,6 +303,12 @@ impl System {
         }
         s
     }
+}
+
+/// The install frontiers a node tracks, in fragment order.
+fn tracked(next_install: &[Option<u64>]) -> impl Iterator<Item = (FragmentId, u64)> + '_ {
+    let frontiers = next_install.iter().enumerate();
+    frontiers.filter_map(|(f, next)| Some((FragmentId(f as u32), (*next)?)))
 }
 
 /// Stable 64-bit FNV-1a (the std hasher is not guaranteed stable across

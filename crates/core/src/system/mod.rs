@@ -30,7 +30,7 @@ use fragdb_net::{
     Delivery, FailureDetector, NetAction, NetworkChange, PktDelivery, ReliableNet, Topology,
 };
 use fragdb_sim::metrics::keys::slot;
-use fragdb_sim::{CausalId, Engine, SimDuration, SimTime, TelemetryEvent};
+use fragdb_sim::{CausalId, Engine, SimDuration, SimRng, SimTime, TelemetryEvent};
 use fragdb_storage::{LockManager, Replica};
 
 use crate::config::SystemConfig;
@@ -51,8 +51,12 @@ pub(crate) struct NodeSlot {
     pub remote_reqs: BTreeMap<TxnId, RemoteLockReq>,
     /// §4.4.1: quasi-transactions staged by `Prepare`, awaiting `CommitCmd`.
     pub staged: BTreeMap<TxnId, QuasiTransaction>,
-    /// Next fragment sequence expected for ordered installation.
-    pub next_install: BTreeMap<FragmentId, u64>,
+    /// `next_install[f]`: the next `frag_seq` of fragment `f` ordered
+    /// installation expects; `None` (or past the end) until the node
+    /// tracks `f`. Indexed by the (dense from 0) fragment id, so an install
+    /// finds it without a search, and grown on first use, so a node that
+    /// installs nothing holds nothing.
+    pub next_install: Vec<Option<u64>>,
     /// Out-of-order quasi-transactions held until their predecessors land.
     pub holdback: BTreeMap<FragmentId, BTreeMap<u64, QuasiTransaction>>,
     /// §4.4.3: what this node learned from `M0` about a closed regime.
@@ -61,6 +65,29 @@ pub(crate) struct NodeSlot {
     /// home) has already repackaged — a late transaction can arrive twice,
     /// once from the origin's broadcast and once forwarded by a third node.
     pub noprep_handled: BTreeMap<FragmentId, BTreeSet<(u64, u64)>>,
+}
+
+impl NodeSlot {
+    /// The next `frag_seq` this node installs of `fragment` (0 while
+    /// untracked).
+    pub fn install_frontier(&self, fragment: FragmentId) -> u64 {
+        let tracked = self.next_install.get(fragment.0 as usize).copied();
+        tracked.flatten().unwrap_or(0)
+    }
+
+    /// Ordered installation of `fragment` resumes at `next`.
+    pub fn set_install_frontier(&mut self, fragment: FragmentId, next: u64) {
+        *self.frontier_mut(fragment) = Some(next);
+    }
+
+    /// `fragment`'s entry of `next_install`, grown into existence.
+    pub fn frontier_mut(&mut self, fragment: FragmentId) -> &mut Option<u64> {
+        let f = fragment.0 as usize;
+        if f >= self.next_install.len() {
+            self.next_install.resize(f + 1, None);
+        }
+        &mut self.next_install[f]
+    }
 }
 
 /// §4.4.3 knowledge recorded when `M0` arrives.
@@ -321,6 +348,10 @@ pub struct System {
     pub(crate) granted_votes: BTreeMap<(FragmentId, u64, NodeId), NodeId>,
     /// Monotone heartbeat counter shared by all senders (diagnostic only).
     pub(crate) detector_beat: u64,
+    /// The reliable layer's actions and released messages, kept between
+    /// calls so the per-message path allocates no fresh `Vec`.
+    net_actions: Vec<NetAction<Envelope>>,
+    net_released: Vec<Delivery<Envelope>>,
 }
 
 /// An under-construction group-commit batch (volatile, home-side).
@@ -418,7 +449,7 @@ impl System {
                 locks: LockManager::new(),
                 remote_reqs: BTreeMap::new(),
                 staged: BTreeMap::new(),
-                next_install: BTreeMap::new(),
+                next_install: Vec::new(),
                 holdback: BTreeMap::new(),
                 regime_close: BTreeMap::new(),
                 noprep_handled: BTreeMap::new(),
@@ -453,6 +484,8 @@ impl System {
             elections: BTreeMap::new(),
             granted_votes: BTreeMap::new(),
             detector_beat: 0,
+            net_actions: Vec::new(),
+            net_released: Vec::new(),
         };
         if system.detector_cfg.enabled() {
             // Every node starts with a full silence allowance for each of
@@ -609,8 +642,7 @@ impl System {
             Ev::Pkt(pd) => self.handle_packet(at, pd),
             Ev::Rto(timer) => {
                 let before = self.net_stats_if_telemetry();
-                let actions = self.net.on_timer(at, timer, &mut self.engine.rng);
-                self.schedule_net(actions);
+                self.net_call(|net, rng, out| net.on_timer_into(at, timer, rng, out));
                 if let Some(b) = before {
                     self.emit_net_delta(b, timer.from, timer.to);
                 }
@@ -641,9 +673,15 @@ impl System {
         }
     }
 
-    /// Schedule the reliable layer's follow-up work on the engine.
-    pub(crate) fn schedule_net(&mut self, actions: Vec<NetAction<Envelope>>) {
-        for action in actions {
+    /// Run one reliable-layer call against the reused action buffer and
+    /// schedule the follow-up work it produced on the engine.
+    fn net_call(
+        &mut self,
+        call: impl FnOnce(&mut ReliableNet<Envelope>, &mut SimRng, &mut Vec<NetAction<Envelope>>),
+    ) {
+        let mut actions = std::mem::take(&mut self.net_actions);
+        call(&mut self.net, &mut self.engine.rng, &mut actions);
+        for action in actions.drain(..) {
             match action {
                 NetAction::Deliver(deliver_at, pd) => {
                     self.engine.schedule_at(deliver_at, Ev::Pkt(pd));
@@ -653,6 +691,7 @@ impl System {
                 }
             }
         }
+        self.net_actions = actions;
     }
 
     /// A wire packet arrives at a host. Crashed hosts drop everything on
@@ -672,8 +711,8 @@ impl System {
         }
         let (from, to) = (pd.from, pd.to);
         let before = self.net_stats_if_telemetry();
-        let (released, actions) = self.net.on_packet(at, pd, &mut self.engine.rng);
-        self.schedule_net(actions);
+        let mut released = std::mem::take(&mut self.net_released);
+        self.net_call(|net, rng, out| net.on_packet_into(at, pd, rng, &mut released, out));
         if let Some(b) = before {
             // Everything this call put on the wire went `to → from`: the
             // ack the receiver sent back, and the overdue packets that ack
@@ -681,9 +720,10 @@ impl System {
             self.emit_net_delta(b, to, from);
         }
         let mut notes = Vec::new();
-        for d in released {
-            notes.extend(self.handle_delivery(at, d));
+        for d in released.drain(..) {
+            append_notes(&mut notes, self.handle_delivery(at, d));
         }
+        self.net_released = released;
         notes
     }
 
@@ -712,10 +752,13 @@ impl System {
         match env {
             Envelope::Quasi { quasi } => self.route_quasi_install(at, to, quasi),
             // Element by element, each as if it had arrived alone.
-            Envelope::Batch { batch } => batch
-                .into_iter()
-                .flat_map(|quasi| self.route_quasi_install(at, to, quasi))
-                .collect(),
+            Envelope::Batch { batch } => {
+                let mut notes = Vec::new();
+                for quasi in batch {
+                    append_notes(&mut notes, self.route_quasi_install(at, to, quasi));
+                }
+                notes
+            }
             Envelope::Prepare { quasi } => self.on_prepare(at, from, to, quasi),
             Envelope::CommitCmd { txn, fragment } => {
                 self.on_commit_cmd(at, from, to, txn, fragment)
@@ -957,8 +1000,7 @@ impl System {
         }
         self.meter_payload_share(&env);
         let before = self.net_stats_if_telemetry();
-        let actions = self.net.send(at, from, to, env, &mut self.engine.rng);
-        self.schedule_net(actions);
+        self.net_call(|net, rng, out| net.send_into(at, from, to, env, rng, out));
         if let Some(b) = before {
             self.emit_net_delta(b, from, to);
         }
@@ -1078,11 +1120,7 @@ impl System {
                     // stays consumed — the abort's epoch fence refused to
                     // roll the counter back — and the permanent hole holds
                     // back every later install at every replica.
-                    let next = self.nodes[old_home.0 as usize]
-                        .next_install
-                        .get(&fragment)
-                        .copied()
-                        .unwrap_or(0);
+                    let next = self.nodes[old_home.0 as usize].install_frontier(fragment);
                     self.tokens.set_next_frag_seq(fragment, next);
                 }
                 self.engine.emit(|| TelemetryEvent::MoveAborted {
@@ -1125,7 +1163,7 @@ impl System {
         slot.replica.recover(at);
         for &f in &frags {
             if let Some(s) = slot.replica.last_frag_seq(f) {
-                slot.next_install.insert(f, s + 1);
+                slot.set_install_frontier(f, s + 1);
             }
         }
 
@@ -1189,6 +1227,16 @@ impl System {
             }
         }
         notes
+    }
+}
+
+/// Append `more` to `notes`, taking `more`'s allocation when `notes` is
+/// still empty instead of copying into a fresh one.
+fn append_notes(notes: &mut Vec<Notification>, mut more: Vec<Notification>) {
+    if notes.is_empty() {
+        std::mem::swap(notes, &mut more);
+    } else {
+        notes.append(&mut more);
     }
 }
 

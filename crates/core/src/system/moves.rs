@@ -114,12 +114,7 @@ impl System {
                 // §4.4.2B: only the sequence number travels with the agent.
                 let upto = self.tokens.peek_frag_seq(fragment);
                 self.tokens.reattach(fragment, to);
-                let caught_up = self.nodes[to.0 as usize]
-                    .next_install
-                    .get(&fragment)
-                    .copied()
-                    .unwrap_or(0)
-                    >= upto;
+                let caught_up = self.nodes[to.0 as usize].install_frontier(fragment) >= upto;
                 if caught_up {
                     notes.extend(self.complete_move(at, fragment, to));
                 } else {
@@ -241,7 +236,7 @@ impl System {
         // The snapshot subsumes every update below next_frag_seq: ordered
         // installation resumes from there, and stragglers from the old home
         // are dropped as duplicates.
-        slot.next_install.insert(fragment, next_frag_seq);
+        slot.set_install_frontier(fragment, next_frag_seq);
         slot.holdback
             .entry(fragment)
             .or_default()

@@ -51,6 +51,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fragdb_model::{FragmentId, History, HistoryOp, NodeId, ObjectId, OpKind, TxnId, TxnType};
+use fragdb_sim::IdMap;
 
 /// Pearce–Kelly incremental topological order with cycle detection.
 ///
@@ -286,7 +287,8 @@ pub struct IncrementalAnalyzer {
     /// Reads of each (object, node): `(reader, seq)` in read order.
     reads_of: BTreeMap<(ObjectId, NodeId), Vec<(TxnId, u64)>>,
     /// Per (reader, updater, node): (saw an old value, saw a new value).
-    pair_state: BTreeMap<(TxnId, TxnId, NodeId), (bool, bool)>,
+    /// Only ever looked up by key, so hashed.
+    pair_state: IdMap<(TxnId, TxnId, NodeId), (bool, bool)>,
     p2_violations: BTreeSet<(TxnId, TxnId, NodeId)>,
 }
 

@@ -54,7 +54,8 @@ impl Fragment {
 #[derive(Clone, Debug, Default)]
 pub struct FragmentCatalog {
     fragments: Vec<Fragment>,
-    object_to_fragment: BTreeMap<ObjectId, FragmentId>,
+    /// Every object and its fragment, sorted by object id.
+    object_to_fragment: Vec<(ObjectId, FragmentId)>,
 }
 
 impl FragmentCatalog {
@@ -73,6 +74,8 @@ impl FragmentCatalog {
                 object_to_fragment.insert(obj, frag.id);
             }
         }
+        // A map iterates in key order, so the vector comes out sorted.
+        let object_to_fragment = object_to_fragment.into_iter().collect();
         Ok(FragmentCatalog {
             fragments,
             object_to_fragment,
@@ -87,9 +90,9 @@ impl FragmentCatalog {
     /// The fragment containing `object`.
     pub fn fragment_of(&self, object: ObjectId) -> Result<FragmentId, ModelError> {
         self.object_to_fragment
-            .get(&object)
-            .copied()
-            .ok_or(ModelError::UnknownObject(object))
+            .binary_search_by_key(&object, |&(o, _)| o)
+            .map(|i| self.object_to_fragment[i].1)
+            .map_err(|_| ModelError::UnknownObject(object))
     }
 
     /// Fragment metadata by id.
@@ -117,7 +120,7 @@ impl FragmentCatalog {
 
     /// Every object in the database, in id order.
     pub fn all_objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.object_to_fragment.keys().copied()
+        self.object_to_fragment.iter().map(|&(o, _)| o)
     }
 
     /// Total number of objects across all fragments.
@@ -179,6 +182,25 @@ mod tests {
         assert_eq!(cat.fragment_of(obj(2)).unwrap(), FragmentId(1));
         assert_eq!(cat.len(), 2);
         assert_eq!(cat.object_count(), 3);
+    }
+
+    /// With gaps between ids every object still maps to its fragment, an
+    /// absent one is unknown, and objects list in id order.
+    #[test]
+    fn sparse_ids_map_to_their_fragments() {
+        let cat = FragmentCatalog::new(vec![
+            Fragment::new(FragmentId(0), "A", vec![obj(7), obj(900)]),
+            Fragment::new(FragmentId(1), "B", vec![obj(1), obj(40)]),
+        ])
+        .unwrap();
+        for (o, f) in [(1, 1), (7, 0), (40, 1), (900, 0)] {
+            assert_eq!(cat.fragment_of(obj(o)).unwrap(), FragmentId(f), "x{o}");
+        }
+        for o in [0, 2, 3, 899, u64::MAX] {
+            assert!(cat.fragment_of(obj(o)).is_err(), "x{o}");
+        }
+        let ids: Vec<u64> = cat.all_objects().map(ObjectId::raw).collect();
+        assert_eq!(ids, vec![1, 7, 40, 900]);
     }
 
     #[test]

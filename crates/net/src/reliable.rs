@@ -38,8 +38,11 @@
 //! The layer is engine-agnostic like the rest of the crate: methods return
 //! [`NetAction`]s (future packet arrivals and retransmission timers) that
 //! the caller schedules on its own event loop, and packet arrivals are fed
-//! back through [`ReliableNet::on_packet`]. All randomness comes from the
-//! caller's seeded RNG, so runs are reproducible.
+//! back through [`ReliableNet::on_packet`]. Each method has an `_into`
+//! form that appends its actions and released messages to buffers the
+//! caller owns and reuses, so a caller on the per-message path allocates
+//! no fresh `Vec` per call. All randomness comes from the caller's seeded
+//! RNG, so runs are reproducible.
 //!
 //! Crash semantics: [`crash`] forgets the unacked sends of a dead node
 //! (its volatile send buffer); [`resync_node`] — called at *recovery* —
@@ -60,7 +63,8 @@
 //! The map holds only an index into a packed `Vec` of the records, so its
 //! spare buckets cost a key and an index rather than a whole record.
 //! Neither end searches for an order it already knows: the sender's window
-//! is a FIFO in id order, which a cumulative ack trims from the front, and
+//! is a FIFO holding a contiguous id range, which a cumulative ack trims
+//! from the front by subtraction, and
 //! the arrival the receiver's watermark waits for is released without
 //! touching the reassembly buffer.
 //!
@@ -425,7 +429,14 @@ impl<M: Clone> ReliableNet<M> {
         let Some(s) = self.streams.get_mut((from, to)) else {
             return;
         };
-        let cleared = s.pending.partition_point(|&(id, ..)| id < upto);
+        // The window holds a contiguous id range — ids are assigned in
+        // order, acks clear a prefix and a crash clears it all — so the
+        // ids below `upto` are its first `upto - front` entries.
+        let cleared = s.pending.front().map_or(0, |&(front, ..)| {
+            let below = usize::try_from(upto.saturating_sub(front)).unwrap_or(usize::MAX);
+            below.min(s.pending.len())
+        });
+        debug_assert_eq!(cleared, s.pending.partition_point(|&(id, ..)| id < upto));
         s.pending.drain(..cleared);
         if cleared == 0 {
             return;
@@ -474,6 +485,22 @@ impl<M: Clone> ReliableNet<M> {
         msg: M,
         rng: &mut SimRng,
     ) -> Vec<NetAction<M>> {
+        // At most the data transmission plus one timer arm.
+        let mut out = Vec::with_capacity(2);
+        self.send_into(now, from, to, msg, rng, &mut out);
+        out
+    }
+
+    /// [`ReliableNet::send`], appending the actions to `out`.
+    pub fn send_into(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        msg: M,
+        rng: &mut SimRng,
+        out: &mut Vec<NetAction<M>>,
+    ) {
         assert!(from != to, "loopback send through the network");
         self.stats.sent += 1;
         let s = self.streams.entry((from, to));
@@ -482,16 +509,13 @@ impl<M: Clone> ReliableNet<M> {
         s.pending.push_back((id, now, msg.clone()));
         let (arm, gen) = (!s.armed, s.gen);
         s.armed = true;
-        // At most the data transmission plus one timer arm.
-        let mut out = Vec::with_capacity(2);
-        self.transmit_data(now, (from, to), id, msg, rng, &mut out);
+        self.transmit_data(now, (from, to), id, msg, rng, out);
         if arm {
             out.push(NetAction::Timer(
                 now + RTO,
                 RetransmitTimer { from, to, gen },
             ));
         }
-        out
     }
 
     /// A link's retransmission timer fired. A stale or empty-window firing
@@ -505,32 +529,43 @@ impl<M: Clone> ReliableNet<M> {
         timer: RetransmitTimer,
         rng: &mut SimRng,
     ) -> Vec<NetAction<M>> {
+        let mut out = Vec::new();
+        self.on_timer_into(now, timer, rng, &mut out);
+        out
+    }
+
+    /// [`ReliableNet::on_timer`], appending the actions to `out`.
+    pub fn on_timer_into(
+        &mut self,
+        now: SimTime,
+        timer: RetransmitTimer,
+        rng: &mut SimRng,
+        out: &mut Vec<NetAction<M>>,
+    ) {
         let RetransmitTimer { from, to, gen } = timer;
         let Some(s) = self.streams.get_mut((from, to)) else {
-            return Vec::new();
+            return;
         };
         if s.gen != gen {
-            return Vec::new(); // superseded by a drain or a re-arm
+            return; // superseded by a drain or a re-arm
         }
         let Some(deadline) = s.deadline() else {
             // Nothing left to guard (e.g. a crash dropped the sends).
             s.armed = false;
-            return Vec::new();
+            return;
         };
         if now < deadline {
-            return vec![NetAction::Timer(deadline, timer)];
+            out.push(NetAction::Timer(deadline, timer));
+            return;
         }
         s.probing = true;
         let (id, at, msg) = s.pending.front_mut().expect("window is open");
         let id = *id;
         *at = now;
         let msg = msg.clone();
-        // The probe (twice under a dup fault) plus the re-armed timer.
-        let mut out = Vec::with_capacity(3);
         self.stats.retransmissions += 1;
-        self.transmit_data(now, (from, to), id, msg, rng, &mut out);
+        self.transmit_data(now, (from, to), id, msg, rng, out);
         out.push(NetAction::Timer(now + RTO, timer));
-        out
     }
 
     /// A packet arrived. Returns the application messages released (in
@@ -544,13 +579,26 @@ impl<M: Clone> ReliableNet<M> {
         d: PktDelivery<M>,
         rng: &mut SimRng,
     ) -> (Vec<Delivery<M>>, Vec<NetAction<M>>) {
-        let mut actions = Vec::new();
-        let mut released = Vec::new();
+        let (mut released, mut actions) = (Vec::new(), Vec::new());
+        self.on_packet_into(now, d, rng, &mut released, &mut actions);
+        (released, actions)
+    }
+
+    /// [`ReliableNet::on_packet`], appending the released messages to
+    /// `released` and the actions to `actions`.
+    pub fn on_packet_into(
+        &mut self,
+        now: SimTime,
+        d: PktDelivery<M>,
+        rng: &mut SimRng,
+        released: &mut Vec<Delivery<M>>,
+        actions: &mut Vec<NetAction<M>>,
+    ) {
         match d.pkt {
             Pkt::Data { id, ack, msg } => {
                 if let Some(upto) = ack {
                     // Piggybacked ack for the reverse stream (d.to -> d.from).
-                    self.apply_cum_ack(now, (d.to, d.from), upto, rng, &mut actions);
+                    self.apply_cum_ack(now, (d.to, d.from), upto, rng, actions);
                 }
                 let s = self.streams.entry((d.from, d.to));
                 let expected = s.expected.get_or_insert(0);
@@ -587,7 +635,7 @@ impl<M: Clone> ReliableNet<M> {
                 match ack_upto {
                     Some(upto) => {
                         self.stats.acks_sent += 1;
-                        self.transmit(now, d.to, d.from, Pkt::Ack { upto }, rng, &mut actions);
+                        self.transmit(now, d.to, d.from, Pkt::Ack { upto }, rng, actions);
                     }
                     None => self.stats.acks_suppressed += 1,
                 }
@@ -595,10 +643,9 @@ impl<M: Clone> ReliableNet<M> {
             Pkt::Ack { upto } => {
                 // The acked stream is (original sender = d.to) -> (acker =
                 // d.from).
-                self.apply_cum_ack(now, (d.to, d.from), upto, rng, &mut actions);
+                self.apply_cum_ack(now, (d.to, d.from), upto, rng, actions);
             }
         }
-        (released, actions)
     }
 
     /// `node` crashed: its volatile send buffer is gone (its links' live
@@ -856,6 +903,40 @@ mod tests {
         l.run(SimTime::from_secs(2));
         assert_eq!(l.net.pending_count(), 1);
         assert!(l.net.stats().retransmissions >= 5, "C→A keeps probing");
+    }
+
+    /// The sender window is a contiguous id range through acks, a crash
+    /// and a resync, so a cumulative ack clears `upto - front` entries; the
+    /// trim's `debug_assert` checks each against a search of the window.
+    #[test]
+    fn cumulative_ack_trims_a_contiguous_window_across_crash_and_resync() {
+        let mut net: ReliableNet<u64> = ReliableNet::new(Topology::full_mesh(2, ms(10)));
+        let mut rng = SimRng::new(3);
+        let ack = |net: &mut ReliableNet<u64>, rng: &mut SimRng, upto: u64| {
+            let pkt = PktDelivery {
+                from: n(1),
+                to: n(0),
+                pkt: Pkt::Ack { upto },
+            };
+            net.on_packet(SimTime(5), pkt, rng);
+            net.pending_count()
+        };
+        for i in 0..5 {
+            net.send(SimTime(i), n(0), n(1), i, &mut rng); // ids 0..=4
+        }
+        assert_eq!(ack(&mut net, &mut rng, 0), 5, "nothing below 0");
+        assert_eq!(ack(&mut net, &mut rng, 2), 3, "ids 0 and 1");
+        assert_eq!(ack(&mut net, &mut rng, 1), 3, "stale ack");
+        net.crash(n(0));
+        assert_eq!(net.pending_count(), 0, "the crash clears the window");
+        assert_eq!(ack(&mut net, &mut rng, 4), 0, "ack of an empty window");
+        net.resync_node(n(0));
+        for i in 0..4 {
+            net.send(SimTime(10 + i), n(0), n(1), i, &mut rng); // ids 5..=8
+        }
+        assert_eq!(ack(&mut net, &mut rng, 4), 4, "ack below the new front");
+        assert_eq!(ack(&mut net, &mut rng, 7), 2, "ids 5 and 6");
+        assert_eq!(ack(&mut net, &mut rng, 1 << 40), 0, "ack past the window");
     }
 
     #[test]

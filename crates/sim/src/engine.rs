@@ -7,17 +7,21 @@
 //! schedule calls alone. That is essential for reproducibility: a queue
 //! keyed on time only would break ties arbitrarily.
 //!
-//! The queue is a `BinaryHeap` beside a *run*, a FIFO `VecDeque`: a
-//! schedule no earlier than the run's last entry is appended to it, so the
-//! run is sorted without a search, and any other goes to the heap. `pop`
-//! takes the smaller `(at, seq)` of the two fronts; `seq` is unique, so the
-//! pop sequence is exactly one heap's. Open-loop arrivals scheduled in time
-//! order before the loop stay out of the heap, whose depth is then only
-//! what the protocol has in flight.
+//! The queue is a `BinaryHeap` beside a few *runs*, FIFO `VecDeque`s each
+//! sorted by `(at, seq)`. A schedule is appended to the run whose last
+//! entry is the latest one no later than `at`, so a run stays sorted
+//! without a search; failing that it starts an empty run, and failing that
+//! it goes into the heap. `pop` takes the smallest `(at, seq)` among the
+//! run fronts and the heap's top; `seq` is unique, so the pop sequence is
+//! exactly one heap's. Schedules that are monotone in time stay out of the
+//! heap — open-loop arrivals scheduled in order before the loop, and
+//! retransmission timers, each armed a fixed interval after the instant
+//! it is armed at — and the heap's depth is then what the network has in
+//! flight.
 //!
 //! There is no cancellation: a timer that may go stale carries a
-//! generation or epoch its handler checks, and fires as a no-op. Both
-//! containers are buffer-backed, so once each has grown to its peak
+//! generation or epoch its handler checks, and fires as a no-op. Every
+//! container is buffer-backed, so once each has grown to its peak
 //! population the schedule/pop loop performs no heap allocation
 //! (`tests/alloc_probe.rs`). The measurements behind the design are in
 //! DESIGN.md §3i.
@@ -86,6 +90,10 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// FIFO runs kept beside the heap: four is where the schedules that reach
+/// the heap on `wide-mesh` stop falling (counts in DESIGN.md §3i).
+const RUNS: usize = 4;
+
 /// Deterministic discrete-event engine.
 ///
 /// Owns the virtual clock, the event queue, a seeded RNG, run metrics, and
@@ -96,8 +104,9 @@ pub struct Engine<E> {
     now: SimTime,
     /// Future events scheduled out of order, smallest `(at, seq)` on top.
     queue: BinaryHeap<Entry<E>>,
-    /// Future events scheduled in order: sorted by `(at, seq)`, front first.
-    run: VecDeque<Entry<E>>,
+    /// Future events scheduled in order: each run sorted by `(at, seq)`,
+    /// front first.
+    runs: [VecDeque<Entry<E>>; RUNS],
     /// High-water mark of [`Engine::pending`].
     peak_pending: usize,
     /// Schedules that found room in the buffer they entered.
@@ -120,7 +129,7 @@ impl<E> Engine<E> {
         Engine {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
-            run: VecDeque::new(),
+            runs: Default::default(),
             peak_pending: 0,
             buffer_reuses: 0,
             next_seq: 0,
@@ -171,7 +180,7 @@ impl<E> Engine<E> {
     /// Number of events still queued.
     #[inline]
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.run.len()
+        self.queue.len() + self.runs.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// Schedule `payload` to fire `delay` after the current time.
@@ -179,8 +188,9 @@ impl<E> Engine<E> {
         self.schedule_at(self.now + delay, payload);
     }
 
-    /// Schedule `payload` at an absolute instant: onto the run when it is
-    /// no earlier than the run's last entry, else into the heap.
+    /// Schedule `payload` at an absolute instant: onto the run whose last
+    /// entry is the latest one no later than `at`, else onto an empty run,
+    /// else into the heap.
     ///
     /// # Panics
     /// Panics if `at` is in the past — scheduling backwards in time is
@@ -195,9 +205,10 @@ impl<E> Engine<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let entry = Entry { at, seq, payload };
-        if self.run.back().is_none_or(|last| at >= last.at) {
-            self.buffer_reuses += u64::from(self.run.len() < self.run.capacity());
-            self.run.push_back(entry);
+        if let Some(run) = self.run_for(at) {
+            let run = &mut self.runs[run];
+            self.buffer_reuses += u64::from(run.len() < run.capacity());
+            run.push_back(entry);
         } else {
             self.buffer_reuses += u64::from(self.queue.len() < self.queue.capacity());
             self.queue.push(entry);
@@ -205,22 +216,45 @@ impl<E> Engine<E> {
         self.peak_pending = self.peak_pending.max(self.pending());
     }
 
-    /// Is the next event the run's front rather than the heap's top?
-    fn next_in_run(&self) -> bool {
-        match (self.run.front(), self.queue.peek()) {
-            (Some(r), Some(h)) => r.key() < h.key(),
-            (r, _) => r.is_some(),
+    /// The run an event at `at` is appended to: the one whose last entry
+    /// is the latest no later than `at`, else the first empty one.
+    fn run_for(&self, at: SimTime) -> Option<usize> {
+        let (mut fit, mut empty) = (None::<(SimTime, usize)>, None);
+        for (i, run) in self.runs.iter().enumerate() {
+            match run.back() {
+                None => {
+                    empty.get_or_insert(i);
+                }
+                Some(last) if last.at <= at && fit.is_none_or(|(best, _)| last.at > best) => {
+                    fit = Some((last.at, i));
+                }
+                Some(_) => {}
+            }
         }
+        fit.map(|(_, i)| i).or(empty)
+    }
+
+    /// The run whose front is the next event, or `None` when that is the
+    /// heap's top (or nothing is pending).
+    fn next_run(&self) -> Option<usize> {
+        let mut next = self.queue.peek().map(Entry::key);
+        let mut run = None;
+        for (i, r) in self.runs.iter().enumerate() {
+            let Some(front) = r.front() else { continue };
+            if next.is_none_or(|key| front.key() < key) {
+                (next, run) = (Some(front.key()), Some(i));
+            }
+        }
+        run
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     ///
     /// Returns `None` when the queue is empty (the simulation has quiesced).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = if self.next_in_run() {
-            self.run.pop_front()
-        } else {
-            self.queue.pop()
+        let e = match self.next_run() {
+            Some(run) => self.runs[run].pop_front(),
+            None => self.queue.pop(),
         }?;
         debug_assert!(e.at >= self.now, "event queue went backwards");
         self.now = e.at;
@@ -243,8 +277,8 @@ impl<E> Engine<E> {
 
     /// Timestamp of the next queued event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let (run, heap) = (self.run.front(), self.queue.peek());
-        run.into_iter().chain(heap).map(|e| e.at).min()
+        let fronts = self.runs.iter().filter_map(VecDeque::front);
+        fronts.chain(self.queue.peek()).map(|e| e.at).min()
     }
 
     /// Enumerate every pending event as `(at, seq, payload)`, sorted by the
@@ -254,7 +288,7 @@ impl<E> Engine<E> {
         let mut pending: Vec<_> = self
             .queue
             .iter()
-            .chain(&self.run)
+            .chain(self.runs.iter().flatten())
             .map(|e| (e.at, e.seq, &e.payload))
             .collect();
         pending.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
@@ -271,11 +305,13 @@ impl<E> Engine<E> {
     /// is the post-advance clock, safe to feed back into handlers that
     /// schedule follow-up events.
     ///
-    /// The run is folded into the heap, which is rebuilt around the hole
+    /// Every run is folded into the heap, which is rebuilt around the hole
     /// (O(pending)); model-checking instances hold tens of events.
     pub fn mc_take(&mut self, seq: u64) -> Option<(SimTime, E)> {
         let mut entries = std::mem::take(&mut self.queue).into_vec();
-        entries.extend(self.run.drain(..));
+        for run in &mut self.runs {
+            entries.extend(run.drain(..));
+        }
         let found = entries.iter().position(|e| e.seq == seq);
         let taken = found.map(|idx| entries.swap_remove(idx));
         self.queue = BinaryHeap::from(entries);
@@ -522,8 +558,9 @@ mod tests {
         assert_eq!(e.pending(), 1);
     }
 
-    /// The reference the heap-plus-run is checked against: every pending
-    /// `(at, seq, payload)` in schedule order, the next found by sorting.
+    /// The reference the heap and the runs are checked against: every
+    /// pending `(at, seq, payload)` in schedule order, the next found by
+    /// sorting.
     #[derive(Default)]
     struct Reference {
         pending: Vec<(SimTime, u64, u32)>,
@@ -560,15 +597,16 @@ mod tests {
     }
 
     /// Differential: seeded schedules that mix in-order bursts (which land
-    /// in the run), out-of-order inserts (the heap), same-instant ties and
-    /// interleaved pops, with `mc_take` of events held in the run and in
-    /// the heap. Every pop must equal the reference sorted by `(at, seq)`,
-    /// and `mc_pending` must list the same events.
+    /// in a run), descending bursts (which spread over the empty runs and
+    /// then the heap), out-of-order inserts near the clock, same-instant
+    /// ties and interleaved pops, with `mc_take` of events held in every
+    /// run and in the heap. Every pop must equal the reference sorted by
+    /// `(at, seq)`, and `mc_pending` must list the same events. Every run
+    /// and the heap must serve both takes and pops.
     #[test]
-    fn heap_plus_run_pops_in_reference_order() {
-        // Takes, then pops, served by the run and by the heap.
-        let (mut from_run, mut from_heap) = (0, 0);
-        let (mut run_pops, mut heap_pops) = (0, 0);
+    fn heap_plus_runs_pop_in_reference_order() {
+        // Per container, the runs first and the heap last.
+        let (mut takes, mut pops) = ([0u32; RUNS + 1], [0u32; RUNS + 1]);
         for seed in 0..40u64 {
             let mut rng = SimRng::new(0x0072_756e ^ seed);
             let mut e = Engine::new(seed);
@@ -577,7 +615,7 @@ mod tests {
                 let now = e.now();
                 match rng.gen_range(0..100u32) {
                     // In-order burst past everything pending, ties included.
-                    0..=19 => {
+                    0..=16 => {
                         let far = r.pending.iter().map(|p| p.0).max().unwrap_or(now);
                         let mut at = far.max(now);
                         for _ in 0..rng.gen_range(1..20u32) {
@@ -586,33 +624,36 @@ mod tests {
                         }
                     }
                     // Out-of-order inserts near the clock.
-                    20..=39 => r.schedule(&mut e, now + SimDuration(rng.gen_range(0..500u64))),
+                    17..=34 => r.schedule(&mut e, now + SimDuration(rng.gen_range(0..500u64))),
                     // Same-instant ties.
-                    40..=44 => {
+                    35..=39 => {
                         let at = now + SimDuration(rng.gen_range(0..500u64));
                         for _ in 0..rng.gen_range(2..8u32) {
                             r.schedule(&mut e, at);
                         }
                     }
+                    // Descending burst: each event earlier than the last.
+                    40..=44 => {
+                        let mut at = now + SimDuration(rng.gen_range(0..2_000u64));
+                        for _ in 0..rng.gen_range(2..8u32) {
+                            r.schedule(&mut e, at);
+                            at = SimTime(at.0.saturating_sub(rng.gen_range(1..50u64))).max(now);
+                        }
+                    }
                     45..=47 => r.check_listing(&e, seed),
-                    // Take one event held in the run, or in the heap, then
+                    // Take one event held in a run, or in the heap, then
                     // the events the clock has passed, in reference order.
-                    48..=50 => {
-                        let in_run = rng.chance(0.5);
-                        let held: Vec<u64> = if in_run {
-                            e.run.iter().map(|x| x.seq).collect()
-                        } else {
-                            e.queue.iter().map(|x| x.seq).collect()
+                    48..=51 => {
+                        let from = rng.gen_range(0..=RUNS);
+                        let held: Vec<u64> = match e.runs.get(from) {
+                            Some(run) => run.iter().map(|x| x.seq).collect(),
+                            None => e.queue.iter().map(|x| x.seq).collect(),
                         };
                         if held.is_empty() {
                             continue;
                         }
                         let seq = *rng.pick(&held);
-                        *(if in_run {
-                            &mut from_run
-                        } else {
-                            &mut from_heap
-                        }) += 1;
+                        takes[from] += 1;
                         let want = r.take(seq, now);
                         assert_eq!(e.mc_take(seq), Some(want), "seed {seed}: take {seq}");
                         assert_eq!(e.mc_take(seq), None, "seed {seed}: taken twice");
@@ -626,11 +667,9 @@ mod tests {
                         }
                     }
                     _ => {
-                        *(if e.next_in_run() {
-                            &mut run_pops
-                        } else {
-                            &mut heap_pops
-                        }) += 1;
+                        if e.pending() > 0 {
+                            pops[e.next_run().unwrap_or(RUNS)] += 1;
+                        }
                         let want = r.sorted().first().map(|&(_, seq, _)| seq);
                         let want = want.map(|seq| r.take(seq, now));
                         assert_eq!(e.peek_time(), want.as_ref().map(|w| w.0));
@@ -644,13 +683,10 @@ mod tests {
             assert_eq!(drain(&mut e), drained.collect::<Vec<_>>(), "seed {seed}");
         }
         assert!(
-            from_run > 0 && from_heap > 0,
-            "takes {from_run} / {from_heap}"
+            takes.iter().all(|&n| n > 0),
+            "takes per container {takes:?}"
         );
-        assert!(
-            run_pops > 0 && heap_pops > 0,
-            "pops {run_pops} / {heap_pops}"
-        );
+        assert!(pops.iter().all(|&n| n > 0), "pops per container {pops:?}");
     }
 
     #[test]

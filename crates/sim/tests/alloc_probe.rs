@@ -1,13 +1,13 @@
 //! No-alloc regression guard for the engine's steady-state loop.
 //!
-//! The engine's queue is a `Vec`-backed `BinaryHeap` beside a `VecDeque`
-//! run of in-order schedules: once each buffer has grown to its peak
-//! population, the schedule/pop cycle reuses it instead of allocating per
-//! event. This test installs the vendored `alloc-probe` counting allocator
-//! and asserts the warm loop performs zero heap allocations, at a small
-//! population and at the pending depth the 1024-node benchmark shapes
-//! actually hold, and with far-future events parked in the run while the
-//! loop runs on the heap. It also asserts that recording probe events and
+//! The engine's queue is a `Vec`-backed `BinaryHeap` beside a few
+//! `VecDeque` runs of in-order schedules: once each buffer has grown to its
+//! peak population, the schedule/pop cycle reuses it instead of allocating
+//! per event. This test installs the vendored `alloc-probe` counting
+//! allocator and asserts the warm loop performs zero heap allocations, at a
+//! small population and at the pending depth the 1024-node benchmark
+//! shapes actually hold, and with far-future events parked in every run
+//! while the loop runs on the heap. It also asserts that recording probe events and
 //! fixed-key histograms into `Metrics`, once warm, allocates nothing:
 //! histograms are addressed by typed keys, so no write builds a name.
 
@@ -65,26 +65,34 @@ fn steady_state_sim_loop_is_allocation_free() {
         // popped, and the metric counters settle.
         assert_warm_loop_is_allocation_free(&mut engine, population + 2000, population);
     }
-    far_future_events_parked_in_the_run_cost_the_heap_loop_nothing();
+    far_future_events_parked_in_every_run_cost_the_heap_loop_nothing();
     warm_metric_writes_allocate_nothing();
 }
 
 /// A second case in the same test: the probe's counter is process-wide,
 /// so a concurrently running test would count into it.
-fn far_future_events_parked_in_the_run_cost_the_heap_loop_nothing() {
-    let (parked, population) = (1_000usize, 64usize);
+fn far_future_events_parked_in_every_run_cost_the_heap_loop_nothing() {
+    let (rounds, width, population) = (125usize, 8usize, 64usize);
+    let parked = rounds * width;
     let mut engine: Engine<u32> = Engine::new(7);
-    // In order and far beyond anything the loop reaches: they go to the
-    // run and stay there. Every later schedule is earlier than the run's
-    // last entry, so the loop's population lives in the heap.
-    for i in 0..parked {
-        engine.schedule_at(SimTime::from_secs(1_000_000 + i as u64), i as u32);
+    // Far beyond anything the loop reaches, in rounds of `width` instants
+    // scheduled latest first: the first round starts every run (more runs
+    // than the engine keeps, so the rest of it goes to the heap), and each
+    // later round, later than the whole previous one, extends every run by
+    // one. Every later schedule is earlier than each run's last entry, so
+    // the loop's population lives in the heap and each pop compares it
+    // with every run's parked front.
+    let far = SimTime::from_secs(1_000_000);
+    for round in 0..rounds {
+        for i in (0..width).rev() {
+            let at = far + SimDuration((round * width + i) as u64);
+            engine.schedule_at(at, (round * width + i) as u32);
+        }
     }
     for i in 0..population {
         engine.schedule(SimDuration(1024 + i as u64), i as u32);
     }
     assert_warm_loop_is_allocation_free(&mut engine, 2000, parked + population);
-    let far = SimTime::from_secs(1_000_000);
     assert!(
         engine.now() < far,
         "the loop never reached the parked events"

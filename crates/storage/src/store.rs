@@ -32,22 +32,28 @@ impl Default for Versioned {
 /// [`Value::Null`], matching the paper's implicit "initially zero/empty"
 /// conventions (workloads map `Null` to their domain default).
 ///
-/// Layout (PR 8 kernel pass): version records live densely in a `Vec`,
-/// reached through a stable `ObjectId` → slot map held as a *sorted flat
-/// vector* and binary-searched. A record's slot never changes once
-/// assigned, overwrites update the `Vec` in place, and whole scans
-/// (`digest_all`) stream the flat index without materializing a key list
-/// or chasing tree nodes. New-key inserts shift the index vector — cheap
-/// for the catalog-sized key sets a replica holds, and O(1) amortized for
-/// the ascending insertions bulk loads use. [`BTreeStore`] preserves the
-/// previous map-of-records layout as a differential oracle.
+/// Layout: a paged table. Page `p` holds the version records of object ids
+/// `32p ..= 32p + 31`, and the store is an outer `Vec` of optional pages of
+/// which only the written ones exist. The catalog builder allocates object
+/// ids densely and contiguously per fragment, so a replica holds a page per
+/// 32 objects of the fragments it was written on — memory proportional to
+/// what it replicates — and a read or write is one index into the outer
+/// `Vec` and one into the page, with no search over the replica's cold
+/// memory. `digest_all` walks pages and slots in id order. [`BTreeStore`]
+/// keeps the map-of-records layout as a differential oracle.
 #[derive(Clone, Debug, Default)]
 pub struct Store {
-    /// `(object, slot)` pairs sorted by object id; binary-searched.
-    index: Vec<(ObjectId, u32)>,
-    /// Version records, dense and contiguous, indexed by slot.
-    vals: Vec<Versioned>,
+    /// `pages[p]` holds ids `32p ..= 32p + 31`; `None` until one is written.
+    pages: Vec<Option<Box<Page>>>,
+    /// Objects ever written.
+    len: usize,
 }
+
+/// Object ids per page.
+const PAGE: u64 = 32;
+
+/// The version records of 32 consecutive object ids; `None` = never written.
+type Page = [Option<Versioned>; PAGE as usize];
 
 /// FNV-1a offset basis — the digest seed.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -71,59 +77,53 @@ fn hash_value(v: &Value, hash: u64) -> u64 {
     }
 }
 
+/// An object's page and its slot in the page.
+fn page_of(object: ObjectId) -> (usize, usize) {
+    let page = usize::try_from(object.raw() / PAGE).expect("object id fits the address space");
+    (page, (object.raw() % PAGE) as usize)
+}
+
 impl Store {
     /// Empty store (every object reads as `Null`).
     pub fn new() -> Self {
         Store::default()
     }
 
-    /// Slot of an object, if it was ever written.
-    fn slot_of(&self, object: ObjectId) -> Option<u32> {
-        self.index
-            .binary_search_by_key(&object, |&(o, _)| o)
-            .ok()
-            .map(|i| self.index[i].1)
-    }
-
     /// Read an object's current value.
     pub fn get(&self, object: ObjectId) -> &Value {
         static NULL: Value = Value::Null;
-        self.slot_of(object)
-            .map_or(&NULL, |slot| &self.vals[slot as usize].value)
+        self.version(object).map_or(&NULL, |v| &v.value)
     }
 
     /// Full version record for an object, if it was ever written.
     pub fn version(&self, object: ObjectId) -> Option<&Versioned> {
-        self.slot_of(object).map(|slot| &self.vals[slot as usize])
+        let (page, slot) = page_of(object);
+        self.pages.get(page)?.as_deref()?[slot].as_ref()
     }
 
     /// Write an object.
     pub fn put(&mut self, object: ObjectId, value: Value, writer: TxnId, at: SimTime) {
-        let rec = Versioned {
+        let (page, slot) = page_of(object);
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, || None);
+        }
+        let page = self.pages[page].get_or_insert_with(Box::default);
+        let old = page[slot].replace(Versioned {
             value,
             writer: Some(writer),
             installed_at: at,
-        };
-        match self.index.binary_search_by_key(&object, |&(o, _)| o) {
-            Ok(i) => {
-                let slot = self.index[i].1;
-                self.vals[slot as usize] = rec;
-            }
-            Err(i) => {
-                self.index.insert(i, (object, self.vals.len() as u32));
-                self.vals.push(rec);
-            }
-        }
+        });
+        self.len += usize::from(old.is_none());
     }
 
     /// Number of objects ever written.
     pub fn len(&self) -> usize {
-        self.vals.len()
+        self.len
     }
 
     /// True if nothing was ever written.
     pub fn is_empty(&self) -> bool {
-        self.vals.is_empty()
+        self.len == 0
     }
 
     /// Current `(object, value)` pairs for the given objects (missing
@@ -153,13 +153,18 @@ impl Store {
     /// Digest over every object ever written in *either* store domain —
     /// callers should pass a canonical object list; this variant hashes the
     /// store's own keys and is only meaningful when all stores saw the same
-    /// key set. Walks the index in key order directly: no key list is
+    /// key set. Walks the pages in id order directly: no key list is
     /// allocated (pinned by the `digest_alloc` regression test).
     pub fn digest_all(&self) -> u64 {
         let mut h = FNV_OFFSET;
-        for &(o, slot) in &self.index {
-            h = fnv1a(o.raw().to_le_bytes().into_iter(), h);
-            h = hash_value(&self.vals[slot as usize].value, h);
+        for (p, page) in self.pages.iter().enumerate() {
+            let Some(page) = page else { continue };
+            for (slot, v) in page.iter().enumerate() {
+                let Some(v) = v else { continue };
+                let o = p as u64 * PAGE + slot as u64;
+                h = fnv1a(o.to_le_bytes().into_iter(), h);
+                h = hash_value(&v.value, h);
+            }
         }
         h
     }
@@ -377,6 +382,60 @@ mod tests {
             let objs: Vec<ObjectId> = (0..64).map(o).collect();
             assert_eq!(dense.digest(&objs), oracle.digest(&objs), "seed {seed}");
             assert_eq!(dense.digest_all(), oracle.digest_all(), "seed {seed}");
+        }
+    }
+
+    /// Page boundaries and sparse ids: writes at the edges of the first
+    /// pages (0, 31, 32, 33) and ids spread up to 4 096, so pages are full,
+    /// partly written, or absent between written ones. Every read and both
+    /// digests must match the map-of-records oracle after every write.
+    #[test]
+    fn paged_store_matches_btree_oracle_across_page_edges() {
+        let edges = [0u64, 31, 32, 33, 63, 64, 4_095, 4_096];
+        for seed in 0..10u64 {
+            let mut rng = SimRng::new(0x9a9e_0000 + seed);
+            let mut paged = Store::new();
+            let mut oracle = BTreeStore::new();
+            let mut touched: Vec<ObjectId> = Vec::new();
+            for step in 0..300u64 {
+                let id = if rng.chance(0.4) {
+                    *rng.pick(&edges)
+                } else {
+                    rng.gen_range(0..=4_096u64)
+                };
+                let val = match rng.gen_range(0..3) {
+                    0 => Value::Int(rng.next_u64() as i64),
+                    1 => Value::Null,
+                    _ => Value::from("t"),
+                };
+                paged.put(o(id), val.clone(), t(step), SimTime(step));
+                oracle.put(o(id), val, t(step), SimTime(step));
+                touched.push(o(id));
+                assert_eq!(paged.len(), oracle.len(), "seed {seed} step {step}");
+                assert_eq!(
+                    paged.digest_all(),
+                    oracle.digest_all(),
+                    "seed {seed} step {step}"
+                );
+            }
+            for id in edges.iter().flat_map(|&e| e.saturating_sub(1)..=e + 1) {
+                assert_eq!(
+                    paged.version(o(id)),
+                    oracle.version(o(id)),
+                    "seed {seed} x{id}"
+                );
+            }
+            for &obj in &touched {
+                assert_eq!(paged.version(obj), oracle.version(obj), "seed {seed} {obj}");
+            }
+            touched.sort_unstable();
+            touched.dedup();
+            assert_eq!(
+                paged.digest(&touched),
+                oracle.digest(&touched),
+                "seed {seed}"
+            );
+            assert!(paged.get(o(1 << 40)).is_null(), "past the last page");
         }
     }
 }

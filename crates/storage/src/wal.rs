@@ -14,11 +14,10 @@
 //! partition heals.
 //!
 //! The log is its entries plus each fragment's positions in installation
-//! order, so an append is two pushes. The questions above, asked only on
+//! order, kept in a table indexed by the (dense from 0) fragment id, so an
+//! append is two pushes and no search. The questions above, asked only on
 //! recovery and movement paths, walk one fragment's positions or the log
 //! backwards (DESIGN.md §3d).
-
-use std::collections::BTreeMap;
 
 use fragdb_model::{FragmentId, ObjectId, TxnId, Updates};
 use fragdb_sim::SimTime;
@@ -46,8 +45,9 @@ pub struct WalEntry {
 #[derive(Clone, Debug, Default)]
 pub struct Wal {
     entries: Vec<WalEntry>,
-    /// `fragment -> indices into entries`, in installation order.
-    by_fragment: BTreeMap<FragmentId, Vec<usize>>,
+    /// `by_fragment[f]`: indices into `entries` of fragment `f`'s entries,
+    /// in installation order.
+    by_fragment: Vec<Vec<usize>>,
 }
 
 impl Wal {
@@ -58,10 +58,11 @@ impl Wal {
 
     /// Append an entry.
     pub fn append(&mut self, entry: WalEntry) {
-        self.by_fragment
-            .entry(entry.fragment)
-            .or_default()
-            .push(self.entries.len());
+        let f = entry.fragment.0 as usize;
+        if f >= self.by_fragment.len() {
+            self.by_fragment.resize_with(f + 1, Vec::new);
+        }
+        self.by_fragment[f].push(self.entries.len());
         self.entries.push(entry);
     }
 
@@ -83,7 +84,7 @@ impl Wal {
     /// Entries for one fragment, installation order.
     pub fn fragment_entries(&self, fragment: FragmentId) -> impl Iterator<Item = &WalEntry> {
         self.by_fragment
-            .get(&fragment)
+            .get(fragment.0 as usize)
             .into_iter()
             .flatten()
             .map(move |&i| &self.entries[i])
