@@ -12,6 +12,8 @@
 //!   and `ForwardMissing` (a late old-regime transaction routed to the new
 //!   home).
 
+use std::sync::Arc;
+
 use fragdb_model::{FragmentId, NodeId, ObjectId, QuasiTransaction, TxnId, Value};
 use fragdb_sim::metrics::keys::slot;
 use fragdb_sim::metrics::Slot;
@@ -31,8 +33,9 @@ pub enum Envelope {
     /// receiver unpacks them through the ordinary install paths and
     /// telemetry's commit→install join is unchanged.
     Batch {
-        /// The batched quasi-transactions, in `frag_seq` order.
-        batch: Vec<QuasiTransaction>,
+        /// The batched quasi-transactions, in `frag_seq` order, shared by
+        /// every recipient's copy and retransmission buffer.
+        batch: Arc<[QuasiTransaction]>,
     },
 
     // ---- §4.1 read-lock protocol -------------------------------------

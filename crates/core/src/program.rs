@@ -14,6 +14,10 @@
 //! * buffers writes and enforces the **initiation requirement** (§3.2) —
 //!   a write outside the initiator's fragment aborts the transaction, and
 //! * supports read-your-own-writes within the transaction.
+//!
+//! The buffers are a [`TxnEffects`] the system lends to the context and
+//! takes back, cleared, however the transaction ends, so running a
+//! transaction allocates nothing of its own once the buffers have grown.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -48,8 +52,10 @@ impl std::error::Error for ProgramError {}
 /// An update (or read-only) transaction body.
 pub type UpdateFn = Box<dyn FnOnce(&mut TxnCtx<'_>) -> Result<(), ProgramError>>;
 
-/// The effects a finished program produced, to be applied by the system.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The effects a program produced, to be applied by the system. They are
+/// also the buffers the program runs in: the system lends one set to each
+/// transaction and takes it back, cleared, however the transaction ends.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TxnEffects {
     /// `(site, object)` for every read performed, in program order. The
     /// site is the node the value came from (the local node, or the §4.1
@@ -57,6 +63,17 @@ pub struct TxnEffects {
     pub reads: Vec<(NodeId, ObjectId)>,
     /// Buffered writes, deduplicated last-write-wins, in first-write order.
     pub writes: Vec<(ObjectId, Value)>,
+    /// The values read so far (see [`TxnCtx::reads`]).
+    pub(crate) seen: Vec<(ObjectId, Value)>,
+}
+
+impl TxnEffects {
+    /// Empty every buffer, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.reads.clear();
+        self.writes.clear();
+        self.seen.clear();
+    }
 }
 
 /// Execution context handed to a transaction program.
@@ -70,14 +87,13 @@ pub struct TxnCtx<'a> {
     /// §4.1: values fetched with remote read locks, keyed by object, with
     /// the node they came from. Reads of these objects use the snapshot.
     granted: &'a BTreeMap<ObjectId, (NodeId, Value)>,
-    writes: Vec<(ObjectId, Value)>,
-    read_records: Vec<(NodeId, ObjectId)>,
-    reads_seen: Vec<(ObjectId, Value)>,
+    effects: TxnEffects,
     read_only: bool,
 }
 
 impl<'a> TxnCtx<'a> {
-    /// Create a context (called by the system, not by applications).
+    /// Create a context over `effects`, which must be empty (called by the
+    /// system, not by applications).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         node: NodeId,
@@ -88,7 +104,9 @@ impl<'a> TxnCtx<'a> {
         catalog: &'a FragmentCatalog,
         granted: &'a BTreeMap<ObjectId, (NodeId, Value)>,
         read_only: bool,
+        effects: TxnEffects,
     ) -> Self {
+        debug_assert_eq!(effects, TxnEffects::default());
         TxnCtx {
             node,
             txn,
@@ -97,9 +115,7 @@ impl<'a> TxnCtx<'a> {
             replica,
             catalog,
             granted,
-            writes: Vec::new(),
-            read_records: Vec::new(),
-            reads_seen: Vec::new(),
+            effects,
             read_only,
         }
     }
@@ -127,15 +143,16 @@ impl<'a> TxnCtx<'a> {
     /// Read an object. Own buffered writes win; then §4.1 granted
     /// snapshots; then the local replica.
     pub fn read(&mut self, object: ObjectId) -> Value {
-        if let Some((_, v)) = self.writes.iter().rev().find(|(o, _)| *o == object) {
+        let writes = &self.effects.writes;
+        if let Some((_, v)) = writes.iter().find(|(o, _)| *o == object) {
             return v.clone();
         }
         let (site, value) = match self.granted.get(&object) {
             Some((site, v)) => (*site, v.clone()),
             None => (self.node, self.replica.read(object).clone()),
         };
-        self.read_records.push((site, object));
-        self.reads_seen.push((object, value.clone()));
+        self.effects.reads.push((site, object));
+        self.effects.seen.push((object, value.clone()));
         value
     }
 
@@ -146,15 +163,21 @@ impl<'a> TxnCtx<'a> {
             .expect("read_int on non-integer object")
     }
 
-    /// Buffer a write. Fails (aborting the transaction) if the object lies
-    /// outside the initiator's fragment or the transaction is read-only.
+    /// Buffer a write. A second write of an object replaces the first in
+    /// place, so the buffer holds each object once, in first-write order.
+    /// Fails (aborting the transaction) if the object lies outside the
+    /// initiator's fragment or the transaction is read-only.
     pub fn write(&mut self, object: ObjectId, value: impl Into<Value>) -> Result<(), ProgramError> {
         if self.read_only {
             return Err(ProgramError::Logic("write in read-only transaction".into()));
         }
         match self.catalog.fragment_of(object) {
             Ok(f) if f == self.fragment => {
-                self.writes.push((object, value.into()));
+                let writes = &mut self.effects.writes;
+                match writes.iter_mut().find(|(o, _)| *o == object) {
+                    Some((_, v)) => *v = value.into(),
+                    None => writes.push((object, value.into())),
+                }
                 Ok(())
             }
             _ => Err(ProgramError::InitiationViolation(object)),
@@ -168,29 +191,12 @@ impl<'a> TxnCtx<'a> {
 
     /// Values read so far (for drivers that inspect mid-program).
     pub fn reads(&self) -> &[(ObjectId, Value)] {
-        &self.reads_seen
+        &self.effects.seen
     }
 
-    /// Finish: hand the buffered effects to the system.
+    /// Finish: hand the effects back to the system.
     pub(crate) fn finish(self) -> TxnEffects {
-        let mut order: Vec<ObjectId> = Vec::new();
-        let mut last: BTreeMap<ObjectId, Value> = BTreeMap::new();
-        for (o, v) in self.writes {
-            if !last.contains_key(&o) {
-                order.push(o);
-            }
-            last.insert(o, v);
-        }
-        TxnEffects {
-            reads: self.read_records,
-            writes: order
-                .into_iter()
-                .map(|o| {
-                    let v = last.remove(&o).expect("present");
-                    (o, v)
-                })
-                .collect(),
-        }
+        self.effects
     }
 }
 
@@ -232,6 +238,7 @@ mod tests {
             catalog,
             granted,
             read_only,
+            TxnEffects::default(),
         )
     }
 
@@ -314,6 +321,27 @@ mod tests {
             eff.writes,
             vec![(ObjectId(0), Value::Int(3)), (ObjectId(1), Value::Int(2))]
         );
+    }
+
+    /// A rewrite replaces the earlier write where it stands: three writes
+    /// of one object leave one entry, holding the last value, in the first
+    /// write's position, and reading the object back sees the last value.
+    #[test]
+    fn a_rewrite_overwrites_in_place() {
+        let (catalog, replica) = setup();
+        let granted = BTreeMap::new();
+        let mut c = ctx(&catalog, &replica, &granted, false);
+        c.write(ObjectId(1), 10i64).unwrap();
+        c.write(ObjectId(0), 1i64).unwrap();
+        c.write(ObjectId(1), 20i64).unwrap();
+        c.write(ObjectId(1), 30i64).unwrap();
+        assert_eq!(c.read(ObjectId(1)), Value::Int(30));
+        let eff = c.finish();
+        assert_eq!(
+            eff.writes,
+            vec![(ObjectId(1), Value::Int(30)), (ObjectId(0), Value::Int(1))]
+        );
+        assert!(eff.reads.is_empty(), "own-buffer reads touch no replica");
     }
 
     #[test]

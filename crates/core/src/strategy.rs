@@ -79,7 +79,7 @@ impl StrategyKind {
     pub fn admits_update(
         &self,
         initiator: FragmentId,
-        reads: impl IntoIterator<Item = FragmentId>,
+        reads: impl IntoIterator<Item = FragmentId, IntoIter: Clone>,
     ) -> bool {
         self.declared_cover(initiator, reads, true)
     }
@@ -88,7 +88,7 @@ impl StrategyKind {
     pub fn admits_read_only(
         &self,
         initiator: FragmentId,
-        reads: impl IntoIterator<Item = FragmentId>,
+        reads: impl IntoIterator<Item = FragmentId, IntoIter: Clone>,
     ) -> bool {
         matches!(
             self,
@@ -105,17 +105,19 @@ impl StrategyKind {
     fn declared_cover(
         &self,
         initiator: FragmentId,
-        reads: impl IntoIterator<Item = FragmentId>,
+        reads: impl IntoIterator<Item = FragmentId, IntoIter: Clone>,
         update: bool,
     ) -> bool {
         let StrategyKind::AcyclicRag { decls, .. } = self else {
             return true;
         };
-        let reads: Vec<FragmentId> = reads.into_iter().collect();
+        let reads = reads.into_iter();
         decls.iter().any(|d| {
             (d.updates || !update)
                 && d.initiator == initiator
-                && reads.iter().all(|f| *f == initiator || d.reads.contains(f))
+                && reads
+                    .clone()
+                    .all(|f| f == initiator || d.reads.contains(&f))
         })
     }
 

@@ -24,8 +24,8 @@ use fragdb_sim::metrics::keys::slot;
 use fragdb_sim::{SimDuration, SimTime};
 
 use crate::envelope::Envelope;
-use crate::events::{Ev, Notification};
-use crate::system::{OpenBatch, System};
+use crate::events::Ev;
+use crate::system::{Notes, OpenBatch, System};
 
 /// How long an under-full batch waits for more commits.
 const LINGER: SimDuration = SimDuration(5_000);
@@ -37,79 +37,69 @@ impl System {
     pub(crate) fn enqueue_batch(&mut self, at: SimTime, home: NodeId, quasi: QuasiTransaction) {
         let fragment = quasi.fragment;
         debug_assert!(self.batch_cfg.enabled());
-        let window = self.batch_cfg.window;
-        let arm = match self.open_batches.get_mut(&fragment) {
-            Some(ob) if ob.home == home => {
-                ob.quasis.push(quasi);
-                None
-            }
-            Some(_) => {
-                // The agent moved with a batch still open at the old home;
-                // moves flush eagerly, so this is defensive — flush the
-                // stale batch, then open a fresh one.
-                self.flush_batch(at, fragment);
-                Some(quasi)
-            }
-            None => Some(quasi),
-        };
-        if let Some(quasi) = arm {
-            let gen = self.next_batch_gen;
-            self.next_batch_gen += 1;
-            self.open_batches.insert(
-                fragment,
-                OpenBatch {
-                    home,
-                    gen,
-                    quasis: vec![quasi],
-                },
-            );
-            self.engine
-                .schedule_at(at + LINGER, Ev::FlushBatch { fragment, gen });
+        let f = fragment.0 as usize;
+        if f >= self.open_batches.len() {
+            let closed = || OpenBatch {
+                home,
+                gen: 0,
+                quasis: Vec::new(),
+            };
+            self.open_batches.resize_with(f + 1, closed);
         }
-        let full = self
-            .open_batches
-            .get(&fragment)
-            .is_some_and(|ob| ob.quasis.len() >= window);
-        if full {
+        let ob = &self.open_batches[f];
+        if !ob.quasis.is_empty() && ob.home != home {
+            // The agent moved with a batch still open at the old home;
+            // moves flush eagerly, so this is defensive — flush the stale
+            // batch, then open a fresh one.
+            self.flush_batch(at, fragment);
+        }
+        let ob = &mut self.open_batches[f];
+        if ob.quasis.is_empty() {
+            (ob.home, ob.gen) = (home, self.next_batch_gen);
+            self.next_batch_gen += 1;
+            let flush = Ev::FlushBatch {
+                fragment,
+                gen: ob.gen,
+            };
+            self.engine.schedule_at(at + LINGER, flush);
+        }
+        ob.quasis.push(quasi);
+        if ob.quasis.len() >= self.batch_cfg.window {
             self.flush_batch(at, fragment);
         }
     }
 
     /// A linger timer fired: flush the batch it guards, unless the batch
     /// already flushed (window full / move) and the generation is stale.
-    pub(crate) fn handle_flush_batch(
-        &mut self,
-        at: SimTime,
-        fragment: FragmentId,
-        gen: u64,
-    ) -> Vec<Notification> {
-        if self
-            .open_batches
-            .get(&fragment)
-            .is_some_and(|ob| ob.gen == gen)
-        {
+    pub(crate) fn handle_flush_batch(&mut self, at: SimTime, fragment: FragmentId, gen: u64) {
+        let open = self.open_batches.get(fragment.0 as usize);
+        if open.is_some_and(|ob| !ob.quasis.is_empty() && ob.gen == gen) {
             self.flush_batch(at, fragment);
         }
-        Vec::new()
     }
 
     /// Broadcast and close `fragment`'s open batch, if any. A singleton
     /// batch travels as a plain `Quasi` — the same wire shape the
-    /// unbatched path produces.
+    /// unbatched path produces. The batch's buffer stays for the next one;
+    /// the envelope carries one shared copy of its quasis.
     pub(crate) fn flush_batch(&mut self, at: SimTime, fragment: FragmentId) {
-        let Some(ob) = self.open_batches.remove(&fragment) else {
+        let Some(ob) = self.open_batches.get_mut(fragment.0 as usize) else {
             return;
         };
-        let OpenBatch { home, quasis, .. } = ob;
+        let (home, len) = (ob.home, ob.quasis.len());
+        let env = match len {
+            0 => return,
+            1 => Envelope::Quasi {
+                quasi: ob.quasis.pop().expect("len checked"),
+            },
+            _ => Envelope::Batch {
+                batch: ob.quasis.drain(..).collect(),
+            },
+        };
         self.engine
             .metrics
-            .observe(slot::NET_BATCH_SIZE, quasis.len() as u64);
-        if quasis.len() == 1 {
-            let quasi = quasis.into_iter().next().expect("len checked");
-            self.broadcast_fragment(at, home, fragment, Envelope::Quasi { quasi });
-        } else {
-            self.broadcast_fragment(at, home, fragment, Envelope::Batch { batch: quasis });
-        }
+            .observe(slot::NET_BATCH_SIZE, len as u64);
+        self.broadcast_fragment(at, home, fragment, env);
     }
 
     /// Route one quasi-transaction to the policy-appropriate install path
@@ -119,11 +109,12 @@ impl System {
         at: SimTime,
         node: NodeId,
         quasi: QuasiTransaction,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         if self.move_policy_for(quasi.fragment).ordered_installs() {
-            self.ordered_install(at, node, quasi)
+            self.ordered_install(at, node, quasi, notes);
         } else {
-            self.noprep_install(at, node, quasi)
+            self.noprep_install(at, node, quasi, notes);
         }
     }
 }
@@ -168,11 +159,13 @@ mod tests {
             .or_default()
             .insert(1, quasi(1));
         let batch = (0..=2).map(quasi).collect();
+        let mut notes = Vec::new();
         sys.dispatch(
             SimTime::from_millis(1),
             NodeId(0),
             NodeId(1),
             Envelope::Batch { batch },
+            &mut notes,
         );
         let slot = &sys.nodes[1];
         let held: usize = slot.holdback.values().map(|hb| hb.len()).sum();

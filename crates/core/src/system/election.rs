@@ -33,8 +33,8 @@ use fragdb_sim::metrics::keys::slot;
 use fragdb_sim::{SimTime, TelemetryEvent};
 
 use crate::envelope::Envelope;
-use crate::events::{Ev, Notification};
-use crate::system::System;
+use crate::events::Ev;
+use crate::system::{Notes, System};
 
 /// One open election (at most one per fragment).
 pub(crate) struct ElectionState {
@@ -54,9 +54,9 @@ pub(crate) struct ElectionState {
 
 impl System {
     /// The recurring detector tick: re-arm, beat, sweep, (maybe) elect.
-    pub(crate) fn handle_detector_tick(&mut self, at: SimTime) -> Vec<Notification> {
+    pub(crate) fn handle_detector_tick(&mut self, at: SimTime, notes: &mut Notes) {
         if !self.detector_cfg.enabled() {
-            return Vec::new();
+            return;
         }
         // Re-arm first so the cadence is independent of the work below.
         self.engine
@@ -71,21 +71,26 @@ impl System {
         // replication the per-tick fan-out is bounded by the replica sets
         // instead of O(n²). Beats to a down peer are dropped at its door
         // and retransmitted; the reliable layer's resync on recovery
-        // clears the backlog.
-        let live: Vec<NodeId> = (0..n)
-            .map(NodeId)
-            .filter(|p| !self.down.contains(p))
-            .collect();
-        for &from in &live {
-            for peer in self.monitor_peers(from) {
+        // clears the backlog. A beat never reaches its own sender, so the
+        // down set cannot change while the nodes beat.
+        for from in (0..n).map(NodeId) {
+            if self.down.contains(&from) {
+                continue;
+            }
+            let mut i = 0;
+            while let Some(peer) = self.monitor_peer(from, i) {
+                i += 1;
                 self.engine.metrics.incr(slot::DETECTOR_HEARTBEATS);
-                self.send_direct(at, from, peer, Envelope::Heartbeat { from, beat });
+                let heartbeat = Envelope::Heartbeat { from, beat };
+                self.send_direct(at, from, peer, heartbeat, notes);
             }
         }
 
         // Sweep each live node's local view for newly silent peers.
-        let mut notes = Vec::new();
-        for &observer in &live {
+        for observer in (0..n).map(NodeId) {
+            if self.down.contains(&observer) {
+                continue;
+            }
             let Some(d) = self.detectors.get_mut(&observer) else {
                 continue;
             };
@@ -101,9 +106,12 @@ impl System {
         // Election scan — standing suspicions, not just newly raised ones,
         // so an aborted (timed-out) round retries on the next tick. Only
         // the fragment's designated initiator acts: the lowest-id replica
-        // that is live and does not itself suspect it.
-        let frags: Vec<FragmentId> = self.tokens.fragments().collect();
-        for fragment in frags {
+        // that is live and does not itself suspect it. Starting a round
+        // changes nothing another fragment's scan reads, so the rounds
+        // start after the scan; the list stays unallocated on a tick that
+        // starts none.
+        let mut rounds = Vec::new();
+        for fragment in self.tokens.fragments() {
             if self.elections.contains_key(&fragment) || self.move_state.contains_key(&fragment) {
                 continue;
             }
@@ -111,23 +119,26 @@ impl System {
                 continue;
             }
             let home = self.tokens.home(fragment);
-            let replicas = self.roster(fragment);
+            let electable = |r: &NodeId| {
+                *r != home
+                    && !self.down.contains(r)
+                    && self.detectors.get(r).is_some_and(|d| d.is_suspected(home))
+            };
             // A 2-replica set cannot out-vote its own home (majority = 2
             // includes the dead home); Fdb051 warns about this statically.
-            if replicas.len() < 3 {
-                continue;
-            }
-            let initiator = replicas.iter().copied().find(|&r| {
-                r != home
-                    && !self.down.contains(&r)
-                    && self.detectors.get(&r).is_some_and(|d| d.is_suspected(home))
-            });
-            let Some(initiator) = initiator else {
-                continue;
+            let initiator = match self.replica_sets.get(&fragment) {
+                Some(set) if set.len() < 3 => continue,
+                Some(set) => set.iter().copied().find(electable),
+                None if n < 3 => continue,
+                None => (0..n).map(NodeId).find(electable),
             };
-            notes.extend(self.start_election(at, fragment, initiator));
+            if let Some(initiator) = initiator {
+                rounds.push((fragment, initiator));
+            }
         }
-        notes
+        for (fragment, initiator) in rounds {
+            self.start_election(at, fragment, initiator, notes);
+        }
     }
 
     /// Open a round: fence on the current epoch, self-vote, solicit the
@@ -137,7 +148,8 @@ impl System {
         at: SimTime,
         fragment: FragmentId,
         candidate: NodeId,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         let home = self.tokens.home(fragment);
         let epoch = self.tokens.epoch(fragment);
         self.engine.metrics.incr(slot::ELECTION_ROUNDS);
@@ -161,40 +173,29 @@ impl System {
             .insert((fragment, epoch, candidate), candidate);
         self.engine
             .schedule_at(deadline, Ev::ElectionTimeout { fragment, epoch });
-        let mut notes = Vec::new();
         for v in self.roster(fragment) {
             if v == candidate || v == home {
                 continue;
             }
-            notes.extend(self.send_direct(
-                at,
+            let request = Envelope::VoteReq {
+                fragment,
+                epoch,
                 candidate,
-                v,
-                Envelope::VoteReq {
-                    fragment,
-                    epoch,
-                    candidate,
-                    reply_to: candidate,
-                },
-            ));
+                reply_to: candidate,
+            };
+            self.send_direct(at, candidate, v, request, notes);
         }
-        notes
     }
 
     /// A heartbeat arrives at `node` from `beater`. Clearing a standing
     /// suspicion at a candidate aborts its election: the home is alive.
-    pub(crate) fn on_heartbeat(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        beater: NodeId,
-    ) -> Vec<Notification> {
+    pub(crate) fn on_heartbeat(&mut self, at: SimTime, node: NodeId, beater: NodeId) {
         let cleared = self
             .detectors
             .get_mut(&node)
             .is_some_and(|d| d.heard(beater, at));
         if !cleared {
-            return Vec::new();
+            return;
         }
         let stale: Vec<FragmentId> = self
             .elections
@@ -206,13 +207,13 @@ impl System {
             let e = self.elections.remove(&fragment).expect("collected above");
             self.abort_election(fragment, e.fenced_epoch, "home_alive");
         }
-        Vec::new()
     }
 
     /// A replica decides whether to grant a vote. The grant requires: the
     /// epoch is current (nothing re-homed the token meanwhile), this voter
     /// also suspects the home, and it has not granted a different
     /// candidate in this `(fragment, epoch)`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_vote_req(
         &mut self,
         at: SimTime,
@@ -221,7 +222,8 @@ impl System {
         epoch: u64,
         candidate: NodeId,
         reply_to: NodeId,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         let home = self.tokens.home(fragment);
         let granted = epoch == self.tokens.epoch(fragment)
             && self
@@ -246,10 +248,12 @@ impl System {
                 from: node,
                 granted,
             },
-        )
+            notes,
+        );
     }
 
     /// A vote reaches the candidate; a majority wins the round.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_vote(
         &mut self,
         at: SimTime,
@@ -258,27 +262,27 @@ impl System {
         epoch: u64,
         voter: NodeId,
         granted: bool,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         let majority = self.majority(fragment);
         let won = {
             let Some(e) = self.elections.get_mut(&fragment) else {
-                return Vec::new();
+                return;
             };
             if e.fenced_epoch != epoch || e.candidate != node || !granted {
-                return Vec::new();
+                return;
             }
             e.votes.insert(voter);
             e.votes.len() >= majority
         };
         if !won {
-            return Vec::new();
+            return;
         }
         let e = self.elections.remove(&fragment).expect("present above");
         if self.tokens.epoch(fragment) != e.fenced_epoch {
             // An explicit move (or a competing mechanism) re-homed the
             // token while the votes were in flight; the win is void.
-            self.abort_election(fragment, e.fenced_epoch, "superseded");
-            return Vec::new();
+            return self.abort_election(fragment, e.fenced_epoch, "superseded");
         }
         self.engine.metrics.incr(slot::ELECTION_WON);
         self.engine.emit(|| TelemetryEvent::ElectionWon {
@@ -289,7 +293,7 @@ impl System {
         // The reattach bumps the epoch — from here the fence in
         // `check_majority` refuses every commit the deposed home staged.
         self.tokens.reattach(fragment, e.candidate);
-        self.begin_majority_recovery(at, fragment, e.home, e.candidate, true)
+        self.begin_majority_recovery(at, fragment, e.home, e.candidate, true, notes);
     }
 
     /// The round's patience ran out; a retry starts at the next tick if
@@ -299,17 +303,15 @@ impl System {
         at: SimTime,
         fragment: FragmentId,
         epoch: u64,
-    ) -> Vec<Notification> {
+    ) {
         let stale = match self.elections.get(&fragment) {
             Some(e) => e.fenced_epoch != epoch || at < e.deadline,
             None => true,
         };
-        if stale {
-            return Vec::new();
+        if !stale {
+            self.elections.remove(&fragment);
+            self.abort_election(fragment, epoch, "timeout");
         }
-        self.elections.remove(&fragment);
-        self.abort_election(fragment, epoch, "timeout");
-        Vec::new()
     }
 
     /// Shared abort bookkeeping (the election has already been removed).

@@ -11,11 +11,11 @@ use fragdb_sim::{SimTime, TelemetryEvent};
 use crate::envelope::Envelope;
 use crate::events::{AbortReason, Notification, Submission};
 use crate::program::TxnEffects;
-use crate::system::{Pending, QueuedSub, System};
+use crate::system::{Notes, Pending, QueuedSub, System};
 
 impl System {
     /// Entry point for a submission event.
-    pub(crate) fn handle_submission(&mut self, at: SimTime, sub: Submission) -> Vec<Notification> {
+    pub(crate) fn handle_submission(&mut self, at: SimTime, sub: Submission, notes: &mut Notes) {
         self.engine.metrics.incr(slot::TXN_SUBMITTED);
         let fragment = sub.fragment;
 
@@ -33,7 +33,7 @@ impl System {
                 fragment: fragment.0,
                 depth,
             });
-            return Vec::new();
+            return;
         }
 
         // Only read-only transactions may pin an execution node; updates
@@ -50,7 +50,7 @@ impl System {
         // for this node until it recovers).
         if self.down.contains(&home) {
             let txn = self.alloc_txn(home);
-            return self.finish_abort(txn, fragment, AbortReason::Unavailable);
+            return self.finish_abort(txn, fragment, AbortReason::Unavailable, notes);
         }
 
         // Every dispatch path below allocates its transaction id at `home`
@@ -65,13 +65,14 @@ impl System {
         });
 
         if self.strategy_for(fragment).uses_read_locks() {
-            return self.begin_lock_acquisition(at, home, sub);
+            return self.begin_lock_acquisition(at, home, sub, notes);
         }
-        self.execute_now(at, home, sub, &BTreeMap::new())
+        self.execute_now(at, home, sub, &BTreeMap::new(), notes);
     }
 
-    /// Run a transaction program against `home`'s replica, mapping program
-    /// errors to abort reasons.
+    /// Run a transaction program against `home`'s replica in a spare set of
+    /// buffers, mapping program errors to abort reasons. The buffers come
+    /// back either way, for the caller to return when the transaction ends.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_program(
         &mut self,
@@ -82,7 +83,8 @@ impl System {
         granted: &BTreeMap<ObjectId, (NodeId, Value)>,
         read_only: bool,
         program: crate::program::UpdateFn,
-    ) -> Result<TxnEffects, AbortReason> {
+    ) -> (TxnEffects, Result<(), AbortReason>) {
+        let effects = self.spare_effects.pop().unwrap_or_default();
         let replica = &self.nodes[home.0 as usize].replica;
         let mut ctx = crate::program::TxnCtx::new(
             home,
@@ -93,14 +95,13 @@ impl System {
             &self.catalog,
             granted,
             read_only,
+            effects,
         );
-        match program(&mut ctx) {
-            Ok(()) => Ok(ctx.finish()),
-            Err(crate::program::ProgramError::Logic(m)) => Err(AbortReason::Logic(m)),
-            Err(crate::program::ProgramError::InitiationViolation(_)) => {
-                Err(AbortReason::Initiation)
-            }
-        }
+        let outcome = program(&mut ctx).map_err(|e| match e {
+            crate::program::ProgramError::Logic(m) => AbortReason::Logic(m),
+            crate::program::ProgramError::InitiationViolation(_) => AbortReason::Initiation,
+        });
+        (ctx.finish(), outcome)
     }
 
     /// Run the program immediately (§4.2/§4.3 path, or §4.1 once locks are
@@ -111,7 +112,8 @@ impl System {
         home: NodeId,
         sub: Submission,
         granted: &BTreeMap<ObjectId, (NodeId, Value)>,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         let txn = self.alloc_txn(home);
         let Submission {
             fragment,
@@ -119,11 +121,38 @@ impl System {
             read_only,
             ..
         } = sub;
-        let effects = match self.run_program(at, home, txn, fragment, granted, read_only, program) {
-            Ok(e) => e,
-            Err(reason) => return self.finish_abort(txn, fragment, reason),
-        };
+        let (mut effects, outcome) =
+            self.run_program(at, home, txn, fragment, granted, read_only, program);
+        if let Err(reason) = outcome.and_then(|()| self.check_reads(fragment, read_only, &effects))
+        {
+            self.return_effects(effects);
+            return self.finish_abort(txn, fragment, reason, notes);
+        }
 
+        if read_only {
+            self.flush_reads(txn, TxnType::ReadOnly(fragment), &effects.reads, at);
+            self.return_effects(effects);
+            self.engine.metrics.incr(slot::TXN_READ_FINISHED);
+            return notes.push(Notification::ReadFinished { txn, node: home });
+        }
+
+        if self.move_policy_for(fragment).needs_majority_commit() {
+            return self.begin_majority_commit(at, home, txn, fragment, effects, notes);
+        }
+
+        self.commit_update(at, home, txn, fragment, &mut effects, notes);
+        self.return_effects(effects);
+        self.observe_commit_latency(at, at);
+    }
+
+    /// What a finished program's reads decide before anything commits: the
+    /// abort reason, if they do not stand.
+    fn check_reads(
+        &self,
+        fragment: FragmentId,
+        read_only: bool,
+        effects: &TxnEffects,
+    ) -> Result<(), AbortReason> {
         // §6 partial replication: a replica read must happen at a node
         // holding the fragment (reads via §4.1 lock grants are recorded at
         // the lock site, which is always a replica). Replicas answer reads
@@ -131,53 +160,28 @@ impl System {
         // having read an object outside every fragment — a typed abort,
         // not a panic.
         for &(site, object) in &effects.reads {
-            let frag = match self.catalog.fragment_of(object) {
-                Ok(frag) => frag,
-                Err(e) => return self.finish_abort(txn, fragment, AbortReason::Model(e)),
-            };
+            let frag = self.catalog.fragment_of(object);
+            let frag = frag.map_err(AbortReason::Model)?;
             if !self.replicated_at(frag, site) {
-                return self.finish_abort(
-                    txn,
-                    fragment,
-                    AbortReason::Logic(format!(
-                        "read of {object} at {site}, which holds no replica of {frag}"
-                    )),
-                );
+                return Err(AbortReason::Logic(format!(
+                    "read of {object} at {site}, which holds no replica of {frag}"
+                )));
             }
         }
 
         // §4.2 admission: the class (initiator, fragments-read) must be
         // declared. Checked post-execution, when the read set is known;
-        // reads are side-effect-free so refusing here leaves no trace.
-        let frags_read: Vec<FragmentId> = effects
-            .reads
-            .iter()
-            .filter_map(|(_, o)| self.catalog.fragment_of(*o).ok())
-            .collect();
+        // reads are side-effect-free so refusing here leaves no trace. Every
+        // read object's fragment resolved above.
+        let frags_read =
+            (effects.reads.iter()).filter_map(|&(_, object)| self.catalog.fragment_of(object).ok());
+        let strategy = self.strategy_for(fragment);
         let admitted = if read_only {
-            self.strategy_for(fragment)
-                .admits_read_only(fragment, frags_read)
+            strategy.admits_read_only(fragment, frags_read)
         } else {
-            self.strategy_for(fragment)
-                .admits_update(fragment, frags_read)
+            strategy.admits_update(fragment, frags_read)
         };
-        if !admitted {
-            return self.finish_abort(txn, fragment, AbortReason::UndeclaredClass);
-        }
-
-        if read_only {
-            self.flush_reads(txn, TxnType::ReadOnly(fragment), &effects.reads, at);
-            self.engine.metrics.incr(slot::TXN_READ_FINISHED);
-            return vec![Notification::ReadFinished { txn, node: home }];
-        }
-
-        if self.move_policy_for(fragment).needs_majority_commit() {
-            return self.begin_majority_commit(at, home, txn, fragment, effects);
-        }
-
-        let mut notes = self.commit_update(at, home, txn, fragment, effects);
-        notes.extend(self.observe_commit_latency(at, at));
-        notes
+        admitted.then_some(()).ok_or(AbortReason::UndeclaredClass)
     }
 
     /// Record buffered reads into the run history; for read-only
@@ -222,27 +226,30 @@ impl System {
     }
 
     /// The common commit: sequence allocation, history, replica, broadcast.
+    /// The writes move out of `effects` into the payload.
     pub(crate) fn commit_update(
         &mut self,
         at: SimTime,
         home: NodeId,
         txn: TxnId,
         fragment: FragmentId,
-        effects: TxnEffects,
-    ) -> Vec<Notification> {
-        let frag_seq = self.tokens.alloc_frag_seq(fragment);
-        let epoch = self.tokens.epoch(fragment);
-        let TxnEffects { reads, writes } = effects;
-        let updates = self.materialize_payload(writes);
-        self.finish_commit(
-            at, home, txn, fragment, frag_seq, epoch, &reads, updates, true,
-        )
+        effects: &mut TxnEffects,
+        notes: &mut Notes,
+    ) {
+        let seq = (
+            self.tokens.alloc_frag_seq(fragment),
+            self.tokens.epoch(fragment),
+        );
+        let updates = self.materialize_payload(&mut effects.writes);
+        let reads = &effects.reads;
+        self.finish_commit(at, home, txn, fragment, seq, reads, updates, true, notes);
     }
 
-    /// Commit with a pre-allocated sequence number (majority path) and an
-    /// optional quasi broadcast (majority broadcasts `CommitCmd` instead).
-    /// `updates` is the already-materialized shared payload: the WAL entry,
-    /// every broadcast envelope, and all retransmission buffers share it.
+    /// Commit at `(frag_seq, epoch)`, pre-allocated on the majority path,
+    /// with an optional quasi broadcast (majority broadcasts `CommitCmd`
+    /// instead). `updates` is the already-materialized shared payload: the
+    /// WAL entry, every broadcast envelope, and all retransmission buffers
+    /// share it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish_commit(
         &mut self,
@@ -250,12 +257,12 @@ impl System {
         home: NodeId,
         txn: TxnId,
         fragment: FragmentId,
-        frag_seq: u64,
-        epoch: u64,
+        (frag_seq, epoch): (u64, u64),
         reads: &[(NodeId, ObjectId)],
         updates: Updates,
         broadcast_quasi: bool,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         let ttype = TxnType::Update(fragment);
         self.flush_reads(txn, ttype, reads, at);
         for (object, _) in &updates {
@@ -310,25 +317,20 @@ impl System {
             }
         }
         self.engine.metrics.incr(slot::TXN_COMMITTED);
-        vec![Notification::Committed {
+        notes.push(Notification::Committed {
             txn,
             fragment,
             node: home,
             at,
-        }]
+        });
     }
 
     /// Observe commit latency (separated so §4.1/§4.4.1 paths can pass the
     /// original submission time).
-    pub(crate) fn observe_commit_latency(
-        &mut self,
-        submitted_at: SimTime,
-        committed_at: SimTime,
-    ) -> Vec<Notification> {
+    pub(crate) fn observe_commit_latency(&mut self, submitted_at: SimTime, committed_at: SimTime) {
         self.engine
             .metrics
             .observe(slot::LATENCY_COMMIT, (committed_at - submitted_at).micros());
-        Vec::new()
     }
 
     /// Terminal abort bookkeeping.
@@ -337,7 +339,8 @@ impl System {
         txn: TxnId,
         fragment: FragmentId,
         reason: AbortReason,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         self.engine.metrics.incr(slot::TXN_ABORTED);
         let abort = match &reason {
             AbortReason::Logic(_) => slot::ABORT_LOGIC,
@@ -356,11 +359,11 @@ impl System {
             txn_seq: txn.seq,
             reason: why,
         });
-        vec![Notification::Aborted {
+        notes.push(Notification::Aborted {
             txn,
             fragment,
             reason,
-        }]
+        });
     }
 
     /// Abort a pending (cross-event) transaction: release its locks or
@@ -374,33 +377,40 @@ impl System {
         at: SimTime,
         txn: TxnId,
         reason: AbortReason,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         let Some(pending) = self.pending.remove(&txn) else {
-            return Vec::new();
+            return;
         };
-        let mut notes = Vec::new();
         let fragment = match pending {
             Pending::LockAcq {
                 fragment,
                 home,
                 contacted_sites,
                 ..
+            } => {
+                self.release_all_sites(at, home, txn, &contacted_sites, notes);
+                fragment
             }
-            | Pending::XWait {
+            Pending::XWait {
                 fragment,
                 home,
                 contacted_sites,
+                effects,
                 ..
             } => {
-                notes.extend(self.release_all_sites(at, home, txn, &contacted_sites));
+                self.return_effects(effects);
+                self.release_all_sites(at, home, txn, &contacted_sites, notes);
                 fragment
             }
             Pending::Majority {
                 fragment,
                 home,
                 quasi,
+                effects,
                 ..
             } => {
+                self.return_effects(effects);
                 // Return the reserved sequence number so no gap forms —
                 // unless a move or an election has re-homed the token since
                 // staging (epoch bumped): the new regime's recovery already
@@ -412,13 +422,12 @@ impl System {
                 }
                 self.broadcast_fragment(at, home, fragment, Envelope::AbortCmd { txn });
                 if !self.down.contains(&home) {
-                    notes.extend(self.drain_queued(at, fragment));
+                    self.drain_queued(at, fragment, notes);
                 }
                 fragment
             }
         };
-        notes.extend(self.finish_abort(txn, fragment, reason));
-        notes
+        self.finish_abort(txn, fragment, reason, notes);
     }
 
     /// Is an update on `fragment` blocked: a move or a majority commit in
@@ -434,19 +443,17 @@ impl System {
 
     /// Re-submit everything parked on `fragment` (move finished, or the
     /// in-flight majority commit resolved).
-    pub(crate) fn drain_queued(&mut self, at: SimTime, fragment: FragmentId) -> Vec<Notification> {
-        let mut notes = Vec::new();
+    pub(crate) fn drain_queued(&mut self, at: SimTime, fragment: FragmentId, notes: &mut Notes) {
         while let Some(q) = self.queued.get_mut(&fragment).and_then(|v| v.pop_front()) {
             self.engine
                 .metrics
                 .observe(slot::LATENCY_MOVE_WAIT, (at - q.queued_at).micros());
-            notes.extend(self.handle_submission(at, q.submission));
+            self.handle_submission(at, q.submission, notes);
             // A drained submission may itself start a majority commit, which
             // re-parks the rest; stop draining in that case.
             if self.fragment_busy(fragment) {
                 break;
             }
         }
-        notes
     }
 }

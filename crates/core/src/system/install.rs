@@ -19,7 +19,7 @@ use fragdb_sim::metrics::keys::slot;
 use fragdb_sim::{SimTime, TelemetryEvent};
 
 use crate::events::Notification;
-use crate::system::{MoveState, MoveWait, System};
+use crate::system::{MoveState, MoveWait, Notes, System};
 
 impl System {
     /// Refuse a malformed quasi-transaction: the replica is untouched, the
@@ -30,15 +30,16 @@ impl System {
         node: NodeId,
         quasi: &QuasiTransaction,
         error: ModelError,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         self.engine.metrics.incr(slot::INSTALL_REJECTED);
-        vec![Notification::InstallRejected {
+        notes.push(Notification::InstallRejected {
             node,
             txn: quasi.txn,
             fragment: quasi.fragment,
             error,
             at,
-        }]
+        });
     }
 
     /// Install `quasi` at `node` respecting `frag_seq` order; out-of-order
@@ -48,16 +49,17 @@ impl System {
         at: SimTime,
         node: NodeId,
         quasi: QuasiTransaction,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         if let Err(e) = quasi.validate_against(&self.catalog) {
-            return self.reject_install(at, node, &quasi, e);
+            return self.reject_install(at, node, &quasi, e, notes);
         }
         let slot = &mut self.nodes[node.0 as usize];
         let fragment = quasi.fragment;
         let next = slot.frontier_mut(fragment).get_or_insert(0);
         if quasi.frag_seq < *next {
             self.engine.metrics.incr(slot::INSTALL_DUPLICATE);
-            return Vec::new();
+            return;
         }
         if quasi.frag_seq > *next {
             self.engine.metrics.incr(slot::INSTALL_HELDBACK);
@@ -70,11 +72,11 @@ impl System {
                 node: node.0,
                 depth,
             });
-            return Vec::new();
+            return;
         }
         // quasi.frag_seq == *next: install it, then every held-back
         // successor that is now next in `frag_seq` order.
-        let mut notes = self.do_install(at, node, quasi);
+        self.do_install(at, node, quasi, notes);
         loop {
             let slot = &mut self.nodes[node.0 as usize];
             let next = slot.install_frontier(fragment);
@@ -85,9 +87,8 @@ impl System {
             else {
                 break;
             };
-            notes.extend(self.do_install(at, node, q));
+            self.do_install(at, node, q, notes);
         }
-        notes
     }
 
     /// Unconditionally install `quasi` at `node`: replica + WAL write,
@@ -98,7 +99,8 @@ impl System {
         at: SimTime,
         node: NodeId,
         quasi: QuasiTransaction,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         // `quasi.origin() == node` is legitimate here: a home that crashed
         // between `Prepare` and its local commit re-installs its own entry
         // during catch-up after an elected successor resurrected it.
@@ -137,11 +139,8 @@ impl System {
             }
         }
 
-        let mut notes = vec![Notification::Installed {
-            node,
-            quasi: quasi.clone(),
-            at,
-        }];
+        let fragment = quasi.fragment;
+        notes.push(Notification::Installed { node, quasi, at });
 
         // §4.4.2B: if this node is a new home waiting to catch up, check
         // whether this install completed the prefix.
@@ -149,15 +148,14 @@ impl System {
             new_home,
             wait: MoveWait::AwaitingSeq { upto },
             ..
-        }) = self.move_state.get(&quasi.fragment)
+        }) = self.move_state.get(&fragment)
         {
             let (new_home, upto) = (*new_home, *upto);
-            let caught_up = new_home == node
-                && self.nodes[node.0 as usize].install_frontier(quasi.fragment) >= upto;
+            let caught_up =
+                new_home == node && self.nodes[node.0 as usize].install_frontier(fragment) >= upto;
             if caught_up {
-                notes.extend(self.complete_move(at, quasi.fragment, new_home));
+                self.complete_move(at, fragment, new_home, notes);
             }
         }
-        notes
     }
 }

@@ -22,8 +22,9 @@ use fragdb_storage::{LockMode, LockOutcome};
 
 use crate::envelope::Envelope;
 use crate::events::{AbortReason, Notification, Submission};
+use crate::program::TxnEffects;
 use crate::strategy::StrategyKind;
-use crate::system::{Pending, RemoteLockReq, System};
+use crate::system::{Notes, Pending, RemoteLockReq, System};
 
 impl System {
     /// Begin §4.1 processing for a submission: group declared foreign reads
@@ -33,7 +34,8 @@ impl System {
         at: SimTime,
         home: NodeId,
         sub: Submission,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         let txn = self.alloc_txn(home);
         let fragment = sub.fragment;
 
@@ -44,7 +46,7 @@ impl System {
         for &object in &sub.foreign_reads {
             let frag = match self.catalog.fragment_of(object) {
                 Ok(frag) => frag,
-                Err(e) => return self.finish_abort(txn, fragment, AbortReason::Model(e)),
+                Err(e) => return self.finish_abort(txn, fragment, AbortReason::Model(e), notes),
             };
             let site = self.tokens.home(frag);
             by_site.entry(site).or_default().push(object);
@@ -82,11 +84,9 @@ impl System {
         );
         self.arm_timeout(timeout, txn);
 
-        let mut notes = Vec::new();
         if by_site.is_empty() {
             // Nothing to lock remotely; proceed straight to execution.
-            notes.extend(self.try_start_execution(at, txn));
-            return notes;
+            return self.try_start_execution(at, txn, notes);
         }
         for (site, objects) in by_site {
             let env = Envelope::LockReq {
@@ -94,9 +94,8 @@ impl System {
                 objects,
                 reply_to: home,
             };
-            notes.extend(self.send_direct(at, home, site, env));
+            self.send_direct(at, home, site, env, notes);
         }
-        notes
     }
 
     /// A lock site receives a request: try to take every shared lock now.
@@ -107,7 +106,8 @@ impl System {
         txn: TxnId,
         objects: Vec<ObjectId>,
         reply_to: NodeId,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         let slot = &mut self.nodes[site.0 as usize];
         let mut outstanding = BTreeSet::new();
         for &object in &objects {
@@ -119,20 +119,16 @@ impl System {
                 LockOutcome::Deadlock => {
                     // Release through the resume path so any waiter the
                     // freed locks unblock is granted, not stranded.
-                    let mut notes = self.on_lock_release(at, site, txn);
-                    notes.extend(self.send_direct(
-                        at,
-                        site,
-                        reply_to,
-                        Envelope::LockDenied { txn },
-                    ));
-                    return notes;
+                    self.on_lock_release(at, site, txn, notes);
+                    let denied = Envelope::LockDenied { txn };
+                    return self.send_direct(at, site, reply_to, denied, notes);
                 }
             }
         }
         if outstanding.is_empty() {
             let values = self.snapshot_values(site, &objects);
-            return self.send_direct(at, site, reply_to, Envelope::LockGrant { txn, values });
+            let grant = Envelope::LockGrant { txn, values };
+            return self.send_direct(at, site, reply_to, grant, notes);
         }
         self.nodes[site.0 as usize].remote_reqs.insert(
             txn,
@@ -142,7 +138,6 @@ impl System {
                 reply_to,
             },
         );
-        Vec::new()
     }
 
     fn snapshot_values(&self, site: NodeId, objects: &[ObjectId]) -> Vec<(ObjectId, Value)> {
@@ -160,7 +155,8 @@ impl System {
         site: NodeId,
         txn: TxnId,
         values: Vec<(ObjectId, Value)>,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         let Some(Pending::LockAcq {
             outstanding_sites,
             granted,
@@ -168,26 +164,20 @@ impl System {
         }) = self.pending.get_mut(&txn)
         else {
             // Timed out / aborted meanwhile: release what we just got.
-            return self.send_direct(at, site, site, Envelope::LockRelease { txn });
+            return self.send_direct(at, site, site, Envelope::LockRelease { txn }, notes);
         };
         for (object, value) in values {
             granted.insert(object, (site, value));
         }
         outstanding_sites.remove(&site);
         if outstanding_sites.is_empty() {
-            return self.try_start_execution(at, txn);
+            self.try_start_execution(at, txn, notes);
         }
-        Vec::new()
-    }
-
-    /// Denial: the request would deadlock at some site. Abort.
-    pub(crate) fn on_lock_denied(&mut self, at: SimTime, txn: TxnId) -> Vec<Notification> {
-        self.abort_pending(at, txn, AbortReason::Deadlock)
     }
 
     /// All shared locks held: run the program, then (for updates) take
     /// exclusive locks on the write set before committing.
-    pub(crate) fn try_start_execution(&mut self, at: SimTime, txn: TxnId) -> Vec<Notification> {
+    pub(crate) fn try_start_execution(&mut self, at: SimTime, txn: TxnId, notes: &mut Notes) {
         let Some(Pending::LockAcq {
             fragment,
             home,
@@ -199,7 +189,7 @@ impl System {
             ..
         }) = self.pending.get_mut(&txn)
         else {
-            return Vec::new();
+            return;
         };
         let fragment = *fragment;
         let home = *home;
@@ -210,15 +200,13 @@ impl System {
         let contacted_sites = std::mem::take(contacted_sites);
         self.pending.remove(&txn);
 
-        let effects = match self.run_program(at, home, txn, fragment, &granted, read_only, program)
-        {
-            Ok(e) => e,
-            Err(reason) => {
-                let mut notes = self.release_all_sites(at, home, txn, &contacted_sites);
-                notes.extend(self.finish_abort(txn, fragment, reason));
-                return notes;
-            }
-        };
+        let (effects, outcome) =
+            self.run_program(at, home, txn, fragment, &granted, read_only, program);
+        if let Err(reason) = outcome {
+            self.return_effects(effects);
+            self.release_all_sites(at, home, txn, &contacted_sites, notes);
+            return self.finish_abort(txn, fragment, reason, notes);
+        }
 
         if read_only {
             self.engine.emit(|| TelemetryEvent::LockGranted {
@@ -227,31 +215,33 @@ impl System {
                 txn_seq: txn.seq,
             });
             self.flush_reads(txn, TxnType::ReadOnly(fragment), &effects.reads, at);
+            self.return_effects(effects);
             self.engine.metrics.incr(slot::TXN_READ_FINISHED);
-            let mut notes = self.release_all_sites(at, home, txn, &contacted_sites);
+            self.release_all_sites(at, home, txn, &contacted_sites, notes);
             notes.push(Notification::ReadFinished { txn, node: home });
-            notes.extend(self.observe_commit_latency(submitted_at, at));
-            return notes;
+            return self.observe_commit_latency(submitted_at, at);
         }
 
         // Exclusive locks on the write set, at the home's own table.
-        let mut blocked = false;
-        {
-            let slot = &mut self.nodes[home.0 as usize];
-            for (object, _) in &effects.writes {
-                match slot.locks.acquire(txn, *object, LockMode::Exclusive) {
-                    LockOutcome::Granted => {}
-                    LockOutcome::Waiting => blocked = true,
-                    LockOutcome::Deadlock => {
-                        // release_all_sites (below) releases at the home
-                        // through the resume path; a raw release here would
-                        // swallow the grants it produces.
-                        let mut notes = self.release_all_sites(at, home, txn, &contacted_sites);
-                        notes.extend(self.finish_abort(txn, fragment, AbortReason::Deadlock));
-                        return notes;
-                    }
+        let (mut blocked, mut deadlock) = (false, false);
+        let locks = &mut self.nodes[home.0 as usize].locks;
+        for (object, _) in &effects.writes {
+            match locks.acquire(txn, *object, LockMode::Exclusive) {
+                LockOutcome::Granted => {}
+                LockOutcome::Waiting => blocked = true,
+                LockOutcome::Deadlock => {
+                    deadlock = true;
+                    break;
                 }
             }
+        }
+        if deadlock {
+            // release_all_sites releases at the home through the resume
+            // path; a raw release here would swallow the grants it
+            // produces.
+            self.return_effects(effects);
+            self.release_all_sites(at, home, txn, &contacted_sites, notes);
+            return self.finish_abort(txn, fragment, AbortReason::Deadlock, notes);
         }
         if blocked {
             self.pending.insert(
@@ -264,20 +254,14 @@ impl System {
                     submitted_at,
                 },
             );
-            return Vec::new();
+            return;
         }
-        self.commit_locked(
-            at,
-            home,
-            txn,
-            fragment,
-            effects,
-            &contacted_sites,
-            submitted_at,
-        )
+        let sites = &contacted_sites;
+        self.commit_locked(at, home, txn, fragment, effects, sites, submitted_at, notes);
     }
 
-    /// Commit a §4.1 transaction and release every lock it holds.
+    /// Commit a §4.1 transaction, hand its buffers back and release every
+    /// lock it holds.
     #[allow(clippy::too_many_arguments)]
     fn commit_locked(
         &mut self,
@@ -285,10 +269,11 @@ impl System {
         home: NodeId,
         txn: TxnId,
         fragment: fragdb_model::FragmentId,
-        effects: crate::program::TxnEffects,
+        mut effects: TxnEffects,
         contacted_sites: &BTreeSet<NodeId>,
         submitted_at: SimTime,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         // Shared grants AND the exclusive write-set locks are all held:
         // the lock-wait phase ends here, adjacent to the commit itself.
         self.engine.emit(|| TelemetryEvent::LockGranted {
@@ -296,10 +281,10 @@ impl System {
             fragment: fragment.0,
             txn_seq: txn.seq,
         });
-        let mut notes = self.commit_update(at, home, txn, fragment, effects);
-        notes.extend(self.observe_commit_latency(submitted_at, at));
-        notes.extend(self.release_all_sites(at, home, txn, contacted_sites));
-        notes
+        self.commit_update(at, home, txn, fragment, &mut effects, notes);
+        self.return_effects(effects);
+        self.observe_commit_latency(submitted_at, at);
+        self.release_all_sites(at, home, txn, contacted_sites, notes);
     }
 
     /// Release `txn`'s locks locally and at every contacted remote site.
@@ -309,14 +294,14 @@ impl System {
         home: NodeId,
         txn: TxnId,
         contacted_sites: &BTreeSet<NodeId>,
-    ) -> Vec<Notification> {
-        let mut notes = self.on_lock_release(at, home, txn);
+        notes: &mut Notes,
+    ) {
+        self.on_lock_release(at, home, txn, notes);
         for &site in contacted_sites {
             if site != home {
-                notes.extend(self.send_direct(at, home, site, Envelope::LockRelease { txn }));
+                self.send_direct(at, home, site, Envelope::LockRelease { txn }, notes);
             }
         }
-        notes
     }
 
     /// Release at one node, then resume whatever the freed locks unblock:
@@ -327,13 +312,13 @@ impl System {
         at: SimTime,
         node: NodeId,
         txn: TxnId,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         let newly = {
             let slot = &mut self.nodes[node.0 as usize];
             slot.remote_reqs.remove(&txn);
             slot.locks.release_all(txn)
         };
-        let mut notes = Vec::new();
         let mut completed_remote: Vec<TxnId> = Vec::new();
         let mut maybe_commit: BTreeSet<TxnId> = BTreeSet::new();
         {
@@ -355,33 +340,25 @@ impl System {
                 .remove(&t)
                 .expect("present");
             let values = self.snapshot_values(node, &req.objects);
-            notes.extend(self.send_direct(
-                at,
-                node,
-                req.reply_to,
-                Envelope::LockGrant { txn: t, values },
-            ));
+            let grant = Envelope::LockGrant { txn: t, values };
+            self.send_direct(at, node, req.reply_to, grant, notes);
         }
         for t in maybe_commit {
-            notes.extend(self.try_finish_xwait(at, node, t));
+            self.try_finish_xwait(at, node, t, notes);
         }
-        notes
     }
 
     /// If `txn` is an XWait whose write set is now fully locked, commit it.
-    fn try_finish_xwait(&mut self, at: SimTime, node: NodeId, txn: TxnId) -> Vec<Notification> {
+    fn try_finish_xwait(&mut self, at: SimTime, node: NodeId, txn: TxnId, notes: &mut Notes) {
         let ready = match self.pending.get(&txn) {
             Some(Pending::XWait { home, effects, .. }) if *home == node => {
                 let slot = &self.nodes[node.0 as usize];
-                effects
-                    .writes
-                    .iter()
-                    .all(|(o, _)| slot.locks.holds(txn, *o))
+                (effects.writes.iter()).all(|(o, _)| slot.locks.holds(txn, *o))
             }
             _ => false,
         };
         if !ready {
-            return Vec::new();
+            return;
         }
         let Some(Pending::XWait {
             fragment,
@@ -393,14 +370,7 @@ impl System {
         else {
             unreachable!("checked above");
         };
-        self.commit_locked(
-            at,
-            home,
-            txn,
-            fragment,
-            effects,
-            &contacted_sites,
-            submitted_at,
-        )
+        let sites = &contacted_sites;
+        self.commit_locked(at, home, txn, fragment, effects, sites, submitted_at, notes);
     }
 }

@@ -26,10 +26,9 @@ use fragdb_sim::{SimTime, TelemetryEvent};
 use fragdb_storage::WalEntry;
 
 use crate::envelope::Envelope;
-use crate::events::Notification;
 use crate::movement::MovePolicy;
 use crate::program::TxnEffects;
-use crate::system::{MoveState, MoveWait, Pending, System};
+use crate::system::{MoveState, MoveWait, Notes, Pending, System};
 
 impl System {
     /// Nodes needed for a majority of `fragment`'s replica set (home
@@ -48,15 +47,15 @@ impl System {
         home: NodeId,
         txn: TxnId,
         fragment: FragmentId,
-        effects: TxnEffects,
-    ) -> Vec<Notification> {
+        mut effects: TxnEffects,
+        notes: &mut Notes,
+    ) {
         let MovePolicy::MajorityCommit { timeout } = *self.move_policy_for(fragment) else {
             unreachable!("majority path requires MajorityCommit policy");
         };
         let frag_seq = self.tokens.alloc_frag_seq(fragment);
         let epoch = self.tokens.epoch(fragment);
-        let TxnEffects { reads, writes } = effects;
-        let updates = self.materialize_payload(writes);
+        let updates = self.materialize_payload(&mut effects.writes);
         let quasi = QuasiTransaction {
             txn,
             fragment,
@@ -83,14 +82,14 @@ impl System {
                 fragment,
                 home,
                 quasi,
-                reads,
+                effects,
                 acks: [home].into_iter().collect(),
                 submitted_at: at,
             },
         );
         self.arm_timeout(timeout, txn);
         // Single-node cluster: the home alone is a majority.
-        self.check_majority(at, txn)
+        self.check_majority(at, txn, notes);
     }
 
     /// A remote node stages a prepared quasi-transaction and acknowledges.
@@ -100,15 +99,16 @@ impl System {
         from: NodeId,
         to: NodeId,
         quasi: QuasiTransaction,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         // Refuse (and never acknowledge) a malformed prepare: a missing ack
         // keeps the majority from forming, so the home aborts on timeout.
         if let Err(e) = quasi.validate_against(&self.catalog) {
-            return self.reject_install(at, to, &quasi, e);
+            return self.reject_install(at, to, &quasi, e, notes);
         }
         let txn = quasi.txn;
         self.nodes[to.0 as usize].staged.insert(txn, quasi);
-        self.send_direct(at, to, from, Envelope::PrepareAck { txn, from: to })
+        self.send_direct(at, to, from, Envelope::PrepareAck { txn, from: to }, notes);
     }
 
     /// An acknowledgment reaches the home node.
@@ -117,15 +117,16 @@ impl System {
         at: SimTime,
         txn: TxnId,
         acker: NodeId,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         if let Some(Pending::Majority { acks, .. }) = self.pending.get_mut(&txn) {
             acks.insert(acker);
         }
-        self.check_majority(at, txn)
+        self.check_majority(at, txn, notes);
     }
 
     /// Commit if the majority has been reached.
-    fn check_majority(&mut self, at: SimTime, txn: TxnId) -> Vec<Notification> {
+    fn check_majority(&mut self, at: SimTime, txn: TxnId, notes: &mut Notes) {
         let Some(Pending::Majority {
             fragment,
             quasi,
@@ -133,10 +134,10 @@ impl System {
             ..
         }) = self.pending.get(&txn)
         else {
-            return Vec::new();
+            return;
         };
         if acks.len() < self.majority(*fragment) {
-            return Vec::new();
+            return;
         }
         // Epoch fence: the quasi was staged under `quasi.epoch`. If a
         // quorum election (or an explicit move) has re-homed the token
@@ -144,34 +145,34 @@ impl System {
         // though a majority acked, so a falsely-suspected home that
         // rejoins cannot fork the update sequence.
         if quasi.epoch != self.tokens.epoch(*fragment) {
-            return self.abort_pending(at, txn, crate::AbortReason::Unavailable);
+            return self.abort_pending(at, txn, crate::AbortReason::Unavailable, notes);
         }
         let Some(Pending::Majority {
             fragment,
             home,
             quasi,
-            reads,
+            effects,
             submitted_at,
             ..
         }) = self.pending.remove(&txn)
         else {
             unreachable!("checked above");
         };
-        let mut notes = self.finish_commit(
+        self.finish_commit(
             at,
             home,
             txn,
             fragment,
-            quasi.frag_seq,
-            quasi.epoch,
-            &reads,
-            quasi.updates.clone(), // shares the staged payload, no deep copy
-            false,                 // receivers install from their staged copy on CommitCmd
+            (quasi.frag_seq, quasi.epoch),
+            &effects.reads,
+            quasi.updates, // shares the staged payload, no deep copy
+            false,         // receivers install from their staged copy on CommitCmd
+            notes,
         );
+        self.return_effects(effects);
         self.broadcast_fragment(at, home, fragment, Envelope::CommitCmd { txn, fragment });
-        notes.extend(self.observe_commit_latency(submitted_at, at));
-        notes.extend(self.drain_queued(at, fragment));
-        notes
+        self.observe_commit_latency(submitted_at, at);
+        self.drain_queued(at, fragment, notes);
     }
 
     /// A commit command: install the staged quasi-transaction (in order).
@@ -182,7 +183,8 @@ impl System {
         node: NodeId,
         txn: TxnId,
         fragment: FragmentId,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         // Without a staged copy, either this node already has the entry
         // (installed via move recovery) or the staged copy died in a crash:
         // ask the commanding home for whatever this node is missing; the
@@ -203,9 +205,8 @@ impl System {
             let upto = staged.as_ref().map(|quasi| quasi.frag_seq - 1);
             self.send_seq_query(at, node, fragment, [from], upto, false);
         }
-        match staged {
-            Some(quasi) => self.ordered_install(at, node, quasi),
-            None => Vec::new(),
+        if let Some(quasi) = staged {
+            self.ordered_install(at, node, quasi, notes);
         }
     }
 
@@ -221,7 +222,8 @@ impl System {
         old_home: NodeId,
         new_home: NodeId,
         elected: bool,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         let frontier = self.nodes[new_home.0 as usize]
             .replica
             .last_frag_seq(fragment);
@@ -238,7 +240,7 @@ impl System {
         );
         self.send_seq_query(at, new_home, fragment, self.roster(fragment), None, true);
         // A single-node system is already a majority.
-        self.check_recovery_done(at, fragment)
+        self.check_recovery_done(at, fragment, notes);
     }
 
     /// Ask each of `sources` (skipping `node` itself) for the entries of
@@ -293,7 +295,8 @@ impl System {
         upto: Option<u64>,
         reply_to: NodeId,
         include_staged: bool,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         let from_seq = have.map_or(0, |h| h + 1);
         let to_seq = upto.unwrap_or(u64::MAX);
         let slot = &self.nodes[node.0 as usize];
@@ -336,7 +339,8 @@ impl System {
                 frontier,
                 entries,
             },
-        )
+            notes,
+        );
     }
 
     /// A recovery reply: install what is missing. For a §4.4.1 move the
@@ -345,6 +349,7 @@ impl System {
     /// drops anything already present. A reply that reaches the home of a
     /// §4.4.1 fragment after its recovery completed gets the tail the
     /// replier lacks, as the repliers in the majority did.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_seq_reply(
         &mut self,
         at: SimTime,
@@ -353,8 +358,8 @@ impl System {
         replier: NodeId,
         frontier: Option<u64>,
         entries: Vec<WalEntry>,
-    ) -> Vec<Notification> {
-        let mut notes = Vec::new();
+        notes: &mut Notes,
+    ) {
         let late = match self.move_state.get_mut(&fragment) {
             Some(MoveState {
                 new_home,
@@ -387,13 +392,12 @@ impl System {
                 epoch: e.epoch,
                 updates: e.updates,
             };
-            notes.extend(self.ordered_install(at, node, quasi));
+            self.ordered_install(at, node, quasi, notes);
         }
         if late {
-            notes.extend(self.push_tail(at, node, fragment, replier, frontier));
+            self.push_tail(at, node, fragment, replier, frontier, notes);
         }
-        notes.extend(self.check_recovery_done(at, fragment));
-        notes
+        self.check_recovery_done(at, fragment, notes);
     }
 
     /// Send `member` the entries `home` holds above `frontier`, the
@@ -406,30 +410,31 @@ impl System {
         fragment: FragmentId,
         member: NodeId,
         frontier: Option<u64>,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         let ours = self.nodes[home.0 as usize].replica.last_frag_seq(fragment);
         if member == home || frontier >= ours {
-            return Vec::new();
+            return;
         }
-        self.on_seq_query(at, home, fragment, frontier, None, member, false)
+        self.on_seq_query(at, home, fragment, frontier, None, member, false, notes);
     }
 
-    fn check_recovery_done(&mut self, at: SimTime, fragment: FragmentId) -> Vec<Notification> {
+    fn check_recovery_done(&mut self, at: SimTime, fragment: FragmentId, notes: &mut Notes) {
         let Some(MoveState {
             new_home,
             wait: MoveWait::MajorityRecovery { replies, .. },
             ..
         }) = self.move_state.get(&fragment)
         else {
-            return Vec::new();
+            return;
         };
         if replies.len() < self.majority(fragment) {
-            return Vec::new();
+            return;
         }
         // The recovered prefix defines where the sequence resumes.
         let new_home = *new_home;
         let next = self.nodes[new_home.0 as usize].install_frontier(fragment);
         self.tokens.set_next_frag_seq(fragment, next);
-        self.complete_move(at, fragment, new_home)
+        self.complete_move(at, fragment, new_home, notes);
     }
 }

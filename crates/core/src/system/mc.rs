@@ -114,7 +114,9 @@ impl System {
     /// `None` if no live pending event carries that key.
     pub fn mc_step(&mut self, seq: u64) -> Option<Vec<Notification>> {
         let (at, ev) = self.engine.mc_take(seq)?;
-        Some(self.handle(at, ev))
+        let mut notes = Vec::new();
+        self.handle(at, ev, &mut notes);
+        Some(notes)
     }
 
     /// `true` when no events are pending — the run has quiesced and the

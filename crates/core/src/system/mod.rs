@@ -5,6 +5,8 @@
 //! The system is *driven*: workload code schedules [`Ev`]s (submissions,
 //! partitions, agent moves) on the engine and then pumps
 //! [`System::step_until`], reacting to the returned [`Notification`]s.
+//! Inside, every handler pushes its notifications, in order, into the one
+//! `Vec` a step returns.
 //! Domain triggers — e.g. the §2 banking rule "when an ACTIVITY update
 //! reaches the central office, post it to BALANCES" — are driver reactions
 //! to [`Notification::Installed`].
@@ -21,6 +23,7 @@ mod moves;
 pub use mc::{McChoice, McDelivery};
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::rc::Rc;
 
 use fragdb_model::{
     AgentId, FragmentCatalog, FragmentId, History, NodeId, ObjectId, QuasiTransaction, TxnId,
@@ -40,6 +43,10 @@ use crate::movement::MovePolicy;
 use crate::program::{TxnEffects, UpdateFn};
 use crate::strategy::{StrategyError, StrategyKind};
 use crate::tokens::TokenRegistry;
+
+/// The sink a step's handlers push their notifications into, in the order
+/// they happen.
+pub(crate) type Notes = Vec<Notification>;
 
 /// Per-node runtime state.
 pub(crate) struct NodeSlot {
@@ -138,7 +145,8 @@ pub(crate) enum Pending {
         fragment: FragmentId,
         home: NodeId,
         quasi: QuasiTransaction,
-        reads: Vec<(NodeId, ObjectId)>,
+        /// The transaction's buffers: its reads, flushed at commit.
+        effects: TxnEffects,
         acks: BTreeSet<NodeId>,
         submitted_at: SimTime,
     },
@@ -322,16 +330,19 @@ pub struct System {
     pub(crate) move_state: BTreeMap<FragmentId, MoveState>,
     pub(crate) queued: BTreeMap<FragmentId, VecDeque<QueuedSub>>,
     /// §6: partial replication map (absent = fully replicated). Fixed by
-    /// `build`; nothing changes membership afterwards.
-    pub(crate) replica_sets: BTreeMap<FragmentId, BTreeSet<NodeId>>,
+    /// `build`; nothing changes membership afterwards. Shared, so a
+    /// broadcast walks a set it looked up once while it sends.
+    pub(crate) replica_sets: BTreeMap<FragmentId, Rc<BTreeSet<NodeId>>>,
     /// Each node's [`System::monitor_peers`], derived from the replica
     /// sets at build; `None` when a fully replicated fragment makes every
     /// other node a peer, which needs no table.
     pub(crate) peer_sets: Option<Vec<Vec<NodeId>>>,
     /// Group-commit batching knob (off by default).
     pub(crate) batch_cfg: crate::config::BatchConfig,
-    /// Per-fragment open group-commit batch at the fragment's home.
-    pub(crate) open_batches: BTreeMap<FragmentId, OpenBatch>,
+    /// Each fragment's group-commit batch at its home, indexed by fragment
+    /// id and grown on first use; open while it holds a quasi. A flushed
+    /// batch keeps its buffer for the next one.
+    pub(crate) open_batches: Vec<OpenBatch>,
     /// Flush-timer generation allocator (stale timers are no-ops).
     pub(crate) next_batch_gen: u64,
     /// Self-healing token recovery knob (off by default).
@@ -352,6 +363,9 @@ pub struct System {
     /// calls so the per-message path allocates no fresh `Vec`.
     net_actions: Vec<NetAction<Envelope>>,
     net_released: Vec<Delivery<Envelope>>,
+    /// Transaction buffers not lent out: one set per transaction that has
+    /// been in flight at once, each handed back cleared.
+    spare_effects: Vec<TxnEffects>,
 }
 
 /// An under-construction group-commit batch (volatile, home-side).
@@ -475,9 +489,11 @@ impl System {
             move_state: BTreeMap::new(),
             queued: BTreeMap::new(),
             peer_sets,
-            replica_sets: config.replica_sets,
+            replica_sets: (config.replica_sets.into_iter())
+                .map(|(f, set)| (f, Rc::new(set)))
+                .collect(),
             batch_cfg: config.batch,
-            open_batches: BTreeMap::new(),
+            open_batches: Vec::new(),
             next_batch_gen: 0,
             detector_cfg: config.detector,
             detectors: BTreeMap::new(),
@@ -486,6 +502,7 @@ impl System {
             detector_beat: 0,
             net_actions: Vec::new(),
             net_released: Vec::new(),
+            spare_effects: Vec::new(),
         };
         if system.detector_cfg.enabled() {
             // Every node starts with a full silence allowance for each of
@@ -552,7 +569,8 @@ impl System {
     /// such event remains (clock advances to `limit`).
     pub fn step_until(&mut self, limit: SimTime) -> Option<(SimTime, Vec<Notification>)> {
         let (at, ev) = self.engine.pop_until(limit)?;
-        let notes = self.handle(at, ev);
+        let mut notes = Vec::new();
+        self.handle(at, ev, &mut notes);
         Some((at, notes))
     }
 
@@ -561,8 +579,8 @@ impl System {
     /// [`System::step_until`].
     pub fn run_until(&mut self, limit: SimTime) -> Vec<Notification> {
         let mut all = Vec::new();
-        while let Some((_, notes)) = self.step_until(limit) {
-            all.extend(notes);
+        while let Some((at, ev)) = self.engine.pop_until(limit) {
+            self.handle(at, ev, &mut all);
         }
         all
     }
@@ -636,37 +654,34 @@ impl System {
 
     // ---- event dispatch --------------------------------------------------
 
-    pub(crate) fn handle(&mut self, at: SimTime, ev: Ev) -> Vec<Notification> {
+    /// Handle one event, pushing its notifications onto `notes`.
+    pub(crate) fn handle(&mut self, at: SimTime, ev: Ev, notes: &mut Notes) {
         match ev {
-            Ev::Submit(sub) => self.handle_submission(at, sub),
-            Ev::Pkt(pd) => self.handle_packet(at, pd),
+            Ev::Submit(sub) => self.handle_submission(at, sub, notes),
+            Ev::Pkt(pd) => self.handle_packet(at, pd, notes),
             Ev::Rto(timer) => {
                 let before = self.net_stats_if_telemetry();
                 self.net_call(|net, rng, out| net.on_timer_into(at, timer, rng, out));
                 if let Some(b) = before {
                     self.emit_net_delta(b, timer.from, timer.to);
                 }
-                Vec::new()
             }
-            Ev::Net(change) => {
-                // Nothing to release: blocked traffic gets through on a
-                // later retransmission once connectivity returns.
-                self.net.apply_change(&change);
-                Vec::new()
-            }
-            Ev::Crash(node) => self.handle_crash(at, node),
-            Ev::Recover(node) => self.handle_recover(at, node),
-            Ev::Move { fragment, to } => self.handle_move(at, fragment, to),
+            // Nothing to release: blocked traffic gets through on a later
+            // retransmission once connectivity returns.
+            Ev::Net(change) => self.net.apply_change(&change),
+            Ev::Crash(node) => self.handle_crash(at, node, notes),
+            Ev::Recover(node) => self.handle_recover(at, node, notes),
+            Ev::Move { fragment, to } => self.handle_move(at, fragment, to, notes),
             Ev::DataArrive {
                 fragment,
                 to,
                 snapshot,
                 next_frag_seq,
-                epoch,
-            } => self.handle_data_arrive(at, fragment, to, snapshot, next_frag_seq, epoch),
-            Ev::Timeout { txn } => self.handle_timeout(at, txn),
+                ..
+            } => self.handle_data_arrive(at, fragment, to, snapshot, next_frag_seq, notes),
+            Ev::Timeout { txn } => self.abort_pending(at, txn, AbortReason::Unavailable, notes),
             Ev::FlushBatch { fragment, gen } => self.handle_flush_batch(at, fragment, gen),
-            Ev::DetectorTick => self.handle_detector_tick(at),
+            Ev::DetectorTick => self.handle_detector_tick(at, notes),
             Ev::ElectionTimeout { fragment, epoch } => {
                 self.handle_election_timeout(at, fragment, epoch)
             }
@@ -698,7 +713,7 @@ impl System {
     /// the floor (no ack — the sender keeps probing until the node
     /// recovers and resyncs); live hosts run the reliable layer, and each
     /// application message it releases is dispatched in order.
-    fn handle_packet(&mut self, at: SimTime, pd: PktDelivery<Envelope>) -> Vec<Notification> {
+    fn handle_packet(&mut self, at: SimTime, pd: PktDelivery<Envelope>, notes: &mut Notes) {
         if self.down.contains(&pd.to) {
             self.engine.metrics.incr(slot::NET_DROPPED_AT_DOWN_NODE);
             let (from, to) = (pd.from, pd.to);
@@ -707,7 +722,7 @@ impl System {
                 to: to.0,
                 count: 1,
             });
-            return Vec::new();
+            return;
         }
         let (from, to) = (pd.from, pd.to);
         let before = self.net_stats_if_telemetry();
@@ -719,15 +734,13 @@ impl System {
             // progress on the reverse stream resent.
             self.emit_net_delta(b, to, from);
         }
-        let mut notes = Vec::new();
         for d in released.drain(..) {
-            append_notes(&mut notes, self.handle_delivery(at, d));
+            self.handle_delivery(at, d, notes);
         }
         self.net_released = released;
-        notes
     }
 
-    fn handle_delivery(&mut self, at: SimTime, d: Delivery<Envelope>) -> Vec<Notification> {
+    fn handle_delivery(&mut self, at: SimTime, d: Delivery<Envelope>, notes: &mut Notes) {
         self.engine.metrics.incr(d.msg.metric_slot());
         let Delivery { from, to, msg } = d;
         let kind = msg.kind();
@@ -736,7 +749,7 @@ impl System {
             to: to.0,
             kind,
         });
-        self.dispatch(at, from, to, msg)
+        self.dispatch(at, from, to, msg, notes);
     }
 
     /// Run the handler for one envelope at `to`. The reliable layer has
@@ -748,24 +761,24 @@ impl System {
         from: NodeId,
         to: NodeId,
         env: Envelope,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         match env {
-            Envelope::Quasi { quasi } => self.route_quasi_install(at, to, quasi),
-            // Element by element, each as if it had arrived alone.
+            Envelope::Quasi { quasi } => self.route_quasi_install(at, to, quasi, notes),
+            // Element by element, each as if it had arrived alone; each
+            // installs with one notification, so the sink grows once.
             Envelope::Batch { batch } => {
-                let mut notes = Vec::new();
-                for quasi in batch {
-                    append_notes(&mut notes, self.route_quasi_install(at, to, quasi));
+                notes.reserve(batch.len());
+                for quasi in batch.iter() {
+                    self.route_quasi_install(at, to, quasi.clone(), notes);
                 }
-                notes
             }
-            Envelope::Prepare { quasi } => self.on_prepare(at, from, to, quasi),
+            Envelope::Prepare { quasi } => self.on_prepare(at, from, to, quasi, notes),
             Envelope::CommitCmd { txn, fragment } => {
-                self.on_commit_cmd(at, from, to, txn, fragment)
+                self.on_commit_cmd(at, from, to, txn, fragment, notes)
             }
             Envelope::AbortCmd { txn } => {
                 self.nodes[to.0 as usize].staged.remove(&txn);
-                Vec::new()
             }
             Envelope::M0 {
                 fragment,
@@ -773,43 +786,61 @@ impl System {
                 last_seq,
                 entries,
                 new_home,
-            } => self.on_m0(at, to, fragment, old_epoch, last_seq, entries, new_home),
+            } => {
+                let close = RegimeClose {
+                    old_epoch,
+                    last_seq,
+                    new_home,
+                };
+                self.on_m0(at, to, fragment, close, entries, notes)
+            }
             Envelope::LockReq {
                 txn,
                 objects,
                 reply_to,
-            } => self.on_lock_req(at, to, txn, objects, reply_to),
-            Envelope::LockGrant { txn, values } => self.on_lock_grant(at, from, txn, values),
-            Envelope::LockDenied { txn } => self.on_lock_denied(at, txn),
-            Envelope::LockRelease { txn } => self.on_lock_release(at, to, txn),
-            Envelope::PrepareAck { txn, from: acker } => self.on_prepare_ack(at, txn, acker),
+            } => self.on_lock_req(at, to, txn, objects, reply_to, notes),
+            Envelope::LockGrant { txn, values } => self.on_lock_grant(at, from, txn, values, notes),
+            Envelope::LockDenied { txn } => {
+                self.abort_pending(at, txn, AbortReason::Deadlock, notes)
+            }
+            Envelope::LockRelease { txn } => self.on_lock_release(at, to, txn, notes),
+            Envelope::PrepareAck { txn, from: acker } => self.on_prepare_ack(at, txn, acker, notes),
             Envelope::SeqQuery {
                 fragment,
                 have,
                 upto,
                 reply_to,
                 include_staged,
-            } => self.on_seq_query(at, to, fragment, have, upto, reply_to, include_staged),
+            } => self.on_seq_query(
+                at,
+                to,
+                fragment,
+                have,
+                upto,
+                reply_to,
+                include_staged,
+                notes,
+            ),
             Envelope::SeqReply {
                 fragment,
                 from: replier,
                 frontier,
                 entries,
-            } => self.on_seq_reply(at, to, fragment, replier, frontier, entries),
-            Envelope::ForwardMissing { quasi } => self.noprep_install(at, to, quasi),
+            } => self.on_seq_reply(at, to, fragment, replier, frontier, entries, notes),
+            Envelope::ForwardMissing { quasi } => self.noprep_install(at, to, quasi, notes),
             Envelope::Heartbeat { from: beater, .. } => self.on_heartbeat(at, to, beater),
             Envelope::VoteReq {
                 fragment,
                 epoch,
                 candidate,
                 reply_to,
-            } => self.on_vote_req(at, to, fragment, epoch, candidate, reply_to),
+            } => self.on_vote_req(at, to, fragment, epoch, candidate, reply_to, notes),
             Envelope::Vote {
                 fragment,
                 epoch,
                 from: voter,
                 granted,
-            } => self.on_vote(at, to, fragment, epoch, voter, granted),
+            } => self.on_vote(at, to, fragment, epoch, voter, granted, notes),
         }
     }
 
@@ -866,7 +897,7 @@ impl System {
     /// The nodes holding a replica of `fragment` (§6 partial replication);
     /// `None` means fully replicated.
     pub fn replicas_of(&self, fragment: FragmentId) -> Option<&BTreeSet<NodeId>> {
-        self.replica_sets.get(&fragment)
+        self.replica_sets.get(&fragment).map(|set| &**set)
     }
 
     /// The nodes holding a replica of `fragment`, ascending: its replica
@@ -892,12 +923,18 @@ impl System {
     /// behavior and their golden traces; under partial replication the
     /// detector fan-out is bounded by the replica sets instead of O(n²).
     pub fn monitor_peers(&self, node: NodeId) -> Vec<NodeId> {
+        (0..).map_while(|i| self.monitor_peer(node, i)).collect()
+    }
+
+    /// `node`'s `i`-th monitor peer in ascending order, if it has that
+    /// many: the detector walks the peers by index, borrowing nothing
+    /// across its sends.
+    pub(crate) fn monitor_peer(&self, node: NodeId, i: usize) -> Option<NodeId> {
         match &self.peer_sets {
-            Some(sets) => sets[node.0 as usize].clone(),
-            None => {
-                let n = self.nodes.len() as u32;
-                (0..n).map(NodeId).filter(|&p| p != node).collect()
-            }
+            Some(sets) => sets[node.0 as usize].get(i).copied(),
+            // Every node but `node` itself.
+            None => (i + 1 < self.nodes.len())
+                .then(|| NodeId((i + usize::from(i >= node.0 as usize)) as u32)),
         }
     }
 
@@ -925,9 +962,9 @@ impl System {
 
     /// Broadcast a fragment-scoped envelope from `from` to every other
     /// holder of a replica of `fragment` (§6 partial replication; every
-    /// other node when fully replicated). §3.2 broadcast is this fan-out
-    /// loop over the reliable layer's per-pair FIFO streams: each target
-    /// gets a clone, payloads are `Arc`-shared.
+    /// other node when fully replicated), in ascending node order. §3.2
+    /// broadcast is this fan-out loop over the reliable layer's per-pair
+    /// FIFO streams: each target gets a clone, payloads are `Arc`-shared.
     pub(crate) fn broadcast_fragment(
         &mut self,
         at: SimTime,
@@ -935,19 +972,17 @@ impl System {
         fragment: FragmentId,
         env: Envelope,
     ) {
-        let n = self.nodes.len() as u32;
-        let mut next = 0;
-        loop {
-            // Walk the targets in ascending node order without holding a
-            // borrow of the replica set across the send.
-            let to = match self.replica_sets.get(&fragment) {
-                Some(set) => set.range(NodeId(next)..).next().copied(),
-                None => (next < n).then_some(NodeId(next)),
-            };
-            let Some(to) = to else { return };
-            next = to.0 + 1;
-            if to != from {
-                self.send_remote(at, from, to, env.clone());
+        let others = |to: &NodeId| *to != from;
+        match self.replica_sets.get(&fragment).cloned() {
+            Some(set) => {
+                for &to in set.iter().filter(|to| others(to)) {
+                    self.send_remote(at, from, to, env.clone());
+                }
+            }
+            None => {
+                for to in (0..self.nodes.len() as u32).map(NodeId).filter(others) {
+                    self.send_remote(at, from, to, env.clone());
+                }
             }
         }
     }
@@ -961,13 +996,13 @@ impl System {
         }
     }
 
-    /// Materialize a commit's broadcast payload from its owned writes — the
-    /// single deep copy the commit performs; every downstream copy
-    /// (envelopes, retransmission buffers, hold-back, staging, WALs) shares
-    /// the allocation. Metered so tests can assert the O(1)-per-commit
-    /// property.
-    pub(crate) fn materialize_payload(&mut self, writes: Vec<(ObjectId, Value)>) -> Updates {
-        let updates: Updates = writes.into();
+    /// Materialize a commit's broadcast payload from its writes — the
+    /// single allocation the commit makes for it (a drained buffer moves
+    /// its values in); every downstream copy (envelopes, retransmission
+    /// buffers, hold-back, staging, WALs) shares it. Metered so tests can
+    /// assert the O(1)-per-commit property.
+    pub(crate) fn materialize_payload(&mut self, writes: &mut Vec<(ObjectId, Value)>) -> Updates {
+        let updates: Updates = writes.drain(..).collect();
         self.engine.metrics.incr(slot::PAYLOAD_CLONES);
         self.engine
             .metrics
@@ -983,12 +1018,13 @@ impl System {
         from: NodeId,
         to: NodeId,
         env: Envelope,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         if from == to {
-            return self.dispatch(at, from, to, env);
+            self.dispatch(at, from, to, env, notes);
+        } else {
+            self.send_remote(at, from, to, env);
         }
-        self.send_remote(at, from, to, env);
-        Vec::new()
     }
 
     /// Hand one envelope to the reliable layer and schedule what it returns.
@@ -1006,16 +1042,15 @@ impl System {
         }
     }
 
+    /// Take a transaction's buffers back when it ends, however it ends.
+    pub(crate) fn return_effects(&mut self, mut effects: TxnEffects) {
+        effects.clear();
+        self.spare_effects.push(effects);
+    }
+
     /// Schedule a timeout for a pending transaction.
     pub(crate) fn arm_timeout(&mut self, delay: SimDuration, txn: TxnId) {
         self.engine.schedule(delay, Ev::Timeout { txn });
-    }
-
-    fn handle_timeout(&mut self, at: SimTime, txn: TxnId) -> Vec<Notification> {
-        if !self.pending.contains_key(&txn) {
-            return Vec::new();
-        }
-        self.abort_pending(at, txn, AbortReason::Unavailable)
     }
 
     // ---- crash / recovery ------------------------------------------------
@@ -1026,9 +1061,9 @@ impl System {
     /// homed at the node abort through `abort_pending` — but a dead node
     /// cannot send, so the messages announcing the aborts wait in `owed`
     /// until it recovers (presumed abort).
-    fn handle_crash(&mut self, at: SimTime, node: NodeId) -> Vec<Notification> {
+    fn handle_crash(&mut self, at: SimTime, node: NodeId, notes: &mut Notes) {
         if !self.down.insert(node) {
-            return Vec::new(); // already down
+            return; // already down
         }
         self.engine.metrics.incr(slot::NODE_CRASH);
         self.engine.emit(|| TelemetryEvent::Crash { node: node.0 });
@@ -1039,15 +1074,8 @@ impl System {
         // through recovery anti-entropy. Each discarded quasi gets an
         // explicit `BatchDiscarded` event so its causal id is closed in
         // the telemetry join rather than dangling as a phantom lag.
-        let dead_batches: Vec<FragmentId> = self
-            .open_batches
-            .iter()
-            .filter(|(_, ob)| ob.home == node)
-            .map(|(&f, _)| f)
-            .collect();
-        for f in dead_batches {
-            let ob = self.open_batches.remove(&f).expect("collected above");
-            for q in &ob.quasis {
+        for ob in self.open_batches.iter_mut().filter(|ob| ob.home == node) {
+            for q in ob.quasis.drain(..) {
                 self.engine.metrics.incr(slot::BATCH_DISCARDED);
                 let cause = Self::cid(q.fragment, q.epoch, q.frag_seq);
                 self.engine.emit(|| TelemetryEvent::BatchDiscarded {
@@ -1077,29 +1105,26 @@ impl System {
             })
             .map(|(&t, _)| t)
             .collect();
-        let mut notes = Vec::new();
         for txn in mine {
-            notes.extend(self.abort_pending(at, txn, AbortReason::Unavailable));
+            self.abort_pending(at, txn, AbortReason::Unavailable, notes);
         }
-        notes.extend(self.unwind_moves_on_crash(at, node));
+        self.unwind_moves_on_crash(at, node, notes);
         self.election_cleanup_on_crash(node);
         self.detectors.remove(&node);
         notes.push(Notification::Crashed { node, at });
-        notes
     }
 
     /// Bug-sweep (liveness): a crash of a move endpoint used to leave the
     /// `MoveState` entry in place forever — nothing re-drove it, so the
     /// fragment stayed write-unavailable and queued submissions never
     /// drained. Unwind or re-drive every affected move.
-    fn unwind_moves_on_crash(&mut self, at: SimTime, node: NodeId) -> Vec<Notification> {
+    fn unwind_moves_on_crash(&mut self, at: SimTime, node: NodeId, notes: &mut Notes) {
         let affected: Vec<FragmentId> = self
             .move_state
             .iter()
             .filter(|(_, st)| st.new_home == node || st.old_home == node)
             .map(|(&f, _)| f)
             .collect();
-        let mut notes = Vec::new();
         for fragment in affected {
             let st = &self.move_state[&fragment];
             let (new_home, old_home) = (st.new_home, st.old_home);
@@ -1128,7 +1153,7 @@ impl System {
                     from: old_home.0,
                     to: new_home.0,
                 });
-                notes.extend(self.drain_queued(at, fragment));
+                self.drain_queued(at, fragment, notes);
             } else if let MoveWait::AwaitingSeq { upto } = st.wait {
                 // §4.4.2B with the old home dead: the missing prefix may
                 // have died in the old home's unacked send buffer. Re-drive
@@ -1144,7 +1169,6 @@ impl System {
             // recovery majority forms from the surviving replicas'
             // `SeqReply`s (every committed entry was acked by a majority).
         }
-        notes
     }
 
     /// A node restarts: replay the WAL into the store, resync the reliable
@@ -1152,9 +1176,9 @@ impl System {
     /// duplicates), send what it owes, run `SeqQuery` anti-entropy
     /// against each fragment's home to catch up on what was missed, and
     /// drain the queues of the fragments still homed here.
-    fn handle_recover(&mut self, at: SimTime, node: NodeId) -> Vec<Notification> {
+    fn handle_recover(&mut self, at: SimTime, node: NodeId, notes: &mut Notes) {
         if !self.down.remove(&node) {
-            return Vec::new(); // was not down
+            return; // was not down
         }
         self.engine.metrics.incr(slot::NODE_RECOVER);
 
@@ -1218,25 +1242,14 @@ impl System {
             self.engine
                 .emit(|| TelemetryEvent::CatchupComplete { node: node.0 });
         }
-        let mut notes = vec![Notification::Recovered { node, at }];
+        notes.push(Notification::Recovered { node, at });
         // A submission parked behind a commit that died with this home has
         // nothing else to wake it when no election re-homed the fragment.
         for f in frags {
             if self.tokens.home(f) == node && !self.fragment_busy(f) {
-                notes.extend(self.drain_queued(at, f));
+                self.drain_queued(at, f, notes);
             }
         }
-        notes
-    }
-}
-
-/// Append `more` to `notes`, taking `more`'s allocation when `notes` is
-/// still empty instead of copying into a fresh one.
-fn append_notes(notes: &mut Vec<Notification>, mut more: Vec<Notification>) {
-    if notes.is_empty() {
-        std::mem::swap(notes, &mut more);
-    } else {
-        notes.append(&mut more);
     }
 }
 

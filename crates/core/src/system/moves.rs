@@ -9,7 +9,7 @@ use fragdb_storage::WalEntry;
 use crate::envelope::Envelope;
 use crate::events::{AbortReason, Ev, Notification};
 use crate::movement::MovePolicy;
-use crate::system::{MoveState, MoveWait, RegimeClose, System};
+use crate::system::{MoveState, MoveWait, Notes, RegimeClose, System};
 
 impl System {
     /// Handle a token move request.
@@ -18,7 +18,8 @@ impl System {
         at: SimTime,
         fragment: FragmentId,
         to: NodeId,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         assert!(
             *self.move_policy_for(fragment) != MovePolicy::Fixed,
             "agent movement requested under the Fixed policy (fragment {fragment})"
@@ -38,11 +39,11 @@ impl System {
             return self.defer_move(fragment, old_home, to);
         }
         if old_home == to {
-            return vec![Notification::MoveCompleted {
+            return notes.push(Notification::MoveCompleted {
                 fragment,
                 node: to,
                 at,
-            }];
+            });
         }
         // A move while the previous one is still completing would corrupt
         // the protocol state.
@@ -70,13 +71,12 @@ impl System {
             })
             .map(|(&t, _)| t)
             .collect();
-        let mut notes = Vec::new();
 
         match self.move_policy_for(fragment).clone() {
             MovePolicy::Fixed => unreachable!("checked above"),
             MovePolicy::MajorityCommit { .. } => {
                 self.tokens.reattach(fragment, to);
-                notes.extend(self.begin_majority_recovery(at, fragment, old_home, to, false));
+                self.begin_majority_recovery(at, fragment, old_home, to, false, notes);
             }
             MovePolicy::WithData { transfer_delay } => {
                 // §4.4.2A: the agent carries a copy of the fragment from X.
@@ -116,7 +116,7 @@ impl System {
                 self.tokens.reattach(fragment, to);
                 let caught_up = self.nodes[to.0 as usize].install_frontier(fragment) >= upto;
                 if caught_up {
-                    notes.extend(self.complete_move(at, fragment, to));
+                    self.complete_move(at, fragment, to, notes);
                 } else {
                     self.move_state.insert(
                         fragment,
@@ -128,19 +128,16 @@ impl System {
                     );
                 }
             }
-            MovePolicy::NoPrep => {
-                notes.extend(self.begin_noprep_move(at, fragment, old_home, to));
-            }
+            MovePolicy::NoPrep => self.begin_noprep_move(at, fragment, to, notes),
         }
         for t in orphans {
-            notes.extend(self.abort_pending(at, t, AbortReason::Unavailable));
+            self.abort_pending(at, t, AbortReason::Unavailable, notes);
         }
-        notes
     }
 
     /// Retry a move that cannot run yet in one second, like a move racing
     /// another move.
-    fn defer_move(&mut self, fragment: FragmentId, from: NodeId, to: NodeId) -> Vec<Notification> {
+    fn defer_move(&mut self, fragment: FragmentId, from: NodeId, to: NodeId) {
         self.engine.metrics.incr(slot::MOVES_DEFERRED);
         self.engine.emit(|| TelemetryEvent::MoveAborted {
             fragment: fragment.0,
@@ -151,7 +148,6 @@ impl System {
             fragdb_sim::SimDuration::from_secs(1),
             Ev::Move { fragment, to },
         );
-        Vec::new()
     }
 
     /// Finish `fragment`'s move at `new_home`: the token is usable there
@@ -167,17 +163,18 @@ impl System {
         at: SimTime,
         fragment: FragmentId,
         new_home: NodeId,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         let wait = self.move_state.remove(&fragment).map(|st| st.wait);
         self.engine.emit(|| TelemetryEvent::TokenArrived {
             fragment: fragment.0,
             node: new_home.0,
         });
-        let mut notes = vec![Notification::MoveCompleted {
+        notes.push(Notification::MoveCompleted {
             fragment,
             node: new_home,
             at,
-        }];
+        });
         match wait {
             Some(MoveWait::MajorityRecovery { elected, replies }) => {
                 if elected {
@@ -192,7 +189,7 @@ impl System {
                     });
                 }
                 for (member, frontier) in replies {
-                    notes.extend(self.push_tail(at, new_home, fragment, member, frontier));
+                    self.push_tail(at, new_home, fragment, member, frontier, notes);
                 }
             }
             Some(MoveWait::AwaitingData) => {
@@ -202,13 +199,12 @@ impl System {
                 let slot = &mut self.nodes[new_home.0 as usize];
                 let resume = std::mem::take(slot.holdback.entry(fragment).or_default());
                 for q in resume.into_values() {
-                    notes.extend(self.ordered_install(at, new_home, q));
+                    self.ordered_install(at, new_home, q, notes);
                 }
             }
             Some(MoveWait::AwaitingSeq { .. }) | None => {}
         }
-        notes.extend(self.drain_queued(at, fragment));
-        notes
+        self.drain_queued(at, fragment, notes);
     }
 
     /// §4.4.2A: the couriered copy arrives; install it and resume.
@@ -219,8 +215,8 @@ impl System {
         to: NodeId,
         snapshot: Vec<(ObjectId, Value)>,
         next_frag_seq: u64,
-        _epoch: u64,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         // No matching move: the destination crashed in transit and the
         // crash sweep unwound the move — the courier's copy is lost with
         // the node (the paper's tape on the crashed mainframe's desk).
@@ -228,7 +224,7 @@ impl System {
             self.move_state.get(&fragment),
             Some(MoveState { new_home, wait: MoveWait::AwaitingData, .. }) if *new_home == to
         ) {
-            return Vec::new();
+            return;
         }
         let restore_txn = self.alloc_txn(to);
         let slot = &mut self.nodes[to.0 as usize];
@@ -241,7 +237,7 @@ impl System {
             .entry(fragment)
             .or_default()
             .retain(|&seq, _| seq >= next_frag_seq);
-        self.complete_move(at, fragment, to)
+        self.complete_move(at, fragment, to, notes);
     }
 
     // ---- §4.4.3: no preparation -----------------------------------------
@@ -251,9 +247,9 @@ impl System {
         &mut self,
         at: SimTime,
         fragment: FragmentId,
-        _old_home: NodeId,
         to: NodeId,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         let old_epoch = self.tokens.epoch(fragment);
         let new_epoch = self.tokens.reattach(fragment, to);
         debug_assert_eq!(new_epoch, old_epoch + 1);
@@ -291,35 +287,27 @@ impl System {
             fragment: fragment.0,
             node: to.0,
         });
-        vec![Notification::MoveCompleted {
+        notes.push(Notification::MoveCompleted {
             fragment,
             node: to,
             at,
-        }]
+        });
     }
 
     /// `M0` arrives at a node `Z`: learn the regime switch and install any
     /// old-regime transactions `Z` is missing (protocol step B.1).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_m0(
         &mut self,
         at: SimTime,
         node: NodeId,
         fragment: FragmentId,
-        old_epoch: u64,
-        last_seq: Option<u64>,
+        close: RegimeClose,
         entries: Vec<WalEntry>,
-        new_home: NodeId,
-    ) -> Vec<Notification> {
-        self.nodes[node.0 as usize].regime_close.insert(
-            fragment,
-            RegimeClose {
-                old_epoch,
-                last_seq,
-                new_home,
-            },
-        );
-        let mut notes = Vec::new();
+        notes: &mut Notes,
+    ) {
+        self.nodes[node.0 as usize]
+            .regime_close
+            .insert(fragment, close);
         for e in entries {
             let quasi = QuasiTransaction {
                 txn: e.txn,
@@ -329,10 +317,9 @@ impl System {
                 updates: e.updates,
             };
             if quasi.origin() != node && !self.already_installed(node, &quasi) {
-                notes.extend(self.noprep_do_install(at, node, quasi));
+                self.do_install(at, node, quasi, notes);
             }
         }
-        notes
     }
 
     fn already_installed(&self, node: NodeId, q: &QuasiTransaction) -> bool {
@@ -349,13 +336,14 @@ impl System {
         at: SimTime,
         node: NodeId,
         quasi: QuasiTransaction,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         if let Err(e) = quasi.validate_against(&self.catalog) {
-            return self.reject_install(at, node, &quasi, e);
+            return self.reject_install(at, node, &quasi, e, notes);
         }
         if quasi.origin() == node || self.already_installed(node, &quasi) {
             self.engine.metrics.incr(slot::INSTALL_DUPLICATE);
-            return Vec::new();
+            return;
         }
         let close = self.nodes[node.0 as usize]
             .regime_close
@@ -366,7 +354,7 @@ impl System {
                 let is_late = close.last_seq.is_none_or(|i| quasi.frag_seq > i);
                 if !is_late {
                     // Part of the acknowledged prefix: install normally.
-                    return self.noprep_do_install(at, node, quasi);
+                    return self.do_install(at, node, quasi, notes);
                 }
                 if close.new_home == node {
                     if !self.tokens.is_home(quasi.fragment, node) {
@@ -375,36 +363,24 @@ impl System {
                         // repackaging under a sequence we no longer own.
                         let current = self.tokens.home(quasi.fragment);
                         self.engine.metrics.incr(slot::NOPREP_FORWARDED);
-                        return self.send_direct(
-                            at,
-                            node,
-                            current,
-                            Envelope::ForwardMissing { quasi },
-                        );
+                        let forward = Envelope::ForwardMissing { quasi };
+                        return self.send_direct(at, node, current, forward, notes);
                     }
                     // Step A.2: a missing transaction found at the new home.
-                    self.repackage_missing(at, node, quasi)
+                    self.repackage_missing(at, node, quasi, notes);
                 } else {
                     // Step B.2: forward to the new home for corrective
                     // handling; do not install.
                     self.engine.metrics.incr(slot::NOPREP_FORWARDED);
-                    self.send_direct(at, node, close.new_home, Envelope::ForwardMissing { quasi })
+                    let forward = Envelope::ForwardMissing { quasi };
+                    self.send_direct(at, node, close.new_home, forward, notes);
                 }
             }
-            _ => self.noprep_do_install(at, node, quasi),
+            // A plain install, no hold-back: `do_install` maintains
+            // `next_install`, which is meaningless here but harmless
+            // (NoPrep never consults it).
+            _ => self.do_install(at, node, quasi, notes),
         }
-    }
-
-    /// Plain install for the no-prep path (no hold-back).
-    fn noprep_do_install(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        quasi: QuasiTransaction,
-    ) -> Vec<Notification> {
-        // `do_install` maintains `next_install`, which is meaningless here
-        // but harmless (NoPrep never consults it).
-        self.do_install(at, node, quasi)
     }
 
     /// §4.4.3 step A.2: strip overwritten updates from a late transaction,
@@ -415,7 +391,8 @@ impl System {
         at: SimTime,
         node: NodeId,
         quasi: QuasiTransaction,
-    ) -> Vec<Notification> {
+        notes: &mut Notes,
+    ) {
         let fragment = quasi.fragment;
         let handled = self.nodes[node.0 as usize]
             .noprep_handled
@@ -423,7 +400,7 @@ impl System {
             .or_default();
         if !handled.insert((quasi.epoch, quasi.frag_seq)) {
             self.engine.metrics.incr(slot::INSTALL_DUPLICATE);
-            return Vec::new();
+            return;
         }
         self.engine.metrics.incr(slot::NOPREP_REPACKAGED);
         let (kept, dropped): (Vec<_>, Vec<_>) = {
@@ -437,7 +414,6 @@ impl System {
             })
         };
 
-        let mut notes = Vec::new();
         let repackaged = self.alloc_txn(node);
         if !kept.is_empty() {
             let frag_seq = self.tokens.alloc_frag_seq(fragment);
@@ -453,7 +429,7 @@ impl System {
                     at,
                 );
             }
-            let payload = self.materialize_payload(kept.clone());
+            let payload = self.materialize_payload(&mut kept.clone());
             self.nodes[node.0 as usize].replica.commit_local(
                 repackaged,
                 fragment,
@@ -497,6 +473,5 @@ impl System {
             kept,
             dropped,
         });
-        notes
     }
 }

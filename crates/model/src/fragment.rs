@@ -54,8 +54,10 @@ impl Fragment {
 #[derive(Clone, Debug, Default)]
 pub struct FragmentCatalog {
     fragments: Vec<Fragment>,
-    /// Every object and its fragment, sorted by object id.
-    object_to_fragment: Vec<(ObjectId, FragmentId)>,
+    /// Maximal runs of consecutive object ids in one fragment,
+    /// `(first, last, fragment)`, sorted by id. A builder catalog has one
+    /// run per fragment; sparse ids make more, shorter runs.
+    runs: Vec<(ObjectId, ObjectId, FragmentId)>,
 }
 
 impl FragmentCatalog {
@@ -74,12 +76,15 @@ impl FragmentCatalog {
                 object_to_fragment.insert(obj, frag.id);
             }
         }
-        // A map iterates in key order, so the vector comes out sorted.
-        let object_to_fragment = object_to_fragment.into_iter().collect();
-        Ok(FragmentCatalog {
-            fragments,
-            object_to_fragment,
-        })
+        // A map iterates in key order, so the runs come out sorted.
+        let mut runs: Vec<(ObjectId, ObjectId, FragmentId)> = Vec::new();
+        for (obj, frag) in object_to_fragment {
+            match runs.last_mut() {
+                Some((_, last, f)) if *f == frag && last.0 + 1 == obj.0 => *last = obj,
+                _ => runs.push((obj, obj, frag)),
+            }
+        }
+        Ok(FragmentCatalog { fragments, runs })
     }
 
     /// Incremental builder for workload setup code.
@@ -89,10 +94,12 @@ impl FragmentCatalog {
 
     /// The fragment containing `object`.
     pub fn fragment_of(&self, object: ObjectId) -> Result<FragmentId, ModelError> {
-        self.object_to_fragment
-            .binary_search_by_key(&object, |&(o, _)| o)
-            .map(|i| self.object_to_fragment[i].1)
-            .map_err(|_| ModelError::UnknownObject(object))
+        // The last run starting at or below `object` holds it, if any does.
+        let after = self.runs.partition_point(|&(first, _, _)| first <= object);
+        match after.checked_sub(1).map(|i| self.runs[i]) {
+            Some((_, last, fragment)) if object <= last => Ok(fragment),
+            _ => Err(ModelError::UnknownObject(object)),
+        }
     }
 
     /// Fragment metadata by id.
@@ -120,12 +127,16 @@ impl FragmentCatalog {
 
     /// Every object in the database, in id order.
     pub fn all_objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.object_to_fragment.iter().map(|&(o, _)| o)
+        let ids = self
+            .runs
+            .iter()
+            .flat_map(|&(first, last, _)| first.0..=last.0);
+        ids.map(ObjectId)
     }
 
     /// Total number of objects across all fragments.
     pub fn object_count(&self) -> usize {
-        self.object_to_fragment.len()
+        self.all_objects().count()
     }
 }
 
@@ -201,6 +212,47 @@ mod tests {
         }
         let ids: Vec<u64> = cat.all_objects().map(ObjectId::raw).collect();
         assert_eq!(ids, vec![1, 7, 40, 900]);
+    }
+
+    /// Consecutive ids of one fragment share a run: a run's ends and the
+    /// ids either side of it resolve right, and a fragment split by
+    /// another's ids is two runs.
+    #[test]
+    fn consecutive_ids_map_through_runs() {
+        let cat = FragmentCatalog::new(vec![
+            Fragment::new(FragmentId(0), "A", vec![obj(2), obj(3), obj(4), obj(8)]),
+            Fragment::new(FragmentId(1), "B", vec![obj(5), obj(6), obj(u64::MAX)]),
+        ])
+        .unwrap();
+        assert_eq!(cat.runs.len(), 4);
+        for (o, f) in [
+            (2, 0),
+            (3, 0),
+            (4, 0),
+            (5, 1),
+            (6, 1),
+            (8, 0),
+            (u64::MAX, 1),
+        ] {
+            assert_eq!(cat.fragment_of(obj(o)).unwrap(), FragmentId(f), "x{o}");
+        }
+        for o in [0, 1, 7, 9, u64::MAX - 1] {
+            assert!(cat.fragment_of(obj(o)).is_err(), "x{o}");
+        }
+        assert_eq!(cat.object_count(), 7);
+        let mut b = FragmentCatalog::builder();
+        for name in ["A", "B", "C"] {
+            b.add_fragment(name, 64);
+        }
+        let cat = b.build();
+        assert_eq!(
+            cat.runs.len(),
+            3,
+            "a builder catalog is one run per fragment"
+        );
+        assert_eq!(cat.fragment_of(obj(127)).unwrap(), FragmentId(1));
+        assert_eq!(cat.fragment_of(obj(128)).unwrap(), FragmentId(2));
+        assert!(cat.fragment_of(obj(192)).is_err());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 // (see profile.sh). ITIMER_PROF delivers SIGPROF as the process burns CPU;
 // the handler records the interrupted PC and the return addresses found by
 // walking frame pointers, bounded by the main stack. At exit it writes
-// prof.<pid>.raw (per sample: depth, then the PCs, innermost first, as
-// 64-bit words) and prof.<pid>.maps (a copy of /proc/self/maps) to the
+// prof.<pid>.raw (per sample: weight 1, depth, then the PCs, innermost
+// first, as 64-bit words) and prof.<pid>.maps (a copy of /proc/self/maps) to the
 // working directory. It changes nothing outside its own process.
 #define _GNU_SOURCE
 #include <signal.h>
@@ -24,7 +24,8 @@ static uintptr_t stack_lo, stack_hi;
 static void on_prof(int sig, siginfo_t *si, void *ctx) {
     (void)sig, (void)si;
     const greg_t *r = ((ucontext_t *)ctx)->uc_mcontext.gregs;
-    if (used + DEPTH + 1 > WORDS) return;
+    if (used + DEPTH + 2 > WORDS) return;
+    buf[used++] = 1;
     size_t head = used++, n = 0;
     buf[used + n++] = (uint64_t)r[REG_RIP];
     uintptr_t fp = (uintptr_t)r[REG_RBP];
