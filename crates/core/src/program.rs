@@ -65,6 +65,8 @@ pub struct TxnEffects {
     pub writes: Vec<(ObjectId, Value)>,
     /// The values read so far (see [`TxnCtx::reads`]).
     pub(crate) seen: Vec<(ObjectId, Value)>,
+    /// §4.4.1: each node holding the staged quasi, the home first, once.
+    pub(crate) acks: Vec<NodeId>,
 }
 
 impl TxnEffects {
@@ -73,6 +75,7 @@ impl TxnEffects {
         self.reads.clear();
         self.writes.clear();
         self.seen.clear();
+        self.acks.clear();
     }
 }
 

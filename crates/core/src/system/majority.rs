@@ -76,6 +76,7 @@ impl System {
             quasi: quasi.clone(),
         };
         self.broadcast_fragment(at, home, fragment, prepare);
+        effects.acks.push(home);
         self.pending.insert(
             txn,
             Pending::Majority {
@@ -83,7 +84,6 @@ impl System {
                 home,
                 quasi,
                 effects,
-                acks: [home].into_iter().collect(),
                 submitted_at: at,
             },
         );
@@ -119,8 +119,10 @@ impl System {
         acker: NodeId,
         notes: &mut Notes,
     ) {
-        if let Some(Pending::Majority { acks, .. }) = self.pending.get_mut(&txn) {
-            acks.insert(acker);
+        if let Some(Pending::Majority { effects, .. }) = self.pending.get_mut(&txn) {
+            if !effects.acks.contains(&acker) {
+                effects.acks.push(acker);
+            }
         }
         self.check_majority(at, txn, notes);
     }
@@ -130,13 +132,13 @@ impl System {
         let Some(Pending::Majority {
             fragment,
             quasi,
-            acks,
+            effects,
             ..
         }) = self.pending.get(&txn)
         else {
             return;
         };
-        if acks.len() < self.majority(*fragment) {
+        if effects.acks.len() < self.majority(*fragment) {
             return;
         }
         // Epoch fence: the quasi was staged under `quasi.epoch`. If a
@@ -436,5 +438,72 @@ impl System {
         let next = self.nodes[new_home.0 as usize].install_frontier(fragment);
         self.tokens.set_next_frag_seq(fragment, next);
         self.complete_move(at, fragment, new_home, notes);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use fragdb_model::{AgentId, FragmentCatalog, Value};
+    use fragdb_net::Topology;
+    use fragdb_sim::SimDuration;
+
+    use crate::config::SystemConfig;
+    use crate::events::Submission;
+
+    use super::*;
+
+    /// The home counts once, a repeated ack counts once, and the ack list
+    /// goes back to the spare buffers with the rest of the transaction's
+    /// when the commit lands, for the next commit to borrow.
+    #[test]
+    fn each_acker_counts_once_and_the_list_is_reused() {
+        let mut b = FragmentCatalog::builder();
+        let (f, objs) = b.add_fragment("F0", 1);
+        let config = SystemConfig::unrestricted(3).with_move_policy(MovePolicy::MajorityCommit {
+            timeout: SimDuration::from_secs(5),
+        });
+        let mut sys = System::build(
+            Topology::full_mesh(5, SimDuration::from_millis(10)),
+            b.build(),
+            vec![(f, AgentId::Node(NodeId(0)), NodeId(0))],
+            config,
+        )
+        .expect("builds");
+        let object = objs[0];
+        let write =
+            |v| Submission::update(f, Box::new(move |ctx| ctx.write(object, Value::Int(v))));
+        let at = SimTime::from_millis(1);
+        sys.submit_at(at, write(1));
+        sys.run_until(at);
+        let txn = *sys.pending.keys().next().expect("staged, awaiting acks");
+        let acks = |sys: &System| match sys.pending.get(&txn) {
+            Some(Pending::Majority { effects, .. }) => Some(effects.acks.len()),
+            _ => None,
+        };
+        assert_eq!(acks(&sys), Some(1), "the home");
+        let mut notes = Vec::new();
+        for acker in [0, 1, 1] {
+            sys.on_prepare_ack(at, txn, NodeId(acker), &mut notes);
+        }
+        assert_eq!(acks(&sys), Some(2), "the home and node 1, once each");
+        assert!(sys.spare_effects.is_empty());
+        sys.on_prepare_ack(at, txn, NodeId(2), &mut notes);
+        assert_eq!(acks(&sys), None, "three of five commit");
+        let spare = |sys: &System| {
+            sys.spare_effects
+                .iter()
+                .map(|e| e.acks.capacity())
+                .collect::<Vec<_>>()
+        };
+        assert!(
+            matches!(spare(&sys)[..], [c] if c >= 3),
+            "the list went back"
+        );
+        sys.run_until(SimTime::from_secs(1));
+        let later = SimTime::from_secs(2);
+        sys.submit_at(later, write(2));
+        sys.run_until(later);
+        assert!(spare(&sys).is_empty(), "the next commit borrowed it");
+        assert_eq!(sys.pending.len(), 1);
     }
 }

@@ -231,7 +231,9 @@ impl System {
                     ..
                 } => format!("L{fragment}o{}g{}", outstanding_sites.len(), granted.len()),
                 Pending::XWait { fragment, .. } => format!("X{fragment}"),
-                Pending::Majority { fragment, acks, .. } => format!("M{fragment}a{}", acks.len()),
+                Pending::Majority {
+                    fragment, effects, ..
+                } => format!("M{fragment}a{}", effects.acks.len()),
             };
             let _ = write!(s, "{t}={desc};");
         }

@@ -145,9 +145,9 @@ pub(crate) enum Pending {
         fragment: FragmentId,
         home: NodeId,
         quasi: QuasiTransaction,
-        /// The transaction's buffers: its reads, flushed at commit.
+        /// The transaction's buffers: its reads, flushed at commit, and
+        /// the acks counted so far.
         effects: TxnEffects,
-        acks: BTreeSet<NodeId>,
         submitted_at: SimTime,
     },
 }

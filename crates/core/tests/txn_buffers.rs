@@ -105,13 +105,9 @@ fn assert_clean_after_abort(mut sys: System, objs: &[Vec<ObjectId>], reason: Abo
     let payload = vec![(a, Value::Int(77))];
     for node in 0..sys.node_count() {
         let wal = sys.replica(NodeId(node)).wal();
-        let entry = wal
-            .entries()
-            .iter()
-            .find(|e| e.txn == txn)
-            .expect("installed");
+        let entry = wal.entries().find(|e| e.txn == txn).expect("installed");
         assert_eq!(entry.updates.to_vec(), payload, "WAL at node {node}");
-        assert!(wal.entries().iter().all(|e| e.txn != aborted[0]));
+        assert!(wal.entries().all(|e| e.txn != aborted[0]));
     }
     let installs: Vec<_> = (notes.iter())
         .filter_map(|n| match n {

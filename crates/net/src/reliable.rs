@@ -55,13 +55,14 @@
 //!
 //! This is the one FIFO in the message path (§3.2) of fragdb-core and of
 //! both §1 baselines: nothing above it numbers, re-orders or de-duplicates
-//! messages again. All of its state — both ends of a directed stream — is
-//! one `Stream` record per ordered pair, found through a hashed [`IdMap`]
-//! keyed `(from, to)`: each packet, ack and timer finds its stream with one
-//! hash probe, and the passes over every stream ([`crash`],
-//! [`resync_node`], [`pending_count`]) do not depend on the map's order.
-//! The map holds only an index into a packed `Vec` of the records, so its
-//! spare buckets cost a key and an index rather than a whole record.
+//! messages again. All of its state — both ends of a directed stream, and
+//! its direction's wire slot and route, memoized per link-state epoch — is
+//! one `Stream` record. A node pair's two records sit side by side (the
+//! reverse of record `i` is `i ^ 1`), found through a hashed [`IdMap`]
+//! keyed by the unordered pair: each packet, ack and timer finds its pair
+//! with one hash probe and hands the index down, and the passes over every
+//! stream ([`crash`], [`resync_node`], [`pending_count`]) do not depend on
+//! the map's order.
 //! Neither end searches for an order it already knows: the sender's window
 //! is a FIFO holding a contiguous id range, which a cumulative ack trims
 //! from the front by subtraction, and
@@ -83,7 +84,7 @@ use fragdb_sim::{IdMap, SimDuration, SimRng, SimTime};
 use crate::fault::FaultConfig;
 use crate::partition::NetworkChange;
 use crate::topology::Topology;
-use crate::wire::{fifo_slot, Wire};
+use crate::wire::{fifo_slot, Route, Wire};
 
 /// An application message released to its receiver.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -194,9 +195,10 @@ pub struct ReliableStats {
 
 /// Both ends of one directed stream `from -> to`: the sender's numbering,
 /// window and timer, the receiver's watermark and reassembly buffer, and
-/// the wire slot of the `from -> to` direction. Neither end searches for
-/// an order it knows: the window is trimmed and probed at its front, and
-/// only an arrival past the watermark enters the reassembly buffer.
+/// the wire slot and route of the `from -> to` direction. Neither end
+/// searches for an order it knows: the window is trimmed and probed at its
+/// front, and only an arrival past the watermark enters the reassembly
+/// buffer.
 #[derive(Debug)]
 struct Stream<M> {
     /// Next packet id the sender assigns. Survives crashes (conceptually
@@ -222,6 +224,8 @@ struct Stream<M> {
     /// reverse stream's acks — which keeps jitter-free links FIFO on the
     /// wire.
     last_sched: Option<SimTime>,
+    /// The `from -> to` route.
+    route: Route,
 }
 
 impl<M> Default for Stream<M> {
@@ -235,6 +239,7 @@ impl<M> Default for Stream<M> {
             expected: None,
             inbuf: BTreeMap::new(),
             last_sched: None,
+            route: (0, None),
         }
     }
 }
@@ -248,10 +253,32 @@ impl<M> Stream<M> {
     }
 }
 
-/// Every directed stream that has carried anything: the records packed in
-/// a `Vec` in first-use order, and an `IdMap` from `(from, to)` to a
-/// record's index. The hash table's spare buckets then hold a key and an
-/// index, not a whole record.
+/// One direction of a node pair: its endpoints and its record's index.
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    from: NodeId,
+    to: NodeId,
+    i: usize,
+}
+
+impl Link {
+    /// `from -> to` in the pair whose `lo -> hi` record is `k`.
+    fn new(from: NodeId, to: NodeId, k: u32) -> Link {
+        let i = k as usize + usize::from(from > to);
+        Link { from, to, i }
+    }
+
+    /// The opposite direction, whose record sits beside this one.
+    fn reverse(self) -> Link {
+        let (from, to, i) = (self.to, self.from, self.i ^ 1);
+        Link { from, to, i }
+    }
+}
+
+/// Both directions' records of every pair `lo < hi` that has carried
+/// anything, side by side in a `Vec` in first-use order (`lo -> hi` first),
+/// and an `IdMap` from `(lo, hi)` to the first: the hash table's spare
+/// buckets hold a key and an index, not whole records.
 #[derive(Debug)]
 struct Streams<M> {
     index: IdMap<(NodeId, NodeId), u32>,
@@ -266,24 +293,21 @@ impl<M> Streams<M> {
         }
     }
 
-    fn get(&self, key: (NodeId, NodeId)) -> Option<&Stream<M>> {
-        let &i = self.index.get(&key)?;
-        Some(&self.records[i as usize])
+    /// The direction `from -> to`, if its pair has records.
+    fn find(&self, from: NodeId, to: NodeId) -> Option<Link> {
+        let &k = self.index.get(&(from.min(to), from.max(to)))?;
+        Some(Link::new(from, to, k))
     }
 
-    fn get_mut(&mut self, key: (NodeId, NodeId)) -> Option<&mut Stream<M>> {
-        let &i = self.index.get(&key)?;
-        Some(&mut self.records[i as usize])
-    }
-
-    /// The stream `key`, created empty on first use.
-    fn entry(&mut self, key: (NodeId, NodeId)) -> &mut Stream<M> {
+    /// The direction `from -> to`, its pair's records made on first use.
+    fn link(&mut self, from: NodeId, to: NodeId) -> Link {
         let records = &mut self.records;
-        let &mut i = self.index.entry(key).or_insert_with(|| {
-            records.push(Stream::default());
-            u32::try_from(records.len() - 1).expect("fewer than 2^32 streams")
+        let pair = self.index.entry((from.min(to), from.max(to)));
+        let &mut k = pair.or_insert_with(|| {
+            records.extend([Stream::default(), Stream::default()]);
+            u32::try_from(records.len() - 2).expect("fewer than 2^32 streams")
         });
-        &mut self.records[i as usize]
+        Link::new(from, to, k)
     }
 }
 
@@ -293,7 +317,7 @@ impl<M> Streams<M> {
 pub struct ReliableNet<M> {
     wire: Wire,
     faults: FaultConfig,
-    /// Every directed stream that has carried anything, keyed `(from, to)`.
+    /// Both directions of every node pair that has carried anything.
     streams: Streams<M>,
     stats: ReliableStats,
 }
@@ -342,93 +366,83 @@ impl<M: Clone> ReliableNet<M> {
         self.wire.connected(a, b)
     }
 
-    /// Put one packet on the wire, rolling the link's fault dice.
+    /// Put one packet on the `link` wire, rolling its fault dice. A
+    /// duplicated packet is cloned once and the original moves into the
+    /// last copy.
     fn transmit(
         &mut self,
         now: SimTime,
-        from: NodeId,
-        to: NodeId,
+        link: Link,
         pkt: Pkt<M>,
         rng: &mut SimRng,
         out: &mut Vec<NetAction<M>>,
     ) {
+        let Link { from, to, i } = link;
         let plan = self.faults.plan_for(from, to);
-        let Some(base) = self.wire.path_delay(from, to) else {
+        let s = &mut self.streams.records[i];
+        let Some(base) = self.wire.route(&mut s.route, from, to) else {
             self.stats.unreachable += 1;
             return;
         };
-        let copies = if plan.dup > 0.0 && rng.chance(plan.dup) {
+        let duplicated = plan.dup > 0.0 && rng.chance(plan.dup);
+        if duplicated {
             self.stats.fault_duplicated += 1;
-            2
-        } else {
-            1
-        };
-        for _ in 0..copies {
+        }
+        let stats = &mut self.stats;
+        let mut put = |pkt: Pkt<M>| {
             if plan.drop > 0.0 && rng.chance(plan.drop) {
-                self.stats.fault_dropped += 1;
-                continue;
+                stats.fault_dropped += 1;
+                return;
             }
             let at = if plan.jitter > SimDuration(0) {
                 // Per-packet jitter: packets may overtake — real reordering.
                 now + base + SimDuration(rng.gen_range(0..=plan.jitter.0))
             } else {
                 // Jitter-free links stay FIFO on the wire.
-                let s = self.streams.entry((from, to));
                 fifo_slot(&mut s.last_sched, now + base)
             };
-            out.push(NetAction::Deliver(
-                at,
-                PktDelivery {
-                    from,
-                    to,
-                    pkt: pkt.clone(),
-                },
-            ));
+            out.push(NetAction::Deliver(at, PktDelivery { from, to, pkt }));
+        };
+        if duplicated {
+            put(pkt.clone());
         }
+        put(pkt);
     }
 
-    /// The cumulative-ack watermark `from` can piggyback on data to `to`:
-    /// one past the highest id released in order from the `to -> from`
-    /// stream, or `None` if that stream never delivered anything.
-    fn reverse_ack(&self, from: NodeId, to: NodeId) -> Option<u64> {
-        self.streams.get((to, from))?.expected
-    }
-
-    /// Put `Data { id, msg }` on the `from -> to` wire, piggybacking the
-    /// reverse stream's cumulative ack when there is one.
+    /// Put `Data { id, msg }` on the `link` wire, piggybacking the reverse
+    /// stream's cumulative ack — one past the highest id it released in
+    /// order — when it has delivered anything.
     fn transmit_data(
         &mut self,
         now: SimTime,
-        (from, to): (NodeId, NodeId),
+        link: Link,
         id: u64,
         msg: M,
         rng: &mut SimRng,
         out: &mut Vec<NetAction<M>>,
     ) {
         self.stats.transmissions += 1;
-        let ack = self.reverse_ack(from, to);
+        let ack = self.streams.records[link.reverse().i].expected;
         if ack.is_some() {
             self.stats.acks_piggybacked += 1;
         }
-        self.transmit(now, from, to, Pkt::Data { id, ack, msg }, rng, out);
+        self.transmit(now, link, Pkt::Data { id, ack, msg }, rng, out);
     }
 
-    /// Apply a cumulative ack from `to` for the stream `from -> to`: clear
-    /// every pending id below `upto`. On progress, a drained window
-    /// invalidates the link's live timer; a window that is still open and
-    /// was being probed gets its overdue packets resent (restamped `now`)
-    /// and one fresh timer at its new oldest deadline.
+    /// Apply a cumulative ack for the stream `link`: clear every pending id
+    /// below `upto`. On progress, a drained window invalidates the link's
+    /// live timer; a window that is still open and was being probed gets
+    /// its overdue packets resent (restamped `now`) and one fresh timer at
+    /// its new oldest deadline.
     fn apply_cum_ack(
         &mut self,
         now: SimTime,
-        (from, to): (NodeId, NodeId),
+        link: Link,
         upto: u64,
         rng: &mut SimRng,
         out: &mut Vec<NetAction<M>>,
     ) {
-        let Some(s) = self.streams.get_mut((from, to)) else {
-            return;
-        };
+        let s = &mut self.streams.records[link.i];
         // The window holds a contiguous id range — ids are assigned in
         // order, acks clear a prefix and a crash clears it all — so the
         // ids below `upto` are its first `upto - front` entries.
@@ -462,8 +476,9 @@ impl<M: Clone> ReliableNet<M> {
         let (gen, deadline) = (s.gen, s.deadline().expect("window is open"));
         for (id, msg) in overdue {
             self.stats.retransmissions += 1;
-            self.transmit_data(now, (from, to), id, msg, rng, out);
+            self.transmit_data(now, link, id, msg, rng, out);
         }
+        let (from, to) = (link.from, link.to);
         out.push(NetAction::Timer(
             deadline,
             RetransmitTimer { from, to, gen },
@@ -503,13 +518,14 @@ impl<M: Clone> ReliableNet<M> {
     ) {
         assert!(from != to, "loopback send through the network");
         self.stats.sent += 1;
-        let s = self.streams.entry((from, to));
+        let link = self.streams.link(from, to);
+        let s = &mut self.streams.records[link.i];
         let id = s.next_id;
         s.next_id += 1;
         s.pending.push_back((id, now, msg.clone()));
         let (arm, gen) = (!s.armed, s.gen);
         s.armed = true;
-        self.transmit_data(now, (from, to), id, msg, rng, out);
+        self.transmit_data(now, link, id, msg, rng, out);
         if arm {
             out.push(NetAction::Timer(
                 now + RTO,
@@ -542,11 +558,11 @@ impl<M: Clone> ReliableNet<M> {
         rng: &mut SimRng,
         out: &mut Vec<NetAction<M>>,
     ) {
-        let RetransmitTimer { from, to, gen } = timer;
-        let Some(s) = self.streams.get_mut((from, to)) else {
+        let Some(link) = self.streams.find(timer.from, timer.to) else {
             return;
         };
-        if s.gen != gen {
+        let s = &mut self.streams.records[link.i];
+        if s.gen != timer.gen {
             return; // superseded by a drain or a re-arm
         }
         let Some(deadline) = s.deadline() else {
@@ -564,7 +580,7 @@ impl<M: Clone> ReliableNet<M> {
         *at = now;
         let msg = msg.clone();
         self.stats.retransmissions += 1;
-        self.transmit_data(now, (from, to), id, msg, rng, out);
+        self.transmit_data(now, link, id, msg, rng, out);
         out.push(NetAction::Timer(now + RTO, timer));
     }
 
@@ -596,11 +612,12 @@ impl<M: Clone> ReliableNet<M> {
     ) {
         match d.pkt {
             Pkt::Data { id, ack, msg } => {
+                let link = self.streams.link(d.from, d.to);
                 if let Some(upto) = ack {
                     // Piggybacked ack for the reverse stream (d.to -> d.from).
-                    self.apply_cum_ack(now, (d.to, d.from), upto, rng, actions);
+                    self.apply_cum_ack(now, link.reverse(), upto, rng, actions);
                 }
-                let s = self.streams.entry((d.from, d.to));
+                let s = &mut self.streams.records[link.i];
                 let expected = s.expected.get_or_insert(0);
                 // Decide whether this arrival draws a standalone ack:
                 // stale packets always do (so post-resync windows drain),
@@ -635,7 +652,7 @@ impl<M: Clone> ReliableNet<M> {
                 match ack_upto {
                     Some(upto) => {
                         self.stats.acks_sent += 1;
-                        self.transmit(now, d.to, d.from, Pkt::Ack { upto }, rng, actions);
+                        self.transmit(now, link.reverse(), Pkt::Ack { upto }, rng, actions);
                     }
                     None => self.stats.acks_suppressed += 1,
                 }
@@ -643,7 +660,9 @@ impl<M: Clone> ReliableNet<M> {
             Pkt::Ack { upto } => {
                 // The acked stream is (original sender = d.to) -> (acker =
                 // d.from).
-                self.apply_cum_ack(now, (d.to, d.from), upto, rng, actions);
+                if let Some(link) = self.streams.find(d.to, d.from) {
+                    self.apply_cum_ack(now, link, upto, rng, actions);
+                }
             }
         }
     }
@@ -654,9 +673,12 @@ impl<M: Clone> ReliableNet<M> {
     /// [`ReliableNet::resync_node`] at recovery, the first probe to arrive
     /// is stale and its cumulative ack drains the whole window.
     pub fn crash(&mut self, node: NodeId) {
-        for (&(from, _), &i) in &self.streams.index {
-            if from == node {
-                self.streams.records[i as usize].pending.clear();
+        for (&(lo, hi), &k) in &self.streams.index {
+            let k = k as usize;
+            for (from, i) in [(lo, k), (hi, k + 1)] {
+                if from == node {
+                    self.streams.records[i].pending.clear();
+                }
             }
         }
     }
@@ -671,18 +693,13 @@ impl<M: Clone> ReliableNet<M> {
     /// discarded. Pairs that never exchanged a packet have nothing to cut
     /// and get no record.
     pub fn resync_node(&mut self, node: NodeId) {
-        let peers: std::collections::BTreeSet<NodeId> = self
-            .streams
-            .index
-            .keys()
-            .filter(|&&(a, b)| a == node || b == node)
-            .map(|&(a, b)| if a == node { b } else { a })
-            .collect();
-        for p in peers {
-            for key in [(p, node), (node, p)] {
-                let s = self.streams.entry(key);
-                s.expected = Some(s.next_id);
-                s.inbuf.clear();
+        for (&(lo, hi), &k) in &self.streams.index {
+            if lo == node || hi == node {
+                let k = k as usize;
+                for s in &mut self.streams.records[k..k + 2] {
+                    s.expected = Some(s.next_id);
+                    s.inbuf.clear();
+                }
             }
         }
     }
@@ -895,7 +912,10 @@ mod tests {
         l.send(SimTime::ZERO, a, c, 2);
         l.send(SimTime::ZERO, c, a, 3);
         l.net.crash(a);
-        let window = |l: &Loop<u64>, from, to| l.net.streams.get((from, to)).unwrap().pending.len();
+        let window = |l: &Loop<u64>, from, to| {
+            let link = l.net.streams.find(from, to).unwrap();
+            l.net.streams.records[link.i].pending.len()
+        };
         assert_eq!((window(&l, a, b), window(&l, a, c)), (0, 0));
         assert_eq!(window(&l, c, a), 1, "sends toward the crashed node stay");
         // With `a` down, C→A keeps probing and stays unacked.
@@ -998,6 +1018,70 @@ mod tests {
         assert_eq!(l.net.pending_count(), 0);
     }
 
+    /// A pair's two records are created together, so a one-way stream's
+    /// reverse record exists from its first packet on; it has nothing to
+    /// acknowledge until the reverse direction has delivered something.
+    #[test]
+    fn a_reverse_record_piggybacks_nothing_until_it_delivers() {
+        let net: ReliableNet<u64> = ReliableNet::new(Topology::full_mesh(2, ms(10)));
+        let mut l = Loop::new(net, 2);
+        let piggybacked = |acts: &[NetAction<u64>]| match &acts[0] {
+            NetAction::Deliver(_, pd) => match pd.pkt {
+                Pkt::Data { ack, .. } => ack,
+                Pkt::Ack { .. } => panic!("not data: {pd:?}"),
+            },
+            NetAction::Timer(..) => panic!("not a delivery"),
+        };
+        l.send(SimTime::ZERO, n(0), n(1), 1);
+        l.run(SimTime::from_secs(1));
+        assert!(
+            l.net.streams.find(n(1), n(0)).is_some(),
+            "made with its pair"
+        );
+        let second = l.net.send(SimTime::from_secs(1), n(0), n(1), 2, &mut l.rng);
+        assert_eq!(piggybacked(&second), None, "1 -> 0 delivered nothing");
+        assert_eq!(l.net.stats().acks_piggybacked, 0);
+        l.push(second);
+        l.run(SimTime::from_secs(2));
+        let reply = l.net.send(SimTime::from_secs(2), n(1), n(0), 3, &mut l.rng);
+        assert_eq!(piggybacked(&reply), Some(2), "0 -> 1 released ids 0 and 1");
+        l.push(reply);
+        l.run(SimTime::from_secs(3));
+        let third = l.net.send(SimTime::from_secs(3), n(0), n(1), 4, &mut l.rng);
+        assert_eq!(piggybacked(&third), Some(1), "1 -> 0 released id 0");
+        assert_eq!(l.net.stats().acks_piggybacked, 2);
+    }
+
+    /// Each record memoizes its direction's route for one link-state
+    /// epoch: after a change, a stream that already carried traffic is
+    /// rerouted, counts a send over a cut as unreachable, and after the
+    /// heal delivers at the original delay again.
+    #[test]
+    fn a_link_change_retires_memoized_routes() {
+        let mut net: ReliableNet<u64> = ReliableNet::new(Topology::full_mesh(3, ms(10)));
+        let mut rng = SimRng::new(1);
+        let mut arrival = |net: &mut ReliableNet<u64>, secs: u64| {
+            let now = SimTime::from_secs(secs);
+            let acts = net.send(now, n(0), n(1), secs, &mut rng);
+            let at = acts.iter().find_map(|a| match a {
+                NetAction::Deliver(at, _) => Some(*at - now),
+                NetAction::Timer(..) => None,
+            });
+            (at, net.stats().unreachable)
+        };
+        assert_eq!(arrival(&mut net, 0), (Some(ms(10)), 0));
+        net.apply_change(&NetworkChange::LinkDown(n(0), n(1)));
+        assert_eq!(arrival(&mut net, 1), (Some(ms(20)), 0), "through node 2");
+        net.apply_change(&NetworkChange::LinkDown(n(0), n(2)));
+        assert_eq!(
+            arrival(&mut net, 2),
+            (None, 1),
+            "stale route survived the cut"
+        );
+        net.apply_change(&NetworkChange::HealAll);
+        assert_eq!(arrival(&mut net, 3), (Some(ms(10)), 1));
+    }
+
     #[test]
     fn same_seed_same_schedule() {
         let mk = || {
@@ -1038,8 +1122,8 @@ mod tests {
         l.net.crash(n(1));
         l.net.resync_node(n(1));
         for silent in [n(2), n(3)] {
-            assert!(l.net.streams.get((n(1), silent)).is_none());
-            assert!(l.net.streams.get((silent, n(1))).is_none());
+            assert!(l.net.streams.find(n(1), silent).is_none());
+            assert!(l.net.streams.find(silent, n(1)).is_none());
         }
         let piggybacked = l.net.stats().acks_piggybacked;
         let first = l.net.send(SimTime::from_secs(1), n(1), n(2), 6, &mut l.rng);

@@ -255,9 +255,9 @@ impl Topology {
 }
 
 /// Memoized [`Topology::path_delay`] answers, valid for exactly the
-/// [`LinkState`] they were computed under: [`invalidate`] on every change
-/// (inside the crate the `Wire` that [`ReliableNet`] holds owns topology,
-/// state and cache, and does so in its one mutator).
+/// [`LinkState`] they were computed under: [`invalidate`] on every change.
+/// ([`ReliableNet`] memoizes each route in its stream record instead, with
+/// the link-state epoch.)
 ///
 /// A simulation asks for the same `(from, to)` delay once per packet, so
 /// repeats are one hash probe. One entry per pair asked and nothing per

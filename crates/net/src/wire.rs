@@ -1,7 +1,8 @@
 //! What [`ReliableNet`] stands on: the static link graph, the live link
-//! state, and the route cache that is valid for exactly one link state.
-//! [`Wire::apply_change`] is the only way to change the state, so every
-//! change invalidates the cache.
+//! state, and the epoch that numbers it. [`Wire::apply_change`] is the only
+//! way to change the state, and it bumps the epoch, so a route memoized
+//! with the epoch it was searched under is current exactly while the epoch
+//! is; [`ReliableNet`] keeps each direction's in its stream record.
 //!
 //! [`ReliableNet`]: crate::reliable::ReliableNet
 
@@ -10,23 +11,28 @@ use fragdb_sim::{SimDuration, SimTime};
 
 use crate::linkstate::LinkState;
 use crate::partition::NetworkChange;
-use crate::topology::{RouteCache, Topology};
+use crate::topology::Topology;
 
-/// Topology + live link state + memoized shortest-path delays.
+/// A memoized route: the wire epoch it was searched under and the delay
+/// (`None`: unreachable). Epoch 0 is never current.
+pub(crate) type Route = (u64, Option<SimDuration>);
+
+/// Topology + live link state + the state's epoch.
 #[derive(Debug)]
 pub(crate) struct Wire {
     topo: Topology,
     state: LinkState,
-    routes: RouteCache,
+    /// Bumped by every change; starts at 1, so 0 is never current.
+    epoch: u64,
 }
 
 impl Wire {
-    /// All links up, nothing cached.
+    /// All links up, at epoch 1.
     pub(crate) fn new(topo: Topology) -> Self {
         Wire {
             topo,
             state: LinkState::all_up(),
-            routes: RouteCache::new(),
+            epoch: 1,
         }
     }
 
@@ -34,16 +40,20 @@ impl Wire {
         self.topo.connected(a, b, &self.state)
     }
 
-    /// Apply a link-state change; the memoized routes die with the old state.
+    /// Apply a link-state change, starting a new epoch.
     pub(crate) fn apply_change(&mut self, change: &NetworkChange) {
         change.apply(&mut self.state);
-        self.routes.invalidate();
+        self.epoch += 1;
     }
 
     /// Shortest-path delay under the current link state, `None` when
-    /// `from` cannot reach `to`.
-    pub(crate) fn path_delay(&mut self, from: NodeId, to: NodeId) -> Option<SimDuration> {
-        self.routes.path_delay(&self.topo, &self.state, from, to)
+    /// `from` cannot reach `to`, memoized in `memo` with the epoch: the
+    /// search runs only when the memo is from an older state.
+    pub(crate) fn route(&self, memo: &mut Route, from: NodeId, to: NodeId) -> Option<SimDuration> {
+        if memo.0 != self.epoch {
+            *memo = (self.epoch, self.topo.path_delay(from, to, &self.state));
+        }
+        memo.1
     }
 }
 
@@ -58,21 +68,4 @@ pub(crate) fn fifo_slot(last: &mut Option<SimTime>, candidate: SimTime) -> SimTi
     };
     *last = Some(at);
     at
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_change_invalidates_cached_routes() {
-        let (a, b) = (NodeId(0), NodeId(1));
-        let mut w = Wire::new(Topology::full_mesh(2, SimDuration::from_millis(10)));
-        assert_eq!(w.path_delay(a, b), Some(SimDuration::from_millis(10)));
-        w.apply_change(&NetworkChange::LinkDown(a, b));
-        assert_eq!(w.path_delay(a, b), None, "stale route survived the cut");
-        assert!(!w.connected(a, b));
-        w.apply_change(&NetworkChange::HealAll);
-        assert_eq!(w.path_delay(a, b), Some(SimDuration::from_millis(10)));
-    }
 }

@@ -202,7 +202,7 @@ mod tests {
             SimTime(2),
         );
         assert_eq!(r.read(o(5)), &Value::Int(50));
-        let entry = &r.wal().entries()[0];
+        let entry = r.wal().entries().next().unwrap();
         assert_eq!(entry.updates.len(), 1);
         assert_eq!(entry.epoch, 1);
     }

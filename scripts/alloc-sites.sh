@@ -5,12 +5,15 @@
 #   scripts/alloc-sites.sh <workload> [seed (42)] [reps (1)]
 #
 # Builds the benchmark as scripts/profile.sh does, runs
-# `rep --workload W --seed S --mode timed` REPS times under
+# `rep --workload W --seed S --mode timed --id 1` REPS times under
 # scripts/alloc-interposer.c (LD_PRELOAD: every malloc, calloc, realloc and
 # posix_memalign is counted under its frame-pointer stack), and prints the
 # allocations made under `System::step_until` per repetition, each at its
 # call site: the innermost frame outside the standard library. The counts
-# are exact and repeat run to run, so one repetition is enough. Needs cc,
+# are exact and repeat run to run, so one repetition is enough. The
+# repetition id is 1 because only id 0 takes `chaos-observed`'s
+# serializability verdict (about 9 s, after the loop), which each
+# repetition would otherwise pay for. Needs cc,
 # addr2line and python3; changes nothing outside target/profile.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -5,11 +5,14 @@
 #   scripts/profile.sh <workload> [seed (42)] [reps (8)]
 #
 # Builds the benchmark with frame pointers and line tables into
-# target/profile/build, runs `rep --workload W --seed S --mode timed` REPS
-# times under scripts/profile-sampler.c (LD_PRELOAD, ITIMER_PROF on its own
-# process), and prints each function's self share (samples whose interrupted
-# PC is in it, grouped by innermost inlined function) and inclusive share
-# (samples with it anywhere on the stack). Samples arrive at the kernel's
+# target/profile/build, runs `rep --workload W --seed S --mode timed --id 1`
+# REPS times under scripts/profile-sampler.c (LD_PRELOAD, ITIMER_PROF on its
+# own process), and prints each function's self share (samples whose
+# interrupted PC is in it, grouped by innermost inlined function) and
+# inclusive share (samples with it anywhere on the stack). The repetition
+# id is 1 because only id 0 takes `chaos-observed`'s serializability
+# verdict (about 9 s, excluded from `wall_s`), which would otherwise fill
+# most of that workload's profile. Samples arrive at the kernel's
 # timer tick, a few hundred per second, so take at least 8 repetitions.
 # Code built without frame pointers (libc, perhaps the prebuilt standard
 # library) can cut a stack short; its self samples still count. Needs cc,

@@ -483,7 +483,6 @@ fn aborted_prepare_is_not_resurrected_by_an_election() {
         .flat_map(|n| {
             let wal = sys.replica(NodeId(n)).wal();
             wal.entries()
-                .iter()
                 .filter(|e| aborted.contains(&e.txn))
                 .map(move |e| (NodeId(n), e.txn))
                 .collect::<Vec<_>>()
