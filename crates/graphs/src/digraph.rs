@@ -7,10 +7,17 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Directed graph over copyable, ordered node ids.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct DiGraph<N: Ord + Copy> {
     nodes: BTreeSet<N>,
     adj: BTreeMap<N, BTreeSet<N>>,
+}
+
+// Written out: the derived impl would require `N: Default`.
+impl<N: Ord + Copy> Default for DiGraph<N> {
+    fn default() -> Self {
+        DiGraph::new()
+    }
 }
 
 impl<N: Ord + Copy> DiGraph<N> {

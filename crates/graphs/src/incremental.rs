@@ -1,23 +1,11 @@
 //! Incremental serialization-graph checking.
 //!
-//! The batch checkers ([`crate::gsg`], [`crate::fragmentwise`]) rebuild
-//! their graphs from the full [`History`] on every query — O(history) per
-//! check, which the Monte-Carlo sweeps (E8/E9) and any
-//! check-after-every-commit monitor pay over and over. This module keeps
-//! the same verdicts *online*: feed it each op as it is recorded
-//! (`record_local`/`record_install` order) and the current verdict is
-//! available in O(1).
-//!
-//! * [`IncrementalTopo`] — Pearce–Kelly incremental topological order
-//!   maintenance: edge insertion into a DAG costs only a bounded
-//!   double-DFS over the "affected region" between the endpoints'
-//!   positions, and a cycle is detected the moment the closing edge
-//!   arrives. Once cyclic, the verdict latches (edges are only ever
-//!   added).
-//! * [`IncrementalAnalyzer`] — the online analogue of
-//!   [`crate::verdict::analyze`]: global serialization graph, Property 1
-//!   per-fragment install-order chains, Property 2 torn-read
-//!   classification.
+//! [`IncrementalAnalyzer`] is the online analogue of
+//! [`crate::verdict::analyze`]: it consumes the [`History`] one op at a
+//! time (`record_local`/`record_install` order) and keeps the graphs and
+//! the Property 2 state a verdict needs. The global serialization graph
+//! and each fragment's Property 1 install-order chain are [`DiGraph`]s,
+//! searched for a cycle when [`IncrementalAnalyzer::verdict`] is read.
 //!
 //! # Verdict equivalence, not edge equivalence
 //!
@@ -39,12 +27,29 @@
 //! inside the batch closure. If the install never arrives, batch has the
 //! direct edge too. Conversely every batch edge is either produced
 //! directly or subsumed the same way, so *cyclic(incremental) ⟺
-//! cyclic(batch)*. Property 1 uses identical edges, and Property 2's
-//! read classification ("did this read see the install?") is final at
-//! read time — a writer's first write at a node can only have a larger
-//! sequence number than any earlier read. The differential tests in
-//! `tests/incremental_differential.rs` compare verdicts on every prefix
-//! of seeded random histories.
+//! cyclic(batch)*. Property 1 uses identical edges.
+//!
+//! # Property 2: state only where a read can be torn
+//!
+//! A reader sees part of an update only through two reads at one node:
+//! one of an object the updater wrote, taken before the updater's first
+//! write of it at that node, and one taken after. So the analyzer keeps
+//! each reader's reads per `(reader, node)`, and once a pair has a second
+//! read it is indexed under every object it read. One routine classifies
+//! a pair's reads against one updater; a mix of both kinds is a
+//! violation. It runs on each read from a pair's second on, against the
+//! updaters of the object read, and when an updater writes an object for
+//! the first time, against the indexed pairs that read it.
+//!
+//! That is enough because a read's classification never changes: an
+//! updater's first write at a node either precedes the read already or
+//! comes later with a larger sequence number, which still classifies the
+//! read as "before". Only a new read or a grown write set can change a
+//! verdict, and those are the two cases. The differential tests in
+//! `tests/incremental_differential.rs` compare verdicts with the batch
+//! oracle on every prefix of small seeded histories, and at every
+//! hundredth op of 2 000-op ones whose updaters write several objects and
+//! whose readers read several times at one node.
 //!
 //! [`History`]: fragdb_model::History
 
@@ -53,155 +58,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use fragdb_model::{FragmentId, History, HistoryOp, NodeId, ObjectId, OpKind, TxnId, TxnType};
 use fragdb_sim::IdMap;
 
-/// Pearce–Kelly incremental topological order with cycle detection.
-///
-/// Maintains a total order `ord` such that every edge `u → v` has
-/// `ord[u] < ord[v]` while the graph is acyclic. Inserting an edge that
-/// violates the order triggers a forward DFS bounded by the affected
-/// region: reaching the source proves a cycle; otherwise the two
-/// reachable sets are reordered in place. Amortized cost is proportional
-/// to the affected region, not the graph.
-#[derive(Clone, Debug)]
-pub struct IncrementalTopo<N: Ord + Copy> {
-    ord: BTreeMap<N, u64>,
-    next_pos: u64,
-    fwd: BTreeMap<N, BTreeSet<N>>,
-    bwd: BTreeMap<N, BTreeSet<N>>,
-    cyclic: bool,
-    edge_insertions: u64,
-}
-
-impl<N: Ord + Copy> Default for IncrementalTopo<N> {
-    fn default() -> Self {
-        IncrementalTopo::new()
-    }
-}
-
-impl<N: Ord + Copy> IncrementalTopo<N> {
-    /// Empty order.
-    pub fn new() -> Self {
-        IncrementalTopo {
-            ord: BTreeMap::new(),
-            next_pos: 0,
-            fwd: BTreeMap::new(),
-            bwd: BTreeMap::new(),
-            cyclic: false,
-            edge_insertions: 0,
-        }
-    }
-
-    /// Insert a node (idempotent); new nodes go to the end of the order.
-    pub fn add_node(&mut self, n: N) {
-        if let std::collections::btree_map::Entry::Vacant(e) = self.ord.entry(n) {
-            e.insert(self.next_pos);
-            self.next_pos += 1;
-        }
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.ord.len()
-    }
-
-    /// Number of distinct edges inserted so far (the checker-work metric
-    /// the bench runner reports).
-    pub fn edge_insertions(&self) -> u64 {
-        self.edge_insertions
-    }
-
-    /// Does the edge exist?
-    pub fn has_edge(&self, from: N, to: N) -> bool {
-        self.fwd.get(&from).is_some_and(|s| s.contains(&to))
-    }
-
-    /// `false` once any inserted edge has closed a directed cycle. Since
-    /// edges are only added, a cyclic graph never becomes acyclic again.
-    pub fn is_acyclic(&self) -> bool {
-        !self.cyclic
-    }
-
-    /// Nodes in the maintained topological order (meaningful only while
-    /// acyclic).
-    pub fn order(&self) -> Vec<N> {
-        let mut nodes: Vec<(u64, N)> = self.ord.iter().map(|(&n, &p)| (p, n)).collect();
-        nodes.sort_unstable_by_key(|&(p, _)| p);
-        nodes.into_iter().map(|(_, n)| n).collect()
-    }
-
-    /// Insert a directed edge. Self-loops and duplicate edges are
-    /// tolerated (a self-loop is a cycle; duplicates are no-ops).
-    pub fn add_edge(&mut self, from: N, to: N) {
-        self.add_node(from);
-        self.add_node(to);
-        if from == to {
-            self.edge_insertions += 1;
-            self.cyclic = true;
-            return;
-        }
-        if !self.fwd.entry(from).or_default().insert(to) {
-            return;
-        }
-        self.bwd.entry(to).or_default().insert(from);
-        self.edge_insertions += 1;
-        if self.cyclic {
-            return;
-        }
-        let lb = self.ord[&to];
-        let ub = self.ord[&from];
-        if ub < lb {
-            return; // order already consistent
-        }
-        // Forward DFS from `to`, restricted to ord ≤ ub. Before this
-        // insertion the order was valid, so any path to → … → from has
-        // strictly increasing positions and stays inside the bound:
-        // the bounded search is exhaustive for cycle detection.
-        let mut delta_f: BTreeSet<N> = BTreeSet::new();
-        let mut stack = vec![to];
-        while let Some(n) = stack.pop() {
-            if !delta_f.insert(n) {
-                continue;
-            }
-            if n == from {
-                self.cyclic = true;
-                return;
-            }
-            for &m in self.fwd.get(&n).into_iter().flatten() {
-                if self.ord[&m] <= ub && !delta_f.contains(&m) {
-                    stack.push(m);
-                }
-            }
-        }
-        // No cycle: nodes reaching `from` from within the region must all
-        // move below the nodes reachable from `to` (the two sets are
-        // disjoint — an overlap would be a to → … → from path).
-        let mut delta_b: BTreeSet<N> = BTreeSet::new();
-        let mut stack = vec![from];
-        while let Some(n) = stack.pop() {
-            if !delta_b.insert(n) {
-                continue;
-            }
-            for &m in self.bwd.get(&n).into_iter().flatten() {
-                if self.ord[&m] >= lb && !delta_b.contains(&m) {
-                    stack.push(m);
-                }
-            }
-        }
-        let mut slots: Vec<u64> = delta_b
-            .iter()
-            .chain(delta_f.iter())
-            .map(|n| self.ord[n])
-            .collect();
-        slots.sort_unstable();
-        let mut movers: Vec<N> = delta_b.iter().copied().collect();
-        movers.sort_unstable_by_key(|n| self.ord[n]);
-        let mut f_movers: Vec<N> = delta_f.iter().copied().collect();
-        f_movers.sort_unstable_by_key(|n| self.ord[n]);
-        movers.extend(f_movers);
-        for (slot, n) in slots.into_iter().zip(movers) {
-            self.ord.insert(n, slot);
-        }
-    }
-}
+use crate::digraph::DiGraph;
 
 /// The online verdict: the projections of [`crate::Verdict`] that are
 /// order-independent (violation *sets*, not witness orderings).
@@ -247,7 +104,7 @@ impl IncrementalVerdict {
 }
 
 /// Online analogue of [`crate::verdict::analyze`]: consumes
-/// [`HistoryOp`]s one at a time and keeps the verdict current.
+/// [`HistoryOp`]s one at a time and keeps what a verdict needs.
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalAnalyzer {
     ops_seen: usize,
@@ -256,7 +113,7 @@ pub struct IncrementalAnalyzer {
     types: BTreeMap<TxnId, TxnType>,
 
     // Global serialization graph.
-    gsg: IncrementalTopo<TxnId>,
+    gsg: DiGraph<TxnId>,
     /// Most recent writer at each (node, object).
     last_write: BTreeMap<(NodeId, ObjectId), TxnId>,
     /// Readers at (node, object) since its most recent write.
@@ -274,22 +131,40 @@ pub struct IncrementalAnalyzer {
     // Property 1: per-fragment, per-node first-write install chains.
     p1_seen: BTreeSet<(FragmentId, NodeId, TxnId)>,
     p1_last: BTreeMap<(FragmentId, NodeId), TxnId>,
-    p1_topo: BTreeMap<FragmentId, IncrementalTopo<TxnId>>,
-    p1_violated: BTreeSet<FragmentId>,
+    p1_topo: BTreeMap<FragmentId, DiGraph<TxnId>>,
 
-    // Property 2: torn-read classification.
-    /// Objects each update transaction has written (any node's view).
-    write_sets: BTreeMap<TxnId, BTreeSet<ObjectId>>,
-    /// Update transactions that wrote each object.
+    // Property 2: torn-read classification (see module docs).
+    /// Update transactions that wrote each object (any node's view).
     updaters_of: BTreeMap<ObjectId, BTreeSet<TxnId>>,
     /// First write position of (node, object, updater).
     first_write_pos: BTreeMap<(NodeId, ObjectId, TxnId), u64>,
-    /// Reads of each (object, node): `(reader, seq)` in read order.
-    reads_of: BTreeMap<(ObjectId, NodeId), Vec<(TxnId, u64)>>,
-    /// Per (reader, updater, node): (saw an old value, saw a new value).
-    /// Only ever looked up by key, so hashed.
-    pair_state: IdMap<(TxnId, TxnId, NodeId), (bool, bool)>,
+    /// Each reader's reads at each node: `(object, seq)` in read order.
+    reads_at: IdMap<(TxnId, NodeId), Vec<(ObjectId, u64)>>,
+    /// The `(reader, node)` pairs with two or more reads, under each
+    /// object they read.
+    p2_index: IdMap<ObjectId, Vec<(TxnId, NodeId)>>,
     p2_violations: BTreeSet<(TxnId, TxnId, NodeId)>,
+}
+
+/// Did `reads` (one reader's, at `node`) see part of `updater`'s writes:
+/// some of the objects it wrote before its first write there, some after?
+fn torn(
+    reads: &[(ObjectId, u64)],
+    updaters_of: &BTreeMap<ObjectId, BTreeSet<TxnId>>,
+    first_write_pos: &BTreeMap<(NodeId, ObjectId, TxnId), u64>,
+    node: NodeId,
+    updater: TxnId,
+) -> bool {
+    let wrote = |o: &ObjectId| updaters_of.get(o).is_some_and(|us| us.contains(&updater));
+    let (mut old, mut new) = (false, false);
+    for &(object, seq) in reads.iter().filter(|(o, _)| wrote(o)) {
+        let saw_new = first_write_pos
+            .get(&(node, object, updater))
+            .is_some_and(|&w| w < seq);
+        new |= saw_new;
+        old |= !saw_new;
+    }
+    old && new
 }
 
 impl IncrementalAnalyzer {
@@ -323,32 +198,24 @@ impl IncrementalAnalyzer {
         self.ops_seen
     }
 
-    /// Total distinct edge insertions across the GSG and every Property-1
-    /// graph — the checker-work metric reported by the bench runner.
+    /// Total distinct edges across the GSG and every Property-1 graph —
+    /// the checker-work metric reported by the bench runner.
     pub fn edge_insertions(&self) -> u64 {
-        self.gsg.edge_insertions()
-            + self
-                .p1_topo
-                .values()
-                .map(IncrementalTopo::edge_insertions)
-                .sum::<u64>()
+        let p1: usize = self.p1_topo.values().map(DiGraph::edge_count).sum();
+        (self.gsg.edge_count() + p1) as u64
     }
 
-    /// Is the execution observed so far globally serializable? O(1).
-    pub fn is_globally_serializable(&self) -> bool {
-        self.gsg.is_acyclic()
-    }
-
-    /// Is the execution observed so far fragmentwise serializable? O(1).
-    pub fn is_fragmentwise_serializable(&self) -> bool {
-        self.p1_violated.is_empty() && self.p2_violations.is_empty()
-    }
-
-    /// The current verdict.
+    /// The verdict over the ops observed so far; searches each graph for
+    /// a cycle.
     pub fn verdict(&self) -> IncrementalVerdict {
         IncrementalVerdict {
             globally_serializable: self.gsg.is_acyclic(),
-            property1_violations: self.p1_violated.clone(),
+            property1_violations: self
+                .p1_topo
+                .iter()
+                .filter(|(_, g)| !g.is_acyclic())
+                .map(|(&f, _)| f)
+                .collect(),
             property2_violations: self.p2_violations.clone(),
             txn_count: self.types.len(),
         }
@@ -423,42 +290,33 @@ impl IncrementalAnalyzer {
         // Property 1: chain first writes per (fragment, node).
         let frag = ttype.fragment();
         if self.p1_seen.insert((frag, op.node, op.txn)) {
-            let topo = self.p1_topo.entry(frag).or_default();
-            topo.add_node(op.txn);
+            let chain = self.p1_topo.entry(frag).or_default();
+            chain.add_node(op.txn);
             if let Some(prev) = self.p1_last.insert((frag, op.node), op.txn) {
                 if prev != op.txn {
-                    topo.add_edge(prev, op.txn);
-                    if !topo.is_acyclic() {
-                        self.p1_violated.insert(frag);
-                    }
+                    chain.add_edge(prev, op.txn);
                 }
-            }
-        }
-        // Property 2: a new (updater, object) pair classifies every
-        // earlier read of the object as "saw the old value" for this
-        // pair — any future write position exceeds those reads' seqs.
-        if self.write_sets.entry(op.txn).or_default().insert(op.object) {
-            self.updaters_of
-                .entry(op.object)
-                .or_default()
-                .insert(op.txn);
-            let mut marks: Vec<(TxnId, NodeId)> = Vec::new();
-            let span = (op.object, NodeId(0))..=(op.object, NodeId(u32::MAX));
-            for ((_, n), rlist) in self.reads_of.range(span) {
-                marks.extend(
-                    rlist
-                        .iter()
-                        .map(|&(r, _)| (r, *n))
-                        .filter(|&(r, _)| r != op.txn),
-                );
-            }
-            for (reader, node) in marks {
-                self.p2_mark(reader, op.txn, node, false);
             }
         }
         self.first_write_pos
             .entry((op.node, op.object, op.txn))
             .or_insert(op.seq);
+        // Property 2: the updater's write set grew, so the indexed pairs
+        // that read this object may now hold a torn read.
+        if self
+            .updaters_of
+            .entry(op.object)
+            .or_default()
+            .insert(op.txn)
+        {
+            let (ups, pos) = (&self.updaters_of, &self.first_write_pos);
+            for &(reader, node) in self.p2_index.get(&op.object).into_iter().flatten() {
+                let reads = &self.reads_at[&(reader, node)];
+                if reader != op.txn && torn(reads, ups, pos, node, op.txn) {
+                    self.p2_violations.insert((reader, op.txn, node));
+                }
+            }
+        }
     }
 
     fn observe_read(&mut self, op: &HistoryOp) {
@@ -492,43 +350,27 @@ impl IncrementalAnalyzer {
         for w in absent {
             self.gsg.add_edge(op.txn, w);
         }
-        // Property 2: classify this read against every known updater of
-        // the object. The classification is final: an updater's first
-        // write at this node either already exists (fixed position) or
-        // will carry a larger sequence number than this read.
-        self.reads_of
-            .entry((op.object, op.node))
-            .or_default()
-            .push((op.txn, op.seq));
-        let updaters: Vec<TxnId> = self
-            .updaters_of
-            .get(&op.object)
-            .into_iter()
-            .flatten()
-            .copied()
-            .filter(|&u| u != op.txn)
-            .collect();
-        for u in updaters {
-            let saw_new = self
-                .first_write_pos
-                .get(&(op.node, op.object, u))
-                .is_some_and(|&w| w < op.seq);
-            self.p2_mark(op.txn, u, op.node, saw_new);
+        // Property 2: from its second read at a node on, index the pair
+        // under each object it read and classify its reads against the
+        // updaters of this one.
+        let pair = (op.txn, op.node);
+        let reads = self.reads_at.entry(pair).or_default();
+        reads.push((op.object, op.seq));
+        let earlier = &reads[..reads.len() - 1];
+        if earlier.is_empty() {
+            return;
         }
-    }
-
-    fn p2_mark(&mut self, reader: TxnId, updater: TxnId, node: NodeId, saw_new: bool) {
-        let state = self
-            .pair_state
-            .entry((reader, updater, node))
-            .or_insert((false, false));
-        if saw_new {
-            state.1 = true;
-        } else {
-            state.0 = true;
+        if earlier.len() == 1 {
+            self.p2_index.entry(earlier[0].0).or_default().push(pair);
         }
-        if state.0 && state.1 {
-            self.p2_violations.insert((reader, updater, node));
+        if earlier.iter().all(|&(o, _)| o != op.object) {
+            self.p2_index.entry(op.object).or_default().push(pair);
+        }
+        let (ups, pos) = (&self.updaters_of, &self.first_write_pos);
+        for &u in ups.get(&op.object).into_iter().flatten() {
+            if u != op.txn && torn(reads, ups, pos, op.node, u) {
+                self.p2_violations.insert((op.txn, u, op.node));
+            }
         }
     }
 }
@@ -536,94 +378,29 @@ impl IncrementalAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digraph::DiGraph;
+    use fragdb_sim::SimTime;
 
-    // ----------------------------------------------------------------
-    // IncrementalTopo
-    // ----------------------------------------------------------------
-
+    /// Readers that read once per node can never see part of an update,
+    /// so they leave no Property 2 index behind, however many updaters
+    /// wrote what they read.
     #[test]
-    fn topo_accepts_dag_and_orders_it() {
-        let mut t = IncrementalTopo::new();
-        t.add_edge(1u32, 2);
-        t.add_edge(2, 4);
-        t.add_edge(1, 3);
-        t.add_edge(3, 4);
-        assert!(t.is_acyclic());
-        let order = t.order();
-        let pos = |x: u32| order.iter().position(|&n| n == x).unwrap();
-        assert!(pos(1) < pos(2) && pos(2) < pos(4) && pos(3) < pos(4));
-    }
-
-    #[test]
-    fn topo_detects_cycle_on_closing_edge() {
-        let mut t = IncrementalTopo::new();
-        t.add_edge(1u32, 2);
-        t.add_edge(2, 3);
-        assert!(t.is_acyclic());
-        t.add_edge(3, 1);
-        assert!(!t.is_acyclic());
-        // Latched: more edges never resurrect acyclicity.
-        t.add_edge(7, 8);
-        assert!(!t.is_acyclic());
-    }
-
-    #[test]
-    fn topo_self_loop_is_a_cycle() {
-        let mut t = IncrementalTopo::new();
-        t.add_edge(5u32, 5);
-        assert!(!t.is_acyclic());
-    }
-
-    #[test]
-    fn topo_reorders_back_edges_without_false_cycles() {
-        // Insert edges in reverse topological order: every insertion
-        // violates the maintained order and forces a reorder.
-        let mut t = IncrementalTopo::new();
-        for i in (0..50u32).rev() {
-            t.add_edge(i, i + 1);
-            assert!(t.is_acyclic(), "chain prefix is acyclic at {i}");
-        }
-        let order = t.order();
-        assert_eq!(order, (0..=50u32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn topo_duplicate_edges_count_once() {
-        let mut t = IncrementalTopo::new();
-        t.add_edge(1u32, 2);
-        t.add_edge(1, 2);
-        assert_eq!(t.edge_insertions(), 1);
-        assert!(t.has_edge(1, 2));
-        assert!(!t.has_edge(2, 1));
-    }
-
-    /// Seeded random edge streams: after every insertion the incremental
-    /// verdict must match a batch rebuild.
-    #[test]
-    fn topo_agrees_with_batch_cycle_detection() {
-        let mut state = 0xD1B5_4A32_D192_ED03u64;
-        let mut next = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            state
-        };
-        for _trial in 0..20 {
-            let n = 4 + next() % 12;
-            let mut inc = IncrementalTopo::new();
-            let mut batch: DiGraph<u64> = DiGraph::new();
-            for _ in 0..40 {
-                let (a, b) = (next() % n, next() % n);
-                inc.add_edge(a, b);
-                batch.add_edge(a, b);
-                assert_eq!(
-                    inc.is_acyclic(),
-                    batch.is_acyclic(),
-                    "divergence after inserting {a}->{b}"
-                );
+    fn single_reads_per_node_leave_the_property2_index_empty() {
+        let mut h = History::new();
+        let upd = TxnType::Update(FragmentId(0));
+        let ro = TxnType::ReadOnly(FragmentId(1));
+        for i in 0..4u64 {
+            let u = TxnId::new(NodeId(0), i);
+            for o in 0..3 {
+                h.record_local(NodeId(0), u, upd, OpKind::Write, ObjectId(o), SimTime(i));
+                h.record_install(NodeId(1), u, upd, ObjectId(o), SimTime(i));
             }
+            let r = TxnId::new(NodeId(2), i);
+            h.record_local(NodeId(0), r, ro, OpKind::Read, ObjectId(i % 3), SimTime(i));
+            h.record_local(NodeId(1), r, ro, OpKind::Read, ObjectId(0), SimTime(i));
         }
+        let a = IncrementalAnalyzer::from_history(&h);
+        assert!(a.p2_index.is_empty());
+        assert_eq!(a.reads_at.len(), 8);
+        assert!(a.verdict().agrees_with(&crate::analyze(&h)));
     }
 }

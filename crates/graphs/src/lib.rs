@@ -18,14 +18,16 @@
 //!   (per-fragment serializability and quasi-transaction atomicity), which
 //!   together define **fragmentwise serializability**.
 //! * [`verdict`] — a one-call summary running every checker over a history.
-//! * [`incremental`] — online versions of the same checkers (Pearce–Kelly
-//!   incremental topological order), fed one op at a time so
-//!   repeated verdict queries cost O(1) instead of O(history). The batch
-//!   checkers above remain the oracle they are tested against.
+//! * [`incremental`] — an online analyzer fed one op at a time. It builds
+//!   the same graphs as it goes, searches them for a cycle when a verdict
+//!   is read, and keeps Property 2 state only for a reader with two reads
+//!   at one node. The batch checkers above remain the oracle it is tested
+//!   against.
 //!
 //! The batch checkers consume the [`History`] recorded during a simulation
 //! run after the fact, mirroring how the paper reasons about schedules;
-//! the incremental analyzer maintains the same verdicts online.
+//! the incremental analyzer reaches the same verdicts from the ops as they
+//! are recorded.
 //!
 //! [`History`]: fragdb_model::History
 
@@ -40,7 +42,7 @@ pub mod verdict;
 pub use digraph::DiGraph;
 pub use fragmentwise::{check_property1, check_property2, FragmentwiseReport};
 pub use gsg::GlobalSerializationGraph;
-pub use incremental::{IncrementalAnalyzer, IncrementalTopo, IncrementalVerdict};
+pub use incremental::{IncrementalAnalyzer, IncrementalVerdict};
 pub use lsg::LocalSerializationGraph;
 pub use rag::ReadAccessGraph;
 pub use verdict::{analyze, Verdict};

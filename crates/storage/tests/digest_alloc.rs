@@ -5,9 +5,12 @@
 //! layout walks its index directly. The retained [`BTreeStore`] oracle
 //! still allocates, which doubles as a self-test of the probe.
 //!
-//! `Wal::append` must cost amortized O(1) allocations: the log is its
-//! entries plus each fragment's positions, so appends only grow vectors
-//! (a per-entry index node would cost at least one allocation each).
+//! `Wal::append` must cost amortized O(1) allocations: the log is a list
+//! of segments of 64, 64, 128, 256, … entries with no index beside it, so
+//! an append allocates only when a segment fills. The 4 096 appends below
+//! make 9 allocations (seven segments and two growths of the segment
+//! list) against a bound of 64; a per-entry index node would cost at
+//! least one allocation each.
 //!
 //! The probe's counter is process-global, so the tests take `SERIAL`
 //! rather than count each other's allocations.
