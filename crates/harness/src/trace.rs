@@ -134,7 +134,7 @@ fn drive(
     TraceRun {
         scenario,
         section,
-        records: sys.engine.telemetry.events().cloned().collect(),
+        records: sys.engine.telemetry.events().collect(),
         dropped: sys.engine.telemetry.dropped(),
         metrics: std::mem::take(&mut sys.engine.metrics),
         net: sys.net_stats(),

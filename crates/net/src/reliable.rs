@@ -76,7 +76,7 @@
 //! [`resync_node`]: ReliableNet::resync_node
 //! [`pending_count`]: ReliableNet::pending_count
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use fragdb_model::NodeId;
 use fragdb_sim::{IdMap, SimDuration, SimRng, SimTime};
@@ -218,8 +218,9 @@ struct Stream<M> {
     /// Receiver-side next id to release; `None` until the receiver has
     /// seen the stream or a resync cut it. Volatile.
     expected: Option<u64>,
-    /// Receiver-side reassembly buffer. Volatile.
-    inbuf: BTreeMap<u64, M>,
+    /// Receiver-side reassembly buffer, in id order: every id in it is
+    /// past the watermark. It keeps its capacity once emptied. Volatile.
+    inbuf: VecDeque<(u64, M)>,
     /// Last arrival scheduled `from -> to` — this stream's data and the
     /// reverse stream's acks — which keeps jitter-free links FIFO on the
     /// wire.
@@ -237,7 +238,7 @@ impl<M> Default for Stream<M> {
             armed: false,
             probing: false,
             expected: None,
-            inbuf: BTreeMap::new(),
+            inbuf: VecDeque::new(),
             last_sched: None,
             route: (0, None),
         }
@@ -465,19 +466,22 @@ impl<M: Clone> ReliableNet<M> {
         if !probing {
             return;
         }
-        let mut overdue = Vec::new();
-        for (id, at, msg) in &mut s.pending {
-            if *at + RTO <= now {
-                *at = now;
-                overdue.push((*id, msg.clone()));
-            }
-        }
         s.gen += 1;
-        let (gen, deadline) = (s.gen, s.deadline().expect("window is open"));
-        for (id, msg) in overdue {
+        // Resend the overdue packets in id order, restamped `now`, where
+        // they stand: a transmission touches neither the window nor the
+        // generation.
+        for k in 0..s.pending.len() {
+            let (id, at, msg) = &mut self.streams.records[link.i].pending[k];
+            if *at + RTO > now {
+                continue;
+            }
+            *at = now;
+            let (id, msg) = (*id, msg.clone());
             self.stats.retransmissions += 1;
             self.transmit_data(now, link, id, msg, rng, out);
         }
+        let s = &self.streams.records[link.i];
+        let (gen, deadline) = (s.gen, s.deadline().expect("window is open"));
         let (from, to) = (link.from, link.to);
         out.push(NetAction::Timer(
             deadline,
@@ -632,8 +636,17 @@ impl<M: Clone> ReliableNet<M> {
                     let mut next = if id == before {
                         Some(msg)
                     } else {
-                        if s.inbuf.insert(id, msg).is_some() {
-                            self.stats.dup_dropped += 1;
+                        // Parked ids mostly arrive in order: past the last.
+                        let at = match s.inbuf.back() {
+                            Some(&(last, _)) if last < id => Err(s.inbuf.len()),
+                            _ => s.inbuf.binary_search_by_key(&id, |&(parked, _)| parked),
+                        };
+                        match at {
+                            Ok(k) => {
+                                s.inbuf[k].1 = msg;
+                                self.stats.dup_dropped += 1;
+                            }
+                            Err(k) => s.inbuf.insert(k, (id, msg)),
                         }
                         None
                     };
@@ -645,7 +658,10 @@ impl<M: Clone> ReliableNet<M> {
                             msg: m,
                         });
                         *expected += 1;
-                        next = s.inbuf.remove(expected);
+                        next = s
+                            .inbuf
+                            .pop_front_if(|(parked, _)| *parked == *expected)
+                            .map(|(_, m)| m);
                     }
                     (*expected > before).then_some(*expected)
                 };
@@ -709,6 +725,7 @@ impl<M: Clone> ReliableNet<M> {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use std::collections::BTreeMap;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)

@@ -157,14 +157,14 @@ mod tests {
         assert_eq!(s.legs.len(), 3);
         // Home leg: zero net, zero holdback.
         assert_eq!(s.legs[0].node, 0);
-        assert_eq!(s.legs[0].net_us, 0);
+        assert_eq!(s.net_us(&s.legs[0]), 0);
         // Node 1: clean 20us leg.
-        assert_eq!(s.legs[1].net_us, 20);
+        assert_eq!(s.net_us(&s.legs[1]), 20);
         assert!(!s.legs[1].retransmitted);
         // Node 2: retransmitted, arrived (held back) at 90, installed 95.
         assert!(s.legs[2].retransmitted);
-        assert_eq!(s.legs[2].net_us, 30);
-        assert_eq!(s.legs[2].holdback_us, 5);
+        assert_eq!(s.net_us(&s.legs[2]), 30);
+        assert_eq!(s.legs[2].holdback_us(), 5);
 
         // Critical path ends at the last install (node 2).
         let path = SpanReport::critical_path(s);
@@ -309,7 +309,7 @@ mod tests {
         assert_eq!(s.legs.len(), 2, "one leg per node");
         let leg = &s.legs[1];
         assert_eq!((leg.node, leg.arrived_at, leg.installed_at), (1, 20, 30));
-        assert_eq!((leg.net_us, leg.holdback_us), (10, 10));
+        assert_eq!((s.net_us(leg), leg.holdback_us()), (10, 10));
     }
 
     #[test]
@@ -341,6 +341,12 @@ mod tests {
         assert_eq!(s.queue_us, 95);
         let f = folded(&report);
         assert!(f.contains("commit;queue;election 95\n"));
+    }
+
+    /// A leg keeps its node, two instants and a flag, and derives the rest.
+    #[test]
+    fn an_install_leg_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<InstallLeg>(), 24);
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! whose home crashed before committing is reported as uncommitted, not
 //! mistaken for one.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};
 
 use fragdb_sim::metrics::keys::{slot, SpanPhase as Phase};
@@ -86,23 +87,28 @@ pub enum SpanStatus {
     Discarded,
 }
 
-/// One replica install joined to its commit.
+/// One replica install joined to its commit. A leg keeps only what it
+/// cannot derive: its hold-back time is [`InstallLeg::holdback_us`] and
+/// its network time [`CommitSpan::net_us`].
 #[derive(Clone, Copy, Debug)]
 pub struct InstallLeg {
     /// Installing node.
     pub node: u32,
+    /// Whether the home→replica link retransmitted inside this leg's
+    /// commit→install window.
+    pub retransmitted: bool,
     /// Install time, µs.
     pub installed_at: u64,
     /// Arrival time, µs: the first `held_back` for this `(cause, node)`
     /// if any, else the install instant itself.
     pub arrived_at: u64,
-    /// commit→arrival, µs (0 for the home leg and truncated spans).
-    pub net_us: u64,
+}
+
+impl InstallLeg {
     /// arrival→install, µs (hold-back gap-fill time).
-    pub holdback_us: u64,
-    /// Whether the home→replica link retransmitted inside this leg's
-    /// commit→install window.
-    pub retransmitted: bool,
+    pub fn holdback_us(&self) -> u64 {
+        self.installed_at - self.arrived_at
+    }
 }
 
 /// One reconstructed per-commit span.
@@ -133,6 +139,15 @@ pub struct CommitSpan {
 }
 
 impl CommitSpan {
+    /// commit→arrival of `leg`, µs: 0 for the home leg and for a span
+    /// whose commit was not seen.
+    pub fn net_us(&self, leg: &InstallLeg) -> u64 {
+        match (self.committed_at, self.commit_node) {
+            (Some(t0), Some(home)) if leg.node != home => leg.arrived_at.saturating_sub(t0),
+            _ => 0,
+        }
+    }
+
     fn new(cause: CausalId) -> Self {
         CommitSpan {
             cause,
@@ -370,11 +385,9 @@ impl Pass {
             TelemetryEvent::Installed { cause, node } => {
                 self.build(cause).span.legs.push(InstallLeg {
                     node,
+                    retransmitted: false,
                     installed_at: at,
                     arrived_at: at,
-                    net_us: 0,
-                    holdback_us: 0,
-                    retransmitted: false,
                 });
             }
             TelemetryEvent::BatchDiscarded { cause, .. } => self.build(cause).discarded = true,
@@ -424,11 +437,12 @@ impl Pass {
 }
 
 impl SpanReport {
-    /// Reconstruct from the in-memory typed stream.
-    pub fn from_records<'a>(records: impl IntoIterator<Item = &'a TelemetryRecord>) -> SpanReport {
+    /// Reconstruct from the in-memory typed stream: records by reference,
+    /// or by value as `Telemetry::events` unpacks them.
+    pub fn from_records(records: impl IntoIterator<Item: Borrow<TelemetryRecord>>) -> SpanReport {
         let mut pass = Pass::default();
         for r in records {
-            pass.feed(r);
+            pass.feed(r.borrow());
         }
         pass.finish()
     }
@@ -468,7 +482,7 @@ impl SpanReport {
         retrans: &IdMap<(u32, u32), Vec<u64>>,
     ) -> SpanReport {
         let mut report = SpanReport {
-            spans: Vec::with_capacity(builds.len()),
+            spans: Vec::new(),
             truncated: 0,
             uncommitted: 0,
             discarded: 0,
@@ -482,7 +496,9 @@ impl SpanReport {
         let mut phase: [QuantileSketch; Phase::ALL.len()] = Default::default();
         let mut critical = [(0u64, 0u128); Phase::ALL.len()];
 
-        for mut b in builds {
+        // Mapped rather than pushed, so the spans reuse the builds' memory
+        // instead of holding a second copy of every span at the peak.
+        let builds = builds.into_iter().map(|mut b| {
             // Queue-wait attribution against the full window set.
             if let Some(iv) = b.queue_interval {
                 b.span.queue_attr = win.attr(b.span.cause.fragment, iv);
@@ -508,7 +524,6 @@ impl SpanReport {
                 }
                 if let (Some(t0), Some(home)) = (committed_at, commit_node) {
                     if !is_home {
-                        leg.net_us = leg.arrived_at.saturating_sub(t0);
                         // The first repair after the commit, if any, must
                         // come no later than the install.
                         leg.retransmitted = retrans.get(&(home, node)).is_some_and(|ts| {
@@ -517,7 +532,6 @@ impl SpanReport {
                         });
                     }
                 }
-                leg.holdback_us = installed_at - leg.arrived_at;
             }
 
             // Status. Ring eviction removes a prefix of the stream, and a
@@ -565,8 +579,9 @@ impl SpanReport {
                     critical[p as usize].1 += u128::from(us);
                 }
             }
-            report.spans.push(b.span);
-        }
+            b.span
+        });
+        report.spans = builds.collect();
         for ((&p, sketch), dominated) in Phase::ALL.iter().zip(phase).zip(critical) {
             if !sketch.is_empty() {
                 report.phase.insert(p.name(), sketch);
@@ -585,7 +600,7 @@ impl SpanReport {
             // Truncated or uncommitted: only hold-back durations are
             // trustworthy.
             for leg in &s.legs {
-                observe(Phase::Holdback, leg.holdback_us);
+                observe(Phase::Holdback, leg.holdback_us());
             }
             return;
         }
@@ -599,8 +614,8 @@ impl SpanReport {
             observe(Phase::Exec, s.exec_us);
         }
         for leg in &s.legs {
-            observe(net_phase(leg), leg.net_us);
-            observe(Phase::Holdback, leg.holdback_us);
+            observe(net_phase(leg), s.net_us(leg));
+            observe(Phase::Holdback, leg.holdback_us());
         }
     }
 
@@ -621,8 +636,8 @@ impl SpanReport {
             .filter(|_| committed)
             .map(|last| {
                 [
-                    (net_phase(last), last.net_us),
-                    (Phase::Holdback, last.holdback_us),
+                    (net_phase(last), s.net_us(last)),
+                    (Phase::Holdback, last.holdback_us()),
                 ]
             });
         pre.into_iter()

@@ -18,14 +18,26 @@
 //! * everything is deterministic: the event log for a seeded run is
 //!   byte-for-byte reproducible.
 //!
+//! One declaration, `telemetry_events!`, yields each event's two forms:
+//! the JSON-lines codec, the only export format, and the packed form the
+//! ring keeps in memory. A packed record is a tag byte (the variant's
+//! position in the declaration), the zigzag LEB128 delta of its instant
+//! from the record before it, then each field: an integer as LEB128, a
+//! causal id as three of them, a vocabulary word as its one-byte index.
+//! On `chaos-observed`'s event mix that is about six bytes a record,
+//! against 48 for a [`TelemetryRecord`]. [`Telemetry::events`] unpacks the
+//! ring in order and hands out records by value.
+//!
 //! On top of the raw stream, [`Probes`] derives online measurements and
 //! publishes them as dimensioned [`Metrics`] histograms (`frag.<f>.lag`,
 //! `node.<n>.staleness`, …) under typed [`HistKey`]s, so steady-state
 //! observation allocates nothing, and keeps one [`QuantileSketch`] of the
 //! commit→install lag merged over every fragment.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::borrow::Borrow;
+use std::collections::BTreeMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::LazyLock;
 
 use crate::histogram::QuantileSketch;
 use crate::metrics::keys::{self, FragProbe, NodeProbe};
@@ -49,18 +61,26 @@ pub struct CausalId {
 
 /// Closed vocabulary of `aborted.reason`: the suffixes of the `abort.*`
 /// metric keys.
-fn abort_reasons() -> impl Iterator<Item = &'static str> {
-    keys::ALL.iter().filter_map(|k| k.strip_prefix("abort."))
+fn abort_reasons() -> &'static [&'static str] {
+    static WORDS: LazyLock<Vec<&str>> = LazyLock::new(|| {
+        keys::ALL
+            .iter()
+            .filter_map(|k| k.strip_prefix("abort."))
+            .collect()
+    });
+    &WORDS
 }
 
 /// Closed vocabulary of `delivered.kind`: the `msg.<kind>` dimension.
-fn msg_kinds() -> impl Iterator<Item = &'static str> {
-    keys::MSG_KEYS.iter().map(|k| &k["msg.".len()..])
+fn msg_kinds() -> &'static [&'static str] {
+    static WORDS: LazyLock<Vec<&str>> =
+        LazyLock::new(|| keys::MSG_KEYS.iter().map(|k| &k["msg.".len()..]).collect());
+    &WORDS
 }
 
 /// Closed vocabulary of `election_aborted.reason`.
-fn election_abort_reasons() -> impl Iterator<Item = &'static str> {
-    ["timeout", "home_alive", "superseded", "candidate_crashed"].into_iter()
+fn election_abort_reasons() -> &'static [&'static str] {
+    &["timeout", "home_alive", "superseded", "candidate_crashed"]
 }
 
 /// The label a field is written and read under: `,"<field>":`.
@@ -78,7 +98,7 @@ macro_rules! put_field {
     };
     ($out:ident, $field:ident, $ty:ty, $vocab:path) => {{
         debug_assert!(
-            $vocab().any(|w| w == *$field),
+            $vocab().contains($field),
             "{:?} is not in the {} vocabulary",
             $field,
             stringify!($vocab)
@@ -100,6 +120,26 @@ macro_rules! take_field {
     };
 }
 
+/// Pack one declared field; a vocabulary word as its index.
+macro_rules! pack_field {
+    ($out:ident, $field:ident, $ty:ty) => {
+        <$ty as Wire>::pack($field, $out)
+    };
+    ($out:ident, $field:ident, $ty:ty, $vocab:path) => {
+        $out.push(word_index($vocab(), $field))
+    };
+}
+
+/// Unpack one declared field.
+macro_rules! unpack_field {
+    ($packed:ident, $ty:ty) => {
+        <$ty as Wire>::unpack($packed)
+    };
+    ($packed:ident, $ty:ty, $vocab:path) => {
+        word_at($vocab(), $packed)
+    };
+}
+
 /// A test value for one declared field: the type's minimum or maximum, or
 /// the first or last word of the vocabulary.
 #[cfg_attr(not(test), allow(unused_macros))]
@@ -108,10 +148,10 @@ macro_rules! sample_field {
         <$ty as tests::Sample>::sample($max)
     };
     ($max:ident, $ty:ty, $vocab:path) => {
-        if $max {
+        *if $max {
             $vocab().last()
         } else {
-            $vocab().next()
+            $vocab().first()
         }
         .expect("vocabulary is not empty")
     };
@@ -120,9 +160,10 @@ macro_rules! sample_field {
 /// The one declaration of the telemetry vocabulary. Each event is listed
 /// once: `Variant = "wire_name" { field: type, … }`, a string field naming
 /// its closed vocabulary as `field: &'static str = vocabulary`. The enum,
-/// [`TelemetryEvent::name`], the JSON-lines encoder and the strict decoder
-/// are all generated from this list, so adding an event is one edit here
-/// (plus whichever consumers want to match on it).
+/// [`TelemetryEvent::name`], the JSON-lines encoder, the strict decoder and
+/// the ring's packer and unpacker are all generated from this list, so
+/// adding an event is one edit here (plus whichever consumers want to
+/// match on it).
 macro_rules! telemetry_events {
     ($(
         $(#[$vmeta:meta])*
@@ -139,6 +180,12 @@ macro_rules! telemetry_events {
         #[derive(Clone, Debug, PartialEq, Eq)]
         pub enum TelemetryEvent {
             $( $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty ),+ }, )+
+        }
+
+        /// The variants in declared order: a packed record's tag byte.
+        #[repr(u8)]
+        enum Tag {
+            $( $variant, )+
         }
 
         impl TelemetryEvent {
@@ -167,6 +214,34 @@ macro_rules! telemetry_events {
                     }), )+
                     _ => Err(format!("unknown event {name:?}")),
                 }
+            }
+
+            /// The variant's tag byte.
+            fn tag(&self) -> u8 {
+                match self {
+                    $( TelemetryEvent::$variant { .. } => Tag::$variant as u8, )+
+                }
+            }
+
+            /// Append the variant's fields in declared order, packed.
+            fn pack_fields(&self, out: &mut Vec<u8>) {
+                match self {
+                    $( TelemetryEvent::$variant { $( $field ),+ } => {
+                        $( pack_field!(out, $field, $ty $(, $vocab)?); )+
+                    } )+
+                }
+            }
+
+            /// Read back the fields [`TelemetryEvent::pack_fields`] wrote
+            /// for the variant tagged `tag`.
+            #[inline(always)]
+            fn unpack_fields(tag: u8, packed: &mut &[u8]) -> TelemetryEvent {
+                $( if tag == Tag::$variant as u8 {
+                    return TelemetryEvent::$variant {
+                        $( $field: unpack_field!(packed, $ty $(, $vocab)?), )+
+                    };
+                } )+
+                unreachable!("tag {tag} names no event")
             }
 
             /// One record of every variant, every field at its minimum or
@@ -421,10 +496,63 @@ pub struct TelemetryRecord {
 }
 
 /// A declared field type: how it is written after its label, read back,
-/// and range-checked.
+/// and range-checked, and how it is packed into the ring and unpacked.
 trait Wire: Sized {
     fn put(&self, label: &'static str, out: &mut Line);
     fn take(label: &'static str, cur: &mut Cursor<'_>) -> Result<Self, String>;
+    fn pack(&self, out: &mut Vec<u8>);
+    fn unpack(packed: &mut &[u8]) -> Self;
+}
+
+/// Append `v` as LEB128: seven bits a byte, low bits first, the high bit
+/// set on every byte but the last.
+#[inline(always)]
+fn pack_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// The next byte of a packed record. The ring holds only what
+/// [`TelemetryRecord::pack`] wrote, so a short record is a bug.
+#[inline(always)]
+fn unpack_byte(packed: &mut &[u8]) -> u8 {
+    let (&b, rest) = packed.split_first().expect("a packed record is whole");
+    *packed = rest;
+    b
+}
+
+/// Read back what [`pack_varint`] wrote.
+#[inline(always)]
+fn unpack_varint(packed: &mut &[u8]) -> u64 {
+    let mut v = 0;
+    let mut shift = 0;
+    loop {
+        let b = unpack_byte(packed);
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+/// `word`'s position in `vocabulary`, as one byte.
+#[inline(always)]
+fn word_index(vocabulary: &[&str], word: &str) -> u8 {
+    let i = vocabulary
+        .iter()
+        .position(|&w| w == word)
+        .unwrap_or_else(|| panic!("{word:?} is not in its field's vocabulary"));
+    u8::try_from(i).expect("a vocabulary has at most 256 words")
+}
+
+/// The word [`word_index`] packed.
+#[inline(always)]
+fn word_at(vocabulary: &'static [&'static str], packed: &mut &[u8]) -> &'static str {
+    vocabulary[usize::from(unpack_byte(packed))]
 }
 
 /// `"00"`, `"01"`, … `"99"`: the two decimal digits of every value below 100.
@@ -440,9 +568,10 @@ const DIGIT_PAIRS: [u8; 200] = {
 };
 
 /// One JSON line under construction, on the stack, so that appending a
-/// label or a number is a copy rather than a `String` growth check. Every
-/// line the vocabulary can produce fits: the longest, every number at
-/// `u64::MAX`, is under 200 bytes (the codec round-trip test writes it).
+/// label or a number is a copy rather than a `String` growth check; an
+/// export writes every line through the same one. Every line the
+/// vocabulary can produce fits: the longest, every number at `u64::MAX`,
+/// is under 200 bytes (the codec round-trip test writes it).
 struct Line {
     bytes: [u8; 256],
     len: usize,
@@ -504,6 +633,14 @@ impl Wire for u64 {
     fn take(label: &'static str, cur: &mut Cursor<'_>) -> Result<u64, String> {
         cur.number(label)
     }
+    #[inline(always)]
+    fn pack(&self, out: &mut Vec<u8>) {
+        pack_varint(out, *self);
+    }
+    #[inline(always)]
+    fn unpack(packed: &mut &[u8]) -> u64 {
+        unpack_varint(packed)
+    }
 }
 
 impl Wire for u32 {
@@ -515,6 +652,15 @@ impl Wire for u32 {
     fn take(label: &'static str, cur: &mut Cursor<'_>) -> Result<u32, String> {
         let v = cur.number(label)?;
         u32::try_from(v).map_err(|_| format!("field {:?}: {v} exceeds u32", field_of(label)))
+    }
+    #[inline(always)]
+    fn pack(&self, out: &mut Vec<u8>) {
+        pack_varint(out, u64::from(*self));
+    }
+    #[inline(always)]
+    fn unpack(packed: &mut &[u8]) -> u32 {
+        // Packed from a `u32`, so it fits.
+        unpack_varint(packed) as u32
     }
 }
 
@@ -534,6 +680,20 @@ impl Wire for CausalId {
             epoch: Wire::take(label!(epoch), cur)?,
             frag_seq: Wire::take(label!(frag_seq), cur)?,
         })
+    }
+    #[inline(always)]
+    fn pack(&self, out: &mut Vec<u8>) {
+        self.fragment.pack(out);
+        self.epoch.pack(out);
+        self.frag_seq.pack(out);
+    }
+    #[inline(always)]
+    fn unpack(packed: &mut &[u8]) -> CausalId {
+        CausalId {
+            fragment: Wire::unpack(packed),
+            epoch: Wire::unpack(packed),
+            frag_seq: Wire::unpack(packed),
+        }
     }
 }
 
@@ -647,11 +807,13 @@ impl<'a> Cursor<'a> {
     fn word(
         &mut self,
         label: &'static str,
-        mut vocabulary: impl Iterator<Item = &'static str>,
+        vocabulary: &'static [&'static str],
     ) -> Result<&'static str, String> {
         let value = self.string(label)?;
         vocabulary
-            .find(|w| *w == value)
+            .iter()
+            .find(|&&w| w == value)
+            .copied()
             .ok_or_else(|| format!("unknown {} {value:?}", field_of(label)))
     }
 }
@@ -666,20 +828,44 @@ impl TelemetryRecord {
     /// strings are words of a closed vocabulary, and there is no
     /// whitespace.
     pub fn to_json_line(&self) -> String {
-        self.json_line().as_str().to_owned()
+        let mut line = Line::new();
+        self.write_json_line(&mut line);
+        line.as_str().to_owned()
     }
 
-    /// [`TelemetryRecord::to_json_line`] in a stack buffer.
-    fn json_line(&self) -> Line {
-        let mut line = Line::new();
-        self.at.micros().put("{\"at_micros\":", &mut line);
+    /// [`TelemetryRecord::to_json_line`] into `line`, replacing what it
+    /// held.
+    fn write_json_line(&self, line: &mut Line) {
+        line.len = 0;
+        self.at.micros().put("{\"at_micros\":", line);
         line.push(label!(event));
         line.push("\"");
         line.push(self.event.name());
         line.push("\"");
-        self.event.put_fields(&mut line);
+        self.event.put_fields(line);
         line.push("}");
-        line
+    }
+
+    /// Append the record's packed form to `out`: its tag, the zigzag delta
+    /// of its instant from `prev_at`, then its fields. The delta is signed
+    /// because a caller may record out of time order.
+    fn pack(&self, prev_at: u64, out: &mut Vec<u8>) {
+        out.push(self.event.tag());
+        let delta = self.at.micros().wrapping_sub(prev_at) as i64;
+        pack_varint(out, ((delta << 1) ^ (delta >> 63)) as u64);
+        self.event.pack_fields(out);
+    }
+
+    /// Read back what [`TelemetryRecord::pack`] wrote after `prev_at`.
+    #[inline(always)]
+    fn unpack(prev_at: u64, packed: &mut &[u8]) -> TelemetryRecord {
+        let tag = unpack_byte(packed);
+        let zigzag = unpack_varint(packed);
+        let delta = (zigzag >> 1) ^ (zigzag & 1).wrapping_neg();
+        TelemetryRecord {
+            at: SimTime(prev_at.wrapping_add(delta)),
+            event: TelemetryEvent::unpack_fields(tag, packed),
+        }
     }
 
     /// Strict inverse of [`TelemetryRecord::to_json_line`]: accepts exactly
@@ -743,10 +929,10 @@ const SCENARIO_HEADER: &str = "# scenario:";
 /// header, a drop-marker comment when the ring wrapped, then one record
 /// per line, oldest first. Comment lines start with `#` so a JSONL
 /// consumer can skip them unambiguously.
-pub fn render_jsonl<'a>(
+pub fn render_jsonl(
     scenario: Option<(&str, &str)>,
     dropped: u64,
-    records: impl IntoIterator<Item = &'a TelemetryRecord>,
+    records: impl IntoIterator<Item: Borrow<TelemetryRecord>>,
 ) -> String {
     let mut out = String::new();
     if let Some((name, section)) = scenario {
@@ -757,12 +943,20 @@ pub fn render_jsonl<'a>(
     }
     // Lines are copied as bytes and the whole is checked as UTF-8 once.
     let mut out = out.into_bytes();
+    let records = records.into_iter();
+    out.reserve(records.size_hint().0 * LINE_ESTIMATE);
+    let mut line = Line::new();
     for r in records {
-        out.extend_from_slice(r.json_line().as_bytes());
+        r.borrow().write_json_line(&mut line);
+        out.extend_from_slice(line.as_bytes());
         out.push(b'\n');
     }
     String::from_utf8(out).expect("the encoder writes ASCII")
 }
+
+/// Bytes an export reserves per record: a little over the mean line with
+/// its newline on `chaos-observed`, 84 bytes.
+const LINE_ESTIMATE: usize = 96;
 
 /// One meaningful line of an export, as [`read_jsonl`] hands it out.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -894,7 +1088,8 @@ pub type IdMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<IdHash
 ///   the home proved alive discards the window (no recovery happened).
 #[derive(Debug, Default)]
 pub struct Probes {
-    commit_at: IdMap<CausalId, SimTime>,
+    /// The lag join: each commit still awaiting installs.
+    commit_at: IdMap<CausalId, Join>,
     move_started: BTreeMap<u32, (SimTime, u32, u32)>,
     unavail_started: BTreeMap<u32, SimTime>,
     /// Merged commit→install lag across all fragments, recorded online at
@@ -906,14 +1101,49 @@ pub struct Probes {
     lag_sketch: QuantileSketch,
 }
 
+/// One causal id in the lag join. A commit leaves the join with its last
+/// install, so the join holds the commits still propagating, not every
+/// commit of the run.
+#[derive(Debug, Default)]
+struct Join {
+    /// The commit's instant; `None` while only the broadcast of a §4.4.1
+    /// prepare, which precedes its commit, has been seen.
+    committed_at: Option<SimTime>,
+    /// Installs joined to the commit so far.
+    joined: u32,
+    /// Every install the commit leads to, the home's included:
+    /// `recipients + 1`, once its broadcast has been seen.
+    expected: Option<u32>,
+}
+
+impl Join {
+    fn done(&self) -> bool {
+        self.expected.is_some_and(|e| self.joined >= e)
+    }
+}
+
 impl Probes {
     fn update(&mut self, at: SimTime, ev: &TelemetryEvent, metrics: &mut Metrics) {
         match ev {
             TelemetryEvent::Committed { cause, .. } => {
-                self.commit_at.insert(*cause, at);
+                let join = self.commit_at.entry(*cause).or_default();
+                join.committed_at = Some(at);
+                join.joined = 0;
+            }
+            TelemetryEvent::BroadcastSent {
+                cause, recipients, ..
+            } => {
+                let join = self.commit_at.entry(*cause).or_default();
+                join.expected = Some(recipients.saturating_add(1));
+                if join.done() {
+                    self.commit_at.remove(cause);
+                }
             }
             TelemetryEvent::Installed { cause, node: _ } => {
-                if let Some(&t0) = self.commit_at.get(cause) {
+                let Some(join) = self.commit_at.get_mut(cause) else {
+                    return;
+                };
+                if let Some(t0) = join.committed_at {
                     // The agent home's own install records a zero lag, so
                     // the fault-free distribution is visibly zero rather
                     // than silently absent; remote installs measure the
@@ -921,6 +1151,10 @@ impl Probes {
                     let lag = at.micros().saturating_sub(t0.micros());
                     metrics.observe(HistKey::Frag(cause.fragment, FragProbe::Lag), lag);
                     self.lag_sketch.record(lag);
+                    join.joined += 1;
+                    if join.done() {
+                        self.commit_at.remove(cause);
+                    }
                 }
             }
             TelemetryEvent::ReadObserved {
@@ -998,16 +1232,90 @@ impl Probes {
     }
 }
 
+/// The retained records in their packed form (see the module doc):
+/// `bytes[head..]` holds `len` records, oldest first, the first a delta
+/// from `head_at` and each later one from the record before it.
+#[derive(Debug, Default)]
+struct Ring {
+    bytes: Vec<u8>,
+    /// Offset of the oldest retained record.
+    head: usize,
+    /// Records retained.
+    len: usize,
+    /// The instant the oldest retained record is a delta from.
+    head_at: u64,
+    /// The newest record's instant, which the next one is a delta from.
+    last_at: u64,
+}
+
+impl Ring {
+    fn push(&mut self, record: &TelemetryRecord) {
+        record.pack(self.last_at, &mut self.bytes);
+        self.last_at = record.at.micros();
+        self.len += 1;
+    }
+
+    /// Evict the oldest record. The bytes it held are reclaimed once the
+    /// head passes half the buffer, so compaction moves each byte at most
+    /// once on average.
+    fn pop_front(&mut self) {
+        let mut rest = &self.bytes[self.head..];
+        let before = rest.len();
+        self.head_at = TelemetryRecord::unpack(self.head_at, &mut rest).at.micros();
+        self.head += before - rest.len();
+        self.len -= 1;
+        if self.head > self.bytes.len() / 2 {
+            self.bytes.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
+    fn iter(&self) -> Records<'_> {
+        Records {
+            packed: &self.bytes[self.head..],
+            at: self.head_at,
+            left: self.len,
+        }
+    }
+}
+
+/// The records of a [`Ring`], unpacked in order.
+struct Records<'a> {
+    packed: &'a [u8],
+    /// The previous record's instant.
+    at: u64,
+    left: usize,
+}
+
+impl Iterator for Records<'_> {
+    type Item = TelemetryRecord;
+
+    #[inline]
+    fn next(&mut self) -> Option<TelemetryRecord> {
+        self.left = self.left.checked_sub(1)?;
+        let record = TelemetryRecord::unpack(self.at, &mut self.packed);
+        self.at = record.at.micros();
+        Some(record)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Records<'_> {}
+
 /// Bounded, optionally-disabled structured event stream with online probes.
 ///
 /// Disabled by default, closure-deferred emission (see `Engine::emit`),
-/// bounded buffer with a drop counter.
+/// bounded buffer with a drop counter. The buffer holds records packed,
+/// about six bytes each on `chaos-observed`'s mix.
 #[derive(Debug)]
 pub struct Telemetry {
     enabled: bool,
     cap: usize,
     dropped: u64,
-    events: VecDeque<TelemetryRecord>,
+    ring: Ring,
     probes: Probes,
 }
 
@@ -1018,7 +1326,7 @@ impl Telemetry {
             enabled: false,
             cap: 0,
             dropped: 0,
-            events: VecDeque::new(),
+            ring: Ring::default(),
             probes: Probes::default(),
         }
     }
@@ -1031,7 +1339,7 @@ impl Telemetry {
             enabled: true,
             cap: cap.max(1),
             dropped: 0,
-            events: VecDeque::new(),
+            ring: Ring::default(),
             probes: Probes::default(),
         }
     }
@@ -1050,16 +1358,16 @@ impl Telemetry {
             return;
         }
         self.probes.update(at, &event, metrics);
-        if self.events.len() == self.cap {
-            self.events.pop_front();
+        if self.ring.len == self.cap {
+            self.ring.pop_front();
             self.dropped += 1;
         }
-        self.events.push_back(TelemetryRecord { at, event });
+        self.ring.push(&TelemetryRecord { at, event });
     }
 
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TelemetryRecord> {
-        self.events.iter()
+    /// Events currently retained, oldest first, unpacked as they are read.
+    pub fn events(&self) -> impl ExactSizeIterator<Item = TelemetryRecord> + '_ {
+        self.ring.iter()
     }
 
     /// How many events were evicted due to the cap.
@@ -1069,12 +1377,12 @@ impl Telemetry {
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.ring.len
     }
 
     /// True if nothing is retained.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.ring.len == 0
     }
 
     /// Probe state.
@@ -1086,7 +1394,7 @@ impl Telemetry {
     /// drop-marker comment line when the buffer wrapped (see the free
     /// function [`render_jsonl`]).
     pub fn render_jsonl(&self) -> String {
-        render_jsonl(None, self.dropped, &self.events)
+        render_jsonl(None, self.dropped, self.events())
     }
 }
 
@@ -1099,6 +1407,7 @@ impl Default for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     /// A test value of a declared field type: its minimum or its maximum.
     pub(super) trait Sample {
@@ -1578,6 +1887,182 @@ mod tests {
         assert_eq!(
             r.to_json_line(),
             "{\"at_micros\":18446744073709551615,\"event\":\"committed\",\"fragment\":4294967295,\"epoch\":18446744073709551615,\"frag_seq\":18446744073709551615,\"node\":4294967295,\"txn_seq\":18446744073709551615}"
+        );
+    }
+
+    /// Every variant at its minimum and its maximum, the instant swinging
+    /// between 0 and `u64::MAX` so that the deltas wrap both ways.
+    fn sample_records(max: bool) -> Vec<TelemetryRecord> {
+        TelemetryEvent::samples(max)
+            .into_iter()
+            .enumerate()
+            .map(|(i, event)| TelemetryRecord {
+                at: SimTime([0, u64::MAX][(i + usize::from(max)) % 2]),
+                event,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_variant_round_trips_through_the_ring() {
+        for max in [false, true] {
+            let records = sample_records(max);
+            let mut t = Telemetry::bounded(records.len());
+            let mut m = Metrics::new();
+            for r in &records {
+                t.record(r.at, r.event.clone(), &mut m);
+            }
+            assert_eq!(t.events().collect::<Vec<_>>(), records);
+            assert_eq!(t.events().len(), records.len());
+            assert_eq!(t.render_jsonl(), render_jsonl(None, 0, &records));
+        }
+    }
+
+    /// The ring against a `VecDeque` of records: the same retained
+    /// records, counts and export after every record, at caps that evict
+    /// on every record, on every other one and now and then, over a stream
+    /// whose instants also run backwards.
+    #[test]
+    fn the_ring_matches_a_record_queue() {
+        let pool: Vec<TelemetryEvent> = [false, true]
+            .into_iter()
+            .flat_map(TelemetryEvent::samples)
+            .chain([
+                TelemetryEvent::Delivered {
+                    from: 3,
+                    to: 4,
+                    kind: "quasi",
+                },
+                TelemetryEvent::Installed {
+                    cause: cause(2, 300),
+                    node: 200,
+                },
+            ])
+            .collect();
+        let mut rng = crate::rng::SimRng::new(7);
+        for cap in [1, 2, 7] {
+            let mut t = Telemetry::bounded(cap);
+            let mut m = Metrics::new();
+            let mut model: VecDeque<TelemetryRecord> = VecDeque::new();
+            let mut dropped = 0;
+            let mut at = 1_000_000u64;
+            for _ in 0..400 {
+                at = at.wrapping_add_signed(rng.gen_range(-20_000..=40_000i64));
+                let r = TelemetryRecord {
+                    at: SimTime(at),
+                    event: rng.pick(&pool).clone(),
+                };
+                t.record(r.at, r.event.clone(), &mut m);
+                if model.len() == cap {
+                    model.pop_front();
+                    dropped += 1;
+                }
+                model.push_back(r);
+                assert_eq!(t.events().collect::<VecDeque<_>>(), model);
+                assert_eq!((t.len(), t.dropped()), (model.len(), dropped));
+                assert_eq!(t.render_jsonl(), render_jsonl(None, dropped, &model));
+            }
+        }
+    }
+
+    /// A synthetic stream with `chaos-observed`'s mix — per commit on 16
+    /// nodes: its initiation, commit, home install and broadcast, 17
+    /// deliveries and 12 remote installs about a link delay later, a drop
+    /// and now and then a retransmission, a queued submission or a read —
+    /// packs to at most 8 bytes a record.
+    #[test]
+    fn the_ring_packs_the_observed_mix_in_eight_bytes_a_record() {
+        let mut rng = crate::rng::SimRng::new(42);
+        let mut stream = Vec::new();
+        for i in 0..2_000u64 {
+            let t0 = i * 6_500 + rng.gen_range(0..1_000u64);
+            let fragment = (i % 16) as u32;
+            let home = fragment;
+            let c = cause(fragment, i / 16);
+            for event in [
+                TelemetryEvent::Initiated {
+                    node: home,
+                    fragment,
+                    txn_seq: i / 16,
+                },
+                TelemetryEvent::Committed {
+                    cause: c,
+                    node: home,
+                    txn_seq: i / 16,
+                },
+                TelemetryEvent::Installed {
+                    cause: c,
+                    node: home,
+                },
+                TelemetryEvent::BroadcastSent {
+                    cause: c,
+                    node: home,
+                    recipients: 15,
+                },
+            ] {
+                stream.push((t0, event));
+            }
+            for k in 1..=17u32 {
+                let to = (home + k) % 16;
+                let at = t0 + 10_000 + rng.gen_range(0..3_000u64);
+                let kind =
+                    ["quasi", "batch", "heartbeat"][usize::from(k > 12) + usize::from(k > 15)];
+                stream.push((
+                    at,
+                    TelemetryEvent::Delivered {
+                        from: home,
+                        to,
+                        kind,
+                    },
+                ));
+                if k <= 12 {
+                    stream.push((at, TelemetryEvent::Installed { cause: c, node: to }));
+                }
+            }
+            let to = (home + 1 + rng.gen_range(0..15u32)) % 16;
+            stream.push((
+                t0,
+                TelemetryEvent::Dropped {
+                    from: home,
+                    to,
+                    count: 1,
+                },
+            ));
+            if i % 2 == 0 {
+                let at = t0 + 200_000;
+                stream.push((
+                    at,
+                    TelemetryEvent::Retransmit {
+                        from: home,
+                        to,
+                        count: 1,
+                    },
+                ));
+            }
+            if i % 4 == 0 {
+                stream.push((t0, TelemetryEvent::SubmissionQueued { fragment, depth: 1 }));
+                stream.push((
+                    t0 + 900,
+                    TelemetryEvent::ReadObserved {
+                        node: to,
+                        fragment,
+                        seen_seq: i / 16,
+                        agent_seq: i / 16 + 1,
+                    },
+                ));
+            }
+        }
+        stream.sort_by_key(|&(at, _)| at);
+        let mut t = Telemetry::bounded(stream.len());
+        let mut m = Metrics::new();
+        for (at, event) in stream {
+            t.record(SimTime(at), event, &mut m);
+        }
+        let bytes = t.ring.bytes.len() - t.ring.head;
+        assert!(
+            bytes <= 8 * t.len(),
+            "{bytes} bytes for {} records",
+            t.len()
         );
     }
 

@@ -104,12 +104,12 @@ fn fault_free_spans_are_complete_r_joins() {
         // The home leg installs at the commit instant.
         let home = s.commit_node.expect("complete span has a commit site");
         let home_leg = s.legs.iter().find(|l| l.node == home).expect("home leg");
-        assert_eq!(home_leg.net_us, 0);
-        assert_eq!(home_leg.holdback_us, 0);
+        assert_eq!(s.net_us(home_leg), 0);
+        assert_eq!(home_leg.holdback_us(), 0);
         // Remote legs cross one 10 ms link with no gaps to fill.
         for leg in s.legs.iter().filter(|l| l.node != home) {
-            assert_eq!(leg.net_us, 10_000, "one clean 10ms hop");
-            assert_eq!(leg.holdback_us, 0, "in-order FIFO needs no hold-back");
+            assert_eq!(s.net_us(leg), 10_000, "one clean 10ms hop");
+            assert_eq!(leg.holdback_us(), 0, "in-order FIFO needs no hold-back");
             assert!(!leg.retransmitted);
         }
         // So the critical path is a single network segment.
@@ -349,7 +349,12 @@ fn report_digest(r: &SpanReport, as_parent: bool) -> u64 {
             let _ = writeln!(
                 text,
                 "  {} {} {} {} {} {}",
-                l.node, l.installed_at, l.arrived_at, l.net_us, l.holdback_us, l.retransmitted
+                l.node,
+                l.installed_at,
+                l.arrived_at,
+                s.net_us(l),
+                l.holdback_us(),
+                l.retransmitted
             );
         }
     }
@@ -397,7 +402,7 @@ fn lossy_self_heal_reconstruction_hashes_to_the_pinned_digest() {
     // pushes it to every member behind it before its first prepare, so
     // (0, 1, 4) is held back nowhere; before that push it waited at nodes
     // 2, 3 and 4 until each asked for the hole.
-    assert!(!legs().any(|l| l.holdback_us > 0), "a held-back leg");
+    assert!(!legs().any(|l| l.holdback_us() > 0), "a held-back leg");
     assert_eq!(live.uncommitted, 1, "the prepare the crash interrupted");
     // `PARENT` renders that one span as truncated, the way the parent of
     // `SpanStatus::Uncommitted` reported it; the digests differ by that
@@ -477,8 +482,8 @@ fn a_broadcast_racing_a_crash_catch_up_is_held_back() {
         .spans
         .iter()
         .flat_map(|s| s.legs.iter().map(move |l| (s.cause.frag_seq, l)))
-        .filter(|(_, l)| l.holdback_us > 0)
-        .map(|(seq, l)| (seq, l.node, l.holdback_us))
+        .filter(|(_, l)| l.holdback_us() > 0)
+        .map(|(seq, l)| (seq, l.node, l.holdback_us()))
         .collect();
     assert_eq!(held, vec![(2, 2, 9_001)]);
 }
