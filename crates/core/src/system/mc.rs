@@ -292,7 +292,6 @@ impl System {
         let mut keyed: Vec<_> = self
             .history
             .ops()
-            .iter()
             .map(|op| {
                 (
                     (op.node, op.object),

@@ -78,13 +78,15 @@ fn full_mesh_commits_and_reads() {
     const NODES: u32 = 64;
     let (mut sys, objects) = system(NODES, SystemConfig::unrestricted(42));
     // Each commit appends one entry to every WAL and 65 operations to the
-    // history (a read and a write at the home, 63 installs), and each
-    // read-only transaction one read. Warm-up is commits 0..=128, the
-    // measured window 129..=247: the WALs stay between 129 and 248 entries
-    // and the history between 8 514 and 16 368 operations, so no log
-    // doubles its buffer inside the window, and the engine's event runs
-    // have grown to the length they keep (they still grow near commit 56).
-    let (warm, last) = (129u64, 247u64);
+    // history (a read and a write at the home, 63 installs; about 530
+    // packed bytes), and each read-only transaction one read. Warm-up is
+    // commits 0..=138, the measured window 139..=247: the WALs stay
+    // between 139 and 248 entries (a segment of 128 holds them) and the
+    // history between 9 176 and 16 370 operations, 65.8 kB to 123.9 kB,
+    // so no log doubles its buffer inside the window (the history's bytes
+    // pass 64 KiB in commit 138's installs), and the engine's event runs
+    // have grown to the length they keep.
+    let (warm, last) = (139u64, 247u64);
     for i in 0..=last {
         sys.submit_at(submitted_at(i), update(&objects, i));
         let peek = objects[i as usize % 8];
@@ -154,8 +156,10 @@ fn batched_commits_on_three_replicas() {
     // flushes the 1, the 2, the 3 and the 5's tail, a full window the 4
     // and the 5's head. A singleton travels as a plain `Quasi`. Each
     // commit appends one entry to every WAL and 4 operations to the
-    // history. Warm-up is rounds 0..=24 (75 commits), the measured window
-    // rounds 25..=34 (30 more): no log doubles its buffer inside it.
+    // history (about 30 packed bytes). Warm-up is rounds 0..=24 (75
+    // commits), the measured window rounds 25..=34 (30 more): the WALs
+    // stay between 64 and 128 entries and the history between 2 KiB and
+    // 4 KiB, so no log doubles its buffer inside it.
     let (warm, last) = (25u64, 34u64);
     let mut i = 0;
     for round in 0..=last {

@@ -95,12 +95,14 @@ fn assert_clean_after_abort(mut sys: System, objs: &[Vec<ObjectId>], reason: Abo
         })
         .expect("the clean update commits");
 
-    let home_ops: Vec<(OpKind, ObjectId)> = (sys.history.ops().iter())
+    let home_ops: Vec<(OpKind, ObjectId)> = sys
+        .history
+        .ops()
         .filter(|op| op.txn == txn && !op.is_install)
         .map(|op| (op.kind, op.object))
         .collect();
     assert_eq!(home_ops, [(OpKind::Read, b), (OpKind::Write, a)]);
-    assert!(sys.history.ops().iter().all(|op| op.txn != aborted[0]));
+    assert!(sys.history.ops().all(|op| op.txn != aborted[0]));
 
     let payload = vec![(a, Value::Int(77))];
     for node in 0..sys.node_count() {

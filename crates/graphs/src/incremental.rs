@@ -183,12 +183,13 @@ impl IncrementalAnalyzer {
 
     /// Consume every op recorded since the last `ingest`/`observe` and
     /// return how many were new. The history must be the same one (or an
-    /// extension of it) each time: ops are consumed strictly by position.
+    /// extension of it) each time: ops are consumed strictly by position,
+    /// and the packed history is unpacked from its start to reach them.
     pub fn ingest(&mut self, history: &History) -> usize {
-        let new = &history.ops()[self.ops_seen..];
+        let new = history.ops().skip(self.ops_seen);
         let count = new.len();
         for op in new {
-            self.observe(op);
+            self.observe(&op);
         }
         count
     }

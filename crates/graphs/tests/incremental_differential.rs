@@ -12,7 +12,7 @@ use fragdb_sim::SimTime;
 /// numbers are re-assigned identically because the order is preserved).
 fn prefix(h: &History, n: usize) -> History {
     let mut out = History::new();
-    for op in &h.ops()[..n] {
+    for op in h.ops().take(n) {
         if op.is_install {
             out.record_install(op.node, op.txn, op.ttype, op.object, op.at);
         } else {
@@ -28,7 +28,7 @@ fn assert_agreement_on_all_prefixes(h: &History, label: &str) {
     let mut inc = IncrementalAnalyzer::new();
     for n in 0..=h.len() {
         if n > 0 {
-            inc.observe(&h.ops()[n - 1]);
+            inc.observe(&h.ops().nth(n - 1).expect("n ops"));
         }
         let batch = analyze(&prefix(h, n));
         let v = inc.verdict();
@@ -275,8 +275,8 @@ fn incremental_agrees_with_batch_on_scaled_histories() {
     for seed in 0..8u64 {
         let h = scaled_history(seed, 2_000 + 100 * seed as usize);
         let mut inc = IncrementalAnalyzer::new();
-        for (i, op) in h.ops().iter().enumerate() {
-            inc.observe(op);
+        for (i, op) in h.ops().enumerate() {
+            inc.observe(&op);
             let n = i + 1;
             if n % 100 == 0 || n == h.len() {
                 let batch = analyze(&prefix(&h, n));

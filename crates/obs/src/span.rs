@@ -175,16 +175,14 @@ struct InitCtx {
 
 /// Span building state while the pass is still consuming events. Until
 /// finalize, `span.legs` holds one leg per `installed` event in stream
-/// order, only `node` and `installed_at` filled in.
+/// order, only `node` and `installed_at` filled in. What few spans have
+/// (held-back arrivals, a queue interval) lives in [`Pass`]'s side
+/// tables.
 struct SpanBuild {
     span: CommitSpan,
-    /// `(node, instant)` of every `held_back`, in stream order.
-    arrived: Vec<(u32, u64)>,
     /// Instant of the `broadcast_sent`, if seen.
     broadcast_at: Option<u64>,
     discarded: bool,
-    /// Pre-commit queue interval, re-checked against windows at finalize.
-    queue_interval: Option<(u64, u64)>,
 }
 
 /// Aggregated reconstruction output over one event stream.
@@ -266,6 +264,13 @@ struct Pass {
     builds: Vec<SpanBuild>,
     /// Each causal id's position in `builds`.
     index: IdMap<CausalId, usize>,
+    /// `(node, instant)` of every `held_back`, in stream order, for the
+    /// spans that have one. Keyed by causal id rather than position: the
+    /// builds are sorted before they are finalized.
+    arrived: IdMap<CausalId, Vec<(u32, u64)>>,
+    /// Pre-commit queue interval of a queued submission's span,
+    /// re-checked against windows at finalize.
+    queued: IdMap<CausalId, (u64, u64)>,
     /// Instant of the first event, once one is seen.
     start_at: Option<u64>,
     end_at: u64,
@@ -277,10 +282,8 @@ impl Pass {
         let i = *self.index.entry(cause).or_insert_with(|| {
             builds.push(SpanBuild {
                 span: CommitSpan::new(cause),
-                arrived: Vec::new(),
                 broadcast_at: None,
                 discarded: false,
-                queue_interval: None,
             });
             builds.len() - 1
         });
@@ -361,7 +364,7 @@ impl Pass {
                     b.span.exec_us = (at - init.at).saturating_sub(b.span.lock_wait_us);
                     if let Some((qs, qe)) = init.queue_interval {
                         b.span.queue_us = qe - qs;
-                        b.queue_interval = Some((qs, qe));
+                        self.queued.insert(cause, (qs, qe));
                     }
                     debug_assert_eq!(init.fragment, cause.fragment);
                 }
@@ -380,7 +383,8 @@ impl Pass {
                     legs.try_reserve_exact((recipients as usize + 1).saturating_sub(legs.len()));
             }
             TelemetryEvent::HeldBack { cause, node, .. } => {
-                self.build(cause).arrived.push((node, at));
+                self.build(cause);
+                self.arrived.entry(cause).or_default().push((node, at));
             }
             TelemetryEvent::Installed { cause, node } => {
                 self.build(cause).span.legs.push(InstallLeg {
@@ -432,7 +436,14 @@ impl Pass {
         }
         drop(self.index);
         self.builds.sort_unstable_by_key(|b| b.span.cause);
-        SpanReport::finalize(self.builds, self.start_at, &self.win, &self.retrans)
+        SpanReport::finalize(
+            self.builds,
+            self.start_at,
+            &self.win,
+            &self.retrans,
+            &self.arrived,
+            &self.queued,
+        )
     }
 }
 
@@ -474,12 +485,15 @@ impl SpanReport {
     }
 
     /// Turn the builds, in causal-id order, into the report. `start_at` is
-    /// the instant of the stream's first event.
+    /// the instant of the stream's first event; `arrived` and `queued` are
+    /// the pass's side tables.
     fn finalize(
         builds: Vec<SpanBuild>,
         start_at: Option<u64>,
         win: &Windows,
         retrans: &IdMap<(u32, u32), Vec<u64>>,
+        arrived: &IdMap<CausalId, Vec<(u32, u64)>>,
+        queued: &IdMap<CausalId, (u64, u64)>,
     ) -> SpanReport {
         let mut report = SpanReport {
             spans: Vec::new(),
@@ -500,8 +514,9 @@ impl SpanReport {
         // instead of holding a second copy of every span at the peak.
         let builds = builds.into_iter().map(|mut b| {
             // Queue-wait attribution against the full window set.
-            if let Some(iv) = b.queue_interval {
-                b.span.queue_attr = win.attr(b.span.cause.fragment, iv);
+            let cause = b.span.cause;
+            if let Some(&iv) = queued.get(&cause) {
+                b.span.queue_attr = win.attr(cause.fragment, iv);
             }
 
             // One leg per node, in node order: the stable sort keeps each
@@ -514,9 +529,7 @@ impl SpanReport {
                 let (node, installed_at) = (leg.node, leg.installed_at);
                 let is_home = commit_node == Some(node);
                 if !is_home {
-                    leg.arrived_at = b
-                        .arrived
-                        .iter()
+                    leg.arrived_at = (arrived.get(&cause).into_iter().flatten())
                         .find(|&&(n, _)| n == node)
                         .map(|&(_, t)| t)
                         .filter(|&t| t <= installed_at)
@@ -684,5 +697,16 @@ impl SpanReport {
             .get(phase)
             .and_then(|s| s.quantile(q))
             .unwrap_or(0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// A build is its span, the broadcast instant and a flag: held-back
+    /// arrivals and queue intervals live in the pass's side tables.
+    #[test]
+    fn a_span_build_is_152_bytes() {
+        assert_eq!(std::mem::size_of::<super::CommitSpan>(), 128);
+        assert_eq!(std::mem::size_of::<super::SpanBuild>(), 152);
     }
 }

@@ -23,6 +23,8 @@
 //!   log-linear sketch with exact moments and quantiles within 2⁻⁵.
 //! * [`telemetry`] — typed, causally-joined event stream with online
 //!   probes (propagation lag, read staleness, move stalls).
+//! * [`varint`] — the LEB128 codec of the packed logs: the telemetry ring
+//!   and the executed history.
 
 pub mod engine;
 pub mod histogram;
@@ -30,6 +32,7 @@ pub mod metrics;
 pub mod rng;
 pub mod telemetry;
 pub mod time;
+pub mod varint;
 
 pub use engine::Engine;
 pub use histogram::QuantileSketch;

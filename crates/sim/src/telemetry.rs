@@ -23,7 +23,8 @@
 //! ring keeps in memory. A packed record is a tag byte (the variant's
 //! position in the declaration), the zigzag LEB128 delta of its instant
 //! from the record before it, then each field: an integer as LEB128, a
-//! causal id as three of them, a vocabulary word as its one-byte index.
+//! causal id as three of them, a vocabulary word as its one-byte index
+//! (the [`crate::varint`] codec).
 //! On `chaos-observed`'s event mix that is about six bytes a record,
 //! against 48 for a [`TelemetryRecord`]. [`Telemetry::events`] unpacks the
 //! ring in order and hands out records by value.
@@ -43,6 +44,7 @@ use crate::histogram::QuantileSketch;
 use crate::metrics::keys::{self, FragProbe, NodeProbe};
 use crate::metrics::{HistKey, Metrics};
 use crate::time::SimTime;
+use crate::varint;
 
 /// Causal identity of a quasi-transaction: the fragment it updates, the
 /// token epoch it was issued under, and its position in the fragment's
@@ -504,41 +506,6 @@ trait Wire: Sized {
     fn unpack(packed: &mut &[u8]) -> Self;
 }
 
-/// Append `v` as LEB128: seven bits a byte, low bits first, the high bit
-/// set on every byte but the last.
-#[inline(always)]
-fn pack_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-/// The next byte of a packed record. The ring holds only what
-/// [`TelemetryRecord::pack`] wrote, so a short record is a bug.
-#[inline(always)]
-fn unpack_byte(packed: &mut &[u8]) -> u8 {
-    let (&b, rest) = packed.split_first().expect("a packed record is whole");
-    *packed = rest;
-    b
-}
-
-/// Read back what [`pack_varint`] wrote.
-#[inline(always)]
-fn unpack_varint(packed: &mut &[u8]) -> u64 {
-    let mut v = 0;
-    let mut shift = 0;
-    loop {
-        let b = unpack_byte(packed);
-        v |= u64::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return v;
-        }
-        shift += 7;
-    }
-}
-
 /// `word`'s position in `vocabulary`, as one byte.
 #[inline(always)]
 fn word_index(vocabulary: &[&str], word: &str) -> u8 {
@@ -552,7 +519,7 @@ fn word_index(vocabulary: &[&str], word: &str) -> u8 {
 /// The word [`word_index`] packed.
 #[inline(always)]
 fn word_at(vocabulary: &'static [&'static str], packed: &mut &[u8]) -> &'static str {
-    vocabulary[usize::from(unpack_byte(packed))]
+    vocabulary[usize::from(varint::unpack_byte(packed))]
 }
 
 /// `"00"`, `"01"`, … `"99"`: the two decimal digits of every value below 100.
@@ -635,11 +602,11 @@ impl Wire for u64 {
     }
     #[inline(always)]
     fn pack(&self, out: &mut Vec<u8>) {
-        pack_varint(out, *self);
+        varint::pack(out, *self);
     }
     #[inline(always)]
     fn unpack(packed: &mut &[u8]) -> u64 {
-        unpack_varint(packed)
+        varint::unpack(packed)
     }
 }
 
@@ -655,12 +622,12 @@ impl Wire for u32 {
     }
     #[inline(always)]
     fn pack(&self, out: &mut Vec<u8>) {
-        pack_varint(out, u64::from(*self));
+        varint::pack(out, u64::from(*self));
     }
     #[inline(always)]
     fn unpack(packed: &mut &[u8]) -> u32 {
         // Packed from a `u32`, so it fits.
-        unpack_varint(packed) as u32
+        varint::unpack(packed) as u32
     }
 }
 
@@ -851,19 +818,16 @@ impl TelemetryRecord {
     /// because a caller may record out of time order.
     fn pack(&self, prev_at: u64, out: &mut Vec<u8>) {
         out.push(self.event.tag());
-        let delta = self.at.micros().wrapping_sub(prev_at) as i64;
-        pack_varint(out, ((delta << 1) ^ (delta >> 63)) as u64);
+        varint::pack_delta(out, prev_at, self.at.micros());
         self.event.pack_fields(out);
     }
 
     /// Read back what [`TelemetryRecord::pack`] wrote after `prev_at`.
     #[inline(always)]
     fn unpack(prev_at: u64, packed: &mut &[u8]) -> TelemetryRecord {
-        let tag = unpack_byte(packed);
-        let zigzag = unpack_varint(packed);
-        let delta = (zigzag >> 1) ^ (zigzag & 1).wrapping_neg();
+        let tag = varint::unpack_byte(packed);
         TelemetryRecord {
-            at: SimTime(prev_at.wrapping_add(delta)),
+            at: SimTime(varint::unpack_delta(prev_at, packed)),
             event: TelemetryEvent::unpack_fields(tag, packed),
         }
     }

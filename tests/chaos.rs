@@ -104,7 +104,7 @@ fn chaos_run(seed: u64) -> ChaosOutcome {
         retransmissions: sys.net_stats().retransmissions,
         divergent: sys.divergent_fragments().len(),
         fragmentwise: verdict.fragmentwise_serializable(),
-        ops: sys.history.ops().to_vec(),
+        ops: sys.history.ops().collect(),
     }
 }
 

@@ -339,7 +339,7 @@ fn chaos_digest(seed: u64) -> ChaosDigest {
 
     let verdict = fragdb::graphs::analyze(&sys.history);
     ChaosDigest {
-        ops: sys.history.ops().to_vec(),
+        ops: sys.history.ops().collect(),
         divergent: sys.divergent_fragments().len(),
         fragmentwise: verdict.fragmentwise_serializable(),
         committed,

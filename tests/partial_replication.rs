@@ -107,7 +107,7 @@ fn regime_run(seed: u64, partial: bool) -> Outcome {
         divergent: sys.divergent_fragments().len(),
         fragmentwise: verdict.fragmentwise_serializable(),
         transmissions: sys.net_stats().transmissions,
-        ops: sys.history.ops().to_vec(),
+        ops: sys.history.ops().collect(),
     }
 }
 
